@@ -9,6 +9,7 @@ dict equality is honest tensor equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .scalar import CycScalar
 
@@ -315,23 +316,60 @@ def solve_linear(rows: list, rhs: list, ncols: int, order: int):
 
 
 def multiply(sc: StructureConstants, x: SparseTensor, y: SparseTensor) -> SparseTensor:
-    """Componentwise product in the degree-d tensor power of the algebra."""
+    """Componentwise product in the degree-d tensor power of the algebra.
+
+    The entries of y that can meet an entry kx of x are found in one of two
+    ways, chosen per kx by the number of candidates each would visit:
+
+    - scan: every entry of y whose leg-0 index is a right partner of kx[0]
+      (the y entries bucketed by leg 0), testing the other legs one by one;
+    - lookup: every key in the product of the right-partner lists of kx's
+      legs, looked up in y by full key.
+
+    Lookup is taken when that product is smaller than the scan; the product
+    is built leg by leg and abandoned once it reaches the scan size.  So
+    near-diagonal algebras (one partner per index) look up, and dense tables
+    (many partners per index) scan unless y is dense too.  Degree 1 always
+    scans: its leg-0 bucket already is the full key, so estimating would
+    only add cost.
+    """
     x._compat(y)
     if x.dim != sc.dim:
         raise AlgebraError("tensor dimension does not match the algebra")
     table = sc.table
+    y_entries = y.entries
     buckets: dict[int, list] = {}
-    for ky, cy in y.entries.items():
+    for ky, cy in y_entries.items():
         buckets.setdefault(ky[0], []).append((ky, cy))
     out: dict = {}
     rp = sc.right_partners
     deg = x.degree
+    scan_sizes: dict[int, int] = {}  # leg-0 index of x -> y entries a scan visits
+    if deg > 1:
+        lp = sc.left_partners
+        for j0, blist in buckets.items():
+            for i in lp.get(j0, ()):
+                scan_sizes[i] = scan_sizes.get(i, 0) + len(blist)
     for kx, cx in x.entries.items():
         partners = rp.get(kx[0])
         if not partners:
             continue
-        for j0 in partners:
-            blist = buckets.get(j0)
+        lookup = None
+        if deg > 1:
+            scan = scan_sizes.get(kx[0])
+            if not scan:
+                continue
+            legs = [partners]
+            size = len(partners)
+            for i in kx[1:]:
+                p = rp.get(i, ())
+                size *= len(p)
+                if size >= scan:
+                    break
+                legs.append(p)
+            else:
+                lookup = ([(ky, y_entries[ky]) for ky in product(*legs) if ky in y_entries],)
+        for blist in lookup or map(buckets.get, partners):
             if not blist:
                 continue
             for ky, cy in blist:
@@ -442,6 +480,15 @@ def counit_leg(eps: dict, t: SparseTensor, leg: int) -> SparseTensor:
         prev = out.get(nk)
         out[nk] = c * e if prev is None else prev + c * e
     return SparseTensor(t.dim, t.degree - 1, t.order, out)
+
+
+def slice_leg(t: SparseTensor, leg: int) -> dict:
+    """{index on one leg (1-based): the tensor of t's other legs at that index}."""
+    pos = leg - 1
+    parts: dict = {}
+    for key, c in t.entries.items():
+        parts.setdefault(key[pos], {})[key[:pos] + key[pos + 1 :]] = c
+    return {i: SparseTensor(t.dim, t.degree - 1, t.order, e) for i, e in parts.items()}
 
 
 def permute_legs(t: SparseTensor, perm) -> SparseTensor:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qhd.algebra import (
+    AlgebraError,
     Coproduct,
     Inconsistency,
     LinearMap,
@@ -17,6 +18,7 @@ from qhd.algebra import (
     leg_embed,
     merge_pair,
     multiply,
+    slice_leg,
     solve_linear,
     tensor_product,
     vec_tensor,
@@ -301,6 +303,17 @@ def test_merge_pair_with_vectors_and_interleaving():
     assert got.is_zero()
 
 
+def test_slice_leg_splits_by_one_leg():
+    t = SparseTensor(2, 3, 1, {(0, 1, 1): ONE, (1, 0, 1): rat(2), (0, 0, 1): rat(3)})
+    assert slice_leg(t, 2) == {
+        1: SparseTensor(2, 2, 1, {(0, 1): ONE}),
+        0: SparseTensor(2, 2, 1, {(1, 1): rat(2), (0, 1): rat(3)}),
+    }
+    assert slice_leg(t, 3) == {1: SparseTensor(2, 2, 1, {(0, 1): ONE, (1, 0): rat(2),
+                                                         (0, 0): rat(3)})}
+    assert slice_leg(SparseTensor(2, 3, 1, {}), 1) == {}
+
+
 def test_tensor_entries_prune_zeros_and_compare():
     a = SparseTensor(2, 2, 1, {(0, 0): ONE, (1, 1): ZERO})
     b = SparseTensor(2, 2, 1, {(0, 0): ONE})
@@ -317,3 +330,113 @@ def test_cyclotomic_coefficients_flow_through_products():
     got = multiply(sc, t, t)
     assert got == SparseTensor(1, 1, 4, {(0,): z * z})
     assert got.entries[(0,)] == CycScalar.from_rational(4, -1)
+
+
+# -- multiply against the leg-0-only join it replaced ---------------------------
+
+
+def _multiply_reference(sc: StructureConstants, x: SparseTensor, y: SparseTensor) -> SparseTensor:
+    """Componentwise product in the degree-d tensor power of the algebra."""
+    x._compat(y)
+    if x.dim != sc.dim:
+        raise AlgebraError("tensor dimension does not match the algebra")
+    table = sc.table
+    buckets: dict[int, list] = {}
+    for ky, cy in y.entries.items():
+        buckets.setdefault(ky[0], []).append((ky, cy))
+    out: dict = {}
+    rp = sc.right_partners
+    deg = x.degree
+    for kx, cx in x.entries.items():
+        partners = rp.get(kx[0])
+        if not partners:
+            continue
+        for j0 in partners:
+            blist = buckets.get(j0)
+            if not blist:
+                continue
+            for ky, cy in blist:
+                exps = []
+                ok = True
+                for pos in range(deg):
+                    ent = table.get((kx[pos], ky[pos]))
+                    if not ent:
+                        ok = False
+                        break
+                    exps.append(ent)
+                if not ok:
+                    continue
+                partial = [((), cx * cy)]
+                for ent in exps:
+                    if len(ent) == 1:
+                        k0, c0 = ent[0]
+                        partial = [(key + (k0,), c * c0) for key, c in partial]
+                    else:
+                        partial = [
+                            (key + (k0,), c * c0)
+                            for key, c in partial
+                            for k0, c0 in ent
+                        ]
+                for key, c in partial:
+                    prev = out.get(key)
+                    out[key] = c if prev is None else prev + c
+    return SparseTensor(x.dim, deg, x.order, out)
+
+
+def group_algebra_s3() -> StructureConstants:
+    """Group algebra of S3: every basis element has all six right partners."""
+    import itertools
+
+    perms = list(itertools.permutations(range(3)))
+    one = CycScalar.one(1)
+    table = {
+        (a, b): ((perms.index(tuple(p[q[i]] for i in range(3))), one),)
+        for a, p in enumerate(perms) for b, q in enumerate(perms)
+    }
+    return StructureConstants(6, 1, table, {perms.index((0, 1, 2)): one})
+
+
+def partial_algebra() -> StructureConstants:
+    """e0 acts as a unit on e0, e1; e1 e1 = 0; e2 has no partner on either side."""
+    one = CycScalar.one(1)
+    table = {(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),)}
+    return StructureConstants(3, 1, table, {0: one})
+
+
+def sparse_tensor(rng, sc, degree, size):
+    """size draws of a random key with a random cyclotomic coefficient."""
+    entries = {}
+    for _ in range(size):
+        key = tuple(rng.randrange(sc.dim) for _ in range(degree))
+        entries[key] = (root_of_unity(sc.order, rng.randrange(sc.order))
+                        * CycScalar.from_rational(sc.order, rng.choice((-2, -1, 1, 3))))
+    return SparseTensor(sc.dim, degree, sc.order, entries)
+
+
+def test_multiply_matches_leg0_join_reference():
+    from qhd.heisenberg import build_H1
+    from qhd.twisted import build_k_omega_G, cyclic_cocycle
+
+    diagonal = build_k_omega_G(cyclic_cocycle(4, 1)).mult
+    double = build_H1(build_k_omega_G(cyclic_cocycle(3, 1))).sc
+    rng = random.Random(2604)
+    sizes = (0, 1, 3, 12, 40, 120)
+    for sc in (diagonal, group_algebra_s3(), double, partial_algebra()):
+        for degree in (1, 2, 3, 4):
+            for nx, ny in [(0, 5), (5, 0)] + [
+                (rng.choice(sizes), rng.choice(sizes)) for _ in range(8)
+            ]:
+                x = sparse_tensor(rng, sc, degree, nx)
+                y = sparse_tensor(rng, sc, degree, ny)
+                want = _multiply_reference(sc, x, y)
+                got = multiply(sc, x, y)
+                assert got == want, (sc.dim, degree, nx, ny)
+                assert got.degree == degree and got.order == sc.order
+    # (0, 2, 0) in x and (1, 2, 0) in y meet nothing: e2 has no partner
+    sc = partial_algebra()
+    x = SparseTensor(3, 3, 1, {(0, 2, 0): ONE, (0, 0, 1): rat(2), (1, 1, 0): ONE})
+    y = SparseTensor(3, 3, 1, {(0, 0, 0): ONE, (1, 2, 0): ONE, (0, 0, 1): rat(-1),
+                               (0, 1, 0): rat(5), (1, 0, 0): ONE})
+    want = SparseTensor(3, 3, 1, {(0, 0, 1): rat(2), (0, 1, 1): rat(10), (1, 0, 1): rat(2),
+                                  (1, 1, 0): ONE, (1, 1, 1): rat(-1)})
+    assert multiply(sc, x, y) == want == _multiply_reference(sc, x, y)

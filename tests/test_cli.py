@@ -4,7 +4,17 @@ import json
 
 import pytest
 
-from qhd.cli import InputError, RunSpec, main, parse_input, resolve_builtin, run
+from qhd.algebra import StructureConstants
+from qhd.cli import (
+    InputError,
+    RunSpec,
+    _products_equal,
+    main,
+    parse_input,
+    resolve_builtin,
+    run,
+)
+from qhd.scalar import CycScalar
 
 
 def run_spec(source, suites=("all",), **kw):
@@ -157,6 +167,35 @@ def test_main_writes_report_file(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["summary"]["failed"] == 0
     assert "report written" in capsys.readouterr().out
+
+
+def test_main_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.qhd"
+    bad.write_bytes("group cyclic 2  # gr\u00f6\u00dfe\ncocycle trivial\n".encode("latin-1"))
+    assert main(["--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
+def test_main_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.txt"
+    assert main(["--example", "trivial:2", "--check", "axioms", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(out) in err
+    assert not out.exists()
+
+
+def test_products_equal_ignores_cell_order():
+    one, two = CycScalar.one(1), CycScalar.from_rational(1, 2)
+    sc = StructureConstants(4, 1, {(0, 0): ((0, one), (1, two)), (1, 2): ((3, one),)}, {0: one})
+    reordered = StructureConstants(4, 1, {(1, 2): ((3, one),), (0, 0): ((1, two), (0, one))},
+                                   {0: one})
+    assert sc.table != reordered.table  # the tuples differ, the products do not
+    assert _products_equal(sc, reordered)
+    changed = StructureConstants(4, 1, {(1, 2): ((3, one),), (0, 0): ((1, one), (0, one))},
+                                 {0: one})
+    assert not _products_equal(sc, changed)
+    assert not _products_equal(sc, StructureConstants(4, 1, dict(sc.table), {1: one}))
 
 
 def test_float_backend_cross_check_agrees():

@@ -4,7 +4,17 @@ import dataclasses
 
 import pytest
 
-from qhd.algebra import Coproduct, LinearMap, SparseTensor, multiply
+from qhd.algebra import (
+    Coproduct,
+    LinearMap,
+    SparseTensor,
+    apply_leg,
+    leg_embed,
+    multiply,
+    permute_legs,
+    split_leg,
+    tensor_product,
+)
 from qhd.quasihopf import (
     AntipodeNotBijectiveError,
     DerivedElementError,
@@ -198,3 +208,53 @@ def test_antipode_is_involution_on_function_algebras():
         Sinv = invert_map(H.antipode)
         assert Sinv == H.antipode  # every map with S o S = id inverts to itself
         assert H.antipode.compose(H.antipode) == LinearMap.identity(n, H.order)
+
+
+class CapturingRecorder(Recorder):
+    """Keeps both sides of every tensor check, by label."""
+
+    def __init__(self):
+        super().__init__()
+        self.sides = {}
+
+    def tensor_check(self, label, name, lhs, rhs, detail=""):
+        self.sides[label] = (lhs, rhs)
+        return super().tensor_check(label, name, lhs, rhs, detail)
+
+
+def test_grouped_associator_sums_match_per_entry_sums_on_mutated_input():
+    H = build_k_omega_G(cyclic_cocycle(3, 1))
+    D = derive_elements(H)
+    key = (0, 1, 2)  # distinct legs, so a sum that swaps two legs shows
+    phi = SparseTensor(H.dim, 3, H.order, dict(H.associator.entries))
+    phi.entries[key] = phi.entries[key] * root_of_unity(H.order, 1)
+    H_mut = dataclasses.replace(H, associator=phi)
+    rec = CapturingRecorder()
+    check_qp_identities(H_mut, D, rec)
+    check_lemma41(H_mut, D, rec)
+    assert {"2.12", "2.13", "4.4"} <= set(failing(rec))
+
+    # the right-hand sides as one sum per associator entry
+    sc, cop, S, Sinv = H.mult, H.coproduct, H.antipode, H_mut.antipode_inverse()
+    u = H.unit_vec()
+    unit1 = H.vec1(u)
+    zero3 = SparseTensor(H.dim, 3, H.order, {})
+    f_swap = apply_leg(Sinv, apply_leg(Sinv, permute_legs(D.twist, (1, 0)), 1), 2)
+    fp = multiply(sc, leg_embed(f_swap, (2, 3), 3, u), split_leg(cop, D.qR, 2))
+    g_swap = apply_leg(Sinv, apply_leg(Sinv, permute_legs(D.twist_inv, (1, 0)), 1), 2)
+    pg = multiply(sc, split_leg(cop, D.pL, 1), leg_embed(g_swap, (1, 2), 3, u))
+    rhs_212 = rhs_213 = rhs_44 = zero3
+    for (i1, i2, i3), c in phi.entries.items():
+        front = tensor_product(unit1, H.vec1(Sinv.cols[i3]), H.vec1(Sinv.cols[i2]))
+        term = multiply(sc, multiply(sc, front, fp), H_mut.delta_tower(i1, "idd"))
+        rhs_212 = rhs_212 + term.scale(c)
+        back = tensor_product(H.vec1(Sinv.cols[i2]), H.vec1(Sinv.cols[i1]), unit1)
+        term = multiply(sc, multiply(sc, H_mut.delta_tower(i3, "ddi"), pg), back)
+        rhs_213 = rhs_213 + term.scale(c)
+        a = multiply(sc, cop.of_vec(S.cols[i1]), D.U)
+        term = multiply(sc, split_leg(cop, a, 1),
+                        tensor_product(H.vec1(H.basis_vec(i2)), H.vec1(H.basis_vec(i3)), unit1))
+        rhs_44 = rhs_44 + term.scale(c)
+    assert rec.sides["2.12"][1] == rhs_212
+    assert rec.sides["2.13"][1] == rhs_213
+    assert rec.sides["4.4"][1] == rhs_44
