@@ -262,49 +262,61 @@ class Inconsistency:
 
 
 def solve_linear(rows: list, rhs: list, ncols: int, order: int):
-    """Exact sparse Gaussian elimination on rows of {col: coeff}.
+    """Exact sparse Gauss-Jordan elimination on rows of {col: coeff}.
 
     Returns a solution {col: coeff} (free columns set to zero) or an
-    Inconsistency certificate.  Pivot choice is the first nonzero entry by
-    row-major scan, which keeps reports deterministic.
+    Inconsistency certificate.  Columns are eliminated in increasing order;
+    a column's pivot is the lowest-numbered row not yet used as a pivot that
+    holds the column, i.e. the first nonzero entry of a row-major scan, which
+    keeps reports deterministic.
+
+    A column -> rows index, updated as entries appear and cancel during
+    elimination, finds each pivot and the rows to eliminate, so the work
+    follows the nonzeros touched rather than rows x columns.  Each distinct
+    pivot value is inverted once.  The caller's row dicts are not modified.
     """
     rows = [dict(r) for r in rows]
     rhs = list(rhs)
-    norig = list(range(len(rows)))
+    holders: dict[int, set] = {}  # col -> positions of the rows holding it
+    for r, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(r)
     pivots: dict[int, int] = {}  # col -> row position in `rows`
     used: set[int] = set()
+    inverses: dict = {}
     for col in range(ncols):
-        piv = None
-        for r in range(len(rows)):
-            if r not in used and col in rows[r]:
-                piv = r
-                break
+        held = holders.get(col)
+        if not held:
+            continue
+        piv = min((r for r in held if r not in used), default=None)
         if piv is None:
             continue
         used.add(piv)
         pivots[col] = piv
-        pval = rows[piv][col].inverse()
-        rows[piv] = {c: v * pval for c, v in rows[piv].items()}
-        rhs[piv] = rhs[piv] * pval
-        prow = rows[piv]
-        prhs = rhs[piv]
-        for r in range(len(rows)):
-            if r == piv or col not in rows[r]:
-                continue
-            f = rows[r][col]
-            newrow = dict(rows[r])
+        pval = rows[piv][col]
+        inv = inverses.get(pval)
+        if inv is None:
+            inv = inverses[pval] = pval.inverse()
+        prow = rows[piv] = {c: v * inv for c, v in rows[piv].items()}
+        prhs = rhs[piv] = rhs[piv] * inv
+        for r in [r for r in held if r != piv]:  # `held` shrinks as col cancels
+            row = rows[r]
+            f = row[col]
             for c, v in prow.items():
-                prev = newrow.get(c)
+                prev = row.get(c)
                 nv = -f * v if prev is None else prev - f * v
                 if nv.is_zero():
-                    newrow.pop(c, None)
+                    if prev is not None:
+                        del row[c]
+                        holders[c].discard(r)
                 else:
-                    newrow[c] = nv
-            rows[r] = newrow
+                    if prev is None:
+                        holders[c].add(r)
+                    row[c] = nv
             rhs[r] = rhs[r] - f * prhs
     for r in range(len(rows)):
         if r not in used and not rows[r] and not rhs[r].is_zero():
-            return Inconsistency(row_index=norig[r], rhs=rhs[r])
+            return Inconsistency(row_index=r, rhs=rhs[r])
     sol: dict = {}
     for col, r in pivots.items():
         if not rhs[r].is_zero():
@@ -398,6 +410,40 @@ def multiply(sc: StructureConstants, x: SparseTensor, y: SparseTensor) -> Sparse
                     prev = out.get(key)
                     out[key] = c if prev is None else prev + c
     return SparseTensor(x.dim, deg, x.order, out)
+
+
+def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> list:
+    """Rows of the linear map Y -> x*Y (side "right") or Y -> Y*x (side
+    "left") on degree-2 tensors, with a basis key (k1, k2) flattened to
+    k1 * dim + k2 for both rows and columns: row r is {col: coeff}, the r-th
+    component of the product with the col-th basis tensor.
+
+    One pass over x's entries and their partners in the structure
+    constants; equal to the components of one `multiply` per basis tensor.
+    """
+    if x.degree != 2 or x.dim != sc.dim:
+        raise AlgebraError("multiplication rows need a degree-2 tensor over the algebra")
+    dim = sc.dim
+    table = sc.table
+    right = side == "right"
+    partners = sc.right_partners if right else sc.left_partners
+    rows: list = [{} for _ in range(dim * dim)]
+    for (a1, a2), cx in x.entries.items():
+        p2 = partners.get(a2)
+        if not p2:
+            continue
+        for b1 in partners.get(a1, ()):
+            for k1, c1 in table[(a1, b1) if right else (b1, a1)]:
+                c = cx * c1
+                base = k1 * dim
+                for b2 in p2:
+                    col = b1 * dim + b2
+                    for k2, c2 in table[(a2, b2) if right else (b2, a2)]:
+                        row = rows[base + k2]
+                        term = c * c2
+                        prev = row.get(col)
+                        row[col] = term if prev is None else prev + term
+    return [_prune(row) for row in rows]
 
 
 def tensor_product(*tensors: SparseTensor) -> SparseTensor:

@@ -19,6 +19,7 @@ from .algebra import (
     convolution,
     harpoon,
     leg_embed,
+    multiplication_rows,
     multiply,
     solve_linear,
     tensor_product,
@@ -507,19 +508,10 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     ncols = dim * dim
     order = ha.order
     zero = CycScalar.zero(order)
-    one = CycScalar.one(order)
     unit2 = ha.unit_tensor(2)
 
-    rows_l = [dict() for _ in range(ncols)]
-    rows_r = [dict() for _ in range(ncols)]
-    for c1 in range(dim):
-        for c2 in range(dim):
-            col = c1 * dim + c2
-            basis = SparseTensor(dim, 2, order, {(c1, c2): one})
-            for key, cc in multiply(ha.sc, x, basis).entries.items():
-                rows_l[key[0] * dim + key[1]][col] = cc
-            for key, cc in multiply(ha.sc, basis, x).entries.items():
-                rows_r[key[0] * dim + key[1]][col] = cc
+    rows_l = multiplication_rows(ha.sc, x, "right")
+    rows_r = multiplication_rows(ha.sc, x, "left")
     rhs = [unit2.entries.get((r // dim, r % dim), zero) for r in range(ncols)]
 
     def unflatten(sol: dict) -> SparseTensor:

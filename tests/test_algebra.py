@@ -440,3 +440,122 @@ def test_multiply_matches_leg0_join_reference():
     want = SparseTensor(3, 3, 1, {(0, 0, 1): rat(2), (0, 1, 1): rat(10), (1, 0, 1): rat(2),
                                   (1, 1, 0): ONE, (1, 1, 1): rat(-1)})
     assert multiply(sc, x, y) == want == _multiply_reference(sc, x, y)
+
+
+# -- solve_linear against the row-scanning elimination it replaced --------------
+
+
+def _solve_linear_reference(rows: list, rhs: list, ncols: int, order: int):
+    """Exact sparse Gaussian elimination on rows of {col: coeff}.
+
+    Returns a solution {col: coeff} (free columns set to zero) or an
+    Inconsistency certificate.  Pivot choice is the first nonzero entry by
+    row-major scan, which keeps reports deterministic.
+    """
+    rows = [dict(r) for r in rows]
+    rhs = list(rhs)
+    norig = list(range(len(rows)))
+    pivots: dict[int, int] = {}  # col -> row position in `rows`
+    used: set[int] = set()
+    for col in range(ncols):
+        piv = None
+        for r in range(len(rows)):
+            if r not in used and col in rows[r]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        used.add(piv)
+        pivots[col] = piv
+        pval = rows[piv][col].inverse()
+        rows[piv] = {c: v * pval for c, v in rows[piv].items()}
+        rhs[piv] = rhs[piv] * pval
+        prow = rows[piv]
+        prhs = rhs[piv]
+        for r in range(len(rows)):
+            if r == piv or col not in rows[r]:
+                continue
+            f = rows[r][col]
+            newrow = dict(rows[r])
+            for c, v in prow.items():
+                prev = newrow.get(c)
+                nv = -f * v if prev is None else prev - f * v
+                if nv.is_zero():
+                    newrow.pop(c, None)
+                else:
+                    newrow[c] = nv
+            rows[r] = newrow
+            rhs[r] = rhs[r] - f * prhs
+    for r in range(len(rows)):
+        if r not in used and not rows[r] and not rhs[r].is_zero():
+            return Inconsistency(row_index=norig[r], rhs=rhs[r])
+    sol: dict = {}
+    for col, r in pivots.items():
+        if not rhs[r].is_zero():
+            sol[col] = rhs[r]
+    return sol
+
+
+def random_scalar(rng, order):
+    """A nonzero element of Q(zeta_order), sometimes a sum of two roots."""
+    while True:
+        c = (root_of_unity(order, rng.randrange(order))
+             * CycScalar.from_rational(order, rng.choice((-2, -1, 1, 3))))
+        if rng.random() < 0.3:
+            c = c + root_of_unity(order, rng.randrange(order))
+        if not c.is_zero():
+            return c
+
+
+def random_rows(rng, order, nrows, ncols, density):
+    return [{c: random_scalar(rng, order) for c in range(ncols) if rng.random() < density}
+            for _ in range(nrows)]
+
+
+def rows_times(rows, x, order):
+    out = []
+    for row in rows:
+        acc = CycScalar.zero(order)
+        for c, v in row.items():
+            if c in x:
+                acc = acc + v * x[c]
+        out.append(acc)
+    return out
+
+
+def random_systems(rng, order):
+    """(label, rows, rhs, ncols) covering consistent, underdetermined,
+    inconsistent, duplicated-row and stacked systems."""
+    ncols = rng.randint(1, 7)
+    x = {c: random_scalar(rng, order) for c in range(ncols) if rng.random() < 0.7}
+    square = random_rows(rng, order, ncols + rng.randint(0, 3), ncols, 0.45)
+    yield "consistent", square, rows_times(square, x, order), ncols
+    wide = random_rows(rng, order, max(1, ncols - 2), ncols, 0.5)
+    yield "underdetermined", wide, rows_times(wide, x, order), ncols
+    b = rows_times(square, x, order)
+    yield "random-rhs", square, [random_scalar(rng, order) if rng.random() < 0.5
+                                 else CycScalar.zero(order) for _ in square], ncols
+    k = rng.randrange(len(square))
+    yield ("inconsistent", square + [square[k]],
+           b + [b[k] + random_scalar(rng, order)], ncols)
+    dup = square + [square[rng.randrange(len(square))] for _ in range(2)] + [{}]
+    yield "duplicated", dup, rows_times(dup, x, order), ncols
+    other = random_rows(rng, order, len(square), ncols, 0.45)
+    yield "stacked", square + other, b + b, ncols
+
+
+def test_solve_linear_matches_row_scan_reference():
+    rng = random.Random(3)
+    seen = set()
+    for order in (1, 3, 7):
+        for _ in range(12):
+            for label, rows, rhs, ncols in random_systems(rng, order):
+                before = [dict(r) for r in rows], list(rhs)
+                want = _solve_linear_reference(rows, rhs, ncols, order)
+                got = solve_linear(rows, rhs, ncols, order)
+                assert got == want, (order, label)
+                assert ([dict(r) for r in rows], list(rhs)) == before, (order, label)
+                seen.add((label, isinstance(got, Inconsistency)))
+    assert ("inconsistent", True) in seen and ("stacked", True) in seen
+    assert ("stacked", False) in seen and ("random-rhs", True) in seen
+    assert ("underdetermined", False) in seen and ("duplicated", False) in seen

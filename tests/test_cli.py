@@ -1,11 +1,13 @@
 """Front-end behavior: sources, suites, reports, determinism, exit codes."""
 
 import json
+import os
 
 import pytest
 
 from qhd.algebra import StructureConstants
 from qhd.cli import (
+    MAX_GROUP_ORDER,
     InputError,
     RunSpec,
     _products_equal,
@@ -262,3 +264,55 @@ def test_float_defect_reported_when_paths_disagree():
     item = rec.items[0]
     assert item.status == "fail" and item.float_status == "pass"
     assert "float" in item.detail
+
+
+def test_main_internal_error_exits_3(monkeypatch, capsys):
+    import qhd.cli as cli
+
+    def crash(ctx, rec):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli.SUITES, "axioms", crash)
+    assert main(["--example", "zn:2:1", "--check", "axioms"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: KeyError: 'boom'\n") and "Traceback" in err
+
+
+def test_group_order_limit_refused_before_building(tmp_path, monkeypatch, capsys):
+    import qhd.cli as cli
+
+    def never(*args):
+        raise AssertionError("a table was built past the order limit")
+
+    for name in ("cyclic_cocycle", "trivial_cocycle"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.FiniteGroup, "cyclic", staticmethod(never))
+    big = MAX_GROUP_ORDER + 1
+    table = tmp_path / "table.qhd"
+    table.write_text("group table 100000\n")
+    cyclic = tmp_path / "cyclic.qhd"
+    cyclic.write_text(f"group cyclic {big}\ncocycle trivial\n")
+    for argv, where in ((["--example", "zn:100000:1"], "zn:100000:1"),
+                        (["--example", f"trivial:{big}"], f"trivial:{big}"),
+                        (["--input", str(table)], "table.qhd:1: group order 100000"),
+                        (["--input", str(cyclic)], f"cyclic.qhd:1: group order {big}")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and where in err, err
+        assert f"exceeds the limit of {MAX_GROUP_ORDER}" in err, err
+
+
+def test_product_group_order_limit(tmp_path, capsys):
+    p = tmp_path / "prod.qhd"
+    p.write_text("group product cyclic 6 cyclic 6\ncocycle trivial\n")
+    assert main(["--input", str(p)]) == 2
+    assert "prod.qhd:1: group order 36 exceeds" in capsys.readouterr().err
+
+
+def test_s3_sign_cocycle_probe_is_one_sided_both(capsys):
+    path = os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd")
+    assert main(["--input", path, "--check", "invertibility"]) == 0
+    out = capsys.readouterr().out
+    for label in ("5.r-W ", "5.r-Wbar "):
+        detail = out.split(label, 1)[1].splitlines()[1]
+        assert "not two-sided invertible (one_sided_both)" in detail, label

@@ -1,7 +1,17 @@
 """Double constructions, canonical elements, pentagon/Hopf-type checks,
 and the invertibility probe."""
 
-from qhd.algebra import SparseTensor, leg_embed, multiply
+import os
+import random
+
+from qhd.algebra import (
+    SparseTensor,
+    StructureConstants,
+    leg_embed,
+    multiplication_rows,
+    multiply,
+)
+from qhd.cli import parse_input
 from qhd.heisenberg import (
     build_H1,
     build_H1_dual,
@@ -271,3 +281,44 @@ def test_probe_zero_element_has_no_inverses():
     zero = SparseTensor(had.dim, 2, had.order, {})
     res = probe_invertibility(had, zero)
     assert res.status == "none"
+
+
+# -- probe rows against the per-basis products they replaced --------------------
+
+S3_SIGN = os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd")
+
+
+def _rows_by_basis_products(sc, x, side):
+    """Rows of Y -> x*Y ("right") or Y -> Y*x ("left"), one multiply per basis tensor."""
+    dim = sc.dim
+    one = CycScalar.one(sc.order)
+    rows = [dict() for _ in range(dim * dim)]
+    for c1 in range(dim):
+        for c2 in range(dim):
+            col = c1 * dim + c2
+            basis = SparseTensor(dim, 2, sc.order, {(c1, c2): one})
+            prod = multiply(sc, x, basis) if side == "right" else multiply(sc, basis, x)
+            for key, cc in prod.entries.items():
+                rows[key[0] * dim + key[1]][col] = cc
+    return rows
+
+
+def test_multiplication_rows_match_per_basis_products():
+    rng = random.Random(5)
+    _, _, had, hap, ce = make_all(cyclic_cocycle(3, 1))
+    s3 = make_all(parse_input(S3_SIGN)[1])
+    cases = [(had.sc, ce.W), (hap.sc, ce.Wbar), (s3[2].sc, s3[4].W), (s3[3].sc, s3[4].Wbar)]
+    # products with several terms, so contributions to one row entry can cancel
+    one, minus = CycScalar.one(1), CycScalar.from_rational(1, -1)
+    dense = StructureConstants(3, 1, {
+        (i, j): tuple((k, rng.choice((one, minus))) for k in range(3) if rng.random() < 0.6)
+        for i in range(3) for j in range(3)}, {0: one})
+    for sc in (had.sc, hap.sc, dense):
+        signs = (CycScalar.one(sc.order), CycScalar.from_rational(sc.order, -1))
+        keys = [(rng.randrange(sc.dim), rng.randrange(sc.dim)) for _ in range(30)]
+        cases.append((sc, SparseTensor(sc.dim, 2, sc.order, {
+            k: root_of_unity(sc.order, rng.randrange(sc.order)) * rng.choice(signs)
+            for k in keys})))
+    for sc, x in cases:
+        for side in ("right", "left"):
+            assert multiplication_rows(sc, x, side) == _rows_by_basis_products(sc, x, side)
