@@ -2,7 +2,7 @@
 Heisenberg doubles, with the twisted group-algebra family as the worked
 class of examples."""
 
-from .scalar import CycScalar, Rational, cyclotomic_polynomial, root_of_unity
+from .scalar import CycScalar, cyclotomic_polynomial, root_of_unity
 from .algebra import (
     Coproduct,
     LinearMap,

@@ -9,7 +9,6 @@ dict equality is honest tensor equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .scalar import CycScalar
 
@@ -92,6 +91,12 @@ class StructureConstants:
     table[(i, j)] lists the expansion of e_i * e_j; associativity is a
     checkable property here, not an assumption, because the Heisenberg
     double products stored in the same shape are generally nonassociative.
+
+    left_block[i] and right_block[j] label the connected components of the
+    partner graph, whose edges join left index i to right index j when
+    (i, j) is a cell of the table.  So e_i * e_j != 0 implies
+    left_block[i] == right_block[j]; the converse holds when every block is
+    complete, as for the group, function and double algebras built here.
     """
 
     def __init__(self, dim: int, order: int, table: dict, unit: dict):
@@ -110,6 +115,18 @@ class StructureConstants:
             lp.setdefault(j, []).append(i)
         self.right_partners = {i: tuple(sorted(js)) for i, js in rp.items()}
         self.left_partners = {j: tuple(sorted(is_)) for j, is_ in lp.items()}
+        # union-find over left nodes 0..dim-1 and right nodes dim..2*dim-1
+        root = list(range(2 * dim))
+
+        def find(a):
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            return a
+
+        for (i, j) in self.table:
+            root[find(dim + j)] = find(i)
+        self.left_block = tuple(find(i) for i in range(dim))
+        self.right_block = tuple(find(dim + j) for j in range(dim))
 
     def basis_product(self, i: int, j: int):
         return self.table.get((i, j), ())
@@ -330,86 +347,42 @@ def solve_linear(rows: list, rhs: list, ncols: int, order: int):
 def multiply(sc: StructureConstants, x: SparseTensor, y: SparseTensor) -> SparseTensor:
     """Componentwise product in the degree-d tensor power of the algebra.
 
-    The entries of y that can meet an entry kx of x are found in one of two
-    ways, chosen per kx by the number of candidates each would visit:
-
-    - scan: every entry of y whose leg-0 index is a right partner of kx[0]
-      (the y entries bucketed by leg 0), testing the other legs one by one;
-    - lookup: every key in the product of the right-partner lists of kx's
-      legs, looked up in y by full key.
-
-    Lookup is taken when that product is smaller than the scan; the product
-    is built leg by leg and abandoned once it reaches the scan size.  So
-    near-diagonal algebras (one partner per index) look up, and dense tables
-    (many partners per index) scan unless y is dense too.  Degree 1 always
-    scans: its leg-0 bucket already is the full key, so estimating would
-    only add cost.
+    y is indexed by the right blocks of its legs, and each entry kx of x
+    looks up the y entries whose key equals the left blocks of kx's legs:
+    an entry pair whose blocks differ on some leg has a zero product there
+    (see StructureConstants).  Each candidate still fetches its table entry
+    per leg, so a table whose blocks are not complete stays exact.
     """
     x._compat(y)
     if x.dim != sc.dim:
         raise AlgebraError("tensor dimension does not match the algebra")
     table = sc.table
-    y_entries = y.entries
-    buckets: dict[int, list] = {}
-    for ky, cy in y_entries.items():
-        buckets.setdefault(ky[0], []).append((ky, cy))
+    left = sc.left_block.__getitem__
+    right = sc.right_block.__getitem__
+    index: dict[tuple, list] = {}
+    for ky, cy in y.entries.items():
+        index.setdefault(tuple(map(right, ky)), []).append((ky, cy))
     out: dict = {}
-    rp = sc.right_partners
-    deg = x.degree
-    scan_sizes: dict[int, int] = {}  # leg-0 index of x -> y entries a scan visits
-    if deg > 1:
-        lp = sc.left_partners
-        for j0, blist in buckets.items():
-            for i in lp.get(j0, ()):
-                scan_sizes[i] = scan_sizes.get(i, 0) + len(blist)
     for kx, cx in x.entries.items():
-        partners = rp.get(kx[0])
-        if not partners:
-            continue
-        lookup = None
-        if deg > 1:
-            scan = scan_sizes.get(kx[0])
-            if not scan:
+        for ky, cy in index.get(tuple(map(left, kx)), ()):
+            exps = list(map(table.get, zip(kx, ky)))
+            if None in exps:
                 continue
-            legs = [partners]
-            size = len(partners)
-            for i in kx[1:]:
-                p = rp.get(i, ())
-                size *= len(p)
-                if size >= scan:
-                    break
-                legs.append(p)
-            else:
-                lookup = ([(ky, y_entries[ky]) for ky in product(*legs) if ky in y_entries],)
-        for blist in lookup or map(buckets.get, partners):
-            if not blist:
-                continue
-            for ky, cy in blist:
-                exps = []
-                ok = True
-                for pos in range(deg):
-                    ent = table.get((kx[pos], ky[pos]))
-                    if not ent:
-                        ok = False
-                        break
-                    exps.append(ent)
-                if not ok:
-                    continue
-                partial = [((), cx * cy)]
-                for ent in exps:
-                    if len(ent) == 1:
-                        k0, c0 = ent[0]
-                        partial = [(key + (k0,), c * c0) for key, c in partial]
-                    else:
-                        partial = [
-                            (key + (k0,), c * c0)
-                            for key, c in partial
-                            for k0, c0 in ent
-                        ]
-                for key, c in partial:
-                    prev = out.get(key)
-                    out[key] = c if prev is None else prev + c
-    return SparseTensor(x.dim, deg, x.order, out)
+            partial = [((), cx * cy)]
+            for ent in exps:
+                if len(ent) == 1:
+                    k0, c0 = ent[0]
+                    partial = [(key + (k0,), c * c0) for key, c in partial]
+                else:
+                    partial = [
+                        (key + (k0,), c * c0)
+                        for key, c in partial
+                        for k0, c0 in ent
+                    ]
+            for key, c in partial:
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
+    return SparseTensor(x.dim, x.degree, x.order, out)
 
 
 def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> list:
@@ -629,9 +602,13 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
     multiplied left to right inside the algebra; the output tensor has one
     leg per group.  Every input leg must appear exactly once overall.
 
-    Adjacent a/b factor pairs inside a group force nonzero basis products;
-    those adjacency constraints prune the entry-pair loop before any
-    arithmetic happens, which is what keeps diagonal-flavored algebras fast.
+    Adjacent a/b factor pairs inside a group force nonzero basis products.
+    b is indexed by the blocks (see StructureConstants) of its constrained
+    legs, right blocks where a comes first and left blocks otherwise, and
+    each entry of a looks up the b entries whose key equals its own blocks
+    on the partner side; with no constraint every b entry is a candidate.
+    Each candidate pair is still tested against the table on every
+    constraint before any arithmetic happens.
     """
     used_a = [ref[1] for g in groups for ref in g if ref[0] == "a"]
     used_b = [ref[1] for g in groups for ref in g if ref[0] == "b"]
@@ -646,34 +623,20 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
             elif k1 == "b" and k2 == "a":
                 constraints.append((i2, i1, False))
 
+    lb, rb = sc.left_block, sc.right_block
+    a_blocks = [(a_leg, lb if a_first else rb) for a_leg, _, a_first in constraints]
+    b_blocks = [(b_leg, rb if a_first else lb) for _, b_leg, a_first in constraints]
+    index: dict[tuple, list] = {}
+    for kb, cb in b.entries.items():
+        index.setdefault(tuple(blk[kb[leg]] for leg, blk in b_blocks), []).append((kb, cb))
+
     table = sc.table
     one = CycScalar.one(sc.order)
     out: dict = {}
-
-    if constraints:
-        a_leg0, b_leg0, a_first0 = constraints[0]
-        partners = sc.right_partners if a_first0 else sc.left_partners
-        buckets: dict[int, list] = {}
-        for kb, cb in b.entries.items():
-            buckets.setdefault(kb[b_leg0], []).append((kb, cb))
-        rest = constraints[1:]
-
-        def candidates(ka):
-            for v in partners.get(ka[a_leg0], ()):
-                blist = buckets.get(v)
-                if blist:
-                    yield from blist
-    else:
-        rest = []
-        all_b = tuple(b.entries.items())
-
-        def candidates(_ka):
-            return all_b
-
     for ka, ca in a.entries.items():
-        for kb, cb in candidates(ka):
+        for kb, cb in index.get(tuple(blk[ka[leg]] for leg, blk in a_blocks), ()):
             ok = True
-            for a_leg, b_leg, a_first in rest:
+            for a_leg, b_leg, a_first in constraints:
                 pair = (ka[a_leg], kb[b_leg]) if a_first else (kb[b_leg], ka[a_leg])
                 if pair not in table:
                     ok = False

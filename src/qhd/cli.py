@@ -34,6 +34,7 @@ from .quasihopf import (
     check_twist_identities,
     compute_qR_pL,
     compute_U_Vtilde,
+    twist_alternatives,
     twist_candidates,
 )
 from .report import Recorder
@@ -302,21 +303,25 @@ class RunContext:
         self.w = w
         self.H = build_k_omega_G(w)
         self._derived = None
+        self._alternatives = None
         self._doubles = None
         self._elements = None
 
     def derived(self) -> DerivedElements:
         if self._derived is None:
-            gamma, gamma_alt, delta, delta_alt, f, g = twist_candidates(self.H)
+            gamma, delta, f, g = twist_candidates(self.H)
             qR, pL = compute_qR_pL(self.H)
             d = DerivedElements(gamma, delta, f, g, qR, pL, None, None)
             d.U, d.Vtilde = compute_U_Vtilde(self.H, d)
-            self._derived = (d, gamma_alt, delta_alt)
-        return self._derived[0]
+            self._derived = d
+        return self._derived
 
     def twist_pieces(self):
-        self.derived()
-        return self._derived
+        """(derived elements, gamma_alt, delta_alt); only the twist suite
+        compares the second expressions, so only it builds them."""
+        if self._alternatives is None:
+            self._alternatives = twist_alternatives(self.H)
+        return (self.derived(),) + self._alternatives
 
     def doubles(self):
         if self._doubles is None:

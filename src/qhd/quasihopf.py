@@ -250,10 +250,11 @@ def check_quasi_antipode(H: QuasiHopfAlgebra, rec: Recorder | None = None) -> Re
 
 
 def twist_candidates(H: QuasiHopfAlgebra):
-    """Both expressions for gamma and delta plus the twist pair, unvalidated.
+    """gamma, delta and the twist pair, unvalidated.
 
-    Returns (gamma, gamma_alt, delta, delta_alt, twist, twist_inv); callers
-    that want the agreement enforced use compute_twist.
+    Returns (gamma, delta, twist, twist_inv); callers that want gamma and
+    delta checked against their second expressions (twist_alternatives) use
+    compute_twist.
     """
     sc, cop, S = H.mult, H.coproduct, H.antipode
     phi, phiinv = H.associator, H.associator_inv
@@ -266,25 +267,11 @@ def twist_candidates(H: QuasiHopfAlgebra):
         (("a", 0), ("b", 0), ("v", 0), ("a", 3)),
     ), vecs=(H.alpha,))
 
-    a2 = apply_leg(S, apply_leg(S, split_leg(cop, phi, 3), 1), 2)
-    b2 = apply_leg(S, phiinv, 1)
-    gamma_alt = merge_pair(sc, a2, b2, groups=(
-        (("a", 1), ("b", 0), ("v", 0), ("b", 1), ("a", 2)),
-        (("a", 0), ("v", 0), ("b", 2), ("a", 3)),
-    ), vecs=(H.alpha,))
-
     a3 = apply_leg(S, apply_leg(S, split_leg(cop, phi, 1), 3), 4)
     b3 = apply_leg(S, phiinv, 3)
     delta = merge_pair(sc, a3, b3, groups=(
         (("a", 0), ("b", 0), ("v", 0), ("a", 3)),
         (("a", 1), ("b", 1), ("v", 0), ("b", 2), ("a", 2)),
-    ), vecs=(H.beta,))
-
-    a4 = apply_leg(S, apply_leg(S, split_leg(cop, phiinv, 3), 3), 4)
-    b4 = apply_leg(S, apply_leg(S, phi, 2), 3)
-    delta_alt = merge_pair(sc, a4, b4, groups=(
-        (("a", 0), ("v", 0), ("b", 2), ("a", 3)),
-        (("a", 1), ("b", 0), ("v", 0), ("b", 1), ("a", 2)),
     ), vecs=(H.beta,))
 
     zero2 = SparseTensor(H.dim, 2, H.order, {})
@@ -306,14 +293,38 @@ def twist_candidates(H: QuasiHopfAlgebra):
         term = multiply(sc, multiply(sc, cop.of_vec(w), delta), right2)
         twist_inv = twist_inv + term.scale(c)
 
-    return gamma, gamma_alt, delta, delta_alt, twist, twist_inv
+    return gamma, delta, twist, twist_inv
+
+
+def twist_alternatives(H: QuasiHopfAlgebra):
+    """The second defining expressions for gamma and delta, (gamma_alt,
+    delta_alt); they equal twist_candidates' gamma and delta exactly when
+    the input tables are consistent."""
+    sc, cop, S = H.mult, H.coproduct, H.antipode
+    phi, phiinv = H.associator, H.associator_inv
+
+    a2 = apply_leg(S, apply_leg(S, split_leg(cop, phi, 3), 1), 2)
+    b2 = apply_leg(S, phiinv, 1)
+    gamma_alt = merge_pair(sc, a2, b2, groups=(
+        (("a", 1), ("b", 0), ("v", 0), ("b", 1), ("a", 2)),
+        (("a", 0), ("v", 0), ("b", 2), ("a", 3)),
+    ), vecs=(H.alpha,))
+
+    a4 = apply_leg(S, apply_leg(S, split_leg(cop, phiinv, 3), 3), 4)
+    b4 = apply_leg(S, apply_leg(S, phi, 2), 3)
+    delta_alt = merge_pair(sc, a4, b4, groups=(
+        (("a", 0), ("v", 0), ("b", 2), ("a", 3)),
+        (("a", 1), ("b", 0), ("v", 0), ("b", 1), ("a", 2)),
+    ), vecs=(H.beta,))
+    return gamma_alt, delta_alt
 
 
 def compute_twist(H: QuasiHopfAlgebra):
     """gamma, delta (each agreeing by both defining expressions) and the
     twist pair.  Raises DerivedElementError if the expressions disagree or
     the twist fails to invert; either means the input tables are broken."""
-    gamma, gamma_alt, delta, delta_alt, twist, twist_inv = twist_candidates(H)
+    gamma, delta, twist, twist_inv = twist_candidates(H)
+    gamma_alt, delta_alt = twist_alternatives(H)
     if gamma != gamma_alt:
         raise DerivedElementError("the two expressions for gamma disagree")
     if delta != delta_alt:

@@ -15,8 +15,6 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 
 class ScalarError(ValueError):
     pass
@@ -261,21 +259,6 @@ def root_of_unity(order: int, k: int) -> CycScalar:
             row = rows[0]
             cur = [a + top * b for a, b in zip(cur, row)]
     return CycScalar(order, cur)
-
-
-def scalar_arith(a: CycScalar, b: CycScalar, op: str) -> CycScalar:
-    """Named-op wrapper around +, -, *; mixing orders raises."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ScalarError(f"unknown op {op!r}")
-
-
-def scalar_invert(a: CycScalar) -> CycScalar:
-    return a.inverse()
 
 
 # -- small Fraction-coefficient polynomial helpers (used by inverse only) ----

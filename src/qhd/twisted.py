@@ -116,10 +116,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def direct_product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    return FiniteGroup.direct_product(g1, g2)
-
-
 @dataclass
 class Cocycle3:
     """Normalized 3-cocycle with values in the N-th roots of unity."""

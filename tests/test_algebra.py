@@ -1,5 +1,6 @@
 """Core tensor/linear layer over the exact scalars."""
 
+import os
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from qhd.algebra import (
     SingularMapError,
     SparseTensor,
     StructureConstants,
+    _chain_pairs,
     convolution,
     harpoon,
     invert_map,
@@ -440,6 +442,177 @@ def test_multiply_matches_leg0_join_reference():
     want = SparseTensor(3, 3, 1, {(0, 0, 1): rat(2), (0, 1, 1): rat(10), (1, 0, 1): rat(2),
                                   (1, 1, 0): ONE, (1, 1, 1): rat(-1)})
     assert multiply(sc, x, y) == want == _multiply_reference(sc, x, y)
+
+
+# -- merge_pair against the first-constraint join it replaced -------------------
+
+
+def _merge_pair_reference(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups, vecs=()):
+    """Multiply legs of two tensors (and fixed vectors) into output legs.
+
+    Each group is a tuple of factor refs ('a', leg) / ('b', leg) / ('v', k),
+    multiplied left to right inside the algebra; the output tensor has one
+    leg per group.  Every input leg must appear exactly once overall.
+
+    Adjacent a/b factor pairs inside a group force nonzero basis products;
+    those adjacency constraints prune the entry-pair loop before any
+    arithmetic happens, which is what keeps diagonal-flavored algebras fast.
+    """
+    used_a = [ref[1] for g in groups for ref in g if ref[0] == "a"]
+    used_b = [ref[1] for g in groups for ref in g if ref[0] == "b"]
+    if sorted(used_a) != list(range(a.degree)) or sorted(used_b) != list(range(b.degree)):
+        raise AlgebraError("merge_pair groups must use every input leg exactly once")
+
+    constraints = []  # (a_leg, b_leg, a_comes_first)
+    for g in groups:
+        for (k1, i1), (k2, i2) in zip(g, g[1:]):
+            if k1 == "a" and k2 == "b":
+                constraints.append((i1, i2, True))
+            elif k1 == "b" and k2 == "a":
+                constraints.append((i2, i1, False))
+
+    table = sc.table
+    one = CycScalar.one(sc.order)
+    out: dict = {}
+
+    if constraints:
+        a_leg0, b_leg0, a_first0 = constraints[0]
+        partners = sc.right_partners if a_first0 else sc.left_partners
+        buckets: dict[int, list] = {}
+        for kb, cb in b.entries.items():
+            buckets.setdefault(kb[b_leg0], []).append((kb, cb))
+        rest = constraints[1:]
+
+        def candidates(ka):
+            for v in partners.get(ka[a_leg0], ()):
+                blist = buckets.get(v)
+                if blist:
+                    yield from blist
+    else:
+        rest = []
+        all_b = tuple(b.entries.items())
+
+        def candidates(_ka):
+            return all_b
+
+    for ka, ca in a.entries.items():
+        for kb, cb in candidates(ka):
+            ok = True
+            for a_leg, b_leg, a_first in rest:
+                pair = (ka[a_leg], kb[b_leg]) if a_first else (kb[b_leg], ka[a_leg])
+                if pair not in table:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            legs = []
+            for g in groups:
+                chain = [
+                    ka[idx] if kind == "a" else (kb[idx] if kind == "b" else vecs[idx])
+                    for kind, idx in g
+                ]
+                v = _chain_pairs(table, chain, one)
+                if not v:
+                    legs = None
+                    break
+                legs.append(v)
+            if legs is None:
+                continue
+            partial = [((), ca * cb)]
+            for v in legs:
+                partial = [(key + (i,), c * ci) for key, c in partial for i, ci in v]
+            for key, c in partial:
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
+    return SparseTensor(a.dim, len(groups), a.order, out)
+
+
+def lopsided_algebra() -> StructureConstants:
+    """Nonassociative, one block that is not complete: e1 e1 = 0 although
+    (e0 e1) e1 = e0, so only the adjacency test keeps v.a.b at zero."""
+    one = CycScalar.one(1)
+    table = {(0, 0): ((0, one),), (1, 0): ((1, one),), (0, 1): ((0, one),)}
+    return StructureConstants(2, 1, table, {})
+
+
+def random_groups(rng, da, db, nvecs):
+    """a's and b's legs and some vector refs, shuffled and cut into 1-3 groups."""
+    refs = [("a", i) for i in range(da)] + [("b", j) for j in range(db)]
+    rng.shuffle(refs)
+    for _ in range(rng.randint(0, 2)):
+        refs.insert(rng.randrange(len(refs) + 1), ("v", rng.randrange(nvecs)))
+    ngroups = rng.randint(1, min(3, len(refs)))
+    cuts = sorted(rng.sample(range(1, len(refs)), ngroups - 1))
+    return tuple(tuple(refs[i:j]) for i, j in zip([0] + cuts, cuts + [len(refs)]))
+
+
+def adjacency(groups):
+    """The kinds of adjacent a/b pairs: 'ab', 'ba', both, or neither."""
+    return {k1 + k2 for g in groups for (k1, _), (k2, _) in zip(g, g[1:])} & {"ab", "ba"}
+
+
+def test_merge_pair_matches_first_constraint_reference():
+    from qhd.heisenberg import build_H1
+    from qhd.twisted import build_k_omega_G, cyclic_cocycle
+
+    double = build_H1(build_k_omega_G(cyclic_cocycle(3, 1))).sc
+    rng = random.Random(4417)
+    sizes = (0, 1, 3, 12, 40)
+    fixed = [
+        ((("a", 0), ("b", 0)), (("b", 1), ("a", 1))),  # one constraint each way
+        ((("a", 0), ("b", 0), ("a", 1), ("b", 1)),),  # interleaved in one group
+        ((("a", 0), ("v", 0), ("b", 0)), (("b", 1), ("v", 1), ("a", 1))),  # no adjacency
+        ((("a", 0), ("a", 1)), (("v", 0), ("b", 0), ("b", 1))),  # a and b apart
+    ]
+    seen = set()
+    for sc in (function_algebra(3), matrix_units_algebra(), group_algebra_s3(), double,
+               partial_algebra(), lopsided_algebra()):
+        vecs = tuple({k[0]: c for k, c in sparse_tensor(rng, sc, 1, 2).entries.items()}
+                     for _ in range(2))
+        cases = [(g, 2, 2) for g in fixed]
+        for _ in range(14):
+            da, db = rng.randint(1, 3), rng.randint(1, 3)
+            cases.append((random_groups(rng, da, db, len(vecs)), da, db))
+        for groups, da, db in cases:
+            for na, nb in [(0, 5), (5, 0), (rng.choice(sizes), rng.choice(sizes))]:
+                a = sparse_tensor(rng, sc, da, na)
+                b = sparse_tensor(rng, sc, db, nb)
+                want = _merge_pair_reference(sc, a, b, groups, vecs)
+                got = merge_pair(sc, a, b, groups, vecs)
+                assert got == want, (sc.dim, groups, na, nb)
+                assert got.degree == len(groups) and got.order == sc.order
+                seen.add(frozenset(adjacency(groups)))
+    assert seen == {frozenset(), frozenset({"ab"}), frozenset({"ba"}),
+                    frozenset({"ab", "ba"})}
+
+
+def test_blocks_hold_every_cell_and_are_complete_for_built_algebras():
+    from qhd.cli import parse_input, resolve_builtin
+    from qhd.heisenberg import build_H1, build_H1_dual
+    from qhd.twisted import build_k_omega_G
+
+    def cells_in_blocks(sc):
+        return all(sc.left_block[i] == sc.right_block[j] for i, j in sc.table)
+
+    def blocks_complete(sc):
+        return all((i, j) in sc.table
+                   for i in range(sc.dim) for j in range(sc.dim)
+                   if sc.left_block[i] == sc.right_block[j])
+
+    for sc in (function_algebra(3), matrix_units_algebra(), group_algebra_s3()):
+        assert cells_in_blocks(sc) and blocks_complete(sc)
+    # e0 e1 and e1 e0 put e1 in e0's block on both sides, but e1 e1 = 0; e2 is
+    # alone on each side
+    sc = partial_algebra()
+    assert cells_in_blocks(sc) and not blocks_complete(sc)
+    assert sc.left_block[0] == sc.left_block[1] == sc.right_block[1]
+    assert sc.left_block[2] not in sc.right_block and sc.right_block[2] not in sc.left_block
+
+    s3_sign = os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd")
+    for w in (resolve_builtin("zn:3:1"), resolve_builtin("v4:3"), parse_input(s3_sign)[1]):
+        H = build_k_omega_G(w)
+        for sc in (H.mult, build_H1(H).sc, build_H1_dual(H).sc):
+            assert cells_in_blocks(sc) and blocks_complete(sc), (w.group.name, sc.dim)
 
 
 # -- solve_linear against the row-scanning elimination it replaced --------------

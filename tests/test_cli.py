@@ -316,3 +316,12 @@ def test_s3_sign_cocycle_probe_is_one_sided_both(capsys):
     for label in ("5.r-W ", "5.r-Wbar "):
         detail = out.split(label, 1)[1].splitlines()[1]
         assert "not two-sided invertible (one_sided_both)" in detail, label
+
+
+@pytest.mark.parametrize("name, checks", [("s3_sign.qhd", 70), ("s3_trivial.qhd", 79)])
+def test_s3_full_run_passes(name, checks, capsys):
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    assert main(["--input", path, "--check", "all", "--report", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary == {"checks": checks, "exit_code": 0, "failed": 0, "passed": checks,
+                       "skipped": 0}

@@ -14,7 +14,6 @@ from qhd.twisted import (
     closed_form_elements,
     coboundary_exponents,
     cyclic_cocycle,
-    direct_product_group,
     expansion_coefficients,
     expansion_tensor,
     invertibility_criterion,
@@ -45,7 +44,7 @@ def test_bad_tables_rejected():
 
 
 def test_direct_product_z2_z3_is_z6():
-    g = direct_product_group(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3))
+    g = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3))
     z6 = FiniteGroup.cyclic(6)
     assert g.check_axioms() == []
     # the map a -> (a mod 2, a mod 3) is an isomorphism; check exhaustively
@@ -58,7 +57,7 @@ def test_direct_product_z2_z3_is_z6():
 
 def test_check_cocycle_trivial_on_small_groups():
     groups = [FiniteGroup.cyclic(n) for n in range(1, 7)]
-    groups.append(direct_product_group(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)))
+    groups.append(FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)))
     for g in groups:
         assert check_cocycle(trivial_cocycle(g)).ok
 
