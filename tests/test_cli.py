@@ -1,4 +1,15 @@
-"""Front-end behavior: sources, suites, reports, determinism, exit codes."""
+"""Front-end behavior: sources, suites, reports, determinism, exit codes.
+
+The golden JSON reports in tests/data/golden/ pin every label, name, status
+and item order of a full run.  Regenerate them from the repository root with
+
+    for ex in trivial:4 v4:3 zn:4:1; do
+      PYTHONPATH=src python -m qhd.cli --example $ex --report json \
+        > tests/data/golden/$(echo $ex | tr : _).json; done
+    cd tests/data && for f in s3_sign s3_trivial; do
+      PYTHONPATH=../../src python -m qhd.cli --input $f.qhd --report json \
+        > golden/$f.json; done
+"""
 
 import json
 import os
@@ -19,8 +30,16 @@ from qhd.cli import (
 from qhd.scalar import CycScalar
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
 def run_spec(source, suites=("all",), **kw):
     return run(RunSpec(source=source, suites=suites, **kw))
+
+
+def golden(name):
+    with open(os.path.join(DATA, "golden", name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def test_builtin_ids():
@@ -310,7 +329,7 @@ def test_product_group_order_limit(tmp_path, capsys):
 
 
 def test_s3_sign_cocycle_probe_is_one_sided_both(capsys):
-    path = os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd")
+    path = os.path.join(DATA, "s3_sign.qhd")
     assert main(["--input", path, "--check", "invertibility"]) == 0
     out = capsys.readouterr().out
     for label in ("5.r-W ", "5.r-Wbar "):
@@ -320,8 +339,18 @@ def test_s3_sign_cocycle_probe_is_one_sided_both(capsys):
 
 @pytest.mark.parametrize("name, checks", [("s3_sign.qhd", 70), ("s3_trivial.qhd", 79)])
 def test_s3_full_run_passes(name, checks, capsys):
-    path = os.path.join(os.path.dirname(__file__), "data", name)
+    path = os.path.join(DATA, name)
     assert main(["--input", path, "--check", "all", "--report", "json"]) == 0
-    summary = json.loads(capsys.readouterr().out)["summary"]
+    out = capsys.readouterr().out
+    summary = json.loads(out)["summary"]
     assert summary == {"checks": checks, "exit_code": 0, "failed": 0, "passed": checks,
                        "skipped": 0}
+    # the golden report was written with the file name as its source
+    out = out.replace(json.dumps(f"file:{path}"), json.dumps(f"file:{name}"), 1)
+    assert out == golden(name.replace(".qhd", ".json"))
+
+
+@pytest.mark.parametrize("example", ["trivial:4", "v4:3", "zn:4:1"])
+def test_full_report_matches_golden(example):
+    report = run_spec(example, report_format="json")
+    assert report.to_json() == golden(example.replace(":", "_") + ".json")
