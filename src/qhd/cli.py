@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .algebra import StructureConstants, leg_embed, multiply
+from .algebra import StructureConstants, multiply
 from .heisenberg import (
     build_H1,
     build_H1_dual,
@@ -23,6 +23,7 @@ from .heisenberg import (
     check_double,
     check_theorem_4_4,
     check_theorem_4_5,
+    leg_pairs,
     probe_invertibility,
 )
 from .quasihopf import (
@@ -32,10 +33,8 @@ from .quasihopf import (
     check_quasi_antipode,
     check_quasi_bialgebra,
     check_twist_identities,
-    compute_qR_pL,
-    compute_U_Vtilde,
+    derive_elements,
     twist_alternatives,
-    twist_candidates,
 )
 from .report import Recorder
 from .twisted import (
@@ -45,6 +44,7 @@ from .twisted import (
     GroupError,
     build_k_omega_G,
     check_cocycle,
+    check_section5_expansions,
     closed_form_double,
     closed_form_elements,
     cyclic_cocycle,
@@ -309,11 +309,7 @@ class RunContext:
 
     def derived(self) -> DerivedElements:
         if self._derived is None:
-            gamma, delta, f, g = twist_candidates(self.H)
-            qR, pL = compute_qR_pL(self.H)
-            d = DerivedElements(gamma, delta, f, g, qR, pL, None, None)
-            d.U, d.Vtilde = compute_U_Vtilde(self.H, d)
-            self._derived = d
+            self._derived = derive_elements(self.H)
         return self._derived
 
     def twist_pieces(self):
@@ -423,10 +419,7 @@ def _suite_theorems(run: RunContext, rec: Recorder):
              f"W*Wt == unit: {ww == unit2d}; Wt*W == unit: {wwr == unit2d}")
 
     if run.cocycle_is_trivial():
-        u = had.unit
-        w12 = leg_embed(ce.W, (1, 2), 3, u)
-        w13 = leg_embed(ce.W, (1, 3), 3, u)
-        w23 = leg_embed(ce.W, (2, 3), 3, u)
+        w12, w13, w23 = leg_pairs(had, ce.W)
         lhs = multiply(had.sc, multiply(had.sc, w12, w13), w23)
         rhs = multiply(had.sc, w23, w12)
         rec.tensor_check("hopf.pentagon", "plain pentagon in the untwisted case", lhs, rhs)
@@ -450,10 +443,8 @@ def _suite_theorems(run: RunContext, rec: Recorder):
 
 
 def _suite_section5(run: RunContext, rec: Recorder):
-    from .twisted import check_section5_expansions
-
     _, hap = run.doubles()
-    check_section5_expansions(run.w, rec, ce=run.elements(), ha_plain=hap)
+    check_section5_expansions(run.w, run.elements(), hap, rec)
 
 
 def _suite_invertibility(run: RunContext, rec: Recorder):

@@ -2,7 +2,10 @@
 
 The dual-side double lives on H* (x) H with basis pairs (dual index,
 algebra index); the plain-side double lives on H (x) H* with the reverse
-pairing.  Both products are built once as structure constants over the
+pairing.  The plain side is the dual side read in the opposite algebra, so
+one construction serves both: `_Side` fixes every mirror choice once, and
+the builder, the canonical elements and the double's checks read them from
+it.  Both products are built once as structure constants over the
 flattened pair basis; they are generally nonassociative, which is why
 every triple product below goes through an explicit parenthesization
 check before it is trusted.
@@ -11,11 +14,13 @@ check before it is trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import (
     Inconsistency,
     SparseTensor,
     StructureConstants,
+    apply_leg,
     convolution,
     harpoon,
     leg_embed,
@@ -33,24 +38,21 @@ from .scalar import CycScalar
 class HeisenbergAlgebra:
     """One of the two doubles, with its product table and module action."""
 
-    def __init__(self, variant: str, parent: QuasiHopfAlgebra | None, m: int,
-                 sc: StructureConstants, unit: dict, action: dict):
-        if variant not in ("dual_first", "plain_first"):
-            raise ValueError(f"unknown variant {variant!r}")
-        self.variant = variant
+    def __init__(self, side: str, parent: QuasiHopfAlgebra | None, m: int,
+                 sc: StructureConstants, action: dict):
+        if side not in ("dual", "plain"):
+            raise ValueError(f"unknown side {side!r}")
+        self.side = side
         self.parent = parent
         self.m = m
         self.dim = m * m
         self.order = sc.order
         self.sc = sc
-        self.unit = unit
+        self.unit = sc.unit
         self.action = action
 
     def flat(self, a: int, b: int) -> int:
         return a * self.m + b
-
-    def unflat(self, k: int):
-        return divmod(k, self.m)
 
     def unit_tensor(self, degree: int) -> SparseTensor:
         t = vec_tensor(self.dim, self.order, self.unit)
@@ -73,7 +75,7 @@ class HeisenbergAlgebra:
         return {k: c for k, c in out.items() if not c.is_zero()}
 
     def __repr__(self):
-        return f"HeisenbergAlgebra({self.variant}, m={self.m})"
+        return f"HeisenbergAlgebra({self.side}, m={self.m})"
 
 
 def _harpoon_tables(H: QuasiHopfAlgebra):
@@ -86,141 +88,96 @@ def _harpoon_tables(H: QuasiHopfAlgebra):
     return left, right
 
 
-def build_H1_dual(H: QuasiHopfAlgebra) -> HeisenbergAlgebra:
-    """Double on H* (x) H: (xi # a)(nu # b) uses the inverse associator,
-    left harpoons, convolution, and the coproduct of the middle factor."""
+class _Side:
+    """The mirror choices of one double, fixed before any loop runs.
+
+    rev(t) returns t on the dual side and t reversed on the plain side; it
+    orders the factors of an H-product, the legs of the coproduct and of the
+    associators, the arguments of a convolution, the (row, column) key of a
+    table cell and the pair (product harpoons, action harpoons).
+    prod[a][b] is the H-product of e_a and e_b in that order, cop[a] the
+    coproduct of e_a with its legs in that order, and index[xi][a] the pair
+    basis element that joins the dual basis vector xi to e_a.
+    """
+
+    def __init__(self, H: QuasiHopfAlgebra, side: str):
+        m = H.dim
+        dual = side == "dual"
+        self.rev = rev = (lambda t: t) if dual else (lambda t: t[::-1])
+        self.prod = [[H.mult.basis_product(*rev((a, b))) for b in range(m)]
+                     for a in range(m)]
+        self.cop = [tuple((rev(st), d) for st, d in H.coproduct.of_basis(a))
+                    for a in range(m)]
+        self.index = [[xi * m + a if dual else a * m + xi for a in range(m)]
+                      for xi in range(m)]
+
+
+def _build_double(H: QuasiHopfAlgebra, side: str) -> HeisenbergAlgebra:
+    """The double of one side; the loops are written for the dual side and
+    take every order that the plain side reverses from `_Side`."""
     m = H.dim
-    one = CycScalar.one(H.order)
-    sc_h, cop = H.mult, H.coproduct
-    hL, hR = _harpoon_tables(H)
-    hL_support = [tuple((i, v) for i, v in enumerate(row) if v) for row in
-                  ([[hL[p][i] for i in range(m)] for p in range(m)])]
+    cop = H.coproduct
+    sd = _Side(H, side)
+    rev, prod, index = sd.rev, sd.prod, sd.index
+    h_prod, h_act = rev(_harpoon_tables(H))
+    support = [tuple((i, xi) for i, xi in enumerate(row) if xi) for row in h_prod]
+    phi_inv = tuple((rev(key), c) for key, c in H.associator_inv.entries.items())
 
-    flat = lambda a, b: a * m + b
     table: dict = {}
-
     for j in range(m):
         acc: dict = {}
-        for (p, q, r), c in H.associator_inv.entries.items():
-            for (s, t), d in cop.of_basis(j):
-                qs = sc_h.basis_product(q, s)
+        for (p, q, r), c in phi_inv:
+            for (s, t), d in sd.cop[j]:
+                qs = prod[q][s]
                 if not qs:
                     continue
-                rt = sc_h.basis_product(r, t)
+                rt = prod[r][t]
                 if not rt:
                     continue
                 cd = c * d
-                for wdx, cw in qs:
-                    for vdx, cv in rt:
-                        key = (p, wdx)
-                        sub = acc.setdefault(key, {})
-                        cc = cd * cw * cv
-                        prev = sub.get(vdx)
-                        sub[vdx] = cc if prev is None else prev + cc
-        for (p, wdx), vmap in acc.items():
+                for w, cw in qs:
+                    sub = acc.setdefault((p, w), {})
+                    for v, cv in rt:
+                        _add(sub, v, cd * cw * cv)
+        for (p, w), vmap in acc.items():
             vlist = tuple((v, cc) for v, cc in vmap.items() if not cc.is_zero())
             if not vlist:
                 continue
-            for i, xi1 in hL_support[p]:
-                for k, xi2 in hL_support[wdx]:
-                    conv = convolution(cop, xi1, xi2)
+            for i, xi1 in support[p]:
+                row = index[i][j]
+                for k, xi2 in support[w]:
+                    conv = convolution(cop, *rev((xi1, xi2)))
                     if not conv:
                         continue
-                    row = flat(i, j)
                     for v, cc in vlist:
                         for l in range(m):
-                            alg = sc_h.basis_product(v, l)
+                            alg = prod[v][l]
                             if not alg:
                                 continue
-                            cell = table.setdefault((row, flat(k, l)), {})
+                            cell = table.setdefault(rev((row, index[k][l])), {})
                             for u, cu in conv.items():
                                 base = cc * cu
                                 for z, cz in alg:
-                                    fk = flat(u, z)
-                                    prev = cell.get(fk)
-                                    cell[fk] = base * cz if prev is None else prev + base * cz
+                                    _add(cell, index[u][z], base * cz)
 
-    unit = {}
-    for u, cu in H.counit.items():
-        for z, cz in H.unit_vec().items():
-            unit[flat(u, z)] = cu * cz
-    action = {}
-    for i in range(m):
-        for j in range(m):
-            for h in range(m):
-                action[(flat(i, j), h)] = {
-                    flat(u, j): cu for u, cu in hR[h][i].items()
-                }
+    unit = {index[u][z]: cu * cz
+            for u, cu in H.counit.items() for z, cz in H.unit_vec().items()}
+    action = {(index[i][j], h): {index[u][j]: cu for u, cu in h_act[h][i].items()}
+              for i in range(m) for j in range(m) for h in range(m)}
     sc = StructureConstants(m * m, H.order,
                             {k: tuple(v.items()) for k, v in table.items()}, unit)
-    return HeisenbergAlgebra("dual_first", H, m, sc, sc.unit, action)
+    return HeisenbergAlgebra(side, H, m, sc, action)
+
+
+def build_H1_dual(H: QuasiHopfAlgebra) -> HeisenbergAlgebra:
+    """Double on H* (x) H: (xi # a)(nu # b) uses the inverse associator,
+    left harpoons, convolution, and the coproduct of the middle factor."""
+    return _build_double(H, "dual")
 
 
 def build_H1(H: QuasiHopfAlgebra) -> HeisenbergAlgebra:
     """Double on H (x) H*: mirror construction with right harpoons."""
-    m = H.dim
-    sc_h, cop = H.mult, H.coproduct
-    hL, hR = _harpoon_tables(H)
-    hR_support = [tuple((i, v) for i, v in enumerate(row) if v) for row in
-                  ([[hR[p][i] for i in range(m)] for p in range(m)])]
-
-    flat = lambda a, b: a * m + b
-    table: dict = {}
-
-    for k in range(m):
-        acc: dict = {}
-        for (p, q, r), c in H.associator_inv.entries.items():
-            for (s, t), d in cop.of_basis(k):
-                sp = sc_h.basis_product(s, p)
-                if not sp:
-                    continue
-                tq = sc_h.basis_product(t, q)
-                if not tq:
-                    continue
-                cd = c * d
-                for xdx, cx in sp:
-                    for ydx, cy in tq:
-                        key = (ydx, r)
-                        sub = acc.setdefault(key, {})
-                        cc = cd * cx * cy
-                        prev = sub.get(xdx)
-                        sub[xdx] = cc if prev is None else prev + cc
-        for (ydx, r), xmap in acc.items():
-            xlist = tuple((x, cc) for x, cc in xmap.items() if not cc.is_zero())
-            if not xlist:
-                continue
-            for j, xi1 in hR_support[ydx]:
-                for l, xi2 in hR_support[r]:
-                    conv = convolution(cop, xi1, xi2)
-                    if not conv:
-                        continue
-                    for x, cc in xlist:
-                        for i in range(m):
-                            alg = sc_h.basis_product(i, x)
-                            if not alg:
-                                continue
-                            cell = table.setdefault((flat(i, j), flat(k, l)), {})
-                            for u, cu in conv.items():
-                                base = cc * cu
-                                for z, cz in alg:
-                                    fk = flat(z, u)
-                                    prev = cell.get(fk)
-                                    cell[fk] = base * cz if prev is None else prev + base * cz
-
-    unit = {}
-    for u, cu in H.counit.items():
-        for z, cz in H.unit_vec().items():
-            unit[flat(z, u)] = cz * cu
-    action = {}
-    for i in range(m):
-        for j in range(m):
-            for h in range(m):
-                action[(flat(i, j), h)] = {
-                    flat(i, u): cu for u, cu in hL[h][j].items()
-                }
-    sc = StructureConstants(m * m, H.order,
-                            {k: tuple(v.items()) for k, v in table.items()}, unit)
-    return HeisenbergAlgebra("plain_first", H, m, sc, sc.unit, action)
+    return _build_double(H, "plain")
 
 
 @dataclass
@@ -240,76 +197,53 @@ def canonical_elements(ha_dual: HeisenbergAlgebra, ha_plain: HeisenbergAlgebra,
     """The basis-pairing elements, their quasi-inverses, and the four
     associator correction tensors, all as displayed."""
     H = ha_dual.parent
-    m = H.dim
-    m2 = m * m
-    order = H.order
     S = H.antipode
-    eps = H.counit
-    unit_h = H.unit_vec()
-    fd = ha_dual.flat
-    fp = ha_plain.flat
-
-    w_entries: dict = {}
-    wb_entries: dict = {}
-    for i in range(m):
-        for u, cu in eps.items():
-            for z, cz in unit_h.items():
-                _add(w_entries, (fd(u, i), fd(i, z)), cu * cz)
-                _add(wb_entries, (fp(i, u), fp(z, i)), cu * cz)
-    W = SparseTensor(m2, 2, order, w_entries)
-    Wbar = SparseTensor(m2, 2, order, wb_entries)
-
-    wt_entries: dict = {}
-    for (a, b), c in D.U.entries.items():
-        for i in range(m):
-            for wdx, cw in H.mult.basis_product(i, a):
-                for s, cs in S.cols[wdx].items():
-                    base = c * cw * cs
-                    for u, cu in eps.items():
-                        _add(wt_entries, (fd(u, s), fd(i, b)), base * cu)
-    Wtilde = SparseTensor(m2, 2, order, wt_entries)
-
-    wh_entries: dict = {}
-    for (a, b), c in D.Vtilde.entries.items():
-        for i in range(m):
-            for wdx, cw in H.mult.basis_product(b, i):
-                for s, cs in S.cols[wdx].items():
-                    base = c * cw * cs
-                    for u, cu in eps.items():
-                        _add(wh_entries, (fp(s, u), fp(a, i)), base * cu)
-    What = SparseTensor(m2, 2, order, wh_entries)
-
-    pbi: dict = {}
-    pb321: dict = {}
-    pbari: dict = {}
-    pbars: dict = {}
-    eps_items = tuple(eps.items())
-    for (p, q, r), c in H.associator_inv.entries.items():
-        for u1, c1 in eps_items:
-            for u2, c2 in eps_items:
-                for u3, c3 in eps_items:
-                    base = c * c1 * c2 * c3
-                    _add(pbi, (fd(u1, p), fd(u2, q), fd(u3, r)), base)
-                    _add(pbari, (fp(r, u1), fp(q, u2), fp(p, u3)), base)
-    for (p, q, r), c in H.associator.entries.items():
-        sp, sq, sr = S.cols[p], S.cols[q], S.cols[r]
-        for u1, c1 in eps_items:
-            for u2, c2 in eps_items:
-                for u3, c3 in eps_items:
-                    base = c * c1 * c2 * c3
-                    for x3, cx3 in sr.items():
-                        for x2, cx2 in sq.items():
-                            for x1, cx1 in sp.items():
-                                _add(pb321, (fd(u1, x3), fd(u2, x2), fd(u3, x1)),
-                                     base * cx3 * cx2 * cx1)
-                                _add(pbars, (fp(x1, u1), fp(x2, u2), fp(x3, u3)),
-                                     base * cx1 * cx2 * cx3)
-    PhiBoldInv = SparseTensor(m2, 3, order, pbi)
-    PhiBold321S = SparseTensor(m2, 3, order, pb321)
-    PhiBarInv321 = SparseTensor(m2, 3, order, pbari)
-    PhiBarS = SparseTensor(m2, 3, order, pbars)
+    phi_s = apply_leg(S, apply_leg(S, apply_leg(S, H.associator, 1), 2), 3)
+    W, Wtilde, PhiBoldInv, PhiBold321S = _side_elements(ha_dual, D.U, phi_s)
+    Wbar, What, PhiBarInv321, PhiBarS = _side_elements(ha_plain, D.Vtilde, phi_s)
     return CanonicalElements(W, Wtilde, Wbar, What,
                              PhiBoldInv, PhiBold321S, PhiBarInv321, PhiBarS)
+
+
+def _side_elements(ha: HeisenbergAlgebra, x: SparseTensor, phi_s: SparseTensor):
+    """(canonical element, quasi-inverse, inverse-associator correction,
+    antipode-associator correction) of one double.  x is U on the dual side
+    and V-tilde on the plain side, phi_s is (S x S x S)(associator); written
+    for the dual side."""
+    H = ha.parent
+    m, order, S = H.dim, H.order, H.antipode
+    sd = _Side(H, ha.side)
+    rev, index = sd.rev, sd.index
+    eps = tuple(H.counit.items())
+
+    w: dict = {}
+    for i in range(m):
+        for u, cu in eps:
+            for z, cz in H.unit_vec().items():
+                _add(w, (index[u][i], index[i][z]), cu * cz)
+
+    wq: dict = {}
+    for key, c in x.entries.items():
+        a, b = rev(key)
+        for i in range(m):
+            for y, cy in sd.prod[i][a]:
+                for s, cs in S.cols[y].items():
+                    for u, cu in eps:
+                        _add(wq, (index[u][s], index[i][b]), c * cy * cs * cu)
+
+    eps3 = tuple(((u1, u2, u3), c1 * c2 * c3)
+                 for (u1, c1), (u2, c2), (u3, c3) in product(eps, repeat=3))
+
+    def correction(terms):
+        out: dict = {}
+        for (l1, l2, l3), c in terms:
+            for (u1, u2, u3), ce in eps3:
+                _add(out, (index[u1][l1], index[u2][l2], index[u3][l3]), c * ce)
+        return SparseTensor(m * m, 3, order, out)
+
+    return (SparseTensor(m * m, 2, order, w), SparseTensor(m * m, 2, order, wq),
+            correction((rev(k), c) for k, c in H.associator_inv.entries.items()),
+            correction((rev(k[::-1]), c) for k, c in phi_s.entries.items()))
 
 
 def _add(entries: dict, key, c):
@@ -325,34 +259,44 @@ def check_parenthesization(ha: HeisenbergAlgebra, a: SparseTensor, b: SparseTens
     return left == right, left, right
 
 
-def _triple(ha: HeisenbergAlgebra, a, b, c, rec: Recorder, label: str, name: str):
-    ok, left, right = check_parenthesization(ha, a, b, c)
-    rec.tensor_check(label, name, left, right)
-    return left
+def _equation(ha: HeisenbergAlgebra, rec: Recorder, label: str, name: str, lhs, rhs):
+    """Records both parenthesizations of each side, then the equation."""
+    sides = []
+    for tag, side, factors in (("lhs", "left", lhs), ("rhs", "right", rhs)):
+        _, left, right = check_parenthesization(ha, *factors)
+        rec.tensor_check(f"{label}-parens-{tag}",
+                         f"triple product parenthesization, {side} side of {label}",
+                         left, right)
+        sides.append(left)
+    rec.tensor_check(label, name, *sides)
+
+
+def leg_pairs(ha: HeisenbergAlgebra, x: SparseTensor):
+    """(x12, x13, x23): x placed on two legs of a degree-3 tensor, the
+    double's unit on the third."""
+    return tuple(leg_embed(x, legs, 3, ha.unit) for legs in ((1, 2), (1, 3), (2, 3)))
+
+
+def _quasi_pentagon(ha, rec, label, element, x, phi):
+    """(X12 X13) X23 = (X23 X12) Phi."""
+    x12, x13, x23 = leg_pairs(ha, x)
+    _equation(ha, rec, label, f"quasi-pentagon equation for the {element}",
+              (x12, x13, x23), (x23, x12, phi))
+
+
+def _quasi_hopf(ha, rec, label, element, x, phi):
+    """(X23 X13) X12 = (Phi X12) X23."""
+    x12, x13, x23 = leg_pairs(ha, x)
+    _equation(ha, rec, label, f"quasi-Hopf equation for the {element}",
+              (x23, x13, x12), (phi, x12, x23))
 
 
 def check_theorem_4_4(ce: CanonicalElements, ha: HeisenbergAlgebra,
                       rec: Recorder | None = None) -> Recorder:
     """Quasi-pentagon 4.6 and quasi-Hopf 4.7 on the dual-side double."""
     rec = rec or Recorder()
-    u = ha.unit
-    w12 = leg_embed(ce.W, (1, 2), 3, u)
-    w13 = leg_embed(ce.W, (1, 3), 3, u)
-    w23 = leg_embed(ce.W, (2, 3), 3, u)
-    lhs = _triple(ha, w12, w13, w23, rec, "4.6-parens-lhs",
-                  "triple product parenthesization, left side of 4.6")
-    rhs = _triple(ha, w23, w12, ce.PhiBoldInv, rec, "4.6-parens-rhs",
-                  "triple product parenthesization, right side of 4.6")
-    rec.tensor_check("4.6", "quasi-pentagon equation for the canonical element", lhs, rhs)
-
-    t12 = leg_embed(ce.Wtilde, (1, 2), 3, u)
-    t13 = leg_embed(ce.Wtilde, (1, 3), 3, u)
-    t23 = leg_embed(ce.Wtilde, (2, 3), 3, u)
-    lhs = _triple(ha, t23, t13, t12, rec, "4.7-parens-lhs",
-                  "triple product parenthesization, left side of 4.7")
-    rhs = _triple(ha, ce.PhiBold321S, t12, t23, rec, "4.7-parens-rhs",
-                  "triple product parenthesization, right side of 4.7")
-    rec.tensor_check("4.7", "quasi-Hopf equation for the quasi-inverse", lhs, rhs)
+    _quasi_pentagon(ha, rec, "4.6", "canonical element", ce.W, ce.PhiBoldInv)
+    _quasi_hopf(ha, rec, "4.7", "quasi-inverse", ce.Wtilde, ce.PhiBold321S)
     return rec
 
 
@@ -360,32 +304,25 @@ def check_theorem_4_5(ce: CanonicalElements, ha: HeisenbergAlgebra,
                       rec: Recorder | None = None) -> Recorder:
     """Quasi-Hopf 4.8 and quasi-pentagon 4.9 on the plain-side double."""
     rec = rec or Recorder()
-    u = ha.unit
-    b12 = leg_embed(ce.Wbar, (1, 2), 3, u)
-    b13 = leg_embed(ce.Wbar, (1, 3), 3, u)
-    b23 = leg_embed(ce.Wbar, (2, 3), 3, u)
-    lhs = _triple(ha, b23, b13, b12, rec, "4.8-parens-lhs",
-                  "triple product parenthesization, left side of 4.8")
-    rhs = _triple(ha, ce.PhiBarInv321, b12, b23, rec, "4.8-parens-rhs",
-                  "triple product parenthesization, right side of 4.8")
-    rec.tensor_check("4.8", "quasi-Hopf equation for the canonical element", lhs, rhs)
-
-    h12 = leg_embed(ce.What, (1, 2), 3, u)
-    h13 = leg_embed(ce.What, (1, 3), 3, u)
-    h23 = leg_embed(ce.What, (2, 3), 3, u)
-    lhs = _triple(ha, h12, h13, h23, rec, "4.9-parens-lhs",
-                  "triple product parenthesization, left side of 4.9")
-    rhs = _triple(ha, h23, h12, ce.PhiBarS, rec, "4.9-parens-rhs",
-                  "triple product parenthesization, right side of 4.9")
-    rec.tensor_check("4.9", "quasi-pentagon equation for the quasi-inverse", lhs, rhs)
+    _quasi_hopf(ha, rec, "4.8", "canonical element", ce.Wbar, ce.PhiBarInv321)
+    _quasi_pentagon(ha, rec, "4.9", "quasi-inverse", ce.What, ce.PhiBarS)
     return rec
+
+
+# label and name of the check that multiplies, then of the one that acts
+_EPS_CHECKS = {
+    "dual": (("3.eps-second", "counit in the second slot multiplies the tails"),
+             ("3.eps-first", "counit in the first slot acts then multiplies")),
+    "plain": (("3.eps-first", "counit in the first slot multiplies the heads"),
+              ("3.eps-second", "counit in the second slot slides the coproduct")),
+}
 
 
 def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder:
     """Unit law, the two counit-slot product specializations, and the
     module axioms of the attached action."""
     rec = rec or Recorder()
-    side = "dual" if ha.variant == "dual_first" else "plain"
+    side = ha.side
     rec.bool_check(f"3.unit-{side}", f"two-sided unit law in the {side}-side double",
                    not ha.sc.check_unit())
 
@@ -394,77 +331,40 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
         return rec
     m = H.dim
     one = CycScalar.one(H.order)
-    eps = H.counit
-    sc_h = H.mult
-    hL, hR = _harpoon_tables(H)
+    sd = _Side(H, side)
+    rev, index = sd.rev, sd.index
+    h_prod = rev(_harpoon_tables(H))[0]
 
     def v1(v):
         return vec_tensor(ha.dim, ha.order, v)
 
-    if ha.variant == "dual_first":
-        def eps_right():
-            # (xi # a)(eps # b) = xi # ab
-            for i in range(m):
-                for j in range(m):
-                    for l in range(m):
-                        epsb = {ha.flat(u, l): cu for u, cu in eps.items()}
-                        lhs = ha.sc.vec_mult({ha.flat(i, j): one}, epsb)
-                        rhs = {ha.flat(i, z): cz for z, cz in sc_h.basis_product(j, l)}
-                        yield (i, j, l), v1(lhs), v1(rhs)
+    def eps_at(a):
+        return {index[u][a]: cu for u, cu in H.counit.items()}
 
-        rec.family_check("3.eps-second", "counit in the second slot multiplies the tails",
-                         eps_right())
+    def multiplies():
+        # dual: (xi # a)(eps # b) = xi # ab; plain: (b # eps)(a # xi) = ba # xi
+        for idx in product(range(m), repeat=3):
+            xi, a, b = rev(idx)
+            lhs = ha.sc.vec_mult(*rev(({index[xi][a]: one}, eps_at(b))))
+            rhs = {index[xi][z]: cz for z, cz in sd.prod[a][b]}
+            yield idx, v1(lhs), v1(rhs)
 
-        def eps_first():
-            # (eps # a)(nu # b) = (a_1 -> nu) # a_2 b
-            for j in range(m):
-                epsa = {ha.flat(u, j): cu for u, cu in eps.items()}
-                for k in range(m):
-                    for l in range(m):
-                        lhs = ha.sc.vec_mult(epsa, {ha.flat(k, l): one})
-                        rhs: dict = {}
-                        for (s, t), d in H.coproduct.of_basis(j):
-                            xi = hL[s][k]
-                            for z, cz in sc_h.basis_product(t, l):
-                                for u, cu in xi.items():
-                                    _add(rhs, ha.flat(u, z), d * cu * cz)
-                        yield (j, k, l), v1(lhs), v1({k: c for k, c in rhs.items()
-                                                      if not c.is_zero()})
+    def acts():
+        # dual: (eps # a)(xi # b) = (a_1 -> xi) # a_2 b;
+        # plain: (b # xi)(a # eps) = b a_1 # (xi <- a_2)
+        for idx in product(range(m), repeat=3):
+            a, xi, b = rev(idx)
+            lhs = ha.sc.vec_mult(*rev((eps_at(a), {index[xi][b]: one})))
+            rhs: dict = {}
+            for (s, t), d in sd.cop[a]:
+                for z, cz in sd.prod[t][b]:
+                    for u, cu in h_prod[s][xi].items():
+                        _add(rhs, index[u][z], d * cu * cz)
+            yield idx, v1(lhs), v1(rhs)
 
-        rec.family_check("3.eps-first", "counit in the first slot acts then multiplies",
-                         eps_first())
-    else:
-        def eps_first_p():
-            # (a # eps)(b # nu) = ab # nu
-            for i in range(m):
-                epsa = {ha.flat(i, u): cu for u, cu in eps.items()}
-                for k in range(m):
-                    for l in range(m):
-                        lhs = ha.sc.vec_mult(epsa, {ha.flat(k, l): one})
-                        rhs = {ha.flat(z, l): cz for z, cz in sc_h.basis_product(i, k)}
-                        yield (i, k, l), v1(lhs), v1(rhs)
-
-        rec.family_check("3.eps-first", "counit in the first slot multiplies the heads",
-                         eps_first_p())
-
-        def eps_second_p():
-            # (a # xi)(b # eps) = a b_1 # (xi <- b_2)
-            for i in range(m):
-                for j in range(m):
-                    for k in range(m):
-                        epsb = {ha.flat(k, u): cu for u, cu in eps.items()}
-                        lhs = ha.sc.vec_mult({ha.flat(i, j): one}, epsb)
-                        rhs: dict = {}
-                        for (s, t), d in H.coproduct.of_basis(k):
-                            xi = hR[t][j]
-                            for z, cz in sc_h.basis_product(i, s):
-                                for u, cu in xi.items():
-                                    _add(rhs, ha.flat(z, u), d * cu * cz)
-                        yield (i, j, k), v1(lhs), v1({k2: c for k2, c in rhs.items()
-                                                      if not c.is_zero()})
-
-        rec.family_check("3.eps-second", "counit in the second slot slides the coproduct",
-                         eps_second_p())
+    (mult_label, mult_name), (act_label, act_name) = _EPS_CHECKS[side]
+    rec.family_check(mult_label, mult_name, multiplies())
+    rec.family_check(act_label, act_name, acts())
 
     def action_axioms():
         unit_h = H.unit_vec()
@@ -472,15 +372,12 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
             base = {k: one}
             yield (k, "unit"), v1(ha.act_vec(base, unit_h)), v1(base)
             for h1 in range(m):
-                step = ha.act_basis(k, h1)
                 for h2 in range(m):
-                    if ha.variant == "dual_first":
-                        # (x <| h1) <| h2 = x <| (h1 h2)
-                        lhs = ha.act_vec(step, {h2: one})
-                    else:
-                        # h1 |> (h2 |> x) = (h1 h2) |> x
-                        lhs = ha.act_vec(ha.act_basis(k, h2), {h1: one})
-                    rhs = ha.act_vec(base, sc_h.vec_mult({h1: one}, {h2: one}))
+                    # dual: (x <| h1) <| h2 = x <| (h1 h2);
+                    # plain: h1 |> (h2 |> x) = (h1 h2) |> x
+                    first, second = rev((h1, h2))
+                    lhs = ha.act_vec(ha.act_basis(k, first), {second: one})
+                    rhs = ha.act_vec(base, H.mult.vec_mult({h1: one}, {h2: one}))
                     yield (k, h1, h2), v1(lhs), v1(rhs)
 
     rec.family_check(f"3.action-{side}", f"module axioms of the {side}-side action",

@@ -89,9 +89,6 @@ class QuasiHopfAlgebra:
                 acc = acc + c * e
         return acc
 
-    def s_col(self, i: int) -> dict:
-        return self.antipode.cols[i]
-
     def antipode_inverse(self) -> LinearMap:
         if self.antipode_inv is None:
             try:
@@ -322,7 +319,9 @@ def twist_alternatives(H: QuasiHopfAlgebra):
 def compute_twist(H: QuasiHopfAlgebra):
     """gamma, delta (each agreeing by both defining expressions) and the
     twist pair.  Raises DerivedElementError if the expressions disagree or
-    the twist fails to invert; either means the input tables are broken."""
+    the twist fails to invert; either means the input tables are broken.
+    derive_elements skips these checks; the CLI's twist suite reports them
+    as 2.gamma, 2.delta and 2.f-inv."""
     gamma, delta, twist, twist_inv = twist_candidates(H)
     gamma_alt, delta_alt = twist_alternatives(H)
     if gamma != gamma_alt:
@@ -453,13 +452,14 @@ def check_qp_identities(H: QuasiHopfAlgebra, D: DerivedElements,
     return rec
 
 
-def compute_U_Vtilde(H: QuasiHopfAlgebra, D: DerivedElements):
+def compute_U_Vtilde(H: QuasiHopfAlgebra, twist: SparseTensor, twist_inv: SparseTensor,
+                     qR: SparseTensor, pL: SparseTensor):
     """The inverse-like building blocks for the canonical elements."""
     sc, S = H.mult, H.antipode
-    sq = apply_leg(S, apply_leg(S, permute_legs(D.qR, (1, 0)), 1), 2)
-    U = multiply(sc, D.twist_inv, sq)
-    sp = apply_leg(S, apply_leg(S, permute_legs(D.pL, (1, 0)), 1), 2)
-    Vt = multiply(sc, sp, D.twist)
+    sq = apply_leg(S, apply_leg(S, permute_legs(qR, (1, 0)), 1), 2)
+    U = multiply(sc, twist_inv, sq)
+    sp = apply_leg(S, apply_leg(S, permute_legs(pL, (1, 0)), 1), 2)
+    Vt = multiply(sc, sp, twist)
     return U, Vt
 
 
@@ -520,14 +520,13 @@ def check_lemma41(H: QuasiHopfAlgebra, D: DerivedElements,
 
 
 def derive_elements(H: QuasiHopfAlgebra) -> DerivedElements:
-    """Run the full derivation chain; raises on internal inconsistency."""
-    gamma, delta, f, g = compute_twist(H)
+    """The derivation chain twist_candidates -> compute_qR_pL ->
+    compute_U_Vtilde, unvalidated: compute_twist validates the twist pair
+    for callers that want it."""
+    gamma, delta, f, g = twist_candidates(H)
     qR, pL = compute_qR_pL(H)
-    d = DerivedElements(gamma, delta, f, g, qR, pL,
-                        SparseTensor(H.dim, 2, H.order, {}),
-                        SparseTensor(H.dim, 2, H.order, {}))
-    d.U, d.Vtilde = compute_U_Vtilde(H, d)
-    return d
+    U, Vtilde = compute_U_Vtilde(H, f, g, qR, pL)
+    return DerivedElements(gamma, delta, f, g, qR, pL, U, Vtilde)
 
 
 # -- tiny vector helpers --------------------------------------------------------

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .algebra import Coproduct, LinearMap, SparseTensor, StructureConstants
-from .heisenberg import CanonicalElements, HeisenbergAlgebra
+from .algebra import Coproduct, LinearMap, SparseTensor, StructureConstants, multiply
+from .heisenberg import CanonicalElements, HeisenbergAlgebra, leg_pairs
 from .quasihopf import QuasiHopfAlgebra
+from .report import Recorder
 from .scalar import CycScalar, root_of_unity
 
 
@@ -368,8 +369,8 @@ def closed_form_double(w: Cocycle3):
             for b in range(n):
                 plain_action[(flat(a, gg), b)] = {flat(a, gg): one} if b == gg else {}
 
-    dual = HeisenbergAlgebra("dual_first", None, n, dual_sc, dual_unit, dual_action)
-    plain = HeisenbergAlgebra("plain_first", None, n, plain_sc, plain_unit, plain_action)
+    dual = HeisenbergAlgebra("dual", None, n, dual_sc, dual_action)
+    plain = HeisenbergAlgebra("plain", None, n, plain_sc, plain_action)
     return dual, plain
 
 
@@ -497,25 +498,12 @@ def expansion_tensor(w: Cocycle3, which: str) -> SparseTensor:
     })
 
 
-def check_section5_expansions(w: Cocycle3, rec=None, ce: CanonicalElements | None = None,
-                              ha_plain: HeisenbergAlgebra | None = None):
+def check_section5_expansions(w: Cocycle3, ce: CanonicalElements, ha_plain: HeisenbergAlgebra,
+                              rec: Recorder | None = None) -> Recorder:
     """The two displayed coefficient formulas for the plain-side triple
     products: they must agree with each other for every (a, b, c) and each
     must reproduce the tensor computed through the double's product."""
-    from .algebra import leg_embed, multiply
-    from .report import Recorder
-
     rec = rec or Recorder()
-    if ce is None or ha_plain is None:
-        from .heisenberg import build_H1, build_H1_dual, canonical_elements
-        from .quasihopf import derive_elements
-
-        H = build_k_omega_G(w)
-        d = derive_elements(H)
-        ha_dual = build_H1_dual(H)
-        ha_plain = build_H1(H)
-        ce = canonical_elements(ha_dual, ha_plain, d)
-
     lhs_exp, rhs_exp = expansion_coefficients(w)
     n = w.group.order
     N = w.root_order
@@ -531,10 +519,7 @@ def check_section5_expansions(w: Cocycle3, rec=None, ce: CanonicalElements | Non
     rec.bool_check("5.exp-agree", "the two displayed coefficient formulas agree",
                    agree, detail="" if agree else f"first mismatch at {first_bad}")
 
-    u = ha_plain.unit
-    h12 = leg_embed(ce.What, (1, 2), 3, u)
-    h13 = leg_embed(ce.What, (1, 3), 3, u)
-    h23 = leg_embed(ce.What, (2, 3), 3, u)
+    h12, h13, h23 = leg_pairs(ha_plain, ce.What)
     lhs = multiply(ha_plain.sc, multiply(ha_plain.sc, h12, h13), h23)
     rhs = multiply(ha_plain.sc, multiply(ha_plain.sc, h23, h12), ce.PhiBarS)
     rec.tensor_check("5.exp-lhs", "triple product matches the first coefficient formula",

@@ -5,13 +5,17 @@ import os
 import random
 
 from qhd.algebra import (
+    Coproduct,
+    LinearMap,
     SparseTensor,
     StructureConstants,
+    convolution,
+    harpoon,
     leg_embed,
     multiplication_rows,
     multiply,
 )
-from qhd.cli import parse_input
+from qhd.cli import _products_equal, parse_input
 from qhd.heisenberg import (
     build_H1,
     build_H1_dual,
@@ -22,7 +26,7 @@ from qhd.heisenberg import (
     check_theorem_4_5,
     probe_invertibility,
 )
-from qhd.quasihopf import derive_elements
+from qhd.quasihopf import QuasiHopfAlgebra, derive_elements
 from qhd.report import Recorder
 from qhd.scalar import CycScalar, root_of_unity
 from qhd.twisted import (
@@ -322,3 +326,183 @@ def test_multiplication_rows_match_per_basis_products():
     for sc, x in cases:
         for side in ("right", "left"):
             assert multiplication_rows(sc, x, side) == _rows_by_basis_products(sc, x, side)
+
+
+# -- the side-parameterized builder against the two builders it replaced --------
+
+
+def _ref_harpoon_tables(H):
+    one = CycScalar.one(H.order)
+    m = H.dim
+    left = [[harpoon(H.mult, {p: one}, {i: one}, "left") for i in range(m)]
+            for p in range(m)]
+    right = [[harpoon(H.mult, {p: one}, {i: one}, "right") for i in range(m)]
+             for p in range(m)]
+    return left, right
+
+
+def _ref_build_H1_dual(H):
+    """The former dual-side builder; returns (structure constants, action)."""
+    m = H.dim
+    one = CycScalar.one(H.order)
+    sc_h, cop = H.mult, H.coproduct
+    hL, hR = _ref_harpoon_tables(H)
+    hL_support = [tuple((i, v) for i, v in enumerate(row) if v) for row in
+                  ([[hL[p][i] for i in range(m)] for p in range(m)])]
+
+    flat = lambda a, b: a * m + b
+    table: dict = {}
+
+    for j in range(m):
+        acc: dict = {}
+        for (p, q, r), c in H.associator_inv.entries.items():
+            for (s, t), d in cop.of_basis(j):
+                qs = sc_h.basis_product(q, s)
+                if not qs:
+                    continue
+                rt = sc_h.basis_product(r, t)
+                if not rt:
+                    continue
+                cd = c * d
+                for wdx, cw in qs:
+                    for vdx, cv in rt:
+                        key = (p, wdx)
+                        sub = acc.setdefault(key, {})
+                        cc = cd * cw * cv
+                        prev = sub.get(vdx)
+                        sub[vdx] = cc if prev is None else prev + cc
+        for (p, wdx), vmap in acc.items():
+            vlist = tuple((v, cc) for v, cc in vmap.items() if not cc.is_zero())
+            if not vlist:
+                continue
+            for i, xi1 in hL_support[p]:
+                for k, xi2 in hL_support[wdx]:
+                    conv = convolution(cop, xi1, xi2)
+                    if not conv:
+                        continue
+                    row = flat(i, j)
+                    for v, cc in vlist:
+                        for l in range(m):
+                            alg = sc_h.basis_product(v, l)
+                            if not alg:
+                                continue
+                            cell = table.setdefault((row, flat(k, l)), {})
+                            for u, cu in conv.items():
+                                base = cc * cu
+                                for z, cz in alg:
+                                    fk = flat(u, z)
+                                    prev = cell.get(fk)
+                                    cell[fk] = base * cz if prev is None else prev + base * cz
+
+    unit = {}
+    for u, cu in H.counit.items():
+        for z, cz in H.unit_vec().items():
+            unit[flat(u, z)] = cu * cz
+    action = {}
+    for i in range(m):
+        for j in range(m):
+            for h in range(m):
+                action[(flat(i, j), h)] = {
+                    flat(u, j): cu for u, cu in hR[h][i].items()
+                }
+    sc = StructureConstants(m * m, H.order,
+                            {k: tuple(v.items()) for k, v in table.items()}, unit)
+    return sc, action
+
+
+def _ref_build_H1(H):
+    """The former plain-side builder; returns (structure constants, action)."""
+    m = H.dim
+    sc_h, cop = H.mult, H.coproduct
+    hL, hR = _ref_harpoon_tables(H)
+    hR_support = [tuple((i, v) for i, v in enumerate(row) if v) for row in
+                  ([[hR[p][i] for i in range(m)] for p in range(m)])]
+
+    flat = lambda a, b: a * m + b
+    table: dict = {}
+
+    for k in range(m):
+        acc: dict = {}
+        for (p, q, r), c in H.associator_inv.entries.items():
+            for (s, t), d in cop.of_basis(k):
+                sp = sc_h.basis_product(s, p)
+                if not sp:
+                    continue
+                tq = sc_h.basis_product(t, q)
+                if not tq:
+                    continue
+                cd = c * d
+                for xdx, cx in sp:
+                    for ydx, cy in tq:
+                        key = (ydx, r)
+                        sub = acc.setdefault(key, {})
+                        cc = cd * cx * cy
+                        prev = sub.get(xdx)
+                        sub[xdx] = cc if prev is None else prev + cc
+        for (ydx, r), xmap in acc.items():
+            xlist = tuple((x, cc) for x, cc in xmap.items() if not cc.is_zero())
+            if not xlist:
+                continue
+            for j, xi1 in hR_support[ydx]:
+                for l, xi2 in hR_support[r]:
+                    conv = convolution(cop, xi1, xi2)
+                    if not conv:
+                        continue
+                    for x, cc in xlist:
+                        for i in range(m):
+                            alg = sc_h.basis_product(i, x)
+                            if not alg:
+                                continue
+                            cell = table.setdefault((flat(i, j), flat(k, l)), {})
+                            for u, cu in conv.items():
+                                base = cc * cu
+                                for z, cz in alg:
+                                    fk = flat(z, u)
+                                    prev = cell.get(fk)
+                                    cell[fk] = base * cz if prev is None else prev + base * cz
+
+    unit = {}
+    for u, cu in H.counit.items():
+        for z, cz in H.unit_vec().items():
+            unit[flat(z, u)] = cz * cu
+    action = {}
+    for i in range(m):
+        for j in range(m):
+            for h in range(m):
+                action[(flat(i, j), h)] = {
+                    flat(i, u): cu for u, cu in hL[h][j].items()
+                }
+    sc = StructureConstants(m * m, H.order,
+                            {k: tuple(v.items()) for k, v in table.items()}, unit)
+    return sc, action
+
+
+def group_algebra(g):
+    """kG: e_a e_b = e_ab, Delta a = a (x) a, eps = 1, S(a) = a^-1, trivial associator."""
+    n, e = g.order, g.identity
+    one = CycScalar.one(1)
+    mult = StructureConstants(n, 1, {(a, b): ((g.mul(a, b), one),)
+                                     for a in range(n) for b in range(n)}, {e: one})
+    cop = Coproduct(n, 1, {a: (((a, a), one),) for a in range(n)})
+    unit3 = SparseTensor(n, 3, 1, {(e, e, e): one})
+    antipode = LinearMap(n, 1, tuple({g.inv(a): one} for a in range(n)))
+    return QuasiHopfAlgebra(mult, cop, {a: one for a in range(n)}, unit3, unit3,
+                            {e: one}, {e: one}, antipode)
+
+
+def test_side_builder_matches_former_builders_on_noncommutative_H():
+    # every kωG has a commutative product, so only kS3 sees the plain side's
+    # reversal of the two factors of each H-product
+    s3 = parse_input(S3_SIGN)
+    kS3 = group_algebra(s3[0])
+    for H in (kS3, build_k_omega_G(cyclic_cocycle(3, 1)), build_k_omega_G(s3[1])):
+        for build, ref in ((build_H1_dual, _ref_build_H1_dual), (build_H1, _ref_build_H1)):
+            ha = build(H)
+            sc, action = ref(H)
+            assert _products_equal(ha.sc, sc), build.__name__
+            assert ha.action == action, build.__name__
+    for build in (build_H1_dual, build_H1):
+        ha = build(kS3)
+        assert len(ha.sc.table) == 216
+        rec = check_double(ha)
+        assert rec.ok and len(rec.items) == 4, failing(rec)
