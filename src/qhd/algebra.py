@@ -145,14 +145,12 @@ class StructureConstants:
         return _prune(out)
 
     def mult_chain(self, factors) -> dict:
-        """Left-to-right product of a sequence of vectors / basis indices."""
-        acc = None
-        for f in factors:
-            v = {f: CycScalar.one(self.order)} if isinstance(f, int) else f
-            acc = v if acc is None else self.vec_mult(acc, v)
-            if not acc:
-                return {}
-        return acc if acc is not None else dict(self.unit)
+        """Left-to-right product of a nonempty sequence of vectors / basis indices."""
+        return dict(_chain_pairs(self.table, factors, CycScalar.one(self.order)))
+
+    def unit_tensor(self, degree: int) -> SparseTensor:
+        """1 (x) ... (x) 1, the unit of the degree-fold tensor power."""
+        return tensor_product(*[vec_tensor(self.dim, self.order, self.unit)] * degree)
 
     def check_unit(self) -> list:
         """Basis indices where the stored unit fails the two-sided unit law."""
@@ -187,7 +185,7 @@ class Coproduct:
         self.dim = dim
         self.order = order
         self.table = {
-            i: tuple((jk, c) for jk, c in ent if not c.is_zero())
+            i: tuple((tuple(jk), c) for jk, c in ent if not c.is_zero())
             for i, ent in table.items()
         }
 
@@ -210,6 +208,9 @@ class LinearMap:
         self.dim = dim
         self.order = order
         self.cols = tuple(_prune(dict(c)) for c in cols)
+        # leg images for _map_leg: j -> ((i,), M_ij) over the nonzeros of column j
+        self.images = {j: tuple(((i,), c) for i, c in col.items())
+                       for j, col in enumerate(self.cols)}
 
     @staticmethod
     def identity(dim: int, order: int) -> "LinearMap":
@@ -237,35 +238,19 @@ class LinearMap:
 
 
 def invert_map(m: LinearMap) -> LinearMap:
-    """Exact inverse by Gaussian elimination; raises SingularMapError."""
+    """Exact inverse, column j solving M x = e_j; raises SingularMapError."""
     n = m.dim
-    zero = CycScalar.zero(m.order)
-    one = CycScalar.one(m.order)
-    # dense augmented rows [M | I]
-    rows = []
-    for i in range(n):
-        row = [m.cols[j].get(i, zero) for j in range(n)] + [
-            one if j == i else zero for j in range(n)
-        ]
-        rows.append(row)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not rows[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise SingularMapError(f"map is singular (no pivot in column {col})")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [c * inv for c in rows[col]]
-        for r in range(n):
-            if r != col and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    rows: list = [{} for _ in range(n)]
+    for j, col in enumerate(m.cols):
+        for i, c in col.items():
+            rows[i][j] = c
+    zero, one = CycScalar.zero(m.order), CycScalar.one(m.order)
     cols = []
     for j in range(n):
-        cols.append({i: rows[i][n + j] for i in range(n) if not rows[i][n + j].is_zero()})
+        sol = solve_linear(rows, [one if i == j else zero for i in range(n)], n, m.order)
+        if isinstance(sol, Inconsistency):
+            raise SingularMapError(f"map is singular (e_{j} is not in its image)")
+        cols.append(sol)
     return LinearMap(n, m.order, cols)
 
 
@@ -465,40 +450,30 @@ def leg_embed(t: SparseTensor, legs, d: int, unit: dict) -> SparseTensor:
     return SparseTensor(t.dim, d, t.order, out)
 
 
-def split_leg(cop: Coproduct, t: SparseTensor, leg: int) -> SparseTensor:
-    """Apply the coproduct to one leg (1-based), raising the degree by one."""
+def _map_leg(images, t: SparseTensor, leg: int, grow: int) -> SparseTensor:
+    """Replace the index on one leg (1-based) by each key tuple of its image,
+    {index: ((key tuple, coeff), ...)}; the tuples have grow + 1 entries."""
     pos = leg - 1
     out: dict = {}
     for key, c in t.entries.items():
-        for (j, k), cd in cop.of_basis(key[pos]):
-            nk = key[:pos] + (j, k) + key[pos + 1 :]
+        for sub, cs in images.get(key[pos], ()):
+            nk = key[:pos] + sub + key[pos + 1 :]
             prev = out.get(nk)
-            out[nk] = c * cd if prev is None else prev + c * cd
-    return SparseTensor(t.dim, t.degree + 1, t.order, out)
+            out[nk] = c * cs if prev is None else prev + c * cs
+    return SparseTensor(t.dim, t.degree + grow, t.order, out)
+
+
+def split_leg(cop: Coproduct, t: SparseTensor, leg: int) -> SparseTensor:
+    """Apply the coproduct to one leg (1-based), raising the degree by one."""
+    return _map_leg(cop.table, t, leg, 1)
 
 
 def apply_leg(m: LinearMap, t: SparseTensor, leg: int) -> SparseTensor:
-    pos = leg - 1
-    out: dict = {}
-    for key, c in t.entries.items():
-        for i, cm in m.cols[key[pos]].items():
-            nk = key[:pos] + (i,) + key[pos + 1 :]
-            prev = out.get(nk)
-            out[nk] = c * cm if prev is None else prev + c * cm
-    return SparseTensor(t.dim, t.degree, t.order, out)
+    return _map_leg(m.images, t, leg, 0)
 
 
 def counit_leg(eps: dict, t: SparseTensor, leg: int) -> SparseTensor:
-    pos = leg - 1
-    out: dict = {}
-    for key, c in t.entries.items():
-        e = eps.get(key[pos])
-        if e is None:
-            continue
-        nk = key[:pos] + key[pos + 1 :]
-        prev = out.get(nk)
-        out[nk] = c * e if prev is None else prev + c * e
-    return SparseTensor(t.dim, t.degree - 1, t.order, out)
+    return _map_leg({i: (((), e),) for i, e in eps.items()}, t, leg, -1)
 
 
 def slice_leg(t: SparseTensor, leg: int) -> dict:

@@ -4,7 +4,8 @@ Resolves an algebra from a builtin id or an input file, runs the requested
 check suites in dependency order, and emits a deterministic text or JSON
 report.  Exit codes: 0 all executed checks passed, 1 at least one identity
 failed, 2 invalid input (unreadable file, malformed description, a group
-order above MAX_GROUP_ORDER, or a table that fails the cocycle gate),
+order above MAX_GROUP_ORDER, a cocycle root order above MAX_ROOT_ORDER, or
+a table that fails the cocycle gate),
 3 internal error.
 """
 
@@ -70,6 +71,10 @@ SUITE_DEPS = {
 # systems in n^4 unknowns), so larger orders are refused before any n^2 or n^3
 # table is built.
 MAX_GROUP_ORDER = 32
+# Scalars of Q(zeta_N) carry phi(N) coefficients and a phi(N) x phi(N)
+# reduction table, so `cocycle table N` is refused above this before any
+# scalar is built; twice the largest root order a builtin uses.
+MAX_ROOT_ORDER = 64
 
 
 class InputError(ValueError):
@@ -208,27 +213,14 @@ def parse_input(path: str):
             if len(row) != n or any(x < 0 or x >= n for x in row):
                 fail(rl, f"Cayley row must hold {n} indices in 0..{n - 1}")
             rows.append(row)
-        for i, row in enumerate(rows):
-            if sorted(row) != list(range(n)):
-                fail(lineno, f"not a group: row {i} repeats an element")
-        for j in range(n):
-            col = sorted(rows[i][j] for i in range(n))
-            if col != list(range(n)):
-                fail(lineno, f"not a group: column {j} repeats an element")
         try:
             group = FiniteGroup(rows)
         except GroupError as e:
             fail(lineno, f"not a group: {e}")
-        problems = group.check_axioms()
-        if problems:
-            fail(lineno, f"not a group: {problems[0]}")
     else:
         group, leftover = parse_group_tokens(tokens[1:], lineno)
         if leftover:
             fail(lineno, f"trailing tokens after group spec: {' '.join(leftover)}")
-        problems = group.check_axioms()
-        if problems:
-            fail(lineno, f"not a group: {problems[0]}")
 
     lineno, text = next_line("a `cocycle` stanza")
     tokens = text.split()
@@ -255,6 +247,8 @@ def parse_input(path: str):
             fail(lineno, f"bad root order {tokens[2]!r}")
         if root < 1:
             fail(lineno, "root order must be positive")
+        if root > MAX_ROOT_ORDER:
+            fail(lineno, f"root order {root} exceeds the limit of {MAX_ROOT_ORDER}")
         n = group.order
         table = [[[0] * n for _ in range(n)] for _ in range(n)]
         while pos < len(lines):
@@ -306,6 +300,7 @@ class RunContext:
         self._alternatives = None
         self._doubles = None
         self._elements = None
+        self._closed_form = None
 
     def derived(self) -> DerivedElements:
         if self._derived is None:
@@ -330,6 +325,11 @@ class RunContext:
             self._elements = canonical_elements(had, hap, self.derived())
         return self._elements
 
+    def closed_form(self):
+        if self._closed_form is None:
+            self._closed_form = closed_form_elements(self.w)
+        return self._closed_form
+
     def cocycle_is_trivial(self) -> bool:
         n = self.w.group.order
         return all(
@@ -351,7 +351,7 @@ def _suite_twist(run: RunContext, rec: Recorder):
     d, gamma_alt, delta_alt = run.twist_pieces()
     rec.tensor_check("2.gamma", "both expressions for gamma agree", d.gamma, gamma_alt)
     rec.tensor_check("2.delta", "both expressions for delta agree", d.delta, delta_alt)
-    one2 = H.unit_tensor(2)
+    one2 = H.mult.unit_tensor(2)
     rec.tensor_check("2.f-inv", "twist times inverse twist is the unit tensor",
                      multiply(H.mult, d.twist, d.twist_inv), one2)
     rec.tensor_check("2.f-inv'", "inverse twist times twist is the unit tensor",
@@ -363,7 +363,7 @@ def _suite_twist(run: RunContext, rec: Recorder):
 def _suite_lemma41(run: RunContext, rec: Recorder):
     d = run.derived()
     check_lemma41(run.H, d, rec)
-    cf = closed_form_elements(run.w)
+    cf = run.closed_form()
     rec.tensor_check("4.U-closed-form", "U matches its twisted closed form", d.U, cf.U)
     rec.tensor_check("4.V-closed-form", "V-tilde matches its twisted closed form",
                      d.Vtilde, cf.Vtilde)
@@ -405,13 +405,13 @@ def _suite_theorems(run: RunContext, rec: Recorder):
     ce = run.elements()
     check_theorem_4_4(ce, had, rec)
     check_theorem_4_5(ce, hap, rec)
-    cf = closed_form_elements(run.w).elements
+    cf = run.closed_form().elements
     for name in ("W", "Wtilde", "Wbar", "What",
                  "PhiBoldInv", "PhiBold321S", "PhiBarInv321", "PhiBarS"):
         rec.tensor_check(f"5.cf-{name}", f"{name} matches its twisted closed form",
                          getattr(ce, name), getattr(cf, name))
 
-    unit2d = had.unit_tensor(2)
+    unit2d = had.sc.unit_tensor(2)
     ww = multiply(had.sc, ce.W, ce.Wtilde)
     wwr = multiply(had.sc, ce.Wtilde, ce.W)
     rec.info("4.info-WWtilde",
@@ -427,19 +427,19 @@ def _suite_theorems(run: RunContext, rec: Recorder):
                          ww, unit2d)
         rec.tensor_check("hopf.Wtilde-inverse'", "quasi-inverse is a two-sided inverse",
                          wwr, unit2d)
-        unit2p = hap.unit_tensor(2)
+        unit2p = hap.sc.unit_tensor(2)
         rec.tensor_check("hopf.What-inverse", "plain-side quasi-inverse is the inverse",
                          multiply(hap.sc, ce.Wbar, ce.What), unit2p)
         rec.tensor_check("hopf.What-inverse'", "plain-side quasi-inverse is two-sided",
                          multiply(hap.sc, ce.What, ce.Wbar), unit2p)
         rec.tensor_check("hopf.corrections-dual-1", "dual correction tensors are unit tensors",
-                         ce.PhiBoldInv, had.unit_tensor(3))
+                         ce.PhiBoldInv, had.sc.unit_tensor(3))
         rec.tensor_check("hopf.corrections-dual-2", "reversed dual correction is the unit tensor",
-                         ce.PhiBold321S, had.unit_tensor(3))
+                         ce.PhiBold321S, had.sc.unit_tensor(3))
         rec.tensor_check("hopf.corrections-plain-1", "plain correction tensors are unit tensors",
-                         ce.PhiBarInv321, hap.unit_tensor(3))
+                         ce.PhiBarInv321, hap.sc.unit_tensor(3))
         rec.tensor_check("hopf.corrections-plain-2", "reversed plain correction is the unit tensor",
-                         ce.PhiBarS, hap.unit_tensor(3))
+                         ce.PhiBarS, hap.sc.unit_tensor(3))
 
 
 def _suite_section5(run: RunContext, rec: Recorder):

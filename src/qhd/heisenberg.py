@@ -27,7 +27,6 @@ from .algebra import (
     multiplication_rows,
     multiply,
     solve_linear,
-    tensor_product,
     vec_tensor,
 )
 from .quasihopf import DerivedElements, QuasiHopfAlgebra
@@ -53,13 +52,6 @@ class HeisenbergAlgebra:
 
     def flat(self, a: int, b: int) -> int:
         return a * self.m + b
-
-    def unit_tensor(self, degree: int) -> SparseTensor:
-        t = vec_tensor(self.dim, self.order, self.unit)
-        out = t
-        for _ in range(degree - 1):
-            out = tensor_product(out, t)
-        return out
 
     def act_basis(self, k: int, h: int) -> dict:
         return self.action.get((k, h), {})
@@ -405,7 +397,7 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     ncols = dim * dim
     order = ha.order
     zero = CycScalar.zero(order)
-    unit2 = ha.unit_tensor(2)
+    unit2 = ha.sc.unit_tensor(2)
 
     rows_l = multiplication_rows(ha.sc, x, "right")
     rows_r = multiplication_rows(ha.sc, x, "left")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 class ScalarError(ValueError):
@@ -171,25 +172,23 @@ class CycScalar:
         return CycScalar(self.order, out)
 
     def inverse(self) -> "CycScalar":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        sigma_k(a) = sum a_i zeta^(k i), k coprime to N, over the norm
+        N(a) = a * (that product), which is rational."""
         if self.is_zero():
             raise ZeroDivisionScalarError("inverse of zero")
-        modulus = [Fraction(c) for c in _cyclotomic(self.order)]
-        a = [Fraction(c) for c in self.coeffs]
-        # invariants: r0 = s0*a (mod Phi), r1 = s1*a (mod Phi)
-        r0, s0 = modulus, [Fraction(0)]
-        r1, s1 = a, [Fraction(1)]
-        while True:
-            r1 = _trim(r1)
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                phi = len(self.coeffs)
-                _, rem = _poly_divmod([c * inv for c in s1], modulus)
-                rem = list(rem) + [Fraction(0)] * phi
-                return CycScalar(self.order, tuple(rem[:phi]))
-            q, r = _poly_divmod(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, r, s
+        n = self.order
+        rest = CycScalar.one(n)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = [0] * len(self.coeffs)
+                for i, c in enumerate(self.coeffs):
+                    if c:
+                        for j, r in enumerate(root_of_unity(n, k * i).coeffs):
+                            conj[j] += c * r
+                rest = rest * CycScalar(n, conj)
+        norm = Fraction((self * rest).coeffs[0])
+        return CycScalar(n, tuple(c / norm for c in rest.coeffs))
 
     def __truediv__(self, other: "CycScalar") -> "CycScalar":
         return self * other.inverse()
@@ -259,46 +258,3 @@ def root_of_unity(order: int, k: int) -> CycScalar:
             row = rows[0]
             cur = [a + top * b for a, b in zip(cur, row)]
     return CycScalar(order, cur)
-
-
-# -- small Fraction-coefficient polynomial helpers (used by inverse only) ----
-
-
-def _trim(p):
-    i = len(p)
-    while i > 1 and p[i - 1] == 0:
-        i -= 1
-    return p[:i]
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    den = _trim(list(den))
-    dd = len(den) - 1
-    lead = den[dd]
-    if len(num) <= dd:
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - dd)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + dd] / lead
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    return q, _trim(num[:dd]) if dd else [Fraction(0)]

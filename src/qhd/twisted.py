@@ -30,12 +30,15 @@ class CocycleError(ValueError):
 
 
 class FiniteGroup:
-    """A finite group as a Cayley table of 0-based indices."""
+    """A finite group as a Cayley table of 0-based indices, validated on construction."""
 
     def __init__(self, cayley, name: str = "G"):
         self.cayley = tuple(tuple(row) for row in cayley)
         self.order = len(self.cayley)
         self.name = name
+        problems = self.check_axioms()
+        if problems:
+            raise GroupError(problems[0])
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
 
@@ -149,13 +152,10 @@ def _freeze(table) -> tuple:
 class CocycleReport:
     normalization_violations: list
     cocycle_violations: list  # (quadruple, lhs exponent, rhs exponent)
-    group_problems: list
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.normalization_violations or self.cocycle_violations or self.group_problems
-        )
+        return not (self.normalization_violations or self.cocycle_violations)
 
 
 def check_cocycle(w: Cocycle3, max_report: int = 10) -> CocycleReport:
@@ -196,8 +196,8 @@ def check_cocycle(w: Cocycle3, max_report: int = 10) -> CocycleReport:
                     if (lhs - rhs) % N != 0:
                         viol.append(((a, b, c, d), lhs % N, rhs % N))
                         if len(viol) >= max_report:
-                            return CocycleReport(norm, viol, g.check_axioms())
-    return CocycleReport(norm, viol, g.check_axioms())
+                            return CocycleReport(norm, viol)
+    return CocycleReport(norm, viol)
 
 
 def trivial_cocycle(g: FiniteGroup, root_order: int = 1) -> Cocycle3:
@@ -307,8 +307,6 @@ def build_k_omega_G(w: Cocycle3) -> QuasiHopfAlgebra:
 
 def _summarize(rep: CocycleReport) -> str:
     bits = []
-    if rep.group_problems:
-        bits.append(f"group axioms: {rep.group_problems[0]}")
     if rep.normalization_violations:
         bits.append(f"normalization fails at {rep.normalization_violations[0]}")
     if rep.cocycle_violations:

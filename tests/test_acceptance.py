@@ -165,7 +165,7 @@ def test_criterion_7_invertibility_remark():
         D = derive_elements(H)
         had, hap = build_H1_dual(H), build_H1(H)
         ce = canonical_elements(had, hap, D)
-        unit2 = had.unit_tensor(2)
+        unit2 = had.sc.unit_tensor(2)
         res = probe_invertibility(had, ce.W)
         assert res.status == "two_sided"
         assert multiply(had.sc, ce.W, res.two_sided) == unit2

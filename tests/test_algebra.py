@@ -14,7 +14,9 @@ from qhd.algebra import (
     SparseTensor,
     StructureConstants,
     _chain_pairs,
+    apply_leg,
     convolution,
+    counit_leg,
     harpoon,
     invert_map,
     leg_embed,
@@ -22,6 +24,7 @@ from qhd.algebra import (
     multiply,
     slice_leg,
     solve_linear,
+    split_leg,
     tensor_product,
     vec_tensor,
 )
@@ -732,3 +735,144 @@ def test_solve_linear_matches_row_scan_reference():
     assert ("inconsistent", True) in seen and ("stacked", True) in seen
     assert ("stacked", False) in seen and ("random-rhs", True) in seen
     assert ("underdetermined", False) in seen and ("duplicated", False) in seen
+
+
+# -- the dense Gauss-Jordan that invert_map replaced, copied verbatim as the
+# -- reference
+
+
+def _invert_map_reference(m: LinearMap) -> LinearMap:
+    """Exact inverse by Gaussian elimination; raises SingularMapError."""
+    n = m.dim
+    zero = CycScalar.zero(m.order)
+    one = CycScalar.one(m.order)
+    # dense augmented rows [M | I]
+    rows = []
+    for i in range(n):
+        row = [m.cols[j].get(i, zero) for j in range(n)] + [
+            one if j == i else zero for j in range(n)
+        ]
+        rows.append(row)
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if not rows[r][col].is_zero():
+                piv = r
+                break
+        if piv is None:
+            raise SingularMapError(f"map is singular (no pivot in column {col})")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = rows[col][col].inverse()
+        rows[col] = [c * inv for c in rows[col]]
+        for r in range(n):
+            if r != col and not rows[r][col].is_zero():
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    cols = []
+    for j in range(n):
+        cols.append({i: rows[i][n + j] for i in range(n) if not rows[i][n + j].is_zero()})
+    return LinearMap(n, m.order, cols)
+
+
+def random_map(rng, order, n):
+    """(label, map): invertible-looking random columns, or a map made singular
+    by a zero column, a repeated column or a column summing two others."""
+    cols = [{i: random_scalar(rng, order) for i in range(n) if rng.random() < 0.6}
+            for _ in range(n)]
+    kind = rng.choice(("random", "zero", "repeat", "sum")) if n > 1 else "random"
+    j = rng.randrange(n)
+    if kind == "zero":
+        cols[j] = {}
+    elif kind == "repeat":
+        cols[j] = dict(cols[(j + 1) % n])
+    elif kind == "sum":
+        a, b = cols[(j + 1) % n], cols[(j + 2) % n]
+        cols[j] = {i: a.get(i, CycScalar.zero(order)) + b.get(i, CycScalar.zero(order))
+                   for i in set(a) | set(b)}
+    return kind, LinearMap(n, order, cols)
+
+
+def test_invert_map_matches_gauss_jordan_reference():
+    rng = random.Random(11)
+    seen = set()
+    for order in (1, 3, 7):
+        for _ in range(25):
+            kind, m = random_map(rng, order, rng.randint(1, 5))
+            try:
+                want = _invert_map_reference(m)
+            except SingularMapError:
+                with pytest.raises(SingularMapError):
+                    invert_map(m)
+                seen.add((kind, True))
+                continue
+            assert invert_map(m) == want, (order, kind)
+            seen.add((kind, False))
+    assert ("random", False) in seen
+    assert {("zero", True), ("repeat", True), ("sum", True)} <= seen
+
+
+# -- the three leg maps that one shared loop replaced, copied verbatim as the
+# -- references
+
+
+def _split_leg_reference(cop: Coproduct, t: SparseTensor, leg: int) -> SparseTensor:
+    """Apply the coproduct to one leg (1-based), raising the degree by one."""
+    pos = leg - 1
+    out: dict = {}
+    for key, c in t.entries.items():
+        for (j, k), cd in cop.of_basis(key[pos]):
+            nk = key[:pos] + (j, k) + key[pos + 1 :]
+            prev = out.get(nk)
+            out[nk] = c * cd if prev is None else prev + c * cd
+    return SparseTensor(t.dim, t.degree + 1, t.order, out)
+
+
+def _apply_leg_reference(m: LinearMap, t: SparseTensor, leg: int) -> SparseTensor:
+    pos = leg - 1
+    out: dict = {}
+    for key, c in t.entries.items():
+        for i, cm in m.cols[key[pos]].items():
+            nk = key[:pos] + (i,) + key[pos + 1 :]
+            prev = out.get(nk)
+            out[nk] = c * cm if prev is None else prev + c * cm
+    return SparseTensor(t.dim, t.degree, t.order, out)
+
+
+def _counit_leg_reference(eps: dict, t: SparseTensor, leg: int) -> SparseTensor:
+    pos = leg - 1
+    out: dict = {}
+    for key, c in t.entries.items():
+        e = eps.get(key[pos])
+        if e is None:
+            continue
+        nk = key[:pos] + key[pos + 1 :]
+        prev = out.get(nk)
+        out[nk] = c * e if prev is None else prev + c * e
+    return SparseTensor(t.dim, t.degree - 1, t.order, out)
+
+
+def test_leg_maps_match_per_map_references():
+    rng = random.Random(8)
+    n, order = 4, 3
+    cops = [Coproduct(n, order, {a: tuple(((x, (a - x) % n), random_scalar(rng, order))
+                                          for x in range(n)) for a in range(n)}),
+            Coproduct(n, order, {0: (((1, 2), random_scalar(rng, order)),
+                                     ((3, 3), random_scalar(rng, order))),
+                                 2: (((0, 0), random_scalar(rng, order)),)})]
+    maps = [LinearMap(n, order, [{i: random_scalar(rng, order) for i in range(n)
+                                  if rng.random() < 0.5} for _ in range(n)])
+            for _ in range(3)]
+    assert any(len(col) > 1 for m in maps for col in m.cols)  # not a permutation
+    eps = {0: random_scalar(rng, order), 1: CycScalar.one(order),
+           3: random_scalar(rng, order)}
+    for degree in range(1, 5):
+        for _ in range(4):
+            entries = {tuple(rng.randrange(n) for _ in range(degree)): random_scalar(rng, order)
+                       for _ in range(rng.randint(0, 12))}
+            t = SparseTensor(n, degree, order, entries)
+            for leg in range(1, degree + 1):
+                for cop in cops:
+                    assert split_leg(cop, t, leg) == _split_leg_reference(cop, t, leg)
+                for m in maps:
+                    assert apply_leg(m, t, leg) == _apply_leg_reference(m, t, leg)
+                assert counit_leg(eps, t, leg) == _counit_leg_reference(eps, t, leg)

@@ -19,6 +19,7 @@ import pytest
 from qhd.algebra import StructureConstants
 from qhd.cli import (
     MAX_GROUP_ORDER,
+    MAX_ROOT_ORDER,
     InputError,
     RunSpec,
     _products_equal,
@@ -28,6 +29,7 @@ from qhd.cli import (
     run,
 )
 from qhd.scalar import CycScalar
+from qhd.twisted import FiniteGroup, GroupError
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -319,6 +321,59 @@ def test_group_order_limit_refused_before_building(tmp_path, monkeypatch, capsys
         err = capsys.readouterr().err
         assert err.startswith("error:") and where in err, err
         assert f"exceeds the limit of {MAX_GROUP_ORDER}" in err, err
+
+
+def test_root_order_limit_refused_before_building(tmp_path, monkeypatch, capsys):
+    import qhd.cli as cli
+    import qhd.scalar as scalar
+
+    def never(*args):
+        raise AssertionError("a cocycle or scalar was built past the root order limit")
+
+    ok = tmp_path / "ok.qhd"
+    ok.write_text(f"group cyclic 2\ncocycle table {MAX_ROOT_ORDER}\n")
+    assert parse_input(str(ok))[1].root_order == MAX_ROOT_ORDER
+    for name in ("Cocycle3", "check_cocycle", "build_k_omega_G"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(scalar, "_field_data", never)
+    for root in (MAX_ROOT_ORDER + 1, 100000):
+        p = tmp_path / f"root{root}.qhd"
+        p.write_text(f"group cyclic 3\ncocycle table {root}\n0 0 0 -> 0\n")
+        assert main(["--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"root{root}.qhd:2: root order {root}" in err, err
+        assert f"exceeds the limit of {MAX_ROOT_ORDER}" in err, err
+
+
+# A loop of order 5: a Latin square with identity 0 in which every element is
+# its own two-sided inverse, but (1*1)*2 = 2 != 1*(1*2) = 4.
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def test_non_associative_loop_refused(tmp_path, capsys):
+    with pytest.raises(GroupError, match=r"associativity fails at \(1,1,2\)"):
+        FiniteGroup(LOOP5)
+    p = tmp_path / "loop.qhd"
+    p.write_text("group table 5\n" + "".join(" ".join(map(str, r)) + "\n" for r in LOOP5)
+                 + "cocycle trivial\n")
+    with pytest.raises(InputError, match=r"loop.qhd:1: not a group: associativity fails at"):
+        parse_input(str(p))
+    assert main(["--input", str(p)]) == 2
+    assert "not a group: associativity fails at (1,1,2)" in capsys.readouterr().err
+    latin = tmp_path / "latin.qhd"
+    latin.write_text("group table 2\n0 1\n1 1\ncocycle trivial\n")
+    with pytest.raises(InputError, match="latin.qhd:1: not a group: row 1 repeats an element"):
+        parse_input(str(latin))
+
+
+def test_closed_form_elements_built_once_per_run(monkeypatch):
+    import qhd.cli as cli
+
+    calls = []
+    real = cli.closed_form_elements
+    monkeypatch.setattr(cli, "closed_form_elements", lambda w: calls.append(w) or real(w))
+    assert run_spec("zn:3:1").exit_code == 0
+    assert len(calls) == 1
 
 
 def test_product_group_order_limit(tmp_path, capsys):

@@ -148,7 +148,7 @@ def test_closed_form_double_matches_generic():
 def test_parenthesization_with_unit_always_holds():
     w = cyclic_cocycle(2, 1)
     H, D, had, hap, ce = make_all(w)
-    unit = had.unit_tensor(2)
+    unit = had.sc.unit_tensor(2)
     for k1 in range(had.dim):
         for k2 in range(had.dim):
             b = basis2(had, k1, k2)
@@ -213,7 +213,7 @@ def test_hopf_case_pentagon_without_correction():
     w23 = leg_embed(ce.W, (2, 3), 3, u)
     lhs = multiply(had.sc, multiply(had.sc, w12, w13), w23)
     assert lhs == multiply(had.sc, w23, w12)
-    assert ce.PhiBoldInv == had.unit_tensor(3)
+    assert ce.PhiBoldInv == had.sc.unit_tensor(3)
 
 
 def test_mutation_dropping_correction_breaks_4_6():
@@ -250,7 +250,7 @@ def test_Wtilde_closed_form_three_points():
 def test_probe_unit_and_hopf_case():
     w = trivial_cocycle(FiniteGroup.cyclic(2))
     H, D, had, hap, ce = make_all(w)
-    unit2 = had.unit_tensor(2)
+    unit2 = had.sc.unit_tensor(2)
     res = probe_invertibility(had, unit2)
     assert res.status == "two_sided" and res.two_sided == unit2
     res = probe_invertibility(had, ce.W)
@@ -266,7 +266,7 @@ def test_probe_certifies_twisted_noninvertibility():
     for n in (2, 3):
         w = cyclic_cocycle(n, 1)
         H, D, had, hap, ce = make_all(w)
-        unit2 = had.unit_tensor(2)
+        unit2 = had.sc.unit_tensor(2)
         res = probe_invertibility(had, ce.W)
         assert res.status != "two_sided"
         assert res.two_sided is None

@@ -75,8 +75,8 @@ def test_mutation_trivialized_associator_caught_by_zigzag():
     # the function-algebra coproduct is strictly coassociative, so killing
     # the associator leaves 2.1-2.4 true; the damage surfaces in 2.6
     H = build_k_omega_G(cyclic_cocycle(2, 1))
-    H_mut = dataclasses.replace(H, associator=H.unit_tensor(3),
-                                associator_inv=H.unit_tensor(3))
+    H_mut = dataclasses.replace(H, associator=H.mult.unit_tensor(3),
+                                associator_inv=H.mult.unit_tensor(3))
     rec = Recorder()
     check_quasi_bialgebra(H_mut, rec)
     assert rec.ok
@@ -102,7 +102,7 @@ def test_beta_values_on_twisted_two_point_algebra():
 def test_twist_hopf_degeneration_is_unit():
     H = build_k_omega_G(trivial_cocycle(FiniteGroup.cyclic(3)))
     gamma, delta, f, g = compute_twist(H)
-    one2 = H.unit_tensor(2)
+    one2 = H.mult.unit_tensor(2)
     assert gamma == one2 and delta == one2 and f == one2 and g == one2
     qR, pL = compute_qR_pL(H)
     assert qR == one2 and pL == one2
@@ -114,7 +114,7 @@ def test_twist_inverse_pair_twisted():
     for n, k in ((2, 1), (3, 1), (3, 2), (4, 1)):
         H = build_k_omega_G(cyclic_cocycle(n, k))
         gamma, delta, f, g = compute_twist(H)
-        one2 = H.unit_tensor(2)
+        one2 = H.mult.unit_tensor(2)
         assert multiply(H.mult, f, g) == one2
         assert multiply(H.mult, g, f) == one2
 
@@ -166,7 +166,7 @@ def test_mutation_swapped_antipode_inverse_breaks_2_10():
 
 def test_compute_twist_raises_on_mismatched_associator_pair():
     H = build_k_omega_G(cyclic_cocycle(2, 1))
-    H_mut = dataclasses.replace(H, associator_inv=H.unit_tensor(3))
+    H_mut = dataclasses.replace(H, associator_inv=H.mult.unit_tensor(3))
     with pytest.raises(DerivedElementError):
         compute_twist(H_mut)
 

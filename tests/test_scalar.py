@@ -9,6 +9,7 @@ from qhd.scalar import (
     CycScalar,
     OrderMismatchError,
     ZeroDivisionScalarError,
+    _cyclotomic,
     cyclotomic_polynomial,
     root_of_unity,
 )
@@ -158,3 +159,87 @@ def test_float_evaluation_consistent():
             got = root_of_unity(n, k).to_complex()
             want = cmath.exp(2j * cmath.pi * k / n)
             assert abs(got - want) < 1e-12
+
+
+# -- the extended-Euclid inverse that the Galois-conjugate inverse replaced,
+# -- copied verbatim as the reference (a method, so its argument is `self`)
+
+
+def _inverse_reference(self) -> "CycScalar":
+    """Multiplicative inverse via the extended Euclidean algorithm."""
+    if self.is_zero():
+        raise ZeroDivisionScalarError("inverse of zero")
+    modulus = [Fraction(c) for c in _cyclotomic(self.order)]
+    a = [Fraction(c) for c in self.coeffs]
+    # invariants: r0 = s0*a (mod Phi), r1 = s1*a (mod Phi)
+    r0, s0 = modulus, [Fraction(0)]
+    r1, s1 = a, [Fraction(1)]
+    while True:
+        r1 = _trim(r1)
+        if len(r1) == 1:
+            inv = 1 / r1[0]
+            phi = len(self.coeffs)
+            _, rem = _poly_divmod([c * inv for c in s1], modulus)
+            rem = list(rem) + [Fraction(0)] * phi
+            return CycScalar(self.order, tuple(rem[:phi]))
+        q, r = _poly_divmod(r0, r1)
+        s = _poly_sub(s0, _poly_mul(q, s1))
+        r0, s0, r1, s1 = r1, s1, r, s
+
+
+def _trim(p):
+    i = len(p)
+    while i > 1 and p[i - 1] == 0:
+        i -= 1
+    return p[:i]
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _poly_divmod(num, den):
+    num = list(num)
+    den = _trim(list(den))
+    dd = len(den) - 1
+    lead = den[dd]
+    if len(num) <= dd:
+        return [Fraction(0)], num
+    q = [Fraction(0)] * (len(num) - dd)
+    for i in range(len(q) - 1, -1, -1):
+        c = num[i + dd] / lead
+        q[i] = c
+        if c:
+            for j, dj in enumerate(den):
+                num[i + j] -= c * dj
+    return q, _trim(num[:dd]) if dd else [Fraction(0)]
+
+
+def test_inverse_matches_euclid_reference():
+    rng = random.Random(6)
+    for n in (1, 2, 3, 4, 7, 8, 12, 16, 32):
+        phi = len(cyclotomic_polynomial(n)) - 1
+        samples = [root_of_unity(n, k) for k in range(n)]
+        for _ in range(12):
+            ints = [rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(phi)]
+            fracs = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(phi)]
+            mixed = [rng.choice((x, y)) for x, y in zip(ints, fracs)]
+            samples += [CycScalar(n, c) for c in (ints, fracs, mixed)]
+        for a in samples:
+            if a.is_zero():
+                continue
+            got, want = a.inverse(), _inverse_reference(a)
+            assert got.coeffs == want.coeffs, (n, a)
+            assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), (n, a)

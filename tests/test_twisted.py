@@ -141,7 +141,7 @@ def test_build_k_omega_structure():
     w0 = trivial_cocycle(FiniteGroup.cyclic(3))
     H0 = build_k_omega_G(w0)
     assert H0.beta == H0.unit_vec()
-    assert H0.associator == H0.unit_tensor(3)
+    assert H0.associator == H0.mult.unit_tensor(3)
 
 
 def test_build_rejects_invalid_cocycle():
@@ -156,7 +156,7 @@ def test_closed_form_elements_collapse_untwisted():
     w = trivial_cocycle(FiniteGroup.cyclic(2))
     cf = closed_form_elements(w)
     H = build_k_omega_G(w)
-    one2 = H.unit_tensor(2)
+    one2 = H.mult.unit_tensor(2)
     assert cf.U == one2 and cf.Vtilde == one2
     n = 2
     one = CycScalar.one(1)
@@ -164,8 +164,8 @@ def test_closed_form_elements_collapse_untwisted():
     from qhd.twisted import closed_form_double
 
     had, hap = closed_form_double(w)
-    assert cf.elements.PhiBoldInv == had.unit_tensor(3)
-    assert cf.elements.PhiBarS == hap.unit_tensor(3)
+    assert cf.elements.PhiBoldInv == had.sc.unit_tensor(3)
+    assert cf.elements.PhiBarS == hap.sc.unit_tensor(3)
 
 
 def test_expansion_formulas_agree_and_match_generic():
