@@ -144,10 +144,6 @@ class StructureConstants:
                         out[k] = c * ck if prev is None else prev + c * ck
         return _prune(out)
 
-    def mult_chain(self, factors) -> dict:
-        """Left-to-right product of a nonempty sequence of vectors / basis indices."""
-        return dict(_chain_pairs(self.table, factors, CycScalar.one(self.order)))
-
     def unit_tensor(self, degree: int) -> SparseTensor:
         """1 (x) ... (x) 1, the unit of the degree-fold tensor power."""
         return tensor_product(*[vec_tensor(self.dim, self.order, self.unit)] * degree)

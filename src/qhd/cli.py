@@ -105,6 +105,8 @@ class RunSpec:
                 names.append(s)
             else:
                 raise InputError(f"unknown suite {s!r} (valid: all, {', '.join(SUITE_ORDER)})")
+        if not names:
+            raise InputError(f"no suite selected (valid: all, {', '.join(SUITE_ORDER)})")
         seen = set()
         return tuple(n for n in SUITE_ORDER if n in names and not (n in seen or seen.add(n)))
 
@@ -251,6 +253,7 @@ def parse_input(path: str):
             fail(lineno, f"root order {root} exceeds the limit of {MAX_ROOT_ORDER}")
         n = group.order
         table = [[[0] * n for _ in range(n)] for _ in range(n)]
+        seen_at: dict = {}  # (a, b, c) -> line number of its entry
         while pos < len(lines):
             el, et = next_line("exponent entry")
             parts = et.replace("->", " -> ").split()
@@ -262,6 +265,9 @@ def parse_input(path: str):
                 fail(el, f"non-integer exponent entry: {et!r}")
             if not all(0 <= x < n for x in (a, b, c)):
                 fail(el, f"indices out of range 0..{n - 1}: ({a}, {b}, {c})")
+            first = seen_at.setdefault((a, b, c), el)
+            if first != el:
+                fail(el, f"({a}, {b}, {c}) repeats the entry of line {first}")
             table[a][b][c] = e % root
         w = Cocycle3(group, root, tuple(tuple(tuple(r) for r in p) for p in table))
     else:

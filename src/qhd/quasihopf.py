@@ -208,31 +208,25 @@ def check_quasi_antipode(H: QuasiHopfAlgebra, rec: Recorder | None = None) -> Re
 
     rec.family_check("antipode-antimap", "antipode is an anti-algebra map", antimap_pairs())
 
-    def pairs_25():
-        for i in range(H.dim):
-            eps = H.eps_scalar(H.basis_vec(i))
-            lhs_l: dict = {}
-            lhs_r: dict = {}
-            for (j, k), c in cop.of_basis(i):
-                term = sc.mult_chain([S.cols[j], H.alpha, k])
-                _acc_vec(lhs_l, term, c)
-                term = sc.mult_chain([j, H.beta, S.cols[k]])
-                _acc_vec(lhs_r, term, c)
-            yield (i, "alpha"), H.vec1(lhs_l), H.vec1(_scale_vec(H.alpha, eps))
-            yield (i, "beta"), H.vec1(lhs_r), H.vec1(_scale_vec(H.beta, eps))
+    # sum S(h_1) alpha h_2 and sum h_1 beta S(h_2) against eps(h) alpha and
+    # eps(h) beta, as families over h = e_i on the first leg
+    d = split_leg(cop, _diagonal(H), 2)
+    chain = ((("a", 0),), (("a", 1), ("v", 0), ("a", 2)))
+    eps = H.vec1(H.counit)
+    alpha = _family(_contract(H, apply_leg(S, d, 2), chain, (H.alpha,)),
+                    tensor_product(eps, H.vec1(H.alpha)), "alpha")
+    beta = _family(_contract(H, apply_leg(S, d, 3), chain, (H.beta,)),
+                   tensor_product(eps, H.vec1(H.beta)), "beta")
+    rec.family_check("2.5", "antipode compatibility with alpha and beta",
+                     [p for pair in zip(alpha, beta) for p in pair])
 
-    rec.family_check("2.5", "antipode compatibility with alpha and beta", pairs_25())
-
-    lhs_a: dict = {}
-    for (i1, i2, i3), c in H.associator.entries.items():
-        _acc_vec(lhs_a, sc.mult_chain([i1, H.beta, S.cols[i2], H.alpha, i3]), c)
-    lhs_b: dict = {}
-    for (i1, i2, i3), c in H.associator_inv.entries.items():
-        _acc_vec(lhs_b, sc.mult_chain([S.cols[i1], H.alpha, i2, H.beta, S.cols[i3]]), c)
+    zigzag = ((("a", 0), ("v", 0), ("a", 1), ("v", 1), ("a", 2)),)
+    lhs_a = _contract(H, apply_leg(S, H.associator, 2), zigzag, (H.beta, H.alpha))
+    lhs_b = _contract(H, apply_leg(S, apply_leg(S, H.associator_inv, 1), 3), zigzag,
+                      (H.alpha, H.beta))
     unit1 = H.vec1(H.unit_vec())
     rec.family_check("2.6", "zig-zag normalization through the associator",
-                     [(("beta-alpha",), H.vec1(lhs_a), unit1),
-                      (("alpha-beta",), H.vec1(lhs_b), unit1)])
+                     [(("beta-alpha",), lhs_a, unit1), (("alpha-beta",), lhs_b, unit1)])
     return rec
 
 
@@ -249,40 +243,33 @@ def twist_candidates(H: QuasiHopfAlgebra):
     sc, cop, S = H.mult, H.coproduct, H.antipode
     phi, phiinv = H.associator, H.associator_inv
 
-    # split-and-antipode views of the associator legs
+    # split-and-antipode views of the associator legs, each freed once used
     a1 = apply_leg(S, apply_leg(S, split_leg(cop, phiinv, 1), 1), 2)
-    phi_s12 = apply_leg(S, apply_leg(S, phi, 1), 2)
-    gamma = merge_pair(sc, a1, phi_s12, groups=(
+    gamma = merge_pair(sc, a1, apply_leg(S, apply_leg(S, phi, 1), 2), groups=(
         (("a", 1), ("b", 1), ("v", 0), ("b", 2), ("a", 2)),
         (("a", 0), ("b", 0), ("v", 0), ("a", 3)),
     ), vecs=(H.alpha,))
 
-    a3 = apply_leg(S, apply_leg(S, split_leg(cop, phi, 1), 3), 4)
-    b3 = apply_leg(S, phiinv, 3)
-    delta = merge_pair(sc, a3, b3, groups=(
+    # f = sum (S x1_(2) (x) S x1_(1)) gamma Delta(x2 beta S x3) over phi^-1;
+    # w holds (S x1_(1), S x1_(2), x2 beta S x3)
+    w = _contract(H, apply_leg(S, a1, 4), (
+        (("a", 0),), (("a", 1),), (("a", 2), ("v", 0), ("a", 3))), (H.beta,))
+    del a1
+    twist = merge_pair(sc, split_leg(cop, w, 3), gamma, groups=(
+        (("a", 1), ("b", 0), ("a", 2)), (("a", 0), ("b", 1), ("a", 3))))
+
+    delta = merge_pair(sc, apply_leg(S, apply_leg(S, split_leg(cop, phi, 1), 3), 4),
+                       apply_leg(S, phiinv, 3), groups=(
         (("a", 0), ("b", 0), ("v", 0), ("a", 3)),
         (("a", 1), ("b", 1), ("v", 0), ("b", 2), ("a", 2)),
     ), vecs=(H.beta,))
 
-    zero2 = SparseTensor(H.dim, 2, H.order, {})
-    twist = zero2
-    for (k0, k1, k2, k3), c in split_leg(cop, phiinv, 1).entries.items():
-        left2 = tensor_product(H.vec1(S.cols[k1]), H.vec1(S.cols[k0]))
-        w = sc.mult_chain([k2, H.beta, S.cols[k3]])
-        if not w:
-            continue
-        term = multiply(sc, multiply(sc, left2, gamma), cop.of_vec(w))
-        twist = twist + term.scale(c)
-
-    twist_inv = zero2
-    for (k0, k1, k2, k3), c in split_leg(cop, phiinv, 3).entries.items():
-        w = sc.mult_chain([S.cols[k0], H.alpha, k1])
-        if not w:
-            continue
-        right2 = tensor_product(H.vec1(S.cols[k3]), H.vec1(S.cols[k2]))
-        term = multiply(sc, multiply(sc, cop.of_vec(w), delta), right2)
-        twist_inv = twist_inv + term.scale(c)
-
+    # f^-1 = sum Delta(S x1 alpha x2) delta (S x3_(2) (x) S x3_(1)) over phi^-1;
+    # w holds (S x1 alpha x2, S x3_(1), S x3_(2))
+    w = _contract(H, apply_leg(S, apply_leg(S, apply_leg(S, split_leg(cop, phiinv, 3), 1), 3), 4),
+                  ((("a", 0), ("v", 0), ("a", 1)), (("a", 2),), (("a", 3),)), (H.alpha,))
+    twist_inv = merge_pair(sc, split_leg(cop, w, 1), delta, groups=(
+        (("a", 0), ("b", 0), ("a", 3)), (("a", 1), ("b", 1), ("a", 2))))
     return gamma, delta, twist, twist_inv
 
 
@@ -355,25 +342,14 @@ def check_twist_identities(H: QuasiHopfAlgebra, D: DerivedElements,
 
 
 def compute_qR_pL(H: QuasiHopfAlgebra):
-    """The standard right/left transposition elements built from the associator."""
-    sc = H.mult
-    Sinv = H.antipode_inverse()
-    q_entries: dict = {}
-    p_entries: dict = {}
-    for (i1, i2, i3), c in H.associator.entries.items():
-        v = Sinv.apply_vec(sc.mult_chain([H.alpha, i3]))
-        v = sc.vec_mult(v, H.basis_vec(i2))
-        for k, ck in v.items():
-            key = (i1, k)
-            prev = q_entries.get(key)
-            q_entries[key] = c * ck if prev is None else prev + c * ck
-        w = sc.vec_mult(H.basis_vec(i2), Sinv.apply_vec(sc.mult_chain([i1, H.beta])))
-        for k, ck in w.items():
-            key = (k, i3)
-            prev = p_entries.get(key)
-            p_entries[key] = c * ck if prev is None else prev + c * ck
-    qR = SparseTensor(H.dim, 2, H.order, q_entries)
-    pL = SparseTensor(H.dim, 2, H.order, p_entries)
+    """The right/left transposition elements q_R = x1 (x) S^-1(alpha x3) x2 and
+    p_L = x2 S^-1(x1 beta) (x) x3 over phi.  S^-1 maps the products alpha x3
+    and x1 beta whole: splitting it over the factors assumes S is an anti-map."""
+    Sinv, phi = H.antipode_inverse(), H.associator
+    q = _contract(H, phi, ((("a", 0),), (("a", 1),), (("v", 0), ("a", 2))), (H.alpha,))
+    qR = _contract(H, apply_leg(Sinv, q, 3), ((("a", 0),), (("a", 2), ("a", 1))))
+    p = _contract(H, phi, ((("a", 0), ("v", 0)), (("a", 1),), (("a", 2),)), (H.beta,))
+    pL = _contract(H, apply_leg(Sinv, p, 1), ((("a", 1), ("a", 0)), (("a", 2),)))
     return qR, pL
 
 
@@ -386,39 +362,29 @@ def check_qp_identities(H: QuasiHopfAlgebra, D: DerivedElements,
     qR, pL = D.qR, D.pL
     f, g = D.twist, D.twist_inv
     u = H.unit_vec()
-    unit1 = H.vec1(u)
-    zero2 = SparseTensor(H.dim, 2, H.order, {})
 
     def sinv_swap(t):
         """(S^-1 x S^-1) of t with its two legs swapped."""
         return apply_leg(Sinv, apply_leg(Sinv, permute_legs(t, (1, 0)), 1), 2)
 
-    def pairs_210():
-        for i in range(H.dim):
-            lhs = zero2
-            for (s, t), c in cop.of_basis(i):
-                front = tensor_product(unit1, H.vec1(Sinv.cols[t]))
-                term = multiply(sc, multiply(sc, front, qR),
-                                cop.of_vec(H.basis_vec(s)))
-                lhs = lhs + term.scale(c)
-            rhs = multiply(sc, tensor_product(H.vec1(H.basis_vec(i)), unit1), qR)
-            yield (i,), lhs, rhs
-
+    # families over h = e_i on the first leg; ("v", 0) is the unit
+    diag = _diagonal(H)
+    d = split_leg(cop, diag, 2)
+    # (1 (x) S^-1 h_2) q_R Delta(h_1) against (h (x) 1) q_R
+    lhs = merge_pair(sc, split_leg(cop, apply_leg(Sinv, d, 3), 2), qR, vecs=(u,), groups=(
+        (("a", 0),), (("v", 0), ("b", 0), ("a", 1)), (("a", 3), ("b", 1), ("a", 2))))
+    rhs = merge_pair(sc, diag, qR, vecs=(u,), groups=(
+        (("a", 0),), (("a", 1), ("b", 0)), (("v", 0), ("b", 1))))
     rec.family_check("2.10", "intertwining law for the right transposition element",
-                     pairs_210())
+                     _family(lhs, rhs))
 
-    def pairs_211():
-        for i in range(H.dim):
-            lhs = zero2
-            for (s, t), c in cop.of_basis(i):
-                back = tensor_product(H.vec1(Sinv.cols[s]), unit1)
-                term = multiply(sc, multiply(sc, cop.of_vec(H.basis_vec(t)), pL), back)
-                lhs = lhs + term.scale(c)
-            rhs = multiply(sc, pL, tensor_product(unit1, H.vec1(H.basis_vec(i))))
-            yield (i,), lhs, rhs
-
+    # Delta(h_2) p_L (S^-1 h_1 (x) 1) against p_L (1 (x) h)
+    lhs = merge_pair(sc, split_leg(cop, apply_leg(Sinv, d, 2), 3), pL, vecs=(u,), groups=(
+        (("a", 0),), (("a", 2), ("b", 0), ("a", 1)), (("a", 3), ("b", 1), ("v", 0))))
+    rhs = merge_pair(sc, diag, pL, vecs=(u,), groups=(
+        (("a", 0),), (("b", 0), ("v", 0)), (("b", 1), ("a", 1))))
     rec.family_check("2.11", "intertwining law for the left transposition element",
-                     pairs_211())
+                     _family(lhs, rhs))
 
     lhs_212 = multiply(sc, multiply(sc, leg_embed(qR, (1, 2), 3, u), split_leg(cop, qR, 1)),
                        H.associator_inv)
@@ -463,32 +429,24 @@ def check_lemma41(H: QuasiHopfAlgebra, D: DerivedElements,
     sc, cop, S = H.mult, H.coproduct, H.antipode
     U, Vt = D.U, D.Vtilde
     u = H.unit_vec()
-    unit1 = H.vec1(u)
-    zero2 = SparseTensor(H.dim, 2, H.order, {})
 
-    def pairs_42():
-        for i in range(H.dim):
-            lhs = multiply(sc, U, tensor_product(unit1, H.vec1(S.cols[i])))
-            rhs = zero2
-            for (s, t), c in cop.of_basis(i):
-                term = multiply(sc, multiply(sc, cop.of_vec(S.cols[s]), U),
-                                tensor_product(H.vec1(H.basis_vec(t)), unit1))
-                rhs = rhs + term.scale(c)
-            yield (i,), lhs, rhs
+    # families over h = e_i on the first leg; ("v", 0) is the unit
+    diag = _diagonal(H)
+    d = split_leg(cop, diag, 2)
+    s_diag = apply_leg(S, diag, 2)
+    # U (1 (x) S h) against Delta(S h_1) U (h_2 (x) 1)
+    lhs = merge_pair(sc, s_diag, U, vecs=(u,), groups=(
+        (("a", 0),), (("b", 0), ("v", 0)), (("b", 1), ("a", 1))))
+    rhs = merge_pair(sc, split_leg(cop, apply_leg(S, d, 2), 2), U, vecs=(u,), groups=(
+        (("a", 0),), (("a", 1), ("b", 0), ("a", 3)), (("a", 2), ("b", 1), ("v", 0))))
+    rec.family_check("4.2", "one-sided antipode slide across U", _family(lhs, rhs))
 
-    rec.family_check("4.2", "one-sided antipode slide across U", pairs_42())
-
-    def pairs_43():
-        for i in range(H.dim):
-            lhs = multiply(sc, tensor_product(H.vec1(S.cols[i]), unit1), Vt)
-            rhs = zero2
-            for (s, t), c in cop.of_basis(i):
-                term = multiply(sc, multiply(sc, tensor_product(unit1, H.vec1(H.basis_vec(s))), Vt),
-                                cop.of_vec(S.cols[t]))
-                rhs = rhs + term.scale(c)
-            yield (i,), lhs, rhs
-
-    rec.family_check("4.3", "one-sided antipode slide across V-tilde", pairs_43())
+    # (S h (x) 1) V-tilde against (1 (x) h_1) V-tilde Delta(S h_2)
+    lhs = merge_pair(sc, s_diag, Vt, vecs=(u,), groups=(
+        (("a", 0),), (("a", 1), ("b", 0)), (("v", 0), ("b", 1))))
+    rhs = merge_pair(sc, split_leg(cop, apply_leg(S, d, 3), 3), Vt, vecs=(u,), groups=(
+        (("a", 0),), (("v", 0), ("b", 0), ("a", 2)), (("a", 1), ("b", 1), ("a", 3))))
+    rec.family_check("4.3", "one-sided antipode slide across V-tilde", _family(lhs, rhs))
 
     lhs_44 = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, U, 2)),
                       leg_embed(U, (2, 3), 3, u))
@@ -522,17 +480,25 @@ def derive_elements(H: QuasiHopfAlgebra) -> DerivedElements:
     return DerivedElements(gamma, delta, f, g, qR, pL, U, Vtilde)
 
 
-# -- tiny vector helpers --------------------------------------------------------
+# -- contraction helpers --------------------------------------------------------
 
 
-def _acc_vec(out: dict, v: dict, c: CycScalar):
-    for k, ck in v.items():
-        prev = out.get(k)
-        out[k] = c * ck if prev is None else prev + c * ck
+def _contract(H: QuasiHopfAlgebra, t: SparseTensor, groups, vecs=()) -> SparseTensor:
+    """merge_pair of one tensor: its legs (and vecs) multiplied into groups."""
+    return merge_pair(H.mult, t, SparseTensor(H.dim, 0, H.order, {(): H.one()}), groups, vecs)
 
 
-def _scale_vec(v: dict, c: CycScalar) -> dict:
-    return {k: c * ck for k, ck in v.items()}
+def _diagonal(H: QuasiHopfAlgebra) -> SparseTensor:
+    """sum_i e_i (x) e_i, the leg that carries the basis index of a family;
+    built literally, as (id x eps)Delta would assume 2.2."""
+    return SparseTensor(H.dim, 2, H.order, {(i, i): H.one() for i in range(H.dim)})
+
+
+def _family(lhs: SparseTensor, rhs: SparseTensor, *tag) -> list:
+    """((i, *tag), lhs_i, rhs_i) per basis index i: slices along the first leg."""
+    ls, rs = slice_leg(lhs, 1), slice_leg(rhs, 1)
+    zero = SparseTensor(lhs.dim, lhs.degree - 1, lhs.order, {})
+    return [((i,) + tag, ls.get(i, zero), rs.get(i, zero)) for i in range(lhs.dim)]
 
 
 def _scalar1(H: QuasiHopfAlgebra, c: CycScalar) -> SparseTensor:

@@ -76,6 +76,8 @@ class FiniteGroup:
                 problems.append(f"row {i} is not a permutation of 0..{n - 1}")
             elif sorted(row) != list(range(n)):
                 problems.append(f"row {i} repeats an element")
+        if problems:  # the column loop assumes rows of length n
+            return problems
         for j in range(n):
             col = [self.cayley[i][j] for i in range(n)]
             if sorted(col) != list(range(n)):

@@ -567,11 +567,31 @@ def test_merge_pair_matches_first_constraint_reference():
         ((("a", 0), ("v", 0), ("b", 0)), (("b", 1), ("v", 1), ("a", 1))),  # no adjacency
         ((("a", 0), ("a", 1)), (("v", 0), ("b", 0), ("b", 1))),  # a and b apart
     ]
+    # the groupings of the Sweedler sums in quasihopf: a degree-4 a, single-leg
+    # pass-through groups, a degree-1 vector b and the degree-0 unit b
+    shapes = [
+        (((("a", 1), ("b", 0), ("a", 2)), (("a", 0), ("b", 1), ("a", 3))), 4, 2),
+        (((("a", 0),), (("v", 0), ("b", 0), ("a", 1)), (("a", 3), ("b", 1), ("a", 2))), 4, 2),
+        (((("a", 0),), (("b", 0), ("v", 0)), (("b", 1), ("a", 1))), 2, 2),
+        (((("a", 0),), (("a", 1), ("v", 0), ("b", 0), ("a", 2))), 3, 1),
+        (((("a", 0),), (("b", 0),)), 1, 1),
+        (((("a", 0),), (("a", 1),), (("a", 2), ("v", 0), ("a", 3))), 4, 0),
+        (((("a", 0),), (("a", 2), ("a", 1))), 3, 0),
+        (((("a", 0), ("v", 0), ("a", 1), ("v", 1), ("a", 2)),), 3, 0),
+    ]
+    shape_rng = random.Random(7141)
     seen = set()
     for sc in (function_algebra(3), matrix_units_algebra(), group_algebra_s3(), double,
                partial_algebra(), lopsided_algebra()):
         vecs = tuple({k[0]: c for k, c in sparse_tensor(rng, sc, 1, 2).entries.items()}
                      for _ in range(2))
+        unit0 = SparseTensor(sc.dim, 0, sc.order, {(): CycScalar.one(sc.order)})
+        for groups, da, db in shapes:
+            for na, nb in [(0, 5), (5, 0), (12, 3), (40, 12)]:
+                a = sparse_tensor(shape_rng, sc, da, na)
+                b = unit0 if db == 0 and nb else sparse_tensor(shape_rng, sc, db, nb)
+                want = _merge_pair_reference(sc, a, b, groups, vecs)
+                assert merge_pair(sc, a, b, groups, vecs) == want, (sc.dim, groups, na, nb)
         cases = [(g, 2, 2) for g in fixed]
         for _ in range(14):
             da, db = rng.randint(1, 3), rng.randint(1, 3)

@@ -98,6 +98,9 @@ def test_suite_selection_and_unknown_suite():
     assert [name for name, _ in rep.suites] == ["axioms"]
     with pytest.raises(InputError):
         RunSpec(source="zn:2:1", suites=("bogus",)).selected()
+    with pytest.raises(InputError, match="no suite selected"):
+        RunSpec(source="zn:2:1", suites=()).selected()
+    assert main(["--example", "zn:2:1", "--check", ","]) == 2
 
 
 def test_dependency_order_normalized():
@@ -150,6 +153,8 @@ def test_parse_input_errors(tmp_path):
         ("syntax", "group cyclic 2\ncocycle table 2\n1 1 -> 1\n", "expected `a b c -> e`"),
         ("stanza", "cocycle trivial\n", "expected `group"),
         ("range", "group cyclic 2\ncocycle table 2\n1 1 3 -> 1\n", "out of range"),
+        ("repeat", "group cyclic 2\ncocycle table 2\n1 1 1 -> 1\n1 1 1 -> 0\n",
+         ":4: (1, 1, 1) repeats the entry of line 3"),
     ]
     for name, text, needle in cases:
         p = tmp_path / f"{name}.qhd"

@@ -8,6 +8,8 @@ from qhd.algebra import (
     Coproduct,
     LinearMap,
     SparseTensor,
+    StructureConstants,
+    _chain_pairs,
     apply_leg,
     leg_embed,
     multiply,
@@ -18,12 +20,14 @@ from qhd.algebra import (
 from qhd.quasihopf import (
     AntipodeNotBijectiveError,
     DerivedElementError,
+    QuasiHopfAlgebra,
     check_lemma41,
     check_qp_identities,
     check_quasi_antipode,
     check_quasi_bialgebra,
     check_twist_identities,
     compute_qR_pL,
+    compute_U_Vtilde,
     compute_twist,
     derive_elements,
 )
@@ -258,3 +262,249 @@ def test_grouped_associator_sums_match_per_entry_sums_on_mutated_input():
     assert rec.sides["2.12"][1] == rhs_212
     assert rec.sides["2.13"][1] == rhs_213
     assert rec.sides["4.4"][1] == rhs_44
+
+
+# -- the Sweedler sums against the per-term loops they replaced -----------------
+
+
+def _acc_vec(out: dict, v: dict, c: CycScalar):
+    for k, ck in v.items():
+        prev = out.get(k)
+        out[k] = c * ck if prev is None else prev + c * ck
+
+
+def _scale_vec(v: dict, c: CycScalar) -> dict:
+    return {k: c * ck for k, ck in v.items()}
+
+
+def _mult_chain(sc, factors) -> dict:
+    """Left-to-right product of a nonempty sequence of vectors / basis indices."""
+    return dict(_chain_pairs(sc.table, factors, CycScalar.one(sc.order)))
+
+
+def _twist_reference(H, gamma, delta):
+    sc, cop, S = H.mult, H.coproduct, H.antipode
+    phiinv = H.associator_inv
+    zero2 = SparseTensor(H.dim, 2, H.order, {})
+    twist = zero2
+    for (k0, k1, k2, k3), c in split_leg(cop, phiinv, 1).entries.items():
+        left2 = tensor_product(H.vec1(S.cols[k1]), H.vec1(S.cols[k0]))
+        w = _mult_chain(sc, [k2, H.beta, S.cols[k3]])
+        if not w:
+            continue
+        term = multiply(sc, multiply(sc, left2, gamma), cop.of_vec(w))
+        twist = twist + term.scale(c)
+
+    twist_inv = zero2
+    for (k0, k1, k2, k3), c in split_leg(cop, phiinv, 3).entries.items():
+        w = _mult_chain(sc, [S.cols[k0], H.alpha, k1])
+        if not w:
+            continue
+        right2 = tensor_product(H.vec1(S.cols[k3]), H.vec1(S.cols[k2]))
+        term = multiply(sc, multiply(sc, cop.of_vec(w), delta), right2)
+        twist_inv = twist_inv + term.scale(c)
+    return twist, twist_inv
+
+
+def _qR_pL_reference(H):
+    sc = H.mult
+    Sinv = H.antipode_inverse()
+    q_entries: dict = {}
+    p_entries: dict = {}
+    for (i1, i2, i3), c in H.associator.entries.items():
+        v = Sinv.apply_vec(_mult_chain(sc, [H.alpha, i3]))
+        v = sc.vec_mult(v, H.basis_vec(i2))
+        for k, ck in v.items():
+            key = (i1, k)
+            prev = q_entries.get(key)
+            q_entries[key] = c * ck if prev is None else prev + c * ck
+        w = sc.vec_mult(H.basis_vec(i2), Sinv.apply_vec(_mult_chain(sc, [i1, H.beta])))
+        for k, ck in w.items():
+            key = (k, i3)
+            prev = p_entries.get(key)
+            p_entries[key] = c * ck if prev is None else prev + c * ck
+    qR = SparseTensor(H.dim, 2, H.order, q_entries)
+    pL = SparseTensor(H.dim, 2, H.order, p_entries)
+    return qR, pL
+
+
+def _pairs_25_reference(H, D):
+    sc, cop, S = H.mult, H.coproduct, H.antipode
+    for i in range(H.dim):
+        eps = H.eps_scalar(H.basis_vec(i))
+        lhs_l: dict = {}
+        lhs_r: dict = {}
+        for (j, k), c in cop.of_basis(i):
+            term = _mult_chain(sc, [S.cols[j], H.alpha, k])
+            _acc_vec(lhs_l, term, c)
+            term = _mult_chain(sc, [j, H.beta, S.cols[k]])
+            _acc_vec(lhs_r, term, c)
+        yield (i, "alpha"), H.vec1(lhs_l), H.vec1(_scale_vec(H.alpha, eps))
+        yield (i, "beta"), H.vec1(lhs_r), H.vec1(_scale_vec(H.beta, eps))
+
+
+def _pairs_26_reference(H, D):
+    sc, S = H.mult, H.antipode
+    lhs_a: dict = {}
+    for (i1, i2, i3), c in H.associator.entries.items():
+        _acc_vec(lhs_a, _mult_chain(sc, [i1, H.beta, S.cols[i2], H.alpha, i3]), c)
+    lhs_b: dict = {}
+    for (i1, i2, i3), c in H.associator_inv.entries.items():
+        _acc_vec(lhs_b, _mult_chain(sc, [S.cols[i1], H.alpha, i2, H.beta, S.cols[i3]]), c)
+    unit1 = H.vec1(H.unit_vec())
+    return [(("beta-alpha",), H.vec1(lhs_a), unit1),
+            (("alpha-beta",), H.vec1(lhs_b), unit1)]
+
+
+def _pairs_210_reference(H, D):
+    sc, cop, Sinv, qR = H.mult, H.coproduct, H.antipode_inverse(), D.qR
+    unit1 = H.vec1(H.unit_vec())
+    zero2 = SparseTensor(H.dim, 2, H.order, {})
+    for i in range(H.dim):
+        lhs = zero2
+        for (s, t), c in cop.of_basis(i):
+            front = tensor_product(unit1, H.vec1(Sinv.cols[t]))
+            term = multiply(sc, multiply(sc, front, qR),
+                            cop.of_vec(H.basis_vec(s)))
+            lhs = lhs + term.scale(c)
+        rhs = multiply(sc, tensor_product(H.vec1(H.basis_vec(i)), unit1), qR)
+        yield (i,), lhs, rhs
+
+
+def _pairs_211_reference(H, D):
+    sc, cop, Sinv, pL = H.mult, H.coproduct, H.antipode_inverse(), D.pL
+    unit1 = H.vec1(H.unit_vec())
+    zero2 = SparseTensor(H.dim, 2, H.order, {})
+    for i in range(H.dim):
+        lhs = zero2
+        for (s, t), c in cop.of_basis(i):
+            back = tensor_product(H.vec1(Sinv.cols[s]), unit1)
+            term = multiply(sc, multiply(sc, cop.of_vec(H.basis_vec(t)), pL), back)
+            lhs = lhs + term.scale(c)
+        rhs = multiply(sc, pL, tensor_product(unit1, H.vec1(H.basis_vec(i))))
+        yield (i,), lhs, rhs
+
+
+def _pairs_42_reference(H, D):
+    sc, cop, S, U = H.mult, H.coproduct, H.antipode, D.U
+    unit1 = H.vec1(H.unit_vec())
+    zero2 = SparseTensor(H.dim, 2, H.order, {})
+    for i in range(H.dim):
+        lhs = multiply(sc, U, tensor_product(unit1, H.vec1(S.cols[i])))
+        rhs = zero2
+        for (s, t), c in cop.of_basis(i):
+            term = multiply(sc, multiply(sc, cop.of_vec(S.cols[s]), U),
+                            tensor_product(H.vec1(H.basis_vec(t)), unit1))
+            rhs = rhs + term.scale(c)
+        yield (i,), lhs, rhs
+
+
+def _pairs_43_reference(H, D):
+    sc, cop, S, Vt = H.mult, H.coproduct, H.antipode, D.Vtilde
+    unit1 = H.vec1(H.unit_vec())
+    zero2 = SparseTensor(H.dim, 2, H.order, {})
+    for i in range(H.dim):
+        lhs = multiply(sc, tensor_product(H.vec1(S.cols[i]), unit1), Vt)
+        rhs = zero2
+        for (s, t), c in cop.of_basis(i):
+            term = multiply(sc, multiply(sc, tensor_product(unit1, H.vec1(H.basis_vec(s))), Vt),
+                            cop.of_vec(S.cols[t]))
+            rhs = rhs + term.scale(c)
+        yield (i,), lhs, rhs
+
+
+class ReferenceFamilies(Recorder):
+    """Records each rewritten family from the per-term loops instead of the
+    pairs the checker hands over; every other check is recorded as given."""
+
+    LOOPS = {"2.5": _pairs_25_reference, "2.6": _pairs_26_reference,
+             "2.10": _pairs_210_reference, "2.11": _pairs_211_reference,
+             "4.2": _pairs_42_reference, "4.3": _pairs_43_reference}
+
+    def __init__(self, H, D):
+        super().__init__(float_check=True)
+        self.H, self.D = H, D
+        self.replaced = []
+
+    def family_check(self, label, name, triples):
+        if label in self.LOOPS:
+            self.replaced.append(label)
+            triples = self.LOOPS[label](self.H, self.D)
+        return super().family_check(label, name, triples)
+
+
+def _group_algebra(g):
+    """kG: e_a e_b = e_ab, Delta a = a (x) a, eps = 1, S(a) = a^-1, trivial associator."""
+    n, e = g.order, g.identity
+    one = CycScalar.one(1)
+    mult = StructureConstants(n, 1, {(a, b): ((g.mul(a, b), one),)
+                                     for a in range(n) for b in range(n)}, {e: one})
+    cop = Coproduct(n, 1, {a: (((a, a), one),) for a in range(n)})
+    unit3 = SparseTensor(n, 3, 1, {(e, e, e): one})
+    antipode = LinearMap(n, 1, tuple({g.inv(a): one} for a in range(n)))
+    return QuasiHopfAlgebra(mult, cop, {a: one for a in range(n)}, unit3, unit3,
+                            {e: one}, {e: one}, antipode)
+
+
+def _one_change_each(H):
+    """H itself and six copies, each with one change to one of phi, phi^-1,
+    alpha, beta, S (its first and last columns swapped, so that S^-1 moves
+    the unit of kG) and Delta (Delta e_1 doubled)."""
+    one, two = H.one(), CycScalar.from_rational(H.order, 2)
+
+    def bumped(t):  # one entry on distinct legs, so a sum that swaps two legs shows
+        ent = dict(t.entries)
+        ent[(0, 1, 2)] = ent.get((0, 1, 2), one) * two
+        return SparseTensor(H.dim, 3, H.order, ent)
+
+    def plus_one(v, k):
+        return {**v, k: v.get(k, CycScalar.zero(H.order)) + one}
+
+    cols = list(H.antipode.cols)
+    cols[0], cols[-1] = cols[-1], cols[0]
+    table = dict(H.coproduct.table)
+    table[1] = tuple((jk, c * two) for jk, c in table[1])
+    return [("as built", H),
+            ("phi", dataclasses.replace(H, associator=bumped(H.associator))),
+            ("phi^-1", dataclasses.replace(H, associator_inv=bumped(H.associator_inv))),
+            ("alpha", dataclasses.replace(H, alpha=plus_one(H.alpha, 1))),
+            ("beta", dataclasses.replace(H, beta=plus_one(H.beta, 2))),
+            ("S", dataclasses.replace(H, antipode=LinearMap(H.dim, H.order, cols),
+                                      antipode_inv=None)),
+            ("Delta", dataclasses.replace(H, coproduct=Coproduct(H.dim, H.order, table)))]
+
+
+def test_sweedler_contractions_match_per_term_loops():
+    import os
+
+    from qhd.cli import parse_input, resolve_builtin
+
+    s3 = parse_input(os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd"))
+    bases = [("zn:3:1", build_k_omega_G(resolve_builtin("zn:3:1"))),
+             ("v4:3", build_k_omega_G(resolve_builtin("v4:3"))),
+             ("s3_sign", build_k_omega_G(s3[1])),
+             ("kS3", _group_algebra(s3[0]))]
+    failed = set()
+    for base, H0 in bases:
+        for change, H in _one_change_each(H0):
+            where = (base, change)
+            D = derive_elements(H)
+            f_ref, g_ref = _twist_reference(H, D.gamma, D.delta)
+            qR_ref, pL_ref = _qR_pL_reference(H)
+            assert (D.twist, D.twist_inv, D.qR, D.pL) == (f_ref, g_ref, qR_ref, pL_ref), where
+            U_ref, Vt_ref = compute_U_Vtilde(H, f_ref, g_ref, qR_ref, pL_ref)
+            D_ref = dataclasses.replace(D, twist=f_ref, twist_inv=g_ref, qR=qR_ref, pL=pL_ref,
+                                        U=U_ref, Vtilde=Vt_ref)
+            got, want = Recorder(float_check=True), ReferenceFamilies(H, D_ref)
+            check_quasi_antipode(H, got)
+            check_qp_identities(H, D, got)
+            check_lemma41(H, D, got)
+            check_quasi_antipode(H, want)
+            check_qp_identities(H, D_ref, want)
+            check_lemma41(H, D_ref, want)
+            assert sorted(want.replaced) == sorted(ReferenceFamilies.LOOPS), where
+            assert [dataclasses.asdict(i) for i in got.items] == \
+                [dataclasses.asdict(i) for i in want.items], where
+            failed.update(i.label for i in got.items if i.status == "fail")
+    # the changed inputs reach every rewritten family with a failing report
+    assert set(ReferenceFamilies.LOOPS) <= failed, failed

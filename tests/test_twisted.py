@@ -43,6 +43,11 @@ def test_bad_tables_rejected():
     assert problems and "repeats" in problems[0]
 
 
+def test_short_row_reported_before_columns():
+    with pytest.raises(GroupError, match=r"^row 1 is not a permutation of 0\.\.1$"):
+        FiniteGroup([[0, 1], [1]])
+
+
 def test_direct_product_z2_z3_is_z6():
     g = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3))
     z6 = FiniteGroup.cyclic(6)
