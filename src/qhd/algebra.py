@@ -4,6 +4,14 @@ Vectors and dual vectors are sparse dicts {basis index: coefficient}.
 Tensors of degree d are sparse dicts keyed by d-tuples of indices.  All
 products are exact; zero coefficients are pruned on construction so that
 dict equality is honest tensor equality.
+
+Table, coproduct and map coefficients equal to one are stored as the
+interned CycScalar.one(order), and the tensor kernels skip the product with
+such a coefficient on an `is` test.  Since that skips the order test of
+CycScalar.__mul__ too, multiply, merge_pair, multiplication_rows, split_leg
+and apply_leg check the order of their tensors against the table's or map's
+on entry.  counit_leg has no such order to check: it skips only the one of
+its tensor's own order, so a counit of another order still fails in __mul__.
 """
 
 from __future__ import annotations
@@ -23,6 +31,13 @@ class SingularMapError(AlgebraError):
 
 def _prune(entries: dict) -> dict:
     return {k: c for k, c in entries.items() if not c.is_zero()}
+
+
+def _check_order(order: int, *tensors: SparseTensor):
+    """Entry guard of the kernels that skip products with the interned one."""
+    for t in tensors:
+        if t.order != order:
+            raise AlgebraError(f"tensor of order {t.order} used with order {order}")
 
 
 class SparseTensor:
@@ -102,8 +117,9 @@ class StructureConstants:
     def __init__(self, dim: int, order: int, table: dict, unit: dict):
         self.dim = dim
         self.order = order
+        one = CycScalar.one(order)
         self.table = {
-            ij: tuple((k, c) for k, c in ent if not c.is_zero())
+            ij: tuple((k, one if c == one else c) for k, c in ent if not c.is_zero())
             for ij, ent in table.items()
         }
         self.table = {ij: ent for ij, ent in self.table.items() if ent}
@@ -180,8 +196,9 @@ class Coproduct:
     def __init__(self, dim: int, order: int, table: dict):
         self.dim = dim
         self.order = order
+        one = CycScalar.one(order)
         self.table = {
-            i: tuple((tuple(jk), c) for jk, c in ent if not c.is_zero())
+            i: tuple((tuple(jk), one if c == one else c) for jk, c in ent if not c.is_zero())
             for i, ent in table.items()
         }
 
@@ -203,7 +220,9 @@ class LinearMap:
     def __init__(self, dim: int, order: int, cols):
         self.dim = dim
         self.order = order
-        self.cols = tuple(_prune(dict(c)) for c in cols)
+        one = CycScalar.one(order)
+        self.cols = tuple({i: one if c == one else c for i, c in _prune(dict(col)).items()}
+                          for col in cols)
         # leg images for _map_leg: j -> ((i,), M_ij) over the nonzeros of column j
         self.images = {j: tuple(((i,), c) for i, c in col.items())
                        for j, col in enumerate(self.cols)}
@@ -337,7 +356,9 @@ def multiply(sc: StructureConstants, x: SparseTensor, y: SparseTensor) -> Sparse
     x._compat(y)
     if x.dim != sc.dim:
         raise AlgebraError("tensor dimension does not match the algebra")
+    _check_order(sc.order, x, y)
     table = sc.table
+    one = CycScalar.one(sc.order)
     left = sc.left_block.__getitem__
     right = sc.right_block.__getitem__
     index: dict[tuple, list] = {}
@@ -353,10 +374,13 @@ def multiply(sc: StructureConstants, x: SparseTensor, y: SparseTensor) -> Sparse
             for ent in exps:
                 if len(ent) == 1:
                     k0, c0 = ent[0]
-                    partial = [(key + (k0,), c * c0) for key, c in partial]
+                    if c0 is one:
+                        partial = [(key + (k0,), c) for key, c in partial]
+                    else:
+                        partial = [(key + (k0,), c * c0) for key, c in partial]
                 else:
                     partial = [
-                        (key + (k0,), c * c0)
+                        (key + (k0,), c if c0 is one else c * c0)
                         for key, c in partial
                         for k0, c0 in ent
                     ]
@@ -377,8 +401,10 @@ def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> l
     """
     if x.degree != 2 or x.dim != sc.dim:
         raise AlgebraError("multiplication rows need a degree-2 tensor over the algebra")
+    _check_order(sc.order, x)
     dim = sc.dim
     table = sc.table
+    one = CycScalar.one(sc.order)
     right = side == "right"
     partners = sc.right_partners if right else sc.left_partners
     rows: list = [{} for _ in range(dim * dim)]
@@ -388,13 +414,13 @@ def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> l
             continue
         for b1 in partners.get(a1, ()):
             for k1, c1 in table[(a1, b1) if right else (b1, a1)]:
-                c = cx * c1
+                c = cx if c1 is one else cx * c1
                 base = k1 * dim
                 for b2 in p2:
                     col = b1 * dim + b2
                     for k2, c2 in table[(a2, b2) if right else (b2, a2)]:
                         row = rows[base + k2]
-                        term = c * c2
+                        term = c if c2 is one else c * c2
                         prev = row.get(col)
                         row[col] = term if prev is None else prev + term
     return [_prune(row) for row in rows]
@@ -446,30 +472,34 @@ def leg_embed(t: SparseTensor, legs, d: int, unit: dict) -> SparseTensor:
     return SparseTensor(t.dim, d, t.order, out)
 
 
-def _map_leg(images, t: SparseTensor, leg: int, grow: int) -> SparseTensor:
+def _map_leg(images, order: int, t: SparseTensor, leg: int, grow: int) -> SparseTensor:
     """Replace the index on one leg (1-based) by each key tuple of its image,
-    {index: ((key tuple, coeff), ...)}; the tuples have grow + 1 entries."""
+    {index: ((key tuple, coeff), ...)} over Q(zeta_order); the tuples have
+    grow + 1 entries."""
+    _check_order(order, t)
+    one = CycScalar.one(order)
     pos = leg - 1
     out: dict = {}
     for key, c in t.entries.items():
         for sub, cs in images.get(key[pos], ()):
             nk = key[:pos] + sub + key[pos + 1 :]
+            term = c if cs is one else c * cs
             prev = out.get(nk)
-            out[nk] = c * cs if prev is None else prev + c * cs
+            out[nk] = term if prev is None else prev + term
     return SparseTensor(t.dim, t.degree + grow, t.order, out)
 
 
 def split_leg(cop: Coproduct, t: SparseTensor, leg: int) -> SparseTensor:
     """Apply the coproduct to one leg (1-based), raising the degree by one."""
-    return _map_leg(cop.table, t, leg, 1)
+    return _map_leg(cop.table, cop.order, t, leg, 1)
 
 
 def apply_leg(m: LinearMap, t: SparseTensor, leg: int) -> SparseTensor:
-    return _map_leg(m.images, t, leg, 0)
+    return _map_leg(m.images, m.order, t, leg, 0)
 
 
 def counit_leg(eps: dict, t: SparseTensor, leg: int) -> SparseTensor:
-    return _map_leg({i: (((), e),) for i, e in eps.items()}, t, leg, -1)
+    return _map_leg({i: (((), e),) for i, e in eps.items()}, t.order, t, leg, -1)
 
 
 def slice_leg(t: SparseTensor, leg: int) -> dict:
@@ -549,9 +579,9 @@ def _chain_pairs(table, items, one):
             for j, cj in cur:
                 ent = table.get((i, j))
                 if ent:
-                    cc = ci * cj
+                    cc = cj if ci is one else (ci if cj is one else ci * cj)
                     for k, ck in ent:
-                        nxt.append((k, cc * ck))
+                        nxt.append((k, cc if ck is one else cc * ck))
         if not nxt:
             return ()
         acc = nxt
@@ -585,6 +615,7 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
     used_b = [ref[1] for g in groups for ref in g if ref[0] == "b"]
     if sorted(used_a) != list(range(a.degree)) or sorted(used_b) != list(range(b.degree)):
         raise AlgebraError("merge_pair groups must use every input leg exactly once")
+    _check_order(sc.order, a, b)
 
     constraints = []  # (a_leg, b_leg, a_comes_first)
     for g in groups:
@@ -629,7 +660,8 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
                 continue
             partial = [((), ca * cb)]
             for v in legs:
-                partial = [(key + (i,), c * ci) for key, c in partial for i, ci in v]
+                partial = [(key + (i,), c if ci is one else c * ci)
+                           for key, c in partial for i, ci in v]
             for key, c in partial:
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c

@@ -152,6 +152,12 @@ class CycScalar:
     def __mul__(self, other: "CycScalar") -> "CycScalar":
         self._check(other)
         a, b = self.coeffs, other.coeffs
+        # a product with one is the other operand, after the order test
+        one = _cached_const(self.order, 1).coeffs
+        if a == one:
+            return other
+        if b == one:
+            return self
         phi, rows = _field_data(self.order)
         if phi == 1:
             return CycScalar(self.order, (a[0] * b[0],))

@@ -2,6 +2,7 @@
 
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from qhd.algebra import (
     invert_map,
     leg_embed,
     merge_pair,
+    multiplication_rows,
     multiply,
     slice_leg,
     solve_linear,
@@ -28,7 +30,7 @@ from qhd.algebra import (
     tensor_product,
     vec_tensor,
 )
-from qhd.scalar import CycScalar, root_of_unity
+from qhd.scalar import CycScalar, OrderMismatchError, root_of_unity
 
 ONE = CycScalar.one(1)
 ZERO = CycScalar.zero(1)
@@ -418,6 +420,44 @@ def sparse_tensor(rng, sc, degree, size):
     return SparseTensor(sc.dim, degree, sc.order, entries)
 
 
+def plain_one(rng, order):
+    """A coefficient equal to one that is not the interned CycScalar.one."""
+    phi = len(CycScalar.one(order).coeffs)
+    return rng.choice((root_of_unity(order, 0),
+                       CycScalar(order, (Fraction(1),) + (0,) * (phi - 1))))
+
+
+def plain_ones_coeff(rng, order):
+    """Mostly a non-interned one, otherwise a root of unity times -1 or 2."""
+    if rng.random() < 0.6:
+        return plain_one(rng, order)
+    return (root_of_unity(order, rng.randrange(1, order))
+            * CycScalar.from_rational(order, rng.choice((-1, 2))))
+
+
+def assert_ones_interned(coeffs, order):
+    """Construction replaced every coefficient equal to one by the interned one."""
+    one = CycScalar.one(order)
+    coeffs = list(coeffs)
+    assert any(c is one for c in coeffs)
+    assert all(c is one for c in coeffs if c == one)
+
+
+def plain_ones_algebra(rng, order=3, dim=4) -> StructureConstants:
+    """e_i e_j = e_(i+j mod dim), sometimes plus a second term, with the
+    coefficients of plain_ones_coeff; the unit is not needed by the kernels."""
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            ent = [((i + j) % dim, plain_ones_coeff(rng, order))]
+            if rng.random() < 0.3:
+                ent.append(((i * j + 1) % dim, plain_ones_coeff(rng, order)))
+            table[(i, j)] = tuple(ent)
+    sc = StructureConstants(dim, order, table, {0: plain_one(rng, order)})
+    assert_ones_interned((c for ent in sc.table.values() for _, c in ent), order)
+    return sc
+
+
 def test_multiply_matches_leg0_join_reference():
     from qhd.heisenberg import build_H1
     from qhd.twisted import build_k_omega_G, cyclic_cocycle
@@ -426,7 +466,8 @@ def test_multiply_matches_leg0_join_reference():
     double = build_H1(build_k_omega_G(cyclic_cocycle(3, 1))).sc
     rng = random.Random(2604)
     sizes = (0, 1, 3, 12, 40, 120)
-    for sc in (diagonal, group_algebra_s3(), double, partial_algebra()):
+    plain = plain_ones_algebra(random.Random(8108))
+    for sc in (diagonal, group_algebra_s3(), double, partial_algebra(), plain):
         for degree in (1, 2, 3, 4):
             for nx, ny in [(0, 5), (5, 0)] + [
                 (rng.choice(sizes), rng.choice(sizes)) for _ in range(8)
@@ -582,7 +623,7 @@ def test_merge_pair_matches_first_constraint_reference():
     shape_rng = random.Random(7141)
     seen = set()
     for sc in (function_algebra(3), matrix_units_algebra(), group_algebra_s3(), double,
-               partial_algebra(), lopsided_algebra()):
+               partial_algebra(), lopsided_algebra(), plain_ones_algebra(random.Random(8109))):
         vecs = tuple({k[0]: c for k, c in sparse_tensor(rng, sc, 1, 2).entries.items()}
                      for _ in range(2))
         unit0 = SparseTensor(sc.dim, 0, sc.order, {(): CycScalar.one(sc.order)})
@@ -883,6 +924,14 @@ def test_leg_maps_match_per_map_references():
                                   if rng.random() < 0.5} for _ in range(n)])
             for _ in range(3)]
     assert any(len(col) > 1 for m in maps for col in m.cols)  # not a permutation
+    plain_rng = random.Random(8110)
+    cops.append(Coproduct(n, order, {
+        a: tuple(((x, (a - x) % n), plain_ones_coeff(plain_rng, order)) for x in range(n))
+        for a in range(n)}))
+    maps.append(LinearMap(n, order, [{i: plain_ones_coeff(plain_rng, order) for i in range(n)
+                                      if plain_rng.random() < 0.6} for _ in range(n)]))
+    assert_ones_interned((c for ent in cops[-1].table.values() for _, c in ent), order)
+    assert_ones_interned((c for _, ims in maps[-1].images.items() for _, c in ims), order)
     eps = {0: random_scalar(rng, order), 1: CycScalar.one(order),
            3: random_scalar(rng, order)}
     for degree in range(1, 5):
@@ -896,3 +945,54 @@ def test_leg_maps_match_per_map_references():
                 for m in maps:
                     assert apply_leg(m, t, leg) == _apply_leg_reference(m, t, leg)
                 assert counit_leg(eps, t, leg) == _counit_leg_reference(eps, t, leg)
+
+
+def test_kernels_refuse_tensors_of_another_order():
+    # every coefficient of the order-3 algebra, coproduct and map is the
+    # interned one, so only the entry guard sees the order-4 tensor
+    one3 = CycScalar.one(3)
+    sc = StructureConstants(1, 3, {(0, 0): ((0, one3),)}, {0: one3})
+    cop = Coproduct(1, 3, {0: (((0, 0), one3),)})
+    m = LinearMap.identity(1, 3)
+    x = SparseTensor(1, 1, 4, {(0,): CycScalar(4, (-1, 0))})
+    y = SparseTensor(1, 1, 4, {(0,): CycScalar.one(4)})
+    x2 = SparseTensor(1, 2, 4, {(0, 0): CycScalar(4, (-1, 0))})
+    with pytest.raises(AlgebraError):
+        multiply(sc, x, y)
+    with pytest.raises(AlgebraError):
+        merge_pair(sc, x, y, ((("a", 0), ("b", 0)),))
+    with pytest.raises(AlgebraError):
+        multiplication_rows(sc, x2, "right")
+    with pytest.raises(AlgebraError):
+        split_leg(cop, x, 1)
+    with pytest.raises(AlgebraError):
+        apply_leg(m, x, 1)
+    # counit_leg has no order of its own to guard; a counit of another
+    # order still fails in CycScalar.__mul__
+    with pytest.raises(OrderMismatchError):
+        counit_leg({0: one3}, x, 1)
+    # the same tensors in their own order pass
+    sc4 = StructureConstants(1, 4, {(0, 0): ((0, CycScalar.one(4)),)}, {0: CycScalar.one(4)})
+    assert multiply(sc4, x, y) == x
+
+
+def test_chain_pairs_matches_vec_mult_fold():
+    # the merge_pair reference above shares _chain_pairs, so check it on its
+    # own: a left-to-right fold of vec_mult over the same factors
+    rng = random.Random(8112)
+    for sc in (function_algebra(3), matrix_units_algebra(), group_algebra_s3(),
+               lopsided_algebra(), plain_ones_algebra(random.Random(8113))):
+        one = CycScalar.one(sc.order)
+
+        def coeff():
+            return plain_ones_coeff(rng, sc.order) if sc.order > 1 else rat(rng.choice((1, -2)))
+
+        for _ in range(60):
+            chain = [rng.randrange(sc.dim) if rng.random() < 0.6 else
+                     {i: coeff() for i in rng.sample(range(sc.dim), rng.randint(1, sc.dim))}
+                     for _ in range(rng.randint(1, 4))]
+            want = None
+            for it in chain:
+                v = {it: one} if isinstance(it, int) else it
+                want = v if want is None else sc.vec_mult(want, v)
+            assert dict(_chain_pairs(sc.table, chain, one)) == want, chain

@@ -3,6 +3,7 @@ and the invertibility probe."""
 
 import os
 import random
+from fractions import Fraction
 
 from qhd.algebra import (
     Coproduct,
@@ -323,6 +324,20 @@ def test_multiplication_rows_match_per_basis_products():
         cases.append((sc, SparseTensor(sc.dim, 2, sc.order, {
             k: root_of_unity(sc.order, rng.randrange(sc.order)) * rng.choice(signs)
             for k in keys})))
+    # ones given by value, not as the interned CycScalar.one, in the table
+    # and in x
+    plain_rng = random.Random(8111)
+    coeffs = (root_of_unity(3, 0), CycScalar(3, (Fraction(1), 0)), root_of_unity(3, 1),
+              CycScalar.from_rational(3, -1))
+    plain = StructureConstants(3, 3, {
+        (i, j): tuple((k, plain_rng.choice(coeffs)) for k in range(3) if plain_rng.random() < 0.6)
+        for i in range(3) for j in range(3)}, {0: CycScalar.one(3)})
+    table_coeffs = [c for ent in plain.table.values() for _, c in ent]
+    assert any(c is CycScalar.one(3) for c in table_coeffs)
+    assert all(c is CycScalar.one(3) for c in table_coeffs if c.is_one())
+    cases.append((plain, SparseTensor(3, 2, 3, {
+        (plain_rng.randrange(3), plain_rng.randrange(3)): plain_rng.choice(coeffs)
+        for _ in range(8)})))
     for sc, x in cases:
         for side in ("right", "left"):
             assert multiplication_rows(sc, x, side) == _rows_by_basis_products(sc, x, side)

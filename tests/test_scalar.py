@@ -10,6 +10,7 @@ from qhd.scalar import (
     OrderMismatchError,
     ZeroDivisionScalarError,
     _cyclotomic,
+    _field_data,
     cyclotomic_polynomial,
     root_of_unity,
 )
@@ -243,3 +244,67 @@ def test_inverse_matches_euclid_reference():
             got, want = a.inverse(), _inverse_reference(a)
             assert got.coeffs == want.coeffs, (n, a)
             assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), (n, a)
+
+
+# -- the one short-circuit of __mul__ against the full product, copied
+# -- verbatim as the reference
+
+
+def _mul_reference(self, other):
+    self._check(other)
+    a, b = self.coeffs, other.coeffs
+    phi, rows = _field_data(self.order)
+    if phi == 1:
+        return CycScalar(self.order, (a[0] * b[0],))
+    conv = [0] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+    out = conv[:phi]
+    for j in range(phi - 1):
+        t = conv[phi + j]
+        if t:
+            row = rows[j]
+            for i in range(phi):
+                if row[i]:
+                    out[i] += t * row[i]
+    return CycScalar(self.order, out)
+
+
+def test_mul_by_one_matches_full_product():
+    rng = random.Random(1208)
+    draws = {
+        "int": lambda: rng.randint(-3, 3),
+        "fraction": lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        "mixed": lambda: rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 3))),
+    }
+    for n in (1, 3, 4, 7, 8, 12):
+        phi = len(cyclotomic_polynomial(n)) - 1
+        ones = [
+            CycScalar.one(n),
+            root_of_unity(n, 0),
+            CycScalar(n, (Fraction(1),) + (0,) * (phi - 1)),
+        ]
+        assert ones[1] is not ones[0] and ones[2] is not ones[0]
+        for kind, draw in draws.items():
+            for _ in range(15):
+                x = CycScalar(n, tuple(draw() for _ in range(phi)))
+                for one in ones:
+                    assert one * x == _mul_reference(one, x), (n, kind, one)
+                    assert x * one == _mul_reference(x, one), (n, kind, one)
+                    assert one * x == x == x * one
+        for a in ones:
+            for b in ones:
+                assert a * b == _mul_reference(a, b) == CycScalar.one(n)
+
+
+def test_mul_by_one_still_checks_orders():
+    x = CycScalar(4, (Fraction(1, 2), -1))
+    with pytest.raises(OrderMismatchError):
+        CycScalar.one(3) * x
+    with pytest.raises(OrderMismatchError):
+        x * CycScalar.one(3)
+    with pytest.raises(OrderMismatchError):
+        CycScalar.one(3) * CycScalar.one(4)

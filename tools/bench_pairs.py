@@ -1,0 +1,118 @@
+"""Alternating parent/change pairs of the benchmark, summarized as BENCH_<PR>.json.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR BENCH_8.json
+
+PARENT_DIR and CHANGE_DIR are two source checkouts, each with its own
+`qhdbench/`.  Each of the PAIRS (ten) pairs runs `qhdbench/run.py --workload W
+--seed 0 --trace 0` for every workload in both checkouts, the parent first in
+odd pairs and the change first in even ones, one run at a time; run.py's own
+default sets the run length.  Then each checkout makes one `--trace 1` run
+per workload for the per-layer counts.
+
+The summary holds, per workload and end-to-end metric of BENCHMARK.json,
+each side's median, quartiles and runs, the number of pairs and the pairs
+the change won (ties count for neither side), and the traced counts of both
+sides.  A run that fails or reads `correct: false` is kept in the summary
+and leaves its pair undecided.  The summary is rewritten after every pair.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+PAIRS = 10
+COMMAND = ["qhdbench/run.py", "--seed", "0"]
+
+
+def run_once(checkout: str, workload: str, trace: int):
+    """The JSON result line of one run.py run, or None if it failed."""
+    proc = subprocess.run(
+        [sys.executable, *COMMAND, "--workload", workload, "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        print(f"{checkout} {workload}: exit {proc.returncode}\n{proc.stderr[-2000:]}",
+              file=sys.stderr)
+        return None
+    return json.loads(lines[-1])
+
+
+def spread(values: list) -> dict:
+    if len(values) < 2:
+        return {"median": values[0] if values else None, "q1": None, "q3": None}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(bench: dict, runs: dict, traced: dict) -> dict:
+    """traced[workload][side] is a --trace 1 result, missing until measured."""
+    counts = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
+    out = {"command": " ".join(["python3", *COMMAND, "--workload W --trace 0"]),
+           "workloads": {}}
+    for wl, sides in runs.items():
+        pairs = list(zip(sides["parent"], sides["change"]))
+        entry = {"pairs": len(pairs),
+                 "correct": {side: [bool(r and r["correct"]) for r in rs]
+                             for side, rs in sides.items()},
+                 "metrics": {}}
+        for m in bench["end_to_end"]:
+            name, lower = m["name"], m["better"] == "lower"
+            values = {side: [r["metrics"][name]["value"] if r and r["correct"] else None
+                             for r in rs] for side, rs in sides.items()}
+            won = sum(1 for p, c in zip(values["parent"], values["change"])
+                      if p is not None and c is not None and (c < p if lower else c > p))
+            entry["metrics"][name] = {
+                "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                **{side: dict(spread([v for v in vs if v is not None]), runs=vs)
+                   for side, vs in values.items()},
+                "pairs": len(pairs), "change_won": won}
+        got = traced.get(wl, {})
+        entry["traced_counts"] = {
+            name: {side: got[side]["metrics"][name]["value"] if got.get(side) else None
+                   for side in ("parent", "change")}
+            for name in counts}
+        out["workloads"][wl] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("out")
+    args = ap.parse_args(argv)
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    checkouts = {"parent": args.parent, "change": args.change}
+    runs = {wl: {"parent": [], "change": []} for wl in workloads}
+    traced: dict = {}
+
+    def write():
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(summarize(bench, runs, traced), fh, indent=1)
+            fh.write("\n")
+
+    for i in range(1, PAIRS + 1):
+        order = ("parent", "change") if i % 2 else ("change", "parent")
+        for wl in workloads:
+            for side in order:
+                res = run_once(checkouts[side], wl, 0)
+                runs[wl][side].append(res)
+                value = res["metrics"]["verify_s"]["value"] if res else None
+                print(f"pair {i} {wl} {side}: verify_s {value}", file=sys.stderr)
+        write()
+    for wl in workloads:
+        traced[wl] = {side: run_once(checkout, wl, 1)
+                      for side, checkout in checkouts.items()}
+    write()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
