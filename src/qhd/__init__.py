@@ -21,7 +21,6 @@ from .quasihopf import (
     check_quasi_antipode,
     check_quasi_bialgebra,
     compute_qR_pL,
-    compute_twist,
     compute_U_Vtilde,
     derive_elements,
 )

@@ -40,7 +40,6 @@ from .quasihopf import (
 from .report import Recorder
 from .twisted import (
     Cocycle3,
-    CocycleError,
     FiniteGroup,
     GroupError,
     build_k_omega_G,
@@ -107,8 +106,7 @@ class RunSpec:
                 raise InputError(f"unknown suite {s!r} (valid: all, {', '.join(SUITE_ORDER)})")
         if not names:
             raise InputError(f"no suite selected (valid: all, {', '.join(SUITE_ORDER)})")
-        seen = set()
-        return tuple(n for n in SUITE_ORDER if n in names and not (n in seen or seen.add(n)))
+        return tuple(n for n in SUITE_ORDER if n in names)
 
 
 # -- source resolution ----------------------------------------------------------
@@ -336,13 +334,6 @@ class RunContext:
             self._closed_form = closed_form_elements(self.w)
         return self._closed_form
 
-    def cocycle_is_trivial(self) -> bool:
-        n = self.w.group.order
-        return all(
-            self.w.exponent(a, b, c) % self.w.root_order == 0
-            for a in range(n) for b in range(n) for c in range(n)
-        )
-
 
 # -- suites ----------------------------------------------------------------------
 
@@ -424,7 +415,8 @@ def _suite_theorems(run: RunContext, rec: Recorder):
              "product of the canonical element with its quasi-inverse (reported only)",
              f"W*Wt == unit: {ww == unit2d}; Wt*W == unit: {wwr == unit2d}")
 
-    if run.cocycle_is_trivial():
+    # the Hopf case is Phi = 1 (x) 1 (x) 1
+    if run.H.associator == run.H.mult.unit_tensor(3):
         w12, w13, w23 = leg_pairs(had, ce.W)
         lhs = multiply(had.sc, multiply(had.sc, w12, w13), w23)
         rhs = multiply(had.sc, w23, w12)
@@ -633,7 +625,7 @@ def main(argv=None) -> int:
         spec.selected()
         report = run(spec)
         text = report.to_json() if spec.report_format == "json" else report.to_text()
-    except (InputError, CocycleError, GroupError) as e:
+    except (InputError, GroupError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a crash must not pass as "identity failed" (1)

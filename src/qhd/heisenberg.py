@@ -35,23 +35,24 @@ from .scalar import CycScalar
 
 
 class HeisenbergAlgebra:
-    """One of the two doubles, with its product table and module action."""
+    """One of the two doubles, with its product table and module action.
+
+    A double built from a parent keeps the `_Side` its builder used as
+    `side_data`; a closed-form double has neither."""
 
     def __init__(self, side: str, parent: QuasiHopfAlgebra | None, m: int,
-                 sc: StructureConstants, action: dict):
+                 sc: StructureConstants, action: dict, side_data: _Side | None = None):
         if side not in ("dual", "plain"):
             raise ValueError(f"unknown side {side!r}")
         self.side = side
         self.parent = parent
+        self.side_data = side_data
         self.m = m
         self.dim = m * m
         self.order = sc.order
         self.sc = sc
         self.unit = sc.unit
         self.action = action
-
-    def flat(self, a: int, b: int) -> int:
-        return a * self.m + b
 
     def act_basis(self, k: int, h: int) -> dict:
         return self.action.get((k, h), {})
@@ -70,16 +71,6 @@ class HeisenbergAlgebra:
         return f"HeisenbergAlgebra({self.side}, m={self.m})"
 
 
-def _harpoon_tables(H: QuasiHopfAlgebra):
-    one = CycScalar.one(H.order)
-    m = H.dim
-    left = [[harpoon(H.mult, {p: one}, {i: one}, "left") for i in range(m)]
-            for p in range(m)]
-    right = [[harpoon(H.mult, {p: one}, {i: one}, "right") for i in range(m)]
-             for p in range(m)]
-    return left, right
-
-
 class _Side:
     """The mirror choices of one double, fixed before any loop runs.
 
@@ -88,8 +79,9 @@ class _Side:
     associators, the arguments of a convolution, the (row, column) key of a
     table cell and the pair (product harpoons, action harpoons).
     prod[a][b] is the H-product of e_a and e_b in that order, cop[a] the
-    coproduct of e_a with its legs in that order, and index[xi][a] the pair
-    basis element that joins the dual basis vector xi to e_a.
+    coproduct of e_a with its legs in that order, index[xi][a] the pair
+    basis element that joins the dual basis vector xi to e_a, and h_prod and
+    h_act the harpoon tables of the product and of the action.
     """
 
     def __init__(self, H: QuasiHopfAlgebra, side: str):
@@ -102,6 +94,10 @@ class _Side:
                     for a in range(m)]
         self.index = [[xi * m + a if dual else a * m + xi for a in range(m)]
                       for xi in range(m)]
+        one = CycScalar.one(H.order)
+        self.h_prod, self.h_act = rev(tuple(
+            [[harpoon(H.mult, {p: one}, {i: one}, way) for i in range(m)] for p in range(m)]
+            for way in ("left", "right")))
 
 
 def _build_double(H: QuasiHopfAlgebra, side: str) -> HeisenbergAlgebra:
@@ -111,8 +107,7 @@ def _build_double(H: QuasiHopfAlgebra, side: str) -> HeisenbergAlgebra:
     cop = H.coproduct
     sd = _Side(H, side)
     rev, prod, index = sd.rev, sd.prod, sd.index
-    h_prod, h_act = rev(_harpoon_tables(H))
-    support = [tuple((i, xi) for i, xi in enumerate(row) if xi) for row in h_prod]
+    support = [tuple((i, xi) for i, xi in enumerate(row) if xi) for row in sd.h_prod]
     phi_inv = tuple((rev(key), c) for key, c in H.associator_inv.entries.items())
 
     table: dict = {}
@@ -154,11 +149,11 @@ def _build_double(H: QuasiHopfAlgebra, side: str) -> HeisenbergAlgebra:
 
     unit = {index[u][z]: cu * cz
             for u, cu in H.counit.items() for z, cz in H.unit_vec().items()}
-    action = {(index[i][j], h): {index[u][j]: cu for u, cu in h_act[h][i].items()}
+    action = {(index[i][j], h): {index[u][j]: cu for u, cu in sd.h_act[h][i].items()}
               for i in range(m) for j in range(m) for h in range(m)}
     sc = StructureConstants(m * m, H.order,
                             {k: tuple(v.items()) for k, v in table.items()}, unit)
-    return HeisenbergAlgebra(side, H, m, sc, action)
+    return HeisenbergAlgebra(side, H, m, sc, action, sd)
 
 
 def build_H1_dual(H: QuasiHopfAlgebra) -> HeisenbergAlgebra:
@@ -204,7 +199,7 @@ def _side_elements(ha: HeisenbergAlgebra, x: SparseTensor, phi_s: SparseTensor):
     for the dual side."""
     H = ha.parent
     m, order, S = H.dim, H.order, H.antipode
-    sd = _Side(H, ha.side)
+    sd = ha.side_data
     rev, index = sd.rev, sd.index
     eps = tuple(H.counit.items())
 
@@ -323,9 +318,8 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
         return rec
     m = H.dim
     one = CycScalar.one(H.order)
-    sd = _Side(H, side)
+    sd = ha.side_data
     rev, index = sd.rev, sd.index
-    h_prod = rev(_harpoon_tables(H))[0]
 
     def v1(v):
         return vec_tensor(ha.dim, ha.order, v)
@@ -350,7 +344,7 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
             rhs: dict = {}
             for (s, t), d in sd.cop[a]:
                 for z, cz in sd.prod[t][b]:
-                    for u, cu in h_prod[s][xi].items():
+                    for u, cu in sd.h_prod[s][xi].items():
                         _add(rhs, index[u][z], d * cu * cz)
             yield idx, v1(lhs), v1(rhs)
 

@@ -35,10 +35,6 @@ from .report import Recorder
 from .scalar import CycScalar
 
 
-class DerivedElementError(ValueError):
-    """An internally inconsistent derived element (upstream data error)."""
-
-
 class AntipodeNotBijectiveError(ValueError):
     pass
 
@@ -236,9 +232,10 @@ def check_quasi_antipode(H: QuasiHopfAlgebra, rec: Recorder | None = None) -> Re
 def twist_candidates(H: QuasiHopfAlgebra):
     """gamma, delta and the twist pair, unvalidated.
 
-    Returns (gamma, delta, twist, twist_inv); callers that want gamma and
-    delta checked against their second expressions (twist_alternatives) use
-    compute_twist.
+    Returns (gamma, delta, twist, twist_inv).  Nothing here compares gamma
+    and delta with their second expressions (twist_alternatives) or the
+    twist with its inverse: the CLI's twist suite records those as 2.gamma,
+    2.delta, 2.f-inv and 2.f-inv'.
     """
     sc, cop, S = H.mult, H.coproduct, H.antipode
     phi, phiinv = H.associator, H.associator_inv
@@ -294,25 +291,6 @@ def twist_alternatives(H: QuasiHopfAlgebra):
         (("a", 1), ("b", 0), ("v", 0), ("b", 1), ("a", 2)),
     ), vecs=(H.beta,))
     return gamma_alt, delta_alt
-
-
-def compute_twist(H: QuasiHopfAlgebra):
-    """gamma, delta (each agreeing by both defining expressions) and the
-    twist pair.  Raises DerivedElementError if the expressions disagree or
-    the twist fails to invert; either means the input tables are broken.
-    derive_elements skips these checks; the CLI's twist suite reports them
-    as 2.gamma, 2.delta and 2.f-inv."""
-    gamma, delta, twist, twist_inv = twist_candidates(H)
-    gamma_alt, delta_alt = twist_alternatives(H)
-    if gamma != gamma_alt:
-        raise DerivedElementError("the two expressions for gamma disagree")
-    if delta != delta_alt:
-        raise DerivedElementError("the two expressions for delta disagree")
-    one2 = H.mult.unit_tensor(2)
-    sc = H.mult
-    if multiply(sc, twist, twist_inv) != one2 or multiply(sc, twist_inv, twist) != one2:
-        raise DerivedElementError("twist times its inverse is not the unit tensor")
-    return gamma, delta, twist, twist_inv
 
 
 def check_twist_identities(H: QuasiHopfAlgebra, D: DerivedElements,
@@ -472,8 +450,7 @@ def check_lemma41(H: QuasiHopfAlgebra, D: DerivedElements,
 
 def derive_elements(H: QuasiHopfAlgebra) -> DerivedElements:
     """The derivation chain twist_candidates -> compute_qR_pL ->
-    compute_U_Vtilde, unvalidated: compute_twist validates the twist pair
-    for callers that want it."""
+    compute_U_Vtilde, unvalidated, like twist_candidates."""
     gamma, delta, f, g = twist_candidates(H)
     qR, pL = compute_qR_pL(H)
     U, Vtilde = compute_U_Vtilde(H, f, g, qR, pL)

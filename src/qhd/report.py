@@ -37,21 +37,13 @@ class CheckItem:
 
 
 def _diff_entries(lhs: SparseTensor, rhs: SparseTensor, prefix=()):
-    keys = set(lhs.entries) | set(rhs.entries)
-    zero = None
     out = []
-    for k in sorted(keys):
+    for k in sorted(set(lhs.entries) | set(rhs.entries)):
         a = lhs.entries.get(k)
         b = rhs.entries.get(k)
-        if a is None:
-            a_str, differ = "0", True
-        elif b is None:
-            a_str, differ = str(a), True
-        else:
-            differ = a != b
-            a_str = str(a)
-        if differ:
-            out.append(Discrepancy(prefix + k, a_str, "0" if b is None else str(b)))
+        if a is None or b is None or a != b:
+            out.append(Discrepancy(prefix + k, "0" if a is None else str(a),
+                                   "0" if b is None else str(b)))
     return out
 
 
@@ -88,24 +80,17 @@ class Recorder:
 
     def tensor_check(self, label: str, name: str, lhs: SparseTensor, rhs: SparseTensor,
                      detail: str = "") -> bool:
-        passed = lhs == rhs
-        item = CheckItem(label, name, "pass" if passed else "fail", detail=detail)
-        if not passed:
-            item.discrepancies = _diff_entries(lhs, rhs)[:MAX_DISCREPANCIES]
-        if self.float_check:
-            fpass = _float_agrees(lhs, rhs)
-            item.float_status = "pass" if fpass else "fail"
-            if fpass != passed:
-                item.detail = (item.detail + "; " if item.detail else "") + \
-                    "float path disagrees with exact result (float defect)"
-        self._stamp(item)
-        return passed
+        return self._compare(label, name, (((), lhs, rhs),), detail)
 
     def family_check(self, label: str, name: str, triples) -> bool:
         """triples: iterable of (prefix, lhs, rhs); one item for the family."""
+        return self._compare(label, name, triples)
+
+    def _compare(self, label: str, name: str, triples, detail: str = "") -> bool:
+        """One item for every (prefix, lhs, rhs): the exact verdict, the first
+        MAX_DISCREPANCIES differing entries and, if asked, the float verdict."""
         disc = []
-        passed = True
-        fpass = True
+        passed = fpass = True
         for prefix, lhs, rhs in triples:
             if not isinstance(prefix, tuple):
                 prefix = (prefix,)
@@ -115,11 +100,12 @@ class Recorder:
                     disc.extend(_diff_entries(lhs, rhs, prefix)[: MAX_DISCREPANCIES - len(disc)])
             if self.float_check and not _float_agrees(lhs, rhs):
                 fpass = False
-        item = CheckItem(label, name, "pass" if passed else "fail", discrepancies=disc)
+        item = CheckItem(label, name, "pass" if passed else "fail", disc, detail)
         if self.float_check:
             item.float_status = "pass" if fpass else "fail"
             if fpass != passed:
-                item.detail = "float path disagrees with exact result (float defect)"
+                item.detail = (detail + "; " if detail else "") + \
+                    "float path disagrees with exact result (float defect)"
         self._stamp(item)
         return passed
 

@@ -108,8 +108,6 @@ class CycScalar:
     @staticmethod
     def from_rational(order: int, value) -> "CycScalar":
         phi, _ = _field_data(order)
-        if phi == 0:  # unreachable; phi(n) >= 1
-            raise ScalarError("bad field")
         c = [0] * phi
         c[0] = value if isinstance(value, int) else Fraction(value)
         return CycScalar(order, c)
@@ -195,9 +193,6 @@ class CycScalar:
                 rest = rest * CycScalar(n, conj)
         norm = Fraction((self * rest).coeffs[0])
         return CycScalar(n, tuple(c / norm for c in rest.coeffs))
-
-    def __truediv__(self, other: "CycScalar") -> "CycScalar":
-        return self * other.inverse()
 
     # -- comparisons / hashing -----------------------------------------------
 

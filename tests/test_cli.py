@@ -381,6 +381,23 @@ def test_closed_form_elements_built_once_per_run(monkeypatch):
     assert len(calls) == 1
 
 
+def test_cocycle_checked_once_per_file_run(monkeypatch):
+    import qhd.cli as cli
+    import qhd.twisted as twisted
+
+    calls = []
+    real = twisted.check_cocycle
+
+    def counted(w, *args):
+        calls.append(w)
+        return real(w, *args)
+
+    monkeypatch.setattr(cli, "check_cocycle", counted)
+    monkeypatch.setattr(twisted, "check_cocycle", counted)
+    assert run_spec(f"file:{os.path.join(DATA, 's3_sign.qhd')}").exit_code == 0
+    assert len(calls) == 1
+
+
 def test_product_group_order_limit(tmp_path, capsys):
     p = tmp_path / "prod.qhd"
     p.write_text("group product cyclic 6 cyclic 6\ncocycle trivial\n")

@@ -52,6 +52,11 @@ def make_all(w):
     return H, D, had, hap, ce
 
 
+def _pair_index(ha):
+    """(a, b) -> a * m + b, the flattened pair basis of the double."""
+    return lambda a, b: a * ha.m + b
+
+
 def basis2(ha, k1, k2):
     return SparseTensor(ha.dim, 2, ha.order, {(k1, k2): CycScalar.one(ha.order)})
 
@@ -67,11 +72,34 @@ def test_unit_law_eps_specializations_actions():
         assert rec.ok, failing(rec)
 
 
+def test_side_data_built_once_per_double(monkeypatch):
+    import qhd.heisenberg as heisenberg
+    from qhd.twisted import closed_form_double
+
+    w = cyclic_cocycle(3, 1)
+    H = build_k_omega_G(w)
+    had, hap = build_H1_dual(H), build_H1(H)
+    assert (had.side_data.h_prod, had.side_data.h_act) == \
+        (hap.side_data.h_act, hap.side_data.h_prod)
+    assert all(ha.side_data is None for ha in closed_form_double(w))
+
+    def never(*args):
+        raise AssertionError("a double's side data was built a second time")
+
+    monkeypatch.setattr(heisenberg, "_Side", never)
+    monkeypatch.setattr(heisenberg, "harpoon", never)
+    canonical_elements(had, hap, derive_elements(H))
+    rec = Recorder()
+    check_double(had, rec)
+    check_double(hap, rec)
+    assert rec.ok, failing(rec)
+
+
 def test_twisted_product_formula_two_points():
     # (g # delta_a)(h # delta_b) = [a = h b] omega(g, h, b) (g h # delta_b)
     w = cyclic_cocycle(2, 1)
     H, D, had, hap, ce = make_all(w)
-    f = had.flat
+    f = _pair_index(had)
     one = CycScalar.one(2)
     # (1 # delta_0)(1 # delta_1) = omega(1,1,1) (0 # delta_1) = -(0 # delta_1)
     got = multiply(had.sc, basis2(had, f(1, 0), f(1, 0)),
@@ -88,7 +116,7 @@ def test_twisted_plain_product_and_action():
     # (delta_a # g)(delta_b # h) = [b = a g] omega(a, g, h) (delta_a # g h)
     w = cyclic_cocycle(3, 1)
     H, D, had, hap, ce = make_all(w)
-    f = hap.flat
+    f = _pair_index(hap)
     g = w.group
     for a in range(3):
         for gg in range(3):
@@ -121,7 +149,7 @@ def test_twisted_double_is_not_associative():
     bad = had.sc.check_associative()
     assert bad  # nonassociativity witness exists
     # pin one explicit witness: ((1#d0)(1#d1))(1#d0) vs (1#d0)((1#d1)(1#d0))
-    f = had.flat
+    f = _pair_index(had)
     a, b, c = (basis2(had, f(1, 0), f(0, 0)),
                basis2(had, f(1, 1), f(0, 0)),
                basis2(had, f(1, 0), f(0, 0)))
@@ -178,7 +206,7 @@ def test_proof_line_expansion_of_first_two_factors():
     w13 = leg_embed(ce.W, (1, 3), 3, u)
     got = multiply(had.sc, w12, w13)
     m = H.dim
-    f = had.flat
+    f = _pair_index(had)
     entries = {}
     for i in range(m):
         for j in range(m):
@@ -233,7 +261,7 @@ def test_What_coefficient_two_points():
     # at a = b = 1 the ratio collapses to -1
     w = cyclic_cocycle(2, 1)
     H, D, had, hap, ce = make_all(w)
-    f = hap.flat
+    f = _pair_index(hap)
     assert ce.What.entries[(f(1, 0), f(1, 1))] == CycScalar.from_rational(2, -1)
 
 
@@ -241,7 +269,7 @@ def test_Wtilde_closed_form_three_points():
     w = cyclic_cocycle(3, 1)
     H, D, had, hap, ce = make_all(w)
     g = w.group
-    f = had.flat
+    f = _pair_index(had)
     for a in range(3):
         for b in range(3):
             want = root_of_unity(3, -w.exponent(g.mul(g.inv(b), a), g.inv(a), b))

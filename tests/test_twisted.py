@@ -3,8 +3,9 @@
 import pytest
 
 from qhd.algebra import leg_embed, multiply
+from qhd.cli import main, resolve_builtin
 from qhd.heisenberg import build_H1, build_H1_dual, canonical_elements, probe_invertibility
-from qhd.quasihopf import derive_elements
+from qhd.quasihopf import check_quasi_bialgebra, derive_elements
 from qhd.scalar import CycScalar, root_of_unity
 from qhd.twisted import (
     FiniteGroup,
@@ -94,6 +95,11 @@ def test_cyclic_cocycles_valid_up_to_8():
     for n in range(1, 9):
         for k in range(n):
             assert check_cocycle(cyclic_cocycle(n, k)).ok, (n, k)
+    # builtin ids are not checked when built, so levels outside 0..n-1 and
+    # the other builtin forms are pinned here
+    for example in ("zn:9:-1", "zn:12:20", "zn:5:-7", "zn:1:3", "trivial:6",
+                    "v4:0", "v4:1", "v4:2", "v4:3"):
+        assert check_cocycle(resolve_builtin(example)).ok, example
 
 
 def test_cocycle_identity_exponent_arithmetic_z3():
@@ -149,12 +155,28 @@ def test_build_k_omega_structure():
     assert H0.associator == H0.mult.unit_tensor(3)
 
 
-def test_build_rejects_invalid_cocycle():
-    from qhd.twisted import CocycleError
+def _table_file(path, w):
+    """w written as a `cocycle table` input file."""
+    n = w.group.order
+    lines = [f"group cyclic {n}", f"cocycle table {w.root_order}"]
+    lines += [f"{a} {b} {c} -> {w.exponent(a, b, c)}"
+              for a in range(n) for b in range(n) for c in range(n)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
-    bad = cyclic_cocycle(3, 1).with_exponent(1, 1, 1, 2)
-    with pytest.raises(CocycleError):
-        build_k_omega_G(bad)
+
+def test_invalid_cocycle_builds_and_fails_its_axioms(tmp_path, capsys):
+    # building never checks the cocycle: the axiom checks report a broken
+    # identity, and a file holding the table is refused at parse time
+    w = cyclic_cocycle(3, 1)
+    cases = ((w.with_exponent(1, 1, 1, 2), ["2.3"], "cocycle identity fails at (1, 1, 1, 1)"),
+             (w.with_exponent(0, 1, 1, 1), ["2.3", "2.4'"], "normalization fails at (0, 1, 1)"))
+    for i, (bad, labels, needle) in enumerate(cases):
+        rec = check_quasi_bialgebra(build_k_omega_G(bad))
+        assert [it.label for it in rec.items if it.status == "fail"] == labels
+        assert main(["--input", _table_file(tmp_path / f"bad{i}.qhd", bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err, err
 
 
 def test_closed_form_elements_collapse_untwisted():
