@@ -278,22 +278,17 @@ class Inconsistency:
     rhs: CycScalar
 
 
-def solve_linear(rows: list, rhs: list, ncols: int, order: int):
-    """Exact sparse Gauss-Jordan elimination on rows of {col: coeff}.
+def _row_reduce(rows: list, rhs: list, ncols: int, order: int):
+    """The Gauss-Jordan elimination behind solve_linear, on copies.
 
-    Returns a solution {col: coeff} (free columns set to zero) or an
-    Inconsistency certificate.  Columns are eliminated in increasing order;
-    a column's pivot is the lowest-numbered row not yet used as a pivot that
-    holds the column, i.e. the first nonzero entry of a row-major scan, which
-    keeps reports deterministic.
-
-    A column -> rows index, updated as entries appear and cancel during
-    elimination, finds each pivot and the rows to eliminate, so the work
-    follows the nonzeros touched rather than rows x columns.  Each distinct
-    pivot value is inverted once.  The caller's row dicts are not modified.
+    Returns (rows, rhs, pivots): the reduced rows and right sides, in the
+    positions of the input, and col -> position of that column's pivot row.
+    The pivot rows in column order are the reduced row echelon form of the
+    system, each with its right side.
     """
     rows = [dict(r) for r in rows]
     rhs = list(rhs)
+    one = CycScalar.one(order)
     holders: dict[int, set] = {}  # col -> positions of the rows holding it
     for r, row in enumerate(rows):
         for c in row:
@@ -314,12 +309,20 @@ def solve_linear(rows: list, rhs: list, ncols: int, order: int):
         inv = inverses.get(pval)
         if inv is None:
             inv = inverses[pval] = pval.inverse()
-        prow = rows[piv] = {c: v * inv for c, v in rows[piv].items()}
-        prhs = rhs[piv] = rhs[piv] * inv
-        for r in [r for r in held if r != piv]:  # `held` shrinks as col cancels
+        # the pivot entry is pval * inv, which is one by construction
+        prow = rows[piv] = {c: one if c == col else v * inv for c, v in rows[piv].items()}
+        rest = [(c, v) for c, v in prow.items() if c != col]
+        prhs = rhs[piv]
+        if prhs.is_zero():  # then rhs[r] - f * prhs is rhs[r]
+            prhs = None
+        else:
+            prhs = rhs[piv] = prhs * inv
+        for r in held:  # no later column reads holders[col] again
+            if r == piv:
+                continue
             row = rows[r]
-            f = row[col]
-            for c, v in prow.items():
+            f = row.pop(col)  # f - f * 1 is zero
+            for c, v in rest:
                 prev = row.get(c)
                 nv = -f * v if prev is None else prev - f * v
                 if nv.is_zero():
@@ -330,15 +333,40 @@ def solve_linear(rows: list, rhs: list, ncols: int, order: int):
                     if prev is None:
                         holders[c].add(r)
                     row[c] = nv
-            rhs[r] = rhs[r] - f * prhs
-    for r in range(len(rows)):
-        if r not in used and not rows[r] and not rhs[r].is_zero():
+            if prhs is not None:
+                rhs[r] = rhs[r] - f * prhs
+    return rows, rhs, pivots
+
+
+def _read_solution(rows: list, rhs: list, pivots: dict):
+    """The solution of a reduced system (free columns set to zero), or the
+    Inconsistency of its first emptied row with a nonzero right side.  A
+    pivot row always keeps its pivot entry, so it is never empty."""
+    for r, row in enumerate(rows):
+        if not row and not rhs[r].is_zero():
             return Inconsistency(row_index=r, rhs=rhs[r])
-    sol: dict = {}
-    for col, r in pivots.items():
-        if not rhs[r].is_zero():
-            sol[col] = rhs[r]
-    return sol
+    return {col: rhs[r] for col, r in pivots.items() if not rhs[r].is_zero()}
+
+
+def solve_linear(rows: list, rhs: list, ncols: int, order: int):
+    """Exact sparse Gauss-Jordan elimination on rows of {col: coeff}.
+
+    Returns a solution {col: coeff} (free columns set to zero) or an
+    Inconsistency certificate.  Columns are eliminated in increasing order;
+    a column's pivot is the lowest-numbered row not yet used as a pivot that
+    holds the column, i.e. the first nonzero entry of a row-major scan, which
+    keeps reports deterministic.
+
+    A column -> rows index, updated as entries appear and cancel during
+    elimination, finds each pivot and the rows to eliminate, so the work
+    follows the nonzeros touched rather than rows x columns.  Each distinct
+    pivot value is inverted once.  No product whose result is known is
+    computed: the normalised pivot entry is stored as the exact one of
+    Q(zeta_order), the pivot column is dropped from each eliminated row, and
+    a zero pivot right side is neither scaled nor subtracted from the other
+    rows.  The caller's row dicts are not modified.
+    """
+    return _read_solution(*_row_reduce(rows, rhs, ncols, order))
 
 
 # -- tensor operations --------------------------------------------------------

@@ -141,7 +141,9 @@ def parse_input(path: str):
     Two stanzas: `group` (cyclic n | product <spec> <spec> | table n followed
     by n Cayley rows) and `cocycle` (trivial | cyclic k | table N followed by
     `a b c -> e` lines).  Tables are validated; violations report the line or
-    the offending triple/quadruple.
+    the offending triple/quadruple.  Only a `cocycle table` is checked as a
+    cocycle: `trivial` and `cyclic k` build theirs by construction, as the
+    builtin ids do.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -268,20 +270,20 @@ def parse_input(path: str):
                 fail(el, f"({a}, {b}, {c}) repeats the entry of line {first}")
             table[a][b][c] = e % root
         w = Cocycle3(group, root, tuple(tuple(tuple(r) for r in p) for p in table))
+        # the only stanza whose table is not a cocycle by construction
+        rep = check_cocycle(w)
+        if not rep.ok:
+            msgs = []
+            for t in rep.normalization_violations:
+                msgs.append(f"normalization fails at {t}")
+            for q, lhs, rhs in rep.cocycle_violations:
+                msgs.append(f"cocycle identity fails at {q}: exponents {lhs} != {rhs}")
+            raise InputError(f"{path}: invalid cocycle table: " + "; ".join(msgs[:10]))
     else:
         fail(lineno, f"unknown cocycle form {text!r} (use trivial, cyclic, table)")
 
     if pos < len(lines):
         fail(lines[pos][0], f"trailing content: {lines[pos][1]!r}")
-
-    rep = check_cocycle(w)
-    if not rep.ok:
-        msgs = []
-        for t in rep.normalization_violations:
-            msgs.append(f"normalization fails at {t}")
-        for q, lhs, rhs in rep.cocycle_violations:
-            msgs.append(f"cocycle identity fails at {q}: exponents {lhs} != {rhs}")
-        raise InputError(f"{path}: invalid cocycle table: " + "; ".join(msgs[:10]))
     return group, w
 
 

@@ -20,6 +20,8 @@ from .algebra import (
     Inconsistency,
     SparseTensor,
     StructureConstants,
+    _read_solution,
+    _row_reduce,
     apply_leg,
     convolution,
     harpoon,
@@ -386,6 +388,13 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     A two-sided verdict requires one element solving both systems at once
     (the stacked system); with unique one-sided solutions this is exactly
     the Y = Z test.  Any returned inverse is re-verified by multiplication.
+
+    The stacked system starts from the left system's reduced pivot rows
+    with their right sides, not from rows_l.  The left system is consistent
+    by then, so its emptied rows have zero right sides and the pivot rows
+    span the same augmented row space as rows_l; stacked with rows_r they
+    have the same row space, hence the same reduced row echelon form, as
+    rows_l + rows_r: the same solution and the same consistency.
     """
     dim = ha.dim
     ncols = dim * dim
@@ -401,14 +410,17 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
         return SparseTensor(dim, 2, order,
                             {(c // dim, c % dim): v for c, v in sol.items()})
 
-    y = solve_linear(rows_l, rhs, ncols, order)
+    reduced_l, rhs_l, pivots_l = _row_reduce(rows_l, rhs, ncols, order)
+    y = _read_solution(reduced_l, rhs_l, pivots_l)
     z = solve_linear(rows_r, rhs, ncols, order)
     y_ok = not isinstance(y, Inconsistency)
     z_ok = not isinstance(z, Inconsistency)
     right_inv = unflatten(y) if y_ok else None
     left_inv = unflatten(z) if z_ok else None
     if y_ok and z_ok:
-        v = solve_linear(rows_l + rows_r, rhs + rhs, ncols, order)
+        basis = pivots_l.values()
+        v = solve_linear([reduced_l[r] for r in basis] + rows_r,
+                         [rhs_l[r] for r in basis] + rhs, ncols, order)
         if not isinstance(v, Inconsistency):
             vt = unflatten(v)
             if multiply(ha.sc, x, vt) == unit2 and multiply(ha.sc, vt, x) == unit2:

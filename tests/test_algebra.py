@@ -15,6 +15,7 @@ from qhd.algebra import (
     SparseTensor,
     StructureConstants,
     _chain_pairs,
+    _row_reduce,
     apply_leg,
     convolution,
     counit_leg,
@@ -781,6 +782,43 @@ def random_systems(rng, order):
     yield "stacked", square + other, b + b, ncols
 
 
+def fraction_pivot(rng, order):
+    """2 + zeta^k: its inverse has Fraction coefficients at order 7."""
+    return CycScalar.from_rational(order, 2) + root_of_unity(order, rng.randrange(order))
+
+
+def sparse_rhs(rng, order, nrows):
+    """Mostly zero right sides, as the probe's unit tensor gives."""
+    return [random_scalar(rng, order) if rng.random() < 0.15 else CycScalar.zero(order)
+            for _ in range(nrows)]
+
+
+def probe_shaped_systems(rng, order):
+    """(label, rows, rhs, ncols) shaped like the probe's: one entry per row
+    on permuted columns, Fraction-inverse pivots, mostly zero right sides,
+    and a nonzero pivot right side that other rows must receive."""
+    ncols = rng.randint(2, 8)
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    mono = [{perm[i]: random_scalar(rng, order)} for i in range(ncols)]
+    extra = [{rng.randrange(ncols): random_scalar(rng, order)} for _ in range(rng.randint(1, 3))]
+    yield "monomial", mono, sparse_rhs(rng, order, ncols), ncols
+    yield "monomial-repeats", mono + extra, sparse_rhs(rng, order, ncols + len(extra)), ncols
+    x = {c: random_scalar(rng, order) for c in range(ncols) if rng.random() < 0.5}
+    frac = [{perm[i]: fraction_pivot(rng, order)} for i in range(ncols)]
+    frac += [{c: fraction_pivot(rng, order) for c in rng.sample(range(ncols), 2)}
+             for _ in range(2)]
+    yield "fraction-pivots", frac, rows_times(frac, x, order), ncols
+    yield "sparse-rhs", frac, sparse_rhs(rng, order, len(frac)), ncols
+    # row 0 is the only nonzero right side; solving needs it in row 1
+    c0, c1 = perm[0], perm[1]
+    reach = [{c0: fraction_pivot(rng, order)},
+             {c0: random_scalar(rng, order), c1: fraction_pivot(rng, order)}]
+    reach += [{perm[i]: random_scalar(rng, order)} for i in range(2, ncols)]
+    zero = CycScalar.zero(order)
+    yield "pivot-rhs-reaches", reach, [random_scalar(rng, order)] + [zero] * (ncols - 1), ncols
+
+
 def test_solve_linear_matches_row_scan_reference():
     rng = random.Random(3)
     seen = set()
@@ -796,6 +834,24 @@ def test_solve_linear_matches_row_scan_reference():
     assert ("inconsistent", True) in seen and ("stacked", True) in seen
     assert ("stacked", False) in seen and ("random-rhs", True) in seen
     assert ("underdetermined", False) in seen and ("duplicated", False) in seen
+
+    shaped_rng = random.Random(4107)
+    for order in (1, 3, 7):
+        for _ in range(12):
+            for label, rows, rhs, ncols in probe_shaped_systems(shaped_rng, order):
+                before = [dict(r) for r in rows], list(rhs)
+                want = _solve_linear_reference(rows, rhs, ncols, order)
+                got = solve_linear(rows, rhs, ncols, order)
+                assert got == want, (order, label)
+                assert ([dict(r) for r in rows], list(rhs)) == before, (order, label)
+                seen.add((label, isinstance(got, Inconsistency)))
+                if label == "pivot-rhs-reaches":  # row 1's own column gets row 0's rhs
+                    (c1,) = rows[1].keys() - rows[0].keys()
+                    assert c1 in got, order
+    assert ("monomial-repeats", True) in seen and ("monomial-repeats", False) in seen
+    assert ("fraction-pivots", False) in seen and ("sparse-rhs", True) in seen
+    assert any(isinstance(c, Fraction) and c.denominator > 1
+               for c in fraction_pivot(random.Random(0), 7).inverse().coeffs)
 
 
 # -- the dense Gauss-Jordan that invert_map replaced, copied verbatim as the
@@ -996,3 +1052,61 @@ def test_chain_pairs_matches_vec_mult_fold():
                 v = {it: one} if isinstance(it, int) else it
                 want = v if want is None else sc.vec_mult(want, v)
             assert dict(_chain_pairs(sc.table, chain, one)) == want, chain
+
+
+# -- the probe's stacked solve from the left system's reduced rows ---------------
+
+
+def stacked_from_reduced(rows_l, rhs_l, rows_r, rhs_r, ncols, order):
+    """As probe_invertibility stacks: L's reduced pivot rows with their right
+    sides, then R's rows."""
+    reduced, rhs_red, pivots = _row_reduce(rows_l, rhs_l, ncols, order)
+    basis = pivots.values()
+    return solve_linear([reduced[r] for r in basis] + rows_r,
+                        [rhs_red[r] for r in basis] + rhs_r, ncols, order)
+
+
+def kernel_vector(rows, ncols, order):
+    """A nonzero v with rows * v = 0 read off the reduced rows, or None."""
+    zero = CycScalar.zero(order)
+    reduced, _, pivots = _row_reduce(rows, [zero] * len(rows), ncols, order)
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return None
+    f = free[0]
+    v = {f: CycScalar.one(order)}
+    for col, r in pivots.items():
+        if f in reduced[r]:
+            v[col] = -reduced[r][f]
+    return v
+
+
+def test_stacked_solve_from_reduced_rows_matches_from_scratch():
+    """Same row space, so the same RREF: L's reduced rows plus R solve as
+    rows_l + rows_r does, for every consistent L (the probe stacks only then)."""
+    rng = random.Random(29)
+    seen = set()
+    for order in (1, 3, 7):
+        for _ in range(15):
+            ncols = rng.randint(2, 7)
+            x = {c: random_scalar(rng, order) for c in range(ncols) if rng.random() < 0.7}
+            rows_l = random_rows(rng, order, rng.randint(1, ncols), ncols, 0.5)
+            rows_l.append(rows_l[0])  # a repeated row: L is never of full row rank
+            rhs_l = rows_times(rows_l, x, order)
+            assert not isinstance(solve_linear(rows_l, rhs_l, ncols, order), Inconsistency)
+            kernel = kernel_vector(rows_l, ncols, order)
+            if kernel is not None:
+                assert all(v.is_zero() for v in rows_times(rows_l, kernel, order))
+            rows_r = random_rows(rng, order, rng.randint(1, ncols + 1), ncols, 0.5)
+            shifted = dict(x)
+            for c, v in (kernel or {}).items():  # L x = L shifted, R tells them apart
+                shifted[c] = shifted[c] + v if c in shifted else v
+            for rhs_r in (rows_times(rows_r, x, order), rows_times(rows_r, shifted, order),
+                          [random_scalar(rng, order) for _ in rows_r]):
+                want = solve_linear(rows_l + rows_r, rhs_l + rhs_r, ncols, order)
+                got = stacked_from_reduced(rows_l, rhs_l, rows_r, rhs_r, ncols, order)
+                assert isinstance(got, Inconsistency) == isinstance(want, Inconsistency)
+                if not isinstance(want, Inconsistency):
+                    assert got == want, (order, ncols)
+                seen.add((kernel is not None, isinstance(want, Inconsistency)))
+    assert (True, False) in seen and (True, True) in seen

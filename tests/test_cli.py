@@ -398,6 +398,27 @@ def test_cocycle_checked_once_per_file_run(monkeypatch):
     assert len(calls) == 1
 
 
+def test_constructed_cocycle_stanzas_are_not_checked(tmp_path, monkeypatch):
+    import qhd.cli as cli
+    import qhd.twisted as twisted
+
+    calls = []
+    real = twisted.check_cocycle
+
+    def counted(w, *args):
+        calls.append(w)
+        return real(w, *args)
+
+    monkeypatch.setattr(cli, "check_cocycle", counted)
+    monkeypatch.setattr(twisted, "check_cocycle", counted)
+    for name, text in (("cyclic", "group cyclic 4\ncocycle cyclic 1\n"),
+                       ("trivial", "group product cyclic 2 cyclic 2\ncocycle trivial\n")):
+        p = tmp_path / f"{name}.qhd"
+        p.write_text(text)
+        assert run_spec(f"file:{p}", ("axioms",)).exit_code == 0, name
+    assert calls == []
+
+
 def test_product_group_order_limit(tmp_path, capsys):
     p = tmp_path / "prod.qhd"
     p.write_text("group product cyclic 6 cyclic 6\ncocycle trivial\n")

@@ -4,20 +4,25 @@ and the invertibility probe."""
 import os
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from qhd.algebra import (
     Coproduct,
+    Inconsistency,
     LinearMap,
     SparseTensor,
     StructureConstants,
+    _row_reduce,
     convolution,
     harpoon,
     leg_embed,
     multiplication_rows,
     multiply,
+    solve_linear,
 )
 from qhd.cli import _products_equal, parse_input
 from qhd.heisenberg import (
+    InvertibilityResult,
     build_H1,
     build_H1_dual,
     canonical_elements,
@@ -37,6 +42,9 @@ from qhd.twisted import (
     cyclic_cocycle,
     trivial_cocycle,
 )
+
+
+S3_SIGN = os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd")
 
 
 def failing(rec):
@@ -316,9 +324,100 @@ def test_probe_zero_element_has_no_inverses():
     assert res.status == "none"
 
 
-# -- probe rows against the per-basis products they replaced --------------------
+# -- the probe against the one that solved the stacked system from scratch ------
 
-S3_SIGN = os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd")
+
+def _probe_reference(ha, x):
+    """Exact solve of x*Y = unit and Z*x = unit over the pair-tensor space.
+
+    A two-sided verdict requires one element solving both systems at once
+    (the stacked system); with unique one-sided solutions this is exactly
+    the Y = Z test.  Any returned inverse is re-verified by multiplication.
+    """
+    dim = ha.dim
+    ncols = dim * dim
+    order = ha.order
+    zero = CycScalar.zero(order)
+    unit2 = ha.sc.unit_tensor(2)
+
+    rows_l = multiplication_rows(ha.sc, x, "right")
+    rows_r = multiplication_rows(ha.sc, x, "left")
+    rhs = [unit2.entries.get((r // dim, r % dim), zero) for r in range(ncols)]
+
+    def unflatten(sol: dict) -> SparseTensor:
+        return SparseTensor(dim, 2, order,
+                            {(c // dim, c % dim): v for c, v in sol.items()})
+
+    y = solve_linear(rows_l, rhs, ncols, order)
+    z = solve_linear(rows_r, rhs, ncols, order)
+    y_ok = not isinstance(y, Inconsistency)
+    z_ok = not isinstance(z, Inconsistency)
+    right_inv = unflatten(y) if y_ok else None
+    left_inv = unflatten(z) if z_ok else None
+    if y_ok and z_ok:
+        v = solve_linear(rows_l + rows_r, rhs + rhs, ncols, order)
+        if not isinstance(v, Inconsistency):
+            vt = unflatten(v)
+            if multiply(ha.sc, x, vt) == unit2 and multiply(ha.sc, vt, x) == unit2:
+                return InvertibilityResult("two_sided", vt, right_inv, left_inv,
+                                           "two-sided inverse found and verified")
+            return InvertibilityResult(
+                "one_sided_both", None, right_inv, left_inv,
+                "stacked solution failed verification (inconsistent system)")
+        return InvertibilityResult(
+            "one_sided_both", None, right_inv, left_inv,
+            "right and left inverses exist separately but no element solves "
+            "both systems; no two-sided inverse")
+    if y_ok:
+        return InvertibilityResult("right_only", None, right_inv, None,
+                                   f"left system inconsistent at row {z.row_index}")
+    if z_ok:
+        return InvertibilityResult("left_only", None, None, left_inv,
+                                   f"right system inconsistent at row {y.row_index}")
+    return InvertibilityResult(
+        "none", None, None, None,
+        f"both systems inconsistent (rows {y.row_index}, {z.row_index})")
+
+
+def _a_b_algebra():
+    """Basis 1, a, b with a b = b a = 1 and a a = b b = 0: unital and not
+    associative ((a a) b = 0, a (a b) = a).  Unlike on the doubles, a
+    right-invertible x can have a left system with a kernel here."""
+    one = CycScalar.one(1)
+    table = {(0, j): ((j, one),) for j in range(3)}
+    table.update({(i, 0): ((i, one),) for i in range(1, 3)})
+    table[(1, 2)] = table[(2, 1)] = ((0, one),)
+    return SimpleNamespace(dim=3, order=1, sc=StructureConstants(3, 1, table, {0: one}))
+
+
+def test_probe_matches_stacked_from_scratch_reference():
+    s3 = parse_input(S3_SIGN)[1]
+    statuses = set()
+    cases = []
+    for w in (cyclic_cocycle(2, 1), cyclic_cocycle(3, 1), trivial_cocycle(FiniteGroup.cyclic(3)),
+              s3):
+        _, _, had, hap, ce = make_all(w)
+        for ha, x in ((had, ce.W), (hap, ce.Wbar)):
+            cases += [(ha, x), (ha, ha.sc.unit_tensor(2)),
+                      (ha, SparseTensor(ha.dim, 2, ha.order, {}))]
+    # x = -(b (x) 1) - a (x) a: consistent left system whose reduced rows are
+    # not unit vectors
+    ab = _a_b_algebra()
+    minus = CycScalar.from_rational(1, -1)
+    x = SparseTensor(3, 2, 1, {(2, 0): minus, (1, 1): minus})
+    zero = [CycScalar.zero(1)] * 9
+    reduced, _, pivots = _row_reduce(multiplication_rows(ab.sc, x, "right"), zero, 9, 1)
+    assert len(pivots) < 9 and any(len(reduced[r]) > 1 for r in pivots.values())
+    cases.append((ab, x))
+    for ha, x in cases:
+        got = probe_invertibility(ha, x)
+        assert got == _probe_reference(ha, x), (ha.dim, got.status)
+        statuses.add(got.status)
+    assert probe_invertibility(ab, x).status == "two_sided"
+    assert {"two_sided", "one_sided_both", "none"} <= statuses
+
+
+# -- probe rows against the per-basis products they replaced --------------------
 
 
 def _rows_by_basis_products(sc, x, side):
