@@ -5,13 +5,18 @@ Tensors of degree d are sparse dicts keyed by d-tuples of indices.  All
 products are exact; zero coefficients are pruned on construction so that
 dict equality is honest tensor equality.
 
+merge_pair is the one join of the tensor kernels: multiply is merge_pair
+with leg i of x times leg i of y, and a single tensor is contracted by
+merge_pair against the degree-0 unit.
+
 Table, coproduct and map coefficients equal to one are stored as the
 interned CycScalar.one(order), and the tensor kernels skip the product with
 such a coefficient on an `is` test.  Since that skips the order test of
-CycScalar.__mul__ too, multiply, merge_pair, multiplication_rows, split_leg
-and apply_leg check the order of their tensors against the table's or map's
-on entry.  counit_leg has no such order to check: it skips only the one of
-its tensor's own order, so a counit of another order still fails in __mul__.
+CycScalar.__mul__ too, merge_pair (so multiply), multiplication_rows,
+split_leg and apply_leg check on entry that their tensors have the
+dimension and the order of the table or map.  counit_leg has no such order
+to check: it skips only the one of its tensor's own order, so a counit of
+another order still fails in __mul__.
 """
 
 from __future__ import annotations
@@ -33,11 +38,14 @@ def _prune(entries: dict) -> dict:
     return {k: c for k, c in entries.items() if not c.is_zero()}
 
 
-def _check_order(order: int, *tensors: SparseTensor):
-    """Entry guard of the kernels that skip products with the interned one."""
+def _check_space(dim: int, order: int, *tensors: SparseTensor):
+    """Entry guard of the kernels: a tensor of another dimension would give a
+    result of the wrong dimension, one of another order would slip past the
+    order test of the products skipped with the interned one."""
     for t in tensors:
-        if t.order != order:
-            raise AlgebraError(f"tensor of order {t.order} used with order {order}")
+        if t.dim != dim or t.order != order:
+            raise AlgebraError(f"tensor of dimension {t.dim} and order {t.order} used "
+                               f"with dimension {dim} and order {order}")
 
 
 class SparseTensor:
@@ -373,49 +381,12 @@ def solve_linear(rows: list, rhs: list, ncols: int, order: int):
 
 
 def multiply(sc: StructureConstants, x: SparseTensor, y: SparseTensor) -> SparseTensor:
-    """Componentwise product in the degree-d tensor power of the algebra.
-
-    y is indexed by the right blocks of its legs, and each entry kx of x
-    looks up the y entries whose key equals the left blocks of kx's legs:
-    an entry pair whose blocks differ on some leg has a zero product there
-    (see StructureConstants).  Each candidate still fetches its table entry
-    per leg, so a table whose blocks are not complete stays exact.
-    """
+    """Componentwise product in the degree-d tensor power of the algebra:
+    merge_pair with leg i of x times leg i of y in output leg i."""
     x._compat(y)
     if x.dim != sc.dim:
         raise AlgebraError("tensor dimension does not match the algebra")
-    _check_order(sc.order, x, y)
-    table = sc.table
-    one = CycScalar.one(sc.order)
-    left = sc.left_block.__getitem__
-    right = sc.right_block.__getitem__
-    index: dict[tuple, list] = {}
-    for ky, cy in y.entries.items():
-        index.setdefault(tuple(map(right, ky)), []).append((ky, cy))
-    out: dict = {}
-    for kx, cx in x.entries.items():
-        for ky, cy in index.get(tuple(map(left, kx)), ()):
-            exps = list(map(table.get, zip(kx, ky)))
-            if None in exps:
-                continue
-            partial = [((), cx * cy)]
-            for ent in exps:
-                if len(ent) == 1:
-                    k0, c0 = ent[0]
-                    if c0 is one:
-                        partial = [(key + (k0,), c) for key, c in partial]
-                    else:
-                        partial = [(key + (k0,), c * c0) for key, c in partial]
-                else:
-                    partial = [
-                        (key + (k0,), c if c0 is one else c * c0)
-                        for key, c in partial
-                        for k0, c0 in ent
-                    ]
-            for key, c in partial:
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-    return SparseTensor(x.dim, x.degree, x.order, out)
+    return merge_pair(sc, x, y, tuple((("a", i), ("b", i)) for i in range(x.degree)))
 
 
 def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> list:
@@ -427,9 +398,9 @@ def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> l
     One pass over x's entries and their partners in the structure
     constants; equal to the components of one `multiply` per basis tensor.
     """
-    if x.degree != 2 or x.dim != sc.dim:
-        raise AlgebraError("multiplication rows need a degree-2 tensor over the algebra")
-    _check_order(sc.order, x)
+    if x.degree != 2:
+        raise AlgebraError("multiplication rows need a degree-2 tensor")
+    _check_space(sc.dim, sc.order, x)
     dim = sc.dim
     table = sc.table
     one = CycScalar.one(sc.order)
@@ -500,11 +471,12 @@ def leg_embed(t: SparseTensor, legs, d: int, unit: dict) -> SparseTensor:
     return SparseTensor(t.dim, d, t.order, out)
 
 
-def _map_leg(images, order: int, t: SparseTensor, leg: int, grow: int) -> SparseTensor:
+def _map_leg(images, dim: int, order: int, t: SparseTensor, leg: int,
+             grow: int) -> SparseTensor:
     """Replace the index on one leg (1-based) by each key tuple of its image,
-    {index: ((key tuple, coeff), ...)} over Q(zeta_order); the tuples have
-    grow + 1 entries."""
-    _check_order(order, t)
+    {index: ((key tuple, coeff), ...)} over Q(zeta_order) on a space of
+    dimension dim; the tuples have grow + 1 entries."""
+    _check_space(dim, order, t)
     one = CycScalar.one(order)
     pos = leg - 1
     out: dict = {}
@@ -519,15 +491,15 @@ def _map_leg(images, order: int, t: SparseTensor, leg: int, grow: int) -> Sparse
 
 def split_leg(cop: Coproduct, t: SparseTensor, leg: int) -> SparseTensor:
     """Apply the coproduct to one leg (1-based), raising the degree by one."""
-    return _map_leg(cop.table, cop.order, t, leg, 1)
+    return _map_leg(cop.table, cop.dim, cop.order, t, leg, 1)
 
 
 def apply_leg(m: LinearMap, t: SparseTensor, leg: int) -> SparseTensor:
-    return _map_leg(m.images, m.order, t, leg, 0)
+    return _map_leg(m.images, m.dim, m.order, t, leg, 0)
 
 
 def counit_leg(eps: dict, t: SparseTensor, leg: int) -> SparseTensor:
-    return _map_leg({i: (((), e),) for i, e in eps.items()}, t.order, t, leg, -1)
+    return _map_leg({i: (((), e),) for i, e in eps.items()}, t.dim, t.order, t, leg, -1)
 
 
 def slice_leg(t: SparseTensor, leg: int) -> dict:
@@ -631,66 +603,90 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
     multiplied left to right inside the algebra; the output tensor has one
     leg per group.  Every input leg must appear exactly once overall.
 
-    Adjacent a/b factor pairs inside a group force nonzero basis products.
-    b is indexed by the blocks (see StructureConstants) of its constrained
-    legs, right blocks where a comes first and left blocks otherwise, and
-    each entry of a looks up the b entries whose key equals its own blocks
-    on the partner side; with no constraint every b entry is a candidate.
-    Each candidate pair is still tested against the table on every
-    constraint before any arithmetic happens.
-    """
-    used_a = [ref[1] for g in groups for ref in g if ref[0] == "a"]
-    used_b = [ref[1] for g in groups for ref in g if ref[0] == "b"]
-    if sorted(used_a) != list(range(a.degree)) or sorted(used_b) != list(range(b.degree)):
-        raise AlgebraError("merge_pair groups must use every input leg exactly once")
-    _check_order(sc.order, a, b)
+    The groups become a plan once per call: a group of one tensor leg passes
+    its index through, a group of two tensor legs is one table lookup, and
+    any other group (with a vector, or of three or more factors) is folded
+    by _chain_pairs.  b is indexed by the blocks (see StructureConstants) of
+    its legs in adjacent a/b factor pairs, right blocks where a comes first
+    and left blocks otherwise, and the candidates of an entry of a are the b
+    entries whose key equals its own blocks on the partner side (all of b
+    if there is no such pair).  A candidate makes its lookups, and tests
+    each a/b pair inside a folded group against the table, before any
+    arithmetic: ca * cb and the expansion come once every group is nonzero.
 
-    constraints = []  # (a_leg, b_leg, a_comes_first)
+    For a two-factor group this filter is exact on any table, since
+    e_i * e_j != 0 puts i and j in one block, so multiply stays exact on the
+    nonassociative doubles.  For a pair inside a longer chain it relies on
+    associativity: (v * a) * b is skipped when a * b = 0.  Every caller with
+    such chains passes H.mult, whose associativity the `assoc` axiom checks.
+    """
+    used_a = sorted(i for g in groups for kind, i in g if kind == "a")
+    used_b = sorted(i for g in groups for kind, i in g if kind == "b")
+    if used_a != list(range(a.degree)) or used_b != list(range(b.degree)):
+        raise AlgebraError("merge_pair groups must use every input leg exactly once")
+    _check_space(sc.dim, sc.order, a, b)
+
+    def at(kind, i):  # position of a tensor leg in the joined key ka + kb
+        return i if kind == "a" else a.degree + i
+
+    joins = []  # (a leg, b leg, a comes first) of each adjacent a/b pair
+    cells = []  # (position, position) of each two-leg group
+    chains = []  # factors of each folded group: positions, and vectors
+    tests = []  # (position, position) of each a/b pair inside a folded group
+    steps = []  # per group: ("pass", position), ("cell", n) or ("chain", n)
     for g in groups:
-        for (k1, i1), (k2, i2) in zip(g, g[1:]):
-            if k1 == "a" and k2 == "b":
-                constraints.append((i1, i2, True))
-            elif k1 == "b" and k2 == "a":
-                constraints.append((i2, i1, False))
+        pairs = [(r1, r2) for r1, r2 in zip(g, g[1:]) if {r1[0], r2[0]} == {"a", "b"}]
+        joins += [(r1[1], r2[1], True) if r1[0] == "a" else (r2[1], r1[1], False)
+                  for r1, r2 in pairs]
+        if len(g) == 1 and g[0][0] != "v":
+            steps.append(("pass", at(*g[0])))
+        elif len(g) == 2 and "v" not in (g[0][0], g[1][0]):
+            steps.append(("cell", len(cells)))
+            cells.append((at(*g[0]), at(*g[1])))
+        else:
+            steps.append(("chain", len(chains)))
+            chains.append([vecs[i] if kind == "v" else at(kind, i) for kind, i in g])
+            tests += [(at(*r1), at(*r2)) for r1, r2 in pairs]
+    # a candidate's `ents` are its cells' table entries, then its folded groups
+    slots = [(kind != "pass", len(cells) + n if kind == "chain" else n) for kind, n in steps]
 
     lb, rb = sc.left_block, sc.right_block
-    a_blocks = [(a_leg, lb if a_first else rb) for a_leg, _, a_first in constraints]
-    b_blocks = [(b_leg, rb if a_first else lb) for _, b_leg, a_first in constraints]
+    a_blocks = [(a_leg, lb if a_first else rb) for a_leg, _, a_first in joins]
+    b_blocks = [(b_leg, rb if a_first else lb) for _, b_leg, a_first in joins]
     index: dict[tuple, list] = {}
     for kb, cb in b.entries.items():
-        index.setdefault(tuple(blk[kb[leg]] for leg, blk in b_blocks), []).append((kb, cb))
+        index.setdefault(tuple([blk[kb[leg]] for leg, blk in b_blocks]), []).append((kb, cb))
 
     table = sc.table
     one = CycScalar.one(sc.order)
     out: dict = {}
     for ka, ca in a.entries.items():
-        for kb, cb in index.get(tuple(blk[ka[leg]] for leg, blk in a_blocks), ()):
-            ok = True
-            for a_leg, b_leg, a_first in constraints:
-                pair = (ka[a_leg], kb[b_leg]) if a_first else (kb[b_leg], ka[a_leg])
-                if pair not in table:
-                    ok = False
-                    break
-            if not ok:
+        for kb, cb in index.get(tuple([blk[ka[leg]] for leg, blk in a_blocks]), ()):
+            k = ka + kb
+            ents = [table.get((k[p], k[q])) for p, q in cells]
+            if None in ents:
                 continue
-            legs = []
-            for g in groups:
-                chain = [
-                    ka[idx] if kind == "a" else (kb[idx] if kind == "b" else vecs[idx])
-                    for kind, idx in g
-                ]
-                v = _chain_pairs(table, chain, one)
+            if tests and not all((k[p], k[q]) in table for p, q in tests):
+                continue
+            for items in chains:
+                v = _chain_pairs(table, [k[x] if type(x) is int else x for x in items], one)
                 if not v:
-                    legs = None
                     break
-                legs.append(v)
-            if legs is None:
-                continue
-            partial = [((), ca * cb)]
-            for v in legs:
-                partial = [(key + (i,), c if ci is one else c * ci)
-                           for key, c in partial for i, ci in v]
-            for key, c in partial:
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
+                ents.append(v)
+            else:
+                partial = [((), ca * cb)]
+                for is_ent, x in slots:
+                    ent = ents[x] if is_ent else ((k[x], one),)
+                    if len(ent) == 1:
+                        i, ci = ent[0]
+                        if ci is one:
+                            partial = [(key + (i,), c) for key, c in partial]
+                        else:
+                            partial = [(key + (i,), c * ci) for key, c in partial]
+                    else:
+                        partial = [(key + (i,), c if ci is one else c * ci)
+                                   for key, c in partial for i, ci in ent]
+                for key, c in partial:
+                    prev = out.get(key)
+                    out[key] = c if prev is None else prev + c
     return SparseTensor(a.dim, len(groups), a.order, out)

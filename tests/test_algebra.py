@@ -32,6 +32,7 @@ from qhd.algebra import (
     vec_tensor,
 )
 from qhd.scalar import CycScalar, OrderMismatchError, root_of_unity
+from qhd.twisted import build_k_omega_G, cyclic_cocycle
 
 ONE = CycScalar.one(1)
 ZERO = CycScalar.zero(1)
@@ -295,7 +296,7 @@ def test_merge_pair_agrees_with_multiply():
             y = rand_tensor(rng, sc.dim, 2)
             via_merge = merge_pair(
                 sc, x, y, groups=((("a", 0), ("b", 0)), (("a", 1), ("b", 1))))
-            assert via_merge == multiply(sc, x, y)
+            assert via_merge == _multiply_reference(sc, x, y)
 
 
 def test_merge_pair_with_vectors_and_interleaving():
@@ -1030,6 +1031,33 @@ def test_kernels_refuse_tensors_of_another_order():
     # the same tensors in their own order pass
     sc4 = StructureConstants(1, 4, {(0, 0): ((0, CycScalar.one(4)),)}, {0: CycScalar.one(4)})
     assert multiply(sc4, x, y) == x
+
+
+def test_kernels_refuse_tensors_of_another_dimension():
+    # a dim-2 tensor against the dim-4 tables of zn:4:1: without the entry
+    # guard apply_leg and merge_pair return dim-2 tensors keyed by indices
+    # of the dim-4 algebra
+    H = build_k_omega_G(cyclic_cocycle(4, 1))
+    one = CycScalar.one(H.order)
+    x = SparseTensor(2, 1, H.order, {(1,): one})
+    x2 = SparseTensor(2, 2, H.order, {(1, 1): one})
+    y = SparseTensor(H.dim, 1, H.order, {(1,): one})
+    unit0 = SparseTensor(H.dim, 0, H.order, {(): one})
+    kernels = (
+        lambda: apply_leg(H.antipode, x, 1),
+        lambda: split_leg(H.coproduct, x, 1),
+        lambda: merge_pair(H.mult, x, y, ((("a", 0), ("b", 0)),)),
+        lambda: merge_pair(H.mult, y, x, ((("a", 0),), (("b", 0),))),
+        lambda: merge_pair(H.mult, x, unit0, ((("a", 0),),)),
+        lambda: multiplication_rows(H.mult, x2, "right"),
+        lambda: multiply(H.mult, x, x),
+    )
+    for kernel in kernels:
+        with pytest.raises(AlgebraError):
+            kernel()
+    # the same calls over the algebra's own dimension pass
+    assert apply_leg(H.antipode, y, 1).dim == H.dim
+    assert merge_pair(H.mult, y, unit0, ((("a", 0),),)) == y
 
 
 def test_chain_pairs_matches_vec_mult_fold():
