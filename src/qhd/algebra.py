@@ -12,9 +12,9 @@ merge_pair against the degree-0 unit.
 Table, coproduct and map coefficients equal to one are stored as the
 interned CycScalar.one(order), and the tensor kernels skip the product with
 such a coefficient on an `is` test.  Since that skips the order test of
-CycScalar.__mul__ too, merge_pair (so multiply), multiplication_rows,
-split_leg and apply_leg check on entry that their tensors have the
-dimension and the order of the table or map.  counit_leg has no such order
+CycScalar.__mul__ too, merge_pair (so multiply), multiplication_rows and
+map_legs (so split_leg and apply_leg) check on entry that their tensors have
+the dimension and the order of the table or map.  counit_leg has no such order
 to check: it skips only the one of its tensor's own order, so a counit of
 another order still fails in __mul__.
 """
@@ -22,6 +22,8 @@ another order still fails in __mul__.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 
 from .scalar import CycScalar
 
@@ -46,6 +48,17 @@ def _check_space(dim: int, order: int, *tensors: SparseTensor):
         if t.dim != dim or t.order != order:
             raise AlgebraError(f"tensor of dimension {t.dim} and order {t.order} used "
                                f"with dimension {dim} and order {order}")
+
+
+def _owned(dim: int, degree: int, order: int, out: dict) -> "SparseTensor":
+    """A kernel's result as a tensor.  No one else holds `out`, so its zero
+    entries are deleted in place: the constructor's pruned copy would hold
+    the largest dict of the call twice."""
+    for k in [k for k, c in out.items() if c.is_zero()]:
+        del out[k]
+    t = SparseTensor(dim, degree, order, {})
+    t.entries = out
+    return t
 
 
 class SparseTensor:
@@ -98,10 +111,10 @@ class SparseTensor:
         )
 
     def _compat(self, other: "SparseTensor"):
-        if self.dim != other.dim or self.degree != other.degree:
+        if (self.dim, self.degree, self.order) != (other.dim, other.degree, other.order):
             raise AlgebraError(
                 f"tensor mismatch: dim {self.dim}/{other.dim}, "
-                f"degree {self.degree}/{other.degree}"
+                f"degree {self.degree}/{other.degree}, order {self.order}/{other.order}"
             )
 
     def __repr__(self):
@@ -471,35 +484,85 @@ def leg_embed(t: SparseTensor, legs, d: int, unit: dict) -> SparseTensor:
     return SparseTensor(t.dim, d, t.order, out)
 
 
-def _map_leg(images, dim: int, order: int, t: SparseTensor, leg: int,
-             grow: int) -> SparseTensor:
-    """Replace the index on one leg (1-based) by each key tuple of its image,
-    {index: ((key tuple, coeff), ...)} over Q(zeta_order) on a space of
-    dimension dim; the tuples have grow + 1 entries."""
-    _check_space(dim, order, t)
-    one = CycScalar.one(order)
-    pos = leg - 1
+def _map_leg(t: SparseTensor, steps) -> SparseTensor:
+    """Apply leg maps to t in one pass over its entries.
+
+    Each step (leg, images, grow) replaces the index on one leg (1-based, of
+    the tensor the earlier steps leave) by each key tuple of its image
+    {index: ((key tuple, coeff), ...)}; the tuples have grow + 1 entries.
+    The steps are composed per leg of t: the steps that act on what leg o
+    became map an index i on leg o to a short list of (segment of the output
+    key, coeff), worked out the first time i meets leg o.  Each entry then
+    yields its output terms directly, with no intermediate tensor built or
+    pruned; by linearity the sums are those of the steps one at a time.
+    """
+    one = CycScalar.one(t.order)
+    origin = list(range(t.degree))  # the leg of t that each current leg came from
+    on_leg: dict[int, list] = {}  # leg of t -> its steps: (offset in its segment, images)
+    for leg, images, grow in steps:
+        o = origin[leg - 1]
+        on_leg.setdefault(o, []).append((leg - 1 - origin.index(o), images))
+        origin[leg - 1 : leg] = [o] * (grow + 1)
+
+    def segments(leg_steps, i):
+        (_, images), *rest = leg_steps  # the first step on a leg has offset 0
+        segs = images.get(i, ())
+        for q, images in rest:
+            segs = [(s[:q] + sub + s[q + 1 :], cs if c is one else (c if cs is one else c * cs))
+                    for s, c in segs for sub, cs in images.get(s[q], ())]
+        return segs
+
+    (o, seen, leg_steps), *others = [(o, {}, on_leg[o]) for o in sorted(on_leg)]
     out: dict = {}
     for key, c in t.entries.items():
-        for sub, cs in images.get(key[pos], ()):
-            nk = key[:pos] + sub + key[pos + 1 :]
+        im = seen.get(key[o])
+        if im is None:
+            im = seen[key[o]] = segments(leg_steps, key[o])
+        start = o + 1
+        for o2, seen2, steps2 in others:  # join the segments of the other legs
+            im2 = seen2.get(key[o2])
+            if im2 is None:
+                im2 = seen2[key[o2]] = segments(steps2, key[o2])
+            mid = key[start:o2]
+            im = [(s + mid + s2, cs2 if cs is one else (cs if cs2 is one else cs * cs2))
+                  for s, cs in im for s2, cs2 in im2]
+            start = o2 + 1
+        if not im:
+            continue
+        head, tail = key[:o], key[start:]
+        for s, cs in im:
+            nk = head + s + tail
             term = c if cs is one else c * cs
             prev = out.get(nk)
             out[nk] = term if prev is None else prev + term
-    return SparseTensor(t.dim, t.degree + grow, t.order, out)
+    return _owned(t.dim, t.degree + sum(g for _, _, g in steps), t.order, out)
+
+
+def map_legs(t: SparseTensor, *steps) -> SparseTensor:
+    """Several split_leg and apply_leg steps in one pass over t.
+
+    Each step is (m, leg): a Coproduct m splits the leg (1-based, of the
+    tensor the earlier steps leave), a LinearMap m maps it.  Equal to the
+    nested calls with the first step innermost, so map_legs(t, (cop, 1),
+    (S, 2)) is apply_leg(S, split_leg(cop, t, 1), 2).
+    """
+    for m, _ in steps:
+        _check_space(m.dim, m.order, t)
+    return _map_leg(t, [(leg, m.table, 1) if isinstance(m, Coproduct) else (leg, m.images, 0)
+                        for m, leg in steps])
 
 
 def split_leg(cop: Coproduct, t: SparseTensor, leg: int) -> SparseTensor:
     """Apply the coproduct to one leg (1-based), raising the degree by one."""
-    return _map_leg(cop.table, cop.dim, cop.order, t, leg, 1)
+    return map_legs(t, (cop, leg))
 
 
 def apply_leg(m: LinearMap, t: SparseTensor, leg: int) -> SparseTensor:
-    return _map_leg(m.images, m.dim, m.order, t, leg, 0)
+    return map_legs(t, (m, leg))
 
 
 def counit_leg(eps: dict, t: SparseTensor, leg: int) -> SparseTensor:
-    return _map_leg({i: (((), e),) for i, e in eps.items()}, t.dim, t.order, t, leg, -1)
+    return _map_leg(t, ((leg, {i: (((), e),) for i, e in eps.items()}, -1),))
 
 
 def slice_leg(t: SparseTensor, leg: int) -> dict:
@@ -606,13 +669,17 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
     The groups become a plan once per call: a group of one tensor leg passes
     its index through, a group of two tensor legs is one table lookup, and
     any other group (with a vector, or of three or more factors) is folded
-    by _chain_pairs.  b is indexed by the blocks (see StructureConstants) of
+    by _chain_pairs once per tuple of the tensor indices it reads: the fold,
+    or () when an a/b pair inside it is not a cell of the table, is kept for
+    the rest of the call, since the block join makes many candidates read
+    the same indices (on k^omega G about n^2 tuples for n^4 candidates).
+    b is indexed by the blocks (see StructureConstants) of
     its legs in adjacent a/b factor pairs, right blocks where a comes first
     and left blocks otherwise, and the candidates of an entry of a are the b
     entries whose key equals its own blocks on the partner side (all of b
-    if there is no such pair).  A candidate makes its lookups, and tests
-    each a/b pair inside a folded group against the table, before any
-    arithmetic: ca * cb and the expansion come once every group is nonzero.
+    if there is no such pair).  A candidate makes its lookups and takes its
+    folds before it multiplies: ca * cb and the expansion come once every
+    group is nonzero.
 
     For a two-factor group this filter is exact on any table, since
     e_i * e_j != 0 puts i and j in one block, so multiply stays exact on the
@@ -631,8 +698,10 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
 
     joins = []  # (a leg, b leg, a comes first) of each adjacent a/b pair
     cells = []  # (position, position) of each two-leg group
-    chains = []  # factors of each folded group: positions, and vectors
-    tests = []  # (position, position) of each a/b pair inside a folded group
+    # per folded group: the getter of the indices it reads, its factors
+    # (positions and vectors), the (position, position) of each a/b pair in
+    # it, and its folds by those indices
+    chains = []
     steps = []  # per group: ("pass", position), ("cell", n) or ("chain", n)
     for g in groups:
         pairs = [(r1, r2) for r1, r2 in zip(g, g[1:]) if {r1[0], r2[0]} == {"a", "b"}]
@@ -645,48 +714,68 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
             cells.append((at(*g[0]), at(*g[1])))
         else:
             steps.append(("chain", len(chains)))
-            chains.append([vecs[i] if kind == "v" else at(kind, i) for kind, i in g])
-            tests += [(at(*r1), at(*r2)) for r1, r2 in pairs]
+            factors = [vecs[i] if kind == "v" else at(kind, i) for kind, i in g]
+            read = [x for x in factors if type(x) is int]
+            chains.append((itemgetter(*read) if read else lambda _k: (), factors,
+                           [(at(*r1), at(*r2)) for r1, r2 in pairs], {}))
     # a candidate's `ents` are its cells' table entries, then its folded groups
     slots = [(kind != "pass", len(cells) + n if kind == "chain" else n) for kind, n in steps]
 
     lb, rb = sc.left_block, sc.right_block
     a_blocks = [(a_leg, lb if a_first else rb) for a_leg, _, a_first in joins]
     b_blocks = [(b_leg, rb if a_first else lb) for _, b_leg, a_first in joins]
-    index: dict[tuple, list] = {}
-    for kb, cb in b.entries.items():
-        index.setdefault(tuple([blk[kb[leg]] for leg, blk in b_blocks]), []).append((kb, cb))
+    index: dict[tuple, list] = {}  # blocks -> keys of b
+    b_entries = b.entries
+    for kb in b_entries:
+        index.setdefault(tuple([blk[kb[leg]] for leg, blk in b_blocks]), []).append(kb)
 
     table = sc.table
     one = CycScalar.one(sc.order)
     out: dict = {}
     for ka, ca in a.entries.items():
-        for kb, cb in index.get(tuple([blk[ka[leg]] for leg, blk in a_blocks]), ()):
+        for kb in index.get(tuple([blk[ka[leg]] for leg, blk in a_blocks]), ()):
             k = ka + kb
             ents = [table.get((k[p], k[q])) for p, q in cells]
             if None in ents:
                 continue
-            if tests and not all((k[p], k[q]) in table for p, q in tests):
-                continue
-            for items in chains:
-                v = _chain_pairs(table, [k[x] if type(x) is int else x for x in items], one)
+            for read, factors, tests, folds in chains:
+                ix = read(k)
+                v = folds.get(ix)
+                if v is None:
+                    v = folds[ix] = _chain_pairs(
+                        table, [k[x] if type(x) is int else x for x in factors], one
+                    ) if all((k[p], k[q]) in table for p, q in tests) else ()
                 if not v:
                     break
                 ents.append(v)
             else:
-                partial = [((), ca * cb)]
+                cb = b_entries[kb]
+                c = cb if ca is one else (ca if cb is one else ca * cb)
+                key = []
+                wide = []  # (output leg, entry) of each group with several terms
                 for is_ent, x in slots:
-                    ent = ents[x] if is_ent else ((k[x], one),)
-                    if len(ent) == 1:
-                        i, ci = ent[0]
-                        if ci is one:
-                            partial = [(key + (i,), c) for key, c in partial]
-                        else:
-                            partial = [(key + (i,), c * ci) for key, c in partial]
+                    if not is_ent:
+                        key.append(k[x])
+                    elif len(ents[x]) > 1:
+                        wide.append((len(key), ents[x]))
+                        key.append(None)
                     else:
-                        partial = [(key + (i,), c if ci is one else c * ci)
-                                   for key, c in partial for i, ci in ent]
-                for key, c in partial:
+                        i, ci = ents[x][0]
+                        key.append(i)
+                        if ci is not one:
+                            c = ci if c is one else c * ci
+                if wide:
+                    terms = []
+                    for combo in product(*[ent for _, ent in wide]):
+                        cc = c
+                        for (leg, _), (i, ci) in zip(wide, combo):
+                            key[leg] = i
+                            if ci is not one:
+                                cc = ci if cc is one else cc * ci
+                        terms.append((tuple(key), cc))
+                else:
+                    terms = ((tuple(key), c),)
+                for key, c in terms:
                     prev = out.get(key)
                     out[key] = c if prev is None else prev + c
-    return SparseTensor(a.dim, len(groups), a.order, out)
+    return _owned(a.dim, len(groups), a.order, out)

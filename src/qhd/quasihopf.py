@@ -23,6 +23,7 @@ from .algebra import (
     counit_leg,
     invert_map,
     leg_embed,
+    map_legs,
     merge_pair,
     multiply,
     permute_legs,
@@ -240,22 +241,23 @@ def twist_candidates(H: QuasiHopfAlgebra):
     sc, cop, S = H.mult, H.coproduct, H.antipode
     phi, phiinv = H.associator, H.associator_inv
 
-    # split-and-antipode views of the associator legs, each freed once used
-    a1 = apply_leg(S, apply_leg(S, split_leg(cop, phiinv, 1), 1), 2)
-    gamma = merge_pair(sc, a1, apply_leg(S, apply_leg(S, phi, 1), 2), groups=(
+    # split-and-antipode views of the associator legs, each built in one
+    # pass and freed once used
+    a1 = map_legs(phiinv, (cop, 1), (S, 1), (S, 2))
+    gamma = merge_pair(sc, a1, map_legs(phi, (S, 1), (S, 2)), groups=(
         (("a", 1), ("b", 1), ("v", 0), ("b", 2), ("a", 2)),
         (("a", 0), ("b", 0), ("v", 0), ("a", 3)),
     ), vecs=(H.alpha,))
+    del a1
 
     # f = sum (S x1_(2) (x) S x1_(1)) gamma Delta(x2 beta S x3) over phi^-1;
     # w holds (S x1_(1), S x1_(2), x2 beta S x3)
-    w = _contract(H, apply_leg(S, a1, 4), (
+    w = _contract(H, map_legs(phiinv, (cop, 1), (S, 1), (S, 2), (S, 4)), (
         (("a", 0),), (("a", 1),), (("a", 2), ("v", 0), ("a", 3))), (H.beta,))
-    del a1
     twist = merge_pair(sc, split_leg(cop, w, 3), gamma, groups=(
         (("a", 1), ("b", 0), ("a", 2)), (("a", 0), ("b", 1), ("a", 3))))
 
-    delta = merge_pair(sc, apply_leg(S, apply_leg(S, split_leg(cop, phi, 1), 3), 4),
+    delta = merge_pair(sc, map_legs(phi, (cop, 1), (S, 3), (S, 4)),
                        apply_leg(S, phiinv, 3), groups=(
         (("a", 0), ("b", 0), ("v", 0), ("a", 3)),
         (("a", 1), ("b", 1), ("v", 0), ("b", 2), ("a", 2)),
@@ -263,7 +265,7 @@ def twist_candidates(H: QuasiHopfAlgebra):
 
     # f^-1 = sum Delta(S x1 alpha x2) delta (S x3_(2) (x) S x3_(1)) over phi^-1;
     # w holds (S x1 alpha x2, S x3_(1), S x3_(2))
-    w = _contract(H, apply_leg(S, apply_leg(S, apply_leg(S, split_leg(cop, phiinv, 3), 1), 3), 4),
+    w = _contract(H, map_legs(phiinv, (cop, 3), (S, 1), (S, 3), (S, 4)),
                   ((("a", 0), ("v", 0), ("a", 1)), (("a", 2),), (("a", 3),)), (H.alpha,))
     twist_inv = merge_pair(sc, split_leg(cop, w, 1), delta, groups=(
         (("a", 0), ("b", 0), ("a", 3)), (("a", 1), ("b", 1), ("a", 2))))
@@ -277,15 +279,15 @@ def twist_alternatives(H: QuasiHopfAlgebra):
     sc, cop, S = H.mult, H.coproduct, H.antipode
     phi, phiinv = H.associator, H.associator_inv
 
-    a2 = apply_leg(S, apply_leg(S, split_leg(cop, phi, 3), 1), 2)
+    a2 = map_legs(phi, (cop, 3), (S, 1), (S, 2))
     b2 = apply_leg(S, phiinv, 1)
     gamma_alt = merge_pair(sc, a2, b2, groups=(
         (("a", 1), ("b", 0), ("v", 0), ("b", 1), ("a", 2)),
         (("a", 0), ("v", 0), ("b", 2), ("a", 3)),
     ), vecs=(H.alpha,))
 
-    a4 = apply_leg(S, apply_leg(S, split_leg(cop, phiinv, 3), 3), 4)
-    b4 = apply_leg(S, apply_leg(S, phi, 2), 3)
+    a4 = map_legs(phiinv, (cop, 3), (S, 3), (S, 4))
+    b4 = map_legs(phi, (S, 2), (S, 3))
     delta_alt = merge_pair(sc, a4, b4, groups=(
         (("a", 0), ("v", 0), ("b", 2), ("a", 3)),
         (("a", 1), ("b", 0), ("v", 0), ("b", 1), ("a", 2)),

@@ -22,6 +22,7 @@ from qhd.algebra import (
     harpoon,
     invert_map,
     leg_embed,
+    map_legs,
     merge_pair,
     multiplication_rows,
     multiply,
@@ -328,6 +329,18 @@ def test_tensor_entries_prune_zeros_and_compare():
     b = SparseTensor(2, 2, 1, {(0, 0): ONE})
     assert a == b
     assert (a - b).is_zero()
+
+
+def test_sum_and_difference_refuse_tensors_of_another_order():
+    one3, one4 = CycScalar.one(3), CycScalar.one(4)
+    x = SparseTensor(2, 1, 3, {(0,): one3})
+    y = SparseTensor(2, 1, 4, {(1,): one4})
+    with pytest.raises(AlgebraError, match="order 3/4"):
+        x + y
+    with pytest.raises(AlgebraError, match="order 4/3"):
+        y - x
+    assert x + SparseTensor(2, 1, 3, {(1,): one3}) == SparseTensor(2, 1, 3, {(0,): one3,
+                                                                        (1,): one3})
 
 
 def test_cyclotomic_coefficients_flow_through_products():
@@ -650,6 +663,41 @@ def test_merge_pair_matches_first_constraint_reference():
                 seen.add(frozenset(adjacency(groups)))
     assert seen == {frozenset(), frozenset({"ab"}), frozenset({"ba"}),
                     frozenset({"ab", "ba"})}
+
+
+def test_merge_pair_folds_each_chain_once_per_index_tuple():
+    # a folded group is computed once per tuple of the tensor indices it
+    # reads and kept for the call; these inputs make each tuple recur with
+    # other coefficients and other legs, and make every chain position vary
+    # while the others stay, so a key that drops a position reuses a wrong
+    # fold
+    rng = random.Random(9031)
+    groups_list = [
+        ((("a", 0), ("b", 0), ("v", 0)), (("a", 1),), (("b", 1),)),
+        ((("v", 0), ("a", 0), ("b", 1), ("a", 1)), (("b", 0),)),
+        ((("b", 0), ("v", 1), ("a", 0)), (("a", 1), ("b", 1))),
+        ((("a", 1), ("v", 0)), (("a", 0), ("b", 0), ("b", 1))),
+    ]
+    for sc in (group_algebra_s3(), matrix_units_algebra(), lopsided_algebra(),
+               plain_ones_algebra(random.Random(9032))):
+        vecs = ({0: CycScalar.one(sc.order)},
+                {k[0]: c for k, c in sparse_tensor(rng, sc, 1, 2).entries.items()})
+        keys = [(i, j) for i in range(sc.dim) for j in range(sc.dim)]
+        for groups in groups_list:
+            a = SparseTensor(sc.dim, 2, sc.order, {k: random_scalar(rng, sc.order) for k in keys})
+            b = SparseTensor(sc.dim, 2, sc.order, {k: random_scalar(rng, sc.order) for k in keys})
+            want = _merge_pair_reference(sc, a, b, groups, vecs)
+            assert merge_pair(sc, a, b, groups, vecs) == want, (sc.dim, groups)
+    # lopsided: (e0 e1) e1 = e0 although e1 e1 = 0, so only the in-chain test
+    # of the pair (a0, b0) = (1, 1) keeps v.a.b at zero; the tuple (1, 1)
+    # comes twice, (0, 1) is a cell and survives
+    sc = lopsided_algebra()
+    a = SparseTensor(2, 2, 1, {(1, 0): rat(2), (1, 1): rat(3), (0, 0): rat(5)})
+    b = SparseTensor(2, 1, 1, {(1,): rat(7)})
+    groups = ((("v", 0), ("a", 0), ("b", 0)), (("a", 1),))
+    want = SparseTensor(2, 2, 1, {(0, 0): rat(35)})
+    assert merge_pair(sc, a, b, groups, ({0: ONE},)) == want
+    assert _merge_pair_reference(sc, a, b, groups, ({0: ONE},)) == want
 
 
 def test_blocks_hold_every_cell_and_are_complete_for_built_algebras():
@@ -1002,6 +1050,63 @@ def test_leg_maps_match_per_map_references():
                 for m in maps:
                     assert apply_leg(m, t, leg) == _apply_leg_reference(m, t, leg)
                 assert counit_leg(eps, t, leg) == _counit_leg_reference(eps, t, leg)
+
+
+def rat3(x):
+    return CycScalar.from_rational(3, x)
+
+
+def _nested_reference(t: SparseTensor, steps) -> SparseTensor:
+    """The steps of map_legs as nested per-map reference calls."""
+    for m, leg in steps:
+        t = (_split_leg_reference if isinstance(m, Coproduct) else _apply_leg_reference)(m, t, leg)
+    return t
+
+
+def test_map_legs_in_one_pass_matches_nested_references():
+    rng = random.Random(9041)
+    n, order = 3, 3
+    one = CycScalar.one(order)
+    # e0 and e1 have the same image, so t = e0 - e1 on a leg sums to zero
+    # after it; one pass carries both terms through the later steps
+    collapse = LinearMap(n, order, [{2: one, 0: rat3(2)}, {2: one, 0: rat3(2)}, {1: one}])
+    swap_sum = LinearMap(n, order, [{0: one, 1: one}, {0: one, 1: -one}, {2: rat3(-1)}])
+    partial = Coproduct(n, order, {0: (((1, 2), random_scalar(rng, order)),
+                                       ((2, 2), one)),
+                                   2: (((0, 0), random_scalar(rng, order)),)})
+    full = Coproduct(n, order, {a: tuple(((x, (a - x) % n), random_scalar(rng, order))
+                                         for x in range(n)) for a in range(n)})
+    maps = [collapse, swap_sum, partial, full,
+            LinearMap(n, order, [{i: random_scalar(rng, order) for i in range(n)
+                                  if rng.random() < 0.6} for _ in range(n)])]
+    t = SparseTensor(n, 2, order, {(0, 1): one, (1, 1): -one, (2, 0): rat3(3)})
+    assert map_legs(t, (collapse, 1)) == SparseTensor(n, 2, order, {(1, 0): rat3(3)})
+    for steps in [((collapse, 1), (full, 1)), ((collapse, 1), (swap_sum, 2), (full, 2)),
+                  ((partial, 2), (collapse, 1), (full, 3), (swap_sum, 4))]:
+        assert map_legs(t, *steps) == _nested_reference(t, steps), steps
+    zero = map_legs(SparseTensor(n, 1, order, {(0,): one, (1,): -one}), (collapse, 1),
+                    (full, 1))
+    assert zero.is_zero() and zero.degree == 2
+    for degree in range(1, 4):
+        for _ in range(12):
+            entries = {tuple(rng.randrange(n) for _ in range(degree)): random_scalar(rng, order)
+                       for _ in range(rng.randint(0, 10))}
+            t = SparseTensor(n, degree, order, entries)
+            steps, d = [], degree
+            for _ in range(rng.randint(1, 4)):
+                m = rng.choice(maps)
+                steps.append((m, rng.randint(1, d)))
+                d += isinstance(m, Coproduct)
+            got = map_legs(t, *steps)
+            assert got == _nested_reference(t, steps), steps
+            assert got.degree == d and got.order == order
+    # the entry guard checks the tensor against every step's map
+    other_order = LinearMap.identity(n, 4)
+    other_dim = Coproduct(n + 1, order, {0: (((0, 0), one),)})
+    t = SparseTensor(n, 2, order, {(0, 1): one})
+    for steps in [((full, 1), (other_order, 2)), ((other_dim, 1),), ((swap_sum, 2), (other_dim, 1))]:
+        with pytest.raises(AlgebraError):
+            map_legs(t, *steps)
 
 
 def test_kernels_refuse_tensors_of_another_order():

@@ -11,8 +11,9 @@ per workload for the per-layer counts.
 
 The summary holds, per workload and end-to-end metric of BENCHMARK.json,
 each side's median, quartiles and runs, the number of pairs and the pairs
-the change won (ties count for neither side), and the traced counts of both
-sides.  A run that fails or reads `correct: false` is kept in the summary
+the change won (ties count for neither side), and the traced per-layer
+metrics of both sides: the counts as `traced_counts`, the span times (each
+`*.self_s` and `cli.ctx.*.s`) as `traced_spans`.  A run that fails or reads `correct: false` is kept in the summary
 and leaves its pair undecided.  The summary is rewritten after every pair.
 """
 
@@ -51,7 +52,9 @@ def spread(values: list) -> dict:
 
 def summarize(bench: dict, runs: dict, traced: dict) -> dict:
     """traced[workload][side] is a --trace 1 result, missing until measured."""
-    counts = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
+    def per_layer(unit: str) -> list:
+        return [m["name"] for m in bench["per_layer"] if m["unit"] == unit]
+
     out = {"command": " ".join(["python3", *COMMAND, "--workload W --trace 0"]),
            "workloads": {}}
     for wl, sides in runs.items():
@@ -72,10 +75,11 @@ def summarize(bench: dict, runs: dict, traced: dict) -> dict:
                    for side, vs in values.items()},
                 "pairs": len(pairs), "change_won": won}
         got = traced.get(wl, {})
-        entry["traced_counts"] = {
-            name: {side: got[side]["metrics"][name]["value"] if got.get(side) else None
-                   for side in ("parent", "change")}
-            for name in counts}
+        for field, unit in (("traced_counts", "count"), ("traced_spans", "s")):
+            entry[field] = {
+                name: {side: got[side]["metrics"][name]["value"] if got.get(side) else None
+                       for side in ("parent", "change")}
+                for name in per_layer(unit)}
         out["workloads"][wl] = entry
     return out
 
