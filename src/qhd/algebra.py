@@ -7,16 +7,19 @@ dict equality is honest tensor equality.
 
 merge_pair is the one join of the tensor kernels: multiply is merge_pair
 with leg i of x times leg i of y, and a single tensor is contracted by
-merge_pair against the degree-0 unit.
+merge_pair against the degree-0 unit.  A factor of multiply may be a
+Placement, a tensor on some legs with the unit on the others, whose unit
+legs enter merge_pair as the vector sc.unit instead of being built.
 
-Table, coproduct and map coefficients equal to one are stored as the
-interned CycScalar.one(order), and the tensor kernels skip the product with
-such a coefficient on an `is` test.  Since that skips the order test of
-CycScalar.__mul__ too, merge_pair (so multiply), multiplication_rows and
-map_legs (so split_leg and apply_leg) check on entry that their tensors have
-the dimension and the order of the table or map.  counit_leg has no such order
-to check: it skips only the one of its tensor's own order, so a counit of
-another order still fails in __mul__.
+Every CycScalar is interned (see scalar.py), so a table, coproduct or map
+coefficient equal to one is CycScalar.one(order) itself, and the tensor
+kernels skip the product with such a coefficient on an `is` test.  Since
+that skips the order test of CycScalar.__mul__ too, merge_pair (so
+multiply), multiplication_rows and map_legs (so split_leg and apply_leg)
+check on entry that their tensors have the dimension and the order of the
+table or map.  counit_leg has no such order to check: it skips only the one
+of its tensor's own order, so a counit of another order still fails in
+__mul__.
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ def _check_space(dim: int, order: int, *tensors: SparseTensor):
 def _owned(dim: int, degree: int, order: int, out: dict) -> "SparseTensor":
     """A kernel's result as a tensor.  No one else holds `out`, so its zero
     entries are deleted in place: the constructor's pruned copy would hold
-    the largest dict of the call twice."""
-    for k in [k for k, c in out.items() if c.is_zero()]:
+    the largest dict of the call twice.  A zero is the interned zero."""
+    zero = CycScalar.zero(order)
+    for k in [k for k, c in out.items() if c is zero]:
         del out[k]
     t = SparseTensor(dim, degree, order, {})
     t.entries = out
@@ -93,7 +97,7 @@ class SparseTensor:
         for k, c in other.entries.items():
             prev = out.get(k)
             out[k] = c if prev is None else prev + c
-        return SparseTensor(self.dim, self.degree, self.order, out)
+        return _owned(self.dim, self.degree, self.order, out)
 
     def __sub__(self, other: "SparseTensor") -> "SparseTensor":
         self._compat(other)
@@ -101,14 +105,13 @@ class SparseTensor:
         for k, c in other.entries.items():
             prev = out.get(k)
             out[k] = -c if prev is None else prev - c
-        return SparseTensor(self.dim, self.degree, self.order, out)
+        return _owned(self.dim, self.degree, self.order, out)
 
     def scale(self, c: CycScalar) -> "SparseTensor":
         if c.is_zero():
             return SparseTensor(self.dim, self.degree, self.order, {})
-        return SparseTensor(
-            self.dim, self.degree, self.order, {k: c * v for k, v in self.entries.items()}
-        )
+        return _owned(self.dim, self.degree, self.order,
+                      {k: c * v for k, v in self.entries.items()})
 
     def _compat(self, other: "SparseTensor"):
         if (self.dim, self.degree, self.order) != (other.dim, other.degree, other.order):
@@ -138,11 +141,8 @@ class StructureConstants:
     def __init__(self, dim: int, order: int, table: dict, unit: dict):
         self.dim = dim
         self.order = order
-        one = CycScalar.one(order)
-        self.table = {
-            ij: tuple((k, one if c == one else c) for k, c in ent if not c.is_zero())
-            for ij, ent in table.items()
-        }
+        self.table = {ij: tuple((k, c) for k, c in ent if not c.is_zero())
+                      for ij, ent in table.items()}
         self.table = {ij: ent for ij, ent in self.table.items() if ent}
         self.unit = _prune(dict(unit))
         rp: dict[int, list] = {}
@@ -217,11 +217,8 @@ class Coproduct:
     def __init__(self, dim: int, order: int, table: dict):
         self.dim = dim
         self.order = order
-        one = CycScalar.one(order)
-        self.table = {
-            i: tuple((tuple(jk), one if c == one else c) for jk, c in ent if not c.is_zero())
-            for i, ent in table.items()
-        }
+        self.table = {i: tuple((tuple(jk), c) for jk, c in ent if not c.is_zero())
+                      for i, ent in table.items()}
 
     def of_basis(self, i: int):
         return self.table.get(i, ())
@@ -232,7 +229,7 @@ class Coproduct:
             for jk, cd in self.table.get(i, ()):
                 prev = out.get(jk)
                 out[jk] = c * cd if prev is None else prev + c * cd
-        return SparseTensor(self.dim, 2, self.order, out)
+        return _owned(self.dim, 2, self.order, out)
 
 
 class LinearMap:
@@ -241,9 +238,7 @@ class LinearMap:
     def __init__(self, dim: int, order: int, cols):
         self.dim = dim
         self.order = order
-        one = CycScalar.one(order)
-        self.cols = tuple({i: one if c == one else c for i, c in _prune(dict(col)).items()}
-                          for col in cols)
+        self.cols = tuple(_prune(dict(col)) for col in cols)
         # leg images for _map_leg: j -> ((i,), M_ij) over the nonzeros of column j
         self.images = {j: tuple(((i,), c) for i, c in col.items())
                        for j, col in enumerate(self.cols)}
@@ -393,13 +388,49 @@ def solve_linear(rows: list, rhs: list, ncols: int, order: int):
 # -- tensor operations --------------------------------------------------------
 
 
-def multiply(sc: StructureConstants, x: SparseTensor, y: SparseTensor) -> SparseTensor:
+class Placement:
+    """A factor of multiply that is a tensor t on the given legs (1-based,
+    leg i of t on legs[i]) of the degree-d tensor power, the algebra's unit
+    on the other legs: leg_embed(t, legs, d, sc.unit), not built.  Its
+    entries are those stored, t's."""
+
+    __slots__ = ("tensor", "legs", "degree")
+
+    def __init__(self, t: SparseTensor, legs, d: int):
+        self.tensor, self.legs, self.degree = t, _leg_positions(t, legs, d), d
+
+    @property
+    def entries(self) -> dict:
+        return self.tensor.entries
+
+
+def multiply(sc: StructureConstants, x, y) -> SparseTensor:
     """Componentwise product in the degree-d tensor power of the algebra:
-    merge_pair with leg i of x times leg i of y in output leg i."""
-    x._compat(y)
-    if x.dim != sc.dim:
+    merge_pair with leg i of x times leg i of y in output leg i.
+
+    Either factor may be a Placement.  Each of its unit legs enters the
+    group of its output leg as the vector factor sc.unit, so the product is
+    the product with the built leg_embed tensor on any table, even one whose
+    stored unit fails the unit law (a group of at most two factors is exact,
+    see merge_pair)."""
+    (xt, xlegs, d), (yt, ylegs, dy) = _placed(x), _placed(y)
+    if (xt.dim, d, xt.order) != (yt.dim, dy, yt.order):
+        raise AlgebraError(f"tensor mismatch: dim {xt.dim}/{yt.dim}, "
+                           f"degree {d}/{dy}, order {xt.order}/{yt.order}")
+    if xt.dim != sc.dim:
         raise AlgebraError("tensor dimension does not match the algebra")
-    return merge_pair(sc, x, y, tuple((("a", i), ("b", i)) for i in range(x.degree)))
+    on_a = {p: ("a", i) for i, p in enumerate(xlegs)}
+    on_b = {p: ("b", i) for i, p in enumerate(ylegs)}
+    unit = ("v", 0)
+    return merge_pair(sc, xt, yt, tuple((on_a.get(p, unit), on_b.get(p, unit))
+                                        for p in range(1, d + 1)), (sc.unit,))
+
+
+def _placed(x) -> tuple:
+    """(tensor, legs, degree) of a factor of multiply."""
+    if isinstance(x, Placement):
+        return x.tensor, x.legs, x.degree
+    return x, range(1, x.degree + 1), x.degree
 
 
 def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> list:
@@ -451,20 +482,28 @@ def tensor_product(*tensors: SparseTensor) -> SparseTensor:
             for kb, cb in t.entries.items()
         }
         degree += t.degree
-    return SparseTensor(first.dim, degree, first.order, entries)
+    if len(tensors) == 1:
+        entries = dict(entries)
+    return _owned(first.dim, degree, first.order, entries)
 
 
 def vec_tensor(dim: int, order: int, v: dict) -> SparseTensor:
     return SparseTensor(dim, 1, order, {(i,): c for i, c in v.items()})
 
 
-def leg_embed(t: SparseTensor, legs, d: int, unit: dict) -> SparseTensor:
-    """Place t's legs at the given positions, the algebra unit elsewhere."""
+def _leg_positions(t: SparseTensor, legs, d: int) -> tuple:
     legs = tuple(legs)
     if len(legs) != t.degree or len(set(legs)) != len(legs):
         raise AlgebraError("leg positions must be distinct and match the degree")
     if any(p < 1 or p > d for p in legs):
         raise AlgebraError(f"leg positions {legs} out of range for degree {d}")
+    return legs
+
+
+def leg_embed(t: SparseTensor, legs, d: int, unit: dict) -> SparseTensor:
+    """Place t's legs at the given positions, the algebra unit elsewhere.
+    multiply takes the same factor unbuilt as a Placement."""
+    legs = _leg_positions(t, legs, d)
     others = [p for p in range(1, d + 1) if p not in legs]
     out: dict = {}
     unit_items = tuple(unit.items())
@@ -481,7 +520,7 @@ def leg_embed(t: SparseTensor, legs, d: int, unit: dict) -> SparseTensor:
             fk = tuple(full)
             prev = out.get(fk)
             out[fk] = uc if prev is None else prev + uc
-    return SparseTensor(t.dim, d, t.order, out)
+    return _owned(t.dim, d, t.order, out)
 
 
 def _map_leg(t: SparseTensor, steps) -> SparseTensor:
@@ -582,7 +621,7 @@ def permute_legs(t: SparseTensor, perm) -> SparseTensor:
         nk = tuple(key[p] for p in perm)
         prev = out.get(nk)
         out[nk] = c if prev is None else prev + c
-    return SparseTensor(t.dim, t.degree, t.order, out)
+    return _owned(t.dim, t.degree, t.order, out)
 
 
 def convolution(cop: Coproduct, xi: dict, nu: dict) -> dict:

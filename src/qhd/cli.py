@@ -419,7 +419,7 @@ def _suite_theorems(run: RunContext, rec: Recorder):
 
     # the Hopf case is Phi = 1 (x) 1 (x) 1
     if run.H.associator == run.H.mult.unit_tensor(3):
-        w12, w13, w23 = leg_pairs(had, ce.W)
+        w12, w13, w23 = leg_pairs(ce.W)
         lhs = multiply(had.sc, multiply(had.sc, w12, w13), w23)
         rhs = multiply(had.sc, w23, w12)
         rec.tensor_check("hopf.pentagon", "plain pentagon in the untwisted case", lhs, rhs)

@@ -18,6 +18,7 @@ from itertools import product
 
 from .algebra import (
     Inconsistency,
+    Placement,
     SparseTensor,
     StructureConstants,
     _read_solution,
@@ -25,7 +26,6 @@ from .algebra import (
     apply_leg,
     convolution,
     harpoon,
-    leg_embed,
     multiplication_rows,
     multiply,
     solve_linear,
@@ -260,22 +260,22 @@ def _equation(ha: HeisenbergAlgebra, rec: Recorder, label: str, name: str, lhs, 
     rec.tensor_check(label, name, *sides)
 
 
-def leg_pairs(ha: HeisenbergAlgebra, x: SparseTensor):
-    """(x12, x13, x23): x placed on two legs of a degree-3 tensor, the
-    double's unit on the third."""
-    return tuple(leg_embed(x, legs, 3, ha.unit) for legs in ((1, 2), (1, 3), (2, 3)))
+def leg_pairs(x: SparseTensor):
+    """(x12, x13, x23): x placed on two legs of a degree-3 factor of
+    multiply, the unit of the double it is multiplied in on the third."""
+    return tuple(Placement(x, legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
 
 
 def _quasi_pentagon(ha, rec, label, element, x, phi):
     """(X12 X13) X23 = (X23 X12) Phi."""
-    x12, x13, x23 = leg_pairs(ha, x)
+    x12, x13, x23 = leg_pairs(x)
     _equation(ha, rec, label, f"quasi-pentagon equation for the {element}",
               (x12, x13, x23), (x23, x12, phi))
 
 
 def _quasi_hopf(ha, rec, label, element, x, phi):
     """(X23 X13) X12 = (Phi X12) X23."""
-    x12, x13, x23 = leg_pairs(ha, x)
+    x12, x13, x23 = leg_pairs(x)
     _equation(ha, rec, label, f"quasi-Hopf equation for the {element}",
               (x23, x13, x12), (phi, x12, x23))
 
@@ -356,6 +356,8 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
 
     def action_axioms():
         unit_h = H.unit_vec()
+        products = {(h1, h2): H.mult.vec_mult({h1: one}, {h2: one})
+                    for h1 in range(m) for h2 in range(m)}
         for k in range(ha.dim):
             base = {k: one}
             yield (k, "unit"), v1(ha.act_vec(base, unit_h)), v1(base)
@@ -365,7 +367,7 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
                     # plain: h1 |> (h2 |> x) = (h1 h2) |> x
                     first, second = rev((h1, h2))
                     lhs = ha.act_vec(ha.act_basis(k, first), {second: one})
-                    rhs = ha.act_vec(base, H.mult.vec_mult({h1: one}, {h2: one}))
+                    rhs = ha.act_vec(base, products[h1, h2])
                     yield (k, h1, h2), v1(lhs), v1(rhs)
 
     rec.family_check(f"3.action-{side}", f"module axioms of the {side}-side action",

@@ -98,8 +98,9 @@ class Recorder:
                 passed = False
                 if len(disc) < MAX_DISCREPANCIES:
                     disc.extend(_diff_entries(lhs, rhs, prefix)[: MAX_DISCREPANCIES - len(disc)])
-            if self.float_check and not _float_agrees(lhs, rhs):
-                fpass = False
+                # equal sides hold the same interned scalars, so the same floats
+                if self.float_check and not _float_agrees(lhs, rhs):
+                    fpass = False
         item = CheckItem(label, name, "pass" if passed else "fail", disc, detail)
         if self.float_check:
             item.float_status = "pass" if fpass else "fail"

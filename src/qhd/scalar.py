@@ -7,11 +7,18 @@ an honest field equality, which every identity check below relies on.
 
 Coefficients are kept as plain ints whenever possible and only become
 Fractions where division forces them to; the two mix freely.
+
+Every value is interned: each value of Q(zeta_N) that is alive exists as
+exactly one CycScalar, held by a weak-value table, so the tensor kernels
+compare coefficients by identity and test for one with `is`.  The few
+distinct values a run meets make *, + and - memos keyed on the operand
+pair pay off; their size is bounded by MEMO_SIZE.
 """
 
 from __future__ import annotations
 
 import cmath
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -80,25 +87,46 @@ def _field_data(n: int):
     return phi, tuple(rows)
 
 
+# Operand pairs kept by each memo of *, + and -: far more than the distinct
+# pairs a run meets (at most a few hundred on the examples), and a bound on
+# the memory held when a run meets many.
+MEMO_SIZE = 1 << 14
+
+# (order, coeffs) -> the one live CycScalar of that value
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class CycScalar:
     """Element of Q(zeta_N), N fixed per instance.
 
-    Immutable; all operations are pure and exact.  Mixing different orders
-    raises OrderMismatchError rather than coercing.
+    Immutable and interned: CycScalar(order, coeffs) returns the one live
+    object of that value, so equal values are the same object and equality
+    is identity.  *, + and - are memoized on the operand pair.  Mixing
+    different orders raises OrderMismatchError rather than coercing.
     """
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "coeffs", "_zero", "_complex", "__weakref__")
 
-    def __init__(self, order: int, coeffs):
-        phi, _ = _field_data(order)
+    def __new__(cls, order: int, coeffs):
         coeffs = tuple(coeffs)
-        if len(coeffs) != phi:
-            raise ScalarError(
-                f"need {phi} coefficients for order {order}, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
+        self = _interned.get((order, coeffs))
+        if self is None:
+            phi, _ = _field_data(order)
+            if len(coeffs) != phi:
+                raise ScalarError(
+                    f"need {phi} coefficients for order {order}, got {len(coeffs)}"
+                )
+            # Fraction(2) and 2 are one value, found under one key; an integral
+            # Fraction is stored as the int, however the value was first made
+            coeffs = tuple(c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                           for c in coeffs)
+            self = object.__new__(cls)
+            object.__setattr__(self, "order", order)
+            object.__setattr__(self, "coeffs", coeffs)
+            object.__setattr__(self, "_zero", not any(coeffs))
+            object.__setattr__(self, "_complex", None)
+            _interned[order, coeffs] = self
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
@@ -114,16 +142,16 @@ class CycScalar:
 
     @staticmethod
     def zero(order: int) -> "CycScalar":
-        return _cached_const(order, 0)
+        return CycScalar.from_rational(order, 0)
 
     @staticmethod
     def one(order: int) -> "CycScalar":
-        return _cached_const(order, 1)
+        return CycScalar.from_rational(order, 1)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self._zero
 
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and not any(self.coeffs[1:])
@@ -136,10 +164,15 @@ class CycScalar:
                 f"cannot mix cyclotomic orders {self.order} and {other.order}"
             )
 
+    # Each memo computes a miss exactly, order test included; a pair that
+    # raises is not stored.
+
+    @lru_cache(maxsize=MEMO_SIZE)
     def __add__(self, other: "CycScalar") -> "CycScalar":
         self._check(other)
         return CycScalar(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
+    @lru_cache(maxsize=MEMO_SIZE)
     def __sub__(self, other: "CycScalar") -> "CycScalar":
         self._check(other)
         return CycScalar(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
@@ -147,15 +180,10 @@ class CycScalar:
     def __neg__(self) -> "CycScalar":
         return CycScalar(self.order, tuple(-a for a in self.coeffs))
 
+    @lru_cache(maxsize=MEMO_SIZE)
     def __mul__(self, other: "CycScalar") -> "CycScalar":
         self._check(other)
         a, b = self.coeffs, other.coeffs
-        # a product with one is the other operand, after the order test
-        one = _cached_const(self.order, 1).coeffs
-        if a == one:
-            return other
-        if b == one:
-            return self
         phi, rows = _field_data(self.order)
         if phi == 1:
             return CycScalar(self.order, (a[0] * b[0],))
@@ -179,7 +207,7 @@ class CycScalar:
         """Multiplicative inverse: the product of the other Galois conjugates
         sigma_k(a) = sum a_i zeta^(k i), k coprime to N, over the norm
         N(a) = a * (that product), which is rational."""
-        if self.is_zero():
+        if self._zero:
             raise ZeroDivisionScalarError("inverse of zero")
         n = self.order
         rest = CycScalar.one(n)
@@ -194,27 +222,16 @@ class CycScalar:
         norm = Fraction((self * rest).coeffs[0])
         return CycScalar(n, tuple(c / norm for c in rest.coeffs))
 
-    # -- comparisons / hashing -----------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycScalar):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.order, self.coeffs))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     # -- conversions ---------------------------------------------------------
 
     def to_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.order)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        acc = self._complex
+        if acc is None:
+            z = cmath.exp(2j * cmath.pi / self.order)
+            acc = 0j
+            for c in reversed(self.coeffs):
+                acc = acc * z + complex(c)
+            object.__setattr__(self, "_complex", acc)
         return acc
 
     def __str__(self) -> str:
@@ -233,11 +250,6 @@ class CycScalar:
 
     def __repr__(self) -> str:
         return f"CycScalar({self.order}, {self.coeffs!r})"
-
-
-@lru_cache(maxsize=None)
-def _cached_const(order: int, value: int) -> CycScalar:
-    return CycScalar.from_rational(order, value)
 
 
 @lru_cache(maxsize=None)

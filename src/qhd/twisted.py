@@ -506,7 +506,7 @@ def check_section5_expansions(w: Cocycle3, ce: CanonicalElements, ha_plain: Heis
     rec.bool_check("5.exp-agree", "the two displayed coefficient formulas agree",
                    agree, detail="" if agree else f"first mismatch at {first_bad}")
 
-    h12, h13, h23 = leg_pairs(ha_plain, ce.What)
+    h12, h13, h23 = leg_pairs(ce.What)
     lhs = multiply(ha_plain.sc, multiply(ha_plain.sc, h12, h13), h23)
     rhs = multiply(ha_plain.sc, multiply(ha_plain.sc, h23, h12), ce.PhiBarS)
     rec.tensor_check("5.exp-lhs", "triple product matches the first coefficient formula",

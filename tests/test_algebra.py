@@ -11,6 +11,7 @@ from qhd.algebra import (
     Coproduct,
     Inconsistency,
     LinearMap,
+    Placement,
     SingularMapError,
     SparseTensor,
     StructureConstants,
@@ -33,6 +34,7 @@ from qhd.algebra import (
     vec_tensor,
 )
 from qhd.scalar import CycScalar, OrderMismatchError, root_of_unity
+from qhd.heisenberg import build_H1
 from qhd.twisted import build_k_omega_G, cyclic_cocycle
 
 ONE = CycScalar.one(1)
@@ -1243,3 +1245,82 @@ def test_stacked_solve_from_reduced_rows_matches_from_scratch():
                     assert got == want, (order, ncols)
                 seen.add((kernel is not None, isinstance(want, Inconsistency)))
     assert (True, False) in seen and (True, True) in seen
+
+
+# -- multiply with placed factors against the built leg_embed tensors
+
+
+def _rand_over(rng, dim, degree, order, density):
+    """Random tensor with small multiples of roots of unity as coefficients."""
+    import itertools
+
+    entries = {}
+    for key in itertools.product(range(dim), repeat=degree):
+        if rng.random() < density:
+            c = CycScalar.from_rational(order, rng.choice((-2, -1, 1, 3)))
+            entries[key] = c * root_of_unity(order, rng.randrange(order))
+    return SparseTensor(dim, degree, order, entries)
+
+
+def _bad_unit_algebra() -> StructureConstants:
+    """The matrix units with stored unit E11 + 2 E12: no unit law holds."""
+    sc = matrix_units_algebra()
+    return StructureConstants(sc.dim, sc.order, sc.table, {0: ONE, 1: rat(2)})
+
+
+def test_placed_products_match_leg_embed():
+    rng = random.Random(1313)
+    H = build_k_omega_G(cyclic_cocycle(3, 1))
+    double = build_H1(build_k_omega_G(cyclic_cocycle(2, 1))).sc
+    bad = _bad_unit_algebra()
+    assert double.check_associative()  # nonassociative
+    assert bad.check_unit() == [0, 1, 2]  # the stored unit is no unit
+    for sc, density in ((H.mult, 0.5), (double, 0.3), (bad, 0.6)):
+        def built(p):
+            return leg_embed(p.tensor, p.legs, p.degree, sc.unit)
+
+        for _ in range(2):
+            s = _rand_over(rng, sc.dim, 2, sc.order, density)
+            v = _rand_over(rng, sc.dim, 1, sc.order, 0.7)
+            t = _rand_over(rng, sc.dim, 3, sc.order, density / 2)
+            placed = [Placement(s, legs, 3) for legs in ((1, 2), (1, 3), (2, 3), (3, 1))]
+            placed += [Placement(v, (leg,), 3) for leg in (1, 2, 3)]
+            for p in placed:
+                # one factor placed, either side
+                assert multiply(sc, p, t) == _multiply_reference(sc, built(p), t)
+                assert multiply(sc, t, p) == _multiply_reference(sc, t, built(p))
+                # both factors placed
+                for q in placed:
+                    got = multiply(sc, p, q)
+                    assert got == _multiply_reference(sc, built(p), built(q))
+                    assert got.degree == 3 and got.order == sc.order
+        # a unit leg on both sides of one output leg
+        p = Placement(v, (1,), 3)
+        assert multiply(sc, p, p) == _multiply_reference(sc, built(p), built(p))
+        assert multiply(sc, Placement(t, (1, 2, 3), 3), t) == multiply(sc, t, t)
+
+
+def test_placement_guards():
+    H = build_k_omega_G(cyclic_cocycle(4, 1))
+    one = CycScalar.one(H.order)
+    s = SparseTensor(H.dim, 2, H.order, {(0, 1): one})
+    t2 = SparseTensor(H.dim, 2, H.order, {(1, 1): one})
+    t3 = SparseTensor(H.dim, 3, H.order, {(1, 1, 2): one})
+    # the leg positions are checked as leg_embed checks them
+    for legs in ((1, 4), (2, 2), (1,), (0, 1)):
+        with pytest.raises(AlgebraError):
+            Placement(s, legs, 3)
+        with pytest.raises(AlgebraError):
+            leg_embed(s, legs, 3, H.unit_vec())
+    # degree, dimension and order of the two factors and the algebra
+    other_dim = SparseTensor(2, 2, H.order, {(0, 1): one})
+    other_order = SparseTensor(H.dim, 2, 3, {(0, 1): CycScalar.one(3)})
+    for x, y in ((Placement(s, (1, 2), 3), t2), (t2, Placement(s, (2, 3), 3)),
+                 (Placement(s, (1, 2), 3), Placement(s, (1, 2), 4)),
+                 (Placement(other_dim, (1, 2), 3), t3), (t3, Placement(other_order, (1, 3), 3)),
+                 (Placement(other_dim, (1, 2), 3), Placement(other_dim, (2, 3), 3)),
+                 (Placement(other_order, (1, 2), 3), Placement(other_order, (2, 3), 3))):
+        with pytest.raises(AlgebraError):
+            multiply(H.mult, x, y)
+    assert multiply(H.mult, Placement(s, (1, 2), 3), t3) == \
+        multiply(H.mult, leg_embed(s, (1, 2), 3, H.unit_vec()), t3)

@@ -292,6 +292,31 @@ def test_float_defect_reported_when_paths_disagree():
     assert "float" in item.detail
 
 
+def test_float_path_runs_only_on_unequal_sides(monkeypatch):
+    # equal exact sides hold the same interned scalars, so their floats agree
+    # and the float comparison is skipped; unequal sides still get a verdict
+    import qhd.report as report
+    from qhd.algebra import SparseTensor
+    from qhd.scalar import CycScalar, root_of_unity
+
+    calls = []
+    real = report._float_agrees
+    monkeypatch.setattr(report, "_float_agrees", lambda l, r: calls.append(1) or real(l, r))
+    z = root_of_unity(5, 2)
+    a = SparseTensor(2, 2, 5, {(0, 0): z, (0, 1): CycScalar.one(5)})
+    same = SparseTensor(2, 2, 5, {(0, 1): z * z.inverse(), (0, 0): CycScalar(5, z.coeffs)})
+    other = SparseTensor(2, 2, 5, {(0, 0): z})
+    rec = report.Recorder(float_check=True)
+    assert rec.tensor_check("eq", "equal sides", a, same)
+    assert rec.family_check("eqs", "equal family", [(i, a, same) for i in range(3)])
+    assert calls == []
+    assert [(i.status, i.float_status) for i in rec.items] == [("pass", "pass")] * 2
+    assert not rec.family_check("neq", "one unequal pair", [(0, a, same), (1, a, other)])
+    assert len(calls) == 1
+    assert (rec.items[-1].status, rec.items[-1].float_status) == ("fail", "fail")
+    assert "float" not in rec.items[-1].detail
+
+
 def test_main_internal_error_exits_3(monkeypatch, capsys):
     import qhd.cli as cli
 

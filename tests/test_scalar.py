@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from qhd.scalar import (
+    MEMO_SIZE,
     CycScalar,
     OrderMismatchError,
     ZeroDivisionScalarError,
     _cyclotomic,
     _field_data,
+    _interned,
     cyclotomic_polynomial,
     root_of_unity,
 )
@@ -246,8 +248,8 @@ def test_inverse_matches_euclid_reference():
             assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), (n, a)
 
 
-# -- the one short-circuit of __mul__ against the full product, copied
-# -- verbatim as the reference
+# -- the full product that __mul__ computed before the memo and the one
+# -- short-circuit, copied verbatim as the reference
 
 
 def _mul_reference(self, other):
@@ -287,7 +289,8 @@ def test_mul_by_one_matches_full_product():
             root_of_unity(n, 0),
             CycScalar(n, (Fraction(1),) + (0,) * (phi - 1)),
         ]
-        assert ones[1] is not ones[0] and ones[2] is not ones[0]
+        # interned: the three ways of making one give one object
+        assert ones[1] is ones[0] and ones[2] is ones[0]
         for kind, draw in draws.items():
             for _ in range(15):
                 x = CycScalar(n, tuple(draw() for _ in range(phi)))
@@ -308,3 +311,87 @@ def test_mul_by_one_still_checks_orders():
         x * CycScalar.one(3)
     with pytest.raises(OrderMismatchError):
         CycScalar.one(3) * CycScalar.one(4)
+
+
+# -- interning and the memos of *, + and -
+
+
+def test_every_construction_path_gives_one_object_per_value():
+    for n in (1, 3, 4, 7, 8, 12):
+        phi = len(cyclotomic_polynomial(n)) - 1
+        pad = (0,) * (phi - 1)
+        two = CycScalar(n, (2,) + pad)
+        assert CycScalar.from_rational(n, 2) is two
+        assert CycScalar.from_rational(n, Fraction(2)) is two
+        assert CycScalar(n, (Fraction(2),) + pad) is two
+        assert CycScalar(n, [Fraction(4, 2)] + list(pad)) is two
+        assert CycScalar.one(n) + CycScalar.one(n) is two
+        assert two * CycScalar.one(n) is two
+        assert CycScalar.from_rational(n, 3) - CycScalar.one(n) is two
+        assert CycScalar.from_rational(n, Fraction(1, 2)).inverse() is two
+        # an integral Fraction is stored as the int, however it is made
+        assert type(CycScalar(n, (Fraction(6, 3),) + pad).coeffs[0]) is int
+        assert CycScalar.zero(n) is CycScalar(n, (0,) * phi)
+        for k in range(-n, 2 * n):
+            assert root_of_unity(n, k) is root_of_unity(n, k % n)
+            assert root_of_unity(n, k) is CycScalar(n, root_of_unity(n, k).coeffs)
+            assert root_of_unity(n, 1) * root_of_unity(n, k - 1) is root_of_unity(n, k)
+        # equality is identity, and hashing follows it
+        assert two == CycScalar(n, (2,) + pad) and two != CycScalar.one(n)
+        assert len({two, CycScalar.from_rational(n, Fraction(2)), CycScalar.one(n)}) == 2
+    assert CycScalar.one(3) is not CycScalar.one(4)
+
+
+def test_intern_table_keeps_only_live_values():
+    key = (7, (123457, 0, 0, 0, 0, 0))
+    x = CycScalar(*key)
+    assert _interned[key] is x
+    del x
+    assert key not in _interned
+
+
+def test_is_zero_flag_and_cached_complex():
+    z5 = root_of_unity(5, 1)
+    assert (z5 - z5).is_zero() and not z5.is_zero()
+    assert (z5 - z5) is CycScalar.zero(5)
+    assert z5.to_complex() is z5.to_complex()
+
+
+def test_memoized_ops_match_full_computation():
+    rng = random.Random(1313)
+    draws = {
+        "int": lambda: rng.randint(-3, 3),
+        "fraction": lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+    }
+    for n in (1, 3, 4, 7, 8, 12):
+        phi = len(cyclotomic_polynomial(n)) - 1
+        for kind, draw in draws.items():
+            xs = [CycScalar(n, tuple(draw() for _ in range(phi))) for _ in range(12)]
+            for _ in range(2):  # the second round is served by the memos
+                for a in xs:
+                    for b in xs[:4]:
+                        assert a * b is _mul_reference(a, b), (n, kind)
+                        assert a + b is CycScalar(n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+                        assert a - b is CycScalar(n, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def test_memos_still_check_orders_when_warm():
+    x3, x4 = root_of_unity(3, 1), root_of_unity(4, 1)
+    for a, b in ((x3, x3), (x4, x4)):
+        a * b, a + b, a - b  # warm the memos on both orders
+    for a, b in ((x3, x4), (x4, x3)):
+        for op in (lambda: a * b, lambda: a + b, lambda: a - b):
+            for _ in range(2):  # a pair that raised was not stored
+                with pytest.raises(OrderMismatchError):
+                    op()
+
+
+def test_memos_stay_within_their_bound():
+    three = CycScalar.from_rational(1, 3)
+    for op in (CycScalar.__mul__, CycScalar.__add__, CycScalar.__sub__):
+        before = op.cache_info().misses
+        for i in range(MEMO_SIZE + 100):
+            op(CycScalar.from_rational(1, i + 10**9), three)
+        info = op.cache_info()
+        assert info.misses - before >= MEMO_SIZE + 100
+        assert info.currsize <= info.maxsize == MEMO_SIZE
