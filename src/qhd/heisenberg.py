@@ -242,7 +242,8 @@ def _add(entries: dict, key, c):
 
 def check_parenthesization(ha: HeisenbergAlgebra, a: SparseTensor, b: SparseTensor,
                            c: SparseTensor):
-    """((ab)c) against (a(bc)); returns (equal, left, right)."""
+    """((ab)c) against (a(bc)); returns (equal, left, right).  A factor may
+    be a Placement."""
     left = multiply(ha.sc, multiply(ha.sc, a, b), c)
     right = multiply(ha.sc, a, multiply(ha.sc, b, c))
     return left == right, left, right
