@@ -614,7 +614,7 @@ def main(argv=None) -> int:
                         help="include per-check timings (non-deterministic output)")
     args = parser.parse_args(argv)
 
-    source = args.example if args.example else f"file:{args.input}"
+    source = args.example if args.example is not None else f"file:{args.input}"
     spec = RunSpec(
         source=source,
         suites=tuple(s.strip() for s in args.check.split(",") if s.strip()),

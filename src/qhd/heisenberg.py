@@ -29,7 +29,6 @@ from .algebra import (
     multiplication_rows,
     multiply,
     solve_linear,
-    vec_tensor,
 )
 from .quasihopf import DerivedElements, QuasiHopfAlgebra
 from .report import Recorder
@@ -58,16 +57,6 @@ class HeisenbergAlgebra:
 
     def act_basis(self, k: int, h: int) -> dict:
         return self.action.get((k, h), {})
-
-    def act_vec(self, v: dict, h_vec: dict) -> dict:
-        out: dict = {}
-        for k, ck in v.items():
-            for h, ch in h_vec.items():
-                for z, cz in self.action.get((k, h), {}).items():
-                    c = ck * ch * cz
-                    prev = out.get(z)
-                    out[z] = c if prev is None else prev + c
-        return {k: c for k, c in out.items() if not c.is_zero()}
 
     def __repr__(self):
         return f"HeisenbergAlgebra({self.side}, m={self.m})"
@@ -310,7 +299,9 @@ _EPS_CHECKS = {
 
 def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder:
     """Unit law, the two counit-slot product specializations, and the
-    module axioms of the attached action."""
+    module axioms of the attached action.  A counit-slot family compares one
+    pair per leading index i0, keyed (i1, i2, z); the action one pair per
+    basis element k, keyed (h1, h2, z), after its unit pair."""
     rec = rec or Recorder()
     side = ha.side
     rec.bool_check(f"3.unit-{side}", f"two-sided unit law in the {side}-side double",
@@ -319,57 +310,64 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
     H = ha.parent
     if H is None:
         return rec
-    m = H.dim
-    one = CycScalar.one(H.order)
+    m, dim, order = H.dim, ha.dim, ha.order
+    one = CycScalar.one(order)
     sd = ha.side_data
     rev, index = sd.rev, sd.index
+    table, action = ha.sc.table, ha.action
+    eps = tuple(H.counit.items())
 
-    def v1(v):
-        return vec_tensor(ha.dim, ha.order, v)
+    def family(fill):
+        for i0 in range(m):
+            lhs, rhs = {}, {}
+            for i1, i2 in product(range(m), repeat=2):
+                fill(lhs, rhs, (i1, i2), *rev((i0, i1, i2)))
+            yield (i0,), SparseTensor(dim, 3, order, lhs), SparseTensor(dim, 3, order, rhs)
 
-    def eps_at(a):
-        return {index[u][a]: cu for u, cu in H.counit.items()}
-
-    def multiplies():
+    def multiplies(lhs, rhs, key, xi, a, b):
         # dual: (xi # a)(eps # b) = xi # ab; plain: (b # eps)(a # xi) = ba # xi
-        for idx in product(range(m), repeat=3):
-            xi, a, b = rev(idx)
-            lhs = ha.sc.vec_mult(*rev(({index[xi][a]: one}, eps_at(b))))
-            rhs = {index[xi][z]: cz for z, cz in sd.prod[a][b]}
-            yield idx, v1(lhs), v1(rhs)
+        for u, cu in eps:
+            for z, cz in table.get(rev((index[xi][a], index[u][b])), ()):
+                _add(lhs, (*key, z), cu * cz)
+        for z, cz in sd.prod[a][b]:
+            rhs[(*key, index[xi][z])] = cz
 
-    def acts():
+    def acts(lhs, rhs, key, a, xi, b):
         # dual: (eps # a)(xi # b) = (a_1 -> xi) # a_2 b;
         # plain: (b # xi)(a # eps) = b a_1 # (xi <- a_2)
-        for idx in product(range(m), repeat=3):
-            a, xi, b = rev(idx)
-            lhs = ha.sc.vec_mult(*rev((eps_at(a), {index[xi][b]: one})))
-            rhs: dict = {}
-            for (s, t), d in sd.cop[a]:
-                for z, cz in sd.prod[t][b]:
-                    for u, cu in sd.h_prod[s][xi].items():
-                        _add(rhs, index[u][z], d * cu * cz)
-            yield idx, v1(lhs), v1(rhs)
+        for u, cu in eps:
+            for z, cz in table.get(rev((index[u][a], index[xi][b])), ()):
+                _add(lhs, (*key, z), cu * cz)
+        for (s, t), d in sd.cop[a]:
+            for z, cz in sd.prod[t][b]:
+                for u, cu in sd.h_prod[s][xi].items():
+                    _add(rhs, (*key, index[u][z]), d * cu * cz)
 
     (mult_label, mult_name), (act_label, act_name) = _EPS_CHECKS[side]
-    rec.family_check(mult_label, mult_name, multiplies())
-    rec.family_check(act_label, act_name, acts())
+    rec.family_check(mult_label, mult_name, family(multiplies))
+    rec.family_check(act_label, act_name, family(acts))
 
     def action_axioms():
-        unit_h = H.unit_vec()
-        products = {(h1, h2): H.mult.vec_mult({h1: one}, {h2: one})
-                    for h1 in range(m) for h2 in range(m)}
-        for k in range(ha.dim):
-            base = {k: one}
-            yield (k, "unit"), v1(ha.act_vec(base, unit_h)), v1(base)
-            for h1 in range(m):
-                for h2 in range(m):
-                    # dual: (x <| h1) <| h2 = x <| (h1 h2);
-                    # plain: h1 |> (h2 |> x) = (h1 h2) |> x
-                    first, second = rev((h1, h2))
-                    lhs = ha.act_vec(ha.act_basis(k, first), {second: one})
-                    rhs = ha.act_vec(base, products[h1, h2])
-                    yield (k, h1, h2), v1(lhs), v1(rhs)
+        # dual: (x <| h1) <| h2 = x <| (h1 h2); plain: h1 |> (h2 |> x) = (h1 h2) |> x
+        unit_h = tuple(H.unit_vec().items())
+        products = [((h1, h2), *rev((h1, h2)), H.mult.vec_mult({h1: one}, {h2: one}).items())
+                    for h1 in range(m) for h2 in range(m)]
+        for k in range(dim):
+            unit: dict = {}
+            for h, ch in unit_h:
+                for z, cz in action.get((k, h), {}).items():
+                    _add(unit, (z,), ch * cz)
+            yield (k, "unit"), SparseTensor(dim, 1, order, unit), \
+                SparseTensor(dim, 1, order, {(k,): one})
+            lhs, rhs = {}, {}
+            for key, first, second, h12 in products:
+                for k2, c2 in action.get((k, first), {}).items():
+                    for z, cz in action.get((k2, second), {}).items():
+                        _add(lhs, (*key, z), c2 * cz)
+                for h, ch in h12:
+                    for z, cz in action.get((k, h), {}).items():
+                        _add(rhs, (*key, z), ch * cz)
+            yield (k,), SparseTensor(dim, 3, order, lhs), SparseTensor(dim, 3, order, rhs)
 
     rec.family_check(f"3.action-{side}", f"module axioms of the {side}-side action",
                      action_axioms())

@@ -83,7 +83,9 @@ class Recorder:
         return self._compare(label, name, (((), lhs, rhs),), detail)
 
     def family_check(self, label: str, name: str, triples) -> bool:
-        """triples: iterable of (prefix, lhs, rhs); one item for the family."""
+        """triples: iterable of (prefix, lhs, rhs); one item for the family.  An
+        index is prefix + key, keys sort within a triple, triples are read in the
+        order given, so pairs merged under a shorter prefix report the same."""
         return self._compare(label, name, triples)
 
     def _compare(self, label: str, name: str, triples, detail: str = "") -> bool:

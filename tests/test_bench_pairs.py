@@ -1,0 +1,86 @@
+"""tools/bench_pairs.summarize on synthetic runs: failed and incorrect runs,
+ties, and traced results that are missing for one side or a workload."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BENCH = {
+    "end_to_end": [
+        {"name": "verify_s", "unit": "s", "better": "lower", "bound": 0.17},
+        {"name": "checks", "unit": "count", "better": "higher", "bound": 1},
+    ],
+    "per_layer": [
+        {"name": "scalar.mul.calls", "unit": "count", "better": "lower"},
+        {"name": "heisenberg.check_double.self_s", "unit": "s", "better": "lower"},
+    ],
+}
+
+
+def result(verify_s, checks=72, correct=True, **traced):
+    metrics = {"verify_s": verify_s, "checks": checks, **traced}
+    return {"correct": correct, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+
+def summary():
+    runs = {
+        "doubles": {
+            # pairs: change wins, change failed, tie, change incorrect, change wins
+            "parent": [result(1.0), result(2.0), result(3.0), result(4.0), result(5.0)],
+            "change": [result(0.5, 73), None, result(3.0), result(3.5, correct=False),
+                       result(4.0, 73)],
+        },
+        "probe": {"parent": [result(2.0)], "change": [None]},
+    }
+    traced = {"doubles": {"parent": result(1.0, **{"scalar.mul.calls": 42910,
+                                                   "heisenberg.check_double.self_s": 0.15})}}
+    return bench_pairs.summarize(BENCH, runs, traced)["workloads"]
+
+
+def test_medians_quartiles_and_wins():
+    d = summary()["doubles"]
+    assert d["pairs"] == 5
+    v = d["metrics"]["verify_s"]
+    assert v["parent"]["runs"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert (v["parent"]["median"], v["parent"]["q1"], v["parent"]["q3"]) == (3.0, 2.0, 4.0)
+    # the failed and the incorrect run count for neither statistic nor pair
+    assert v["change"]["runs"] == [0.5, None, 3.0, None, 4.0]
+    assert v["change"]["median"] == 3.0
+    assert v["change"]["q1"] == pytest.approx(1.75)
+    assert v["change"]["q3"] == pytest.approx(3.5)
+    assert v["change_won"] == 2 and v["pairs"] == 5
+    assert (v["unit"], v["better"], v["bound"]) == ("s", "lower", 0.17)
+    # higher is better: 73 beats 72 twice, the equal pair is a tie
+    c = d["metrics"]["checks"]
+    assert c["change"]["runs"] == [73, None, 72, None, 73]
+    assert c["change_won"] == 2
+
+
+def test_correct_lists():
+    d = summary()
+    assert d["doubles"]["correct"] == {"parent": [True] * 5,
+                                       "change": [True, False, True, False, True]}
+    assert d["probe"]["correct"] == {"parent": [True], "change": [False]}
+
+
+def test_single_and_missing_runs_have_no_quartiles():
+    v = summary()["probe"]["metrics"]["verify_s"]
+    assert v["parent"] == {"median": 2.0, "q1": None, "q3": None, "runs": [2.0]}
+    assert v["change"] == {"median": None, "q1": None, "q3": None, "runs": [None]}
+    assert v["change_won"] == 0
+
+
+def test_missing_traced_side_reads_none():
+    d = summary()
+    assert d["doubles"]["traced_counts"] == {
+        "scalar.mul.calls": {"parent": 42910, "change": None}}
+    assert d["doubles"]["traced_spans"] == {
+        "heisenberg.check_double.self_s": {"parent": 0.15, "change": None}}
+    assert d["probe"]["traced_counts"] == {
+        "scalar.mul.calls": {"parent": None, "change": None}}

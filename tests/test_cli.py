@@ -9,6 +9,8 @@ and item order of a full run.  Regenerate them from the repository root with
     cd tests/data && for f in s3_sign s3_trivial; do
       PYTHONPATH=../../src python -m qhd.cli --input $f.qhd --report json \
         > golden/$f.json; done
+    PYTHONPATH=../../src python -m qhd.cli --input s3_sign.qhd --backend float \
+      --report json > golden/s3_sign_float.json
 """
 
 import json
@@ -185,6 +187,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "cocycle identity fails" in err
+
+
+def test_main_empty_example_is_not_a_file(tmp_path, monkeypatch, capsys):
+    # an empty --example is a bad builtin id, not the file "None"
+    (tmp_path / "None").write_text("group cyclic 2\ncocycle trivial\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--input", "None", "--check", "axioms"]) == 0
+    capsys.readouterr()
+    assert main(["--example", "", "--check", "axioms"]) == 2
+    assert "unknown builtin example" in capsys.readouterr().err
 
 
 def test_main_writes_report_file(tmp_path, capsys):
@@ -471,6 +483,14 @@ def test_s3_full_run_passes(name, checks, capsys):
     # the golden report was written with the file name as its source
     out = out.replace(json.dumps(f"file:{path}"), json.dumps(f"file:{name}"), 1)
     assert out == golden(name.replace(".qhd", ".json"))
+
+
+def test_s3_float_backend_matches_golden(capsys):
+    path = os.path.join(DATA, "s3_sign.qhd")
+    assert main(["--input", path, "--backend", "float", "--report", "json"]) == 0
+    out = capsys.readouterr().out
+    out = out.replace(json.dumps(f"file:{path}"), json.dumps("file:s3_sign.qhd"), 1)
+    assert out == golden("s3_sign_float.json")
 
 
 @pytest.mark.parametrize("example", ["trivial:4", "v4:3", "zn:4:1"])

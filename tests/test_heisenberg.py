@@ -648,3 +648,142 @@ def test_side_builder_matches_former_builders_on_noncommutative_H():
         assert len(ha.sc.table) == 216
         rec = check_double(ha)
         assert rec.ok and len(rec.items) == 4, failing(rec)
+
+
+def _check_double_reference(ha, rec=None):
+    """check_double as it compared one one-entry pair per basis triple, with
+    the former HeisenbergAlgebra.act_vec; the grouped check must record the
+    same items."""
+    from itertools import product
+
+    from qhd.algebra import vec_tensor
+    from qhd.heisenberg import _EPS_CHECKS, _add
+
+    def act_vec(v, h_vec):
+        out: dict = {}
+        for k, ck in v.items():
+            for h, ch in h_vec.items():
+                for z, cz in ha.action.get((k, h), {}).items():
+                    c = ck * ch * cz
+                    prev = out.get(z)
+                    out[z] = c if prev is None else prev + c
+        return {k: c for k, c in out.items() if not c.is_zero()}
+
+    rec = rec or Recorder()
+    side = ha.side
+    rec.bool_check(f"3.unit-{side}", f"two-sided unit law in the {side}-side double",
+                   not ha.sc.check_unit())
+
+    H = ha.parent
+    if H is None:
+        return rec
+    m = H.dim
+    one = CycScalar.one(H.order)
+    sd = ha.side_data
+    rev, index = sd.rev, sd.index
+
+    def v1(v):
+        return vec_tensor(ha.dim, ha.order, v)
+
+    def eps_at(a):
+        return {index[u][a]: cu for u, cu in H.counit.items()}
+
+    def multiplies():
+        # dual: (xi # a)(eps # b) = xi # ab; plain: (b # eps)(a # xi) = ba # xi
+        for idx in product(range(m), repeat=3):
+            xi, a, b = rev(idx)
+            lhs = ha.sc.vec_mult(*rev(({index[xi][a]: one}, eps_at(b))))
+            rhs = {index[xi][z]: cz for z, cz in sd.prod[a][b]}
+            yield idx, v1(lhs), v1(rhs)
+
+    def acts():
+        # dual: (eps # a)(xi # b) = (a_1 -> xi) # a_2 b;
+        # plain: (b # xi)(a # eps) = b a_1 # (xi <- a_2)
+        for idx in product(range(m), repeat=3):
+            a, xi, b = rev(idx)
+            lhs = ha.sc.vec_mult(*rev((eps_at(a), {index[xi][b]: one})))
+            rhs: dict = {}
+            for (s, t), d in sd.cop[a]:
+                for z, cz in sd.prod[t][b]:
+                    for u, cu in sd.h_prod[s][xi].items():
+                        _add(rhs, index[u][z], d * cu * cz)
+            yield idx, v1(lhs), v1(rhs)
+
+    (mult_label, mult_name), (act_label, act_name) = _EPS_CHECKS[side]
+    rec.family_check(mult_label, mult_name, multiplies())
+    rec.family_check(act_label, act_name, acts())
+
+    def action_axioms():
+        unit_h = H.unit_vec()
+        products = {(h1, h2): H.mult.vec_mult({h1: one}, {h2: one})
+                    for h1 in range(m) for h2 in range(m)}
+        for k in range(ha.dim):
+            base = {k: one}
+            yield (k, "unit"), v1(act_vec(base, unit_h)), v1(base)
+            for h1 in range(m):
+                for h2 in range(m):
+                    # dual: (x <| h1) <| h2 = x <| (h1 h2);
+                    # plain: h1 |> (h2 |> x) = (h1 h2) |> x
+                    first, second = rev((h1, h2))
+                    lhs = act_vec(ha.act_basis(k, first), {second: one})
+                    rhs = act_vec(base, products[h1, h2])
+                    yield (k, h1, h2), v1(lhs), v1(rhs)
+
+    rec.family_check(f"3.action-{side}", f"module axioms of the {side}-side action",
+                     action_axioms())
+    return rec
+
+
+def _mutants(ha):
+    """(name, double) for copies of ha with one defect each: a zeta-scaled
+    table cell that the counit-slot checks read, a zeta-scaled action entry,
+    a dropped cell, and every cell or every action entry zeta-scaled, which
+    differ at more than MAX_DISCREPANCIES indices."""
+    from qhd.heisenberg import HeisenbergAlgebra
+
+    zeta = root_of_unity(ha.order, 1)
+    sd = ha.side_data
+    u0 = next(iter(ha.parent.counit))
+    cell = next(c for c in (sd.rev((sd.index[xi][0], sd.index[u0][0]))
+                            for xi in range(ha.m)) if c in ha.sc.table)
+    entry = next(key for key in sorted(ha.action) if ha.action[key])
+
+    def scaled(v):
+        return {k: zeta * c for k, c in v.items()}
+
+    def double(table=None, action=None):
+        sc = StructureConstants(ha.dim, ha.order, table or ha.sc.table, ha.sc.unit)
+        return HeisenbergAlgebra(ha.side, ha.parent, ha.m, sc, action or ha.action, sd)
+
+    cell_scaled = dict(ha.sc.table)
+    cell_scaled[cell] = tuple((k, zeta * c) for k, c in cell_scaled[cell])
+    dropped = {c: v for c, v in ha.sc.table.items() if c != cell}
+    return (("cell", double(table=cell_scaled)),
+            ("action", double(action={**ha.action, entry: scaled(ha.action[entry])})),
+            ("dropped", double(table=dropped)),
+            ("all-cells", double(table={c: tuple((k, zeta * v) for k, v in ent)
+                                        for c, ent in ha.sc.table.items()})),
+            ("all-actions", double(action={k: scaled(v) for k, v in ha.action.items()})))
+
+
+def test_check_double_matches_per_triple_reference():
+    from dataclasses import asdict
+
+    from qhd.report import MAX_DISCREPANCIES
+
+    s3 = parse_input(S3_SIGN)
+    doubles = []
+    for H in (build_k_omega_G(cyclic_cocycle(3, 1)), build_k_omega_G(s3[1]),
+              group_algebra(s3[0])):
+        doubles += [("", build_H1_dual(H)), ("", build_H1(H))]
+    for name, ha in doubles[:4]:
+        doubles += _mutants(ha)
+    cut = False
+    for name, ha in doubles:
+        got = check_double(ha, Recorder(float_check=True))
+        want = _check_double_reference(ha, Recorder(float_check=True))
+        assert [asdict(i) for i in got.items] == [asdict(i) for i in want.items], \
+            (name, ha.side)
+        assert want.ok == (name == ""), (name, ha.side)
+        cut |= any(len(i.discrepancies) == MAX_DISCREPANCIES for i in want.items)
+    assert cut
