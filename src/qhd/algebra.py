@@ -9,7 +9,9 @@ merge_pair is the one join of the tensor kernels: multiply is merge_pair
 with leg i of x times leg i of y, and a single tensor is contracted by
 merge_pair against the degree-0 unit.  A factor of multiply may be a
 Placement, a tensor on some legs with the unit on the others, whose unit
-legs enter merge_pair as the vector sc.unit instead of being built.
+legs enter merge_pair as the vector sc.unit instead of being built.  The
+loop of merge_pair over candidate entry pairs is Python source generated for
+the call's plan and compiled once per plan signature (see _compile_kernel).
 
 Every CycScalar is interned (see scalar.py), so a table, coproduct or map
 coefficient equal to one is CycScalar.one(order) itself, and the tensor
@@ -25,8 +27,7 @@ __mul__.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
+from itertools import count, product
 
 from .scalar import CycScalar
 
@@ -737,84 +738,121 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
 
     joins = []  # (a leg, b leg, a comes first) of each adjacent a/b pair
     cells = []  # (position, position) of each two-leg group
-    # per folded group: the getter of the indices it reads, its factors
-    # (positions and vectors), the (position, position) of each a/b pair in
-    # it, and its folds by those indices
-    chains = []
-    steps = []  # per group: ("pass", position), ("cell", n) or ("chain", n)
+    chains = []  # per folded group: its factors (None for a vector), its a/b pairs
+    chain_vecs = []  # the vectors of the folded groups, in order
+    steps = []  # per group: (0, position), (1, cell) or (2, chain)
     for g in groups:
         pairs = [(r1, r2) for r1, r2 in zip(g, g[1:]) if {r1[0], r2[0]} == {"a", "b"}]
         joins += [(r1[1], r2[1], True) if r1[0] == "a" else (r2[1], r1[1], False)
                   for r1, r2 in pairs]
         if len(g) == 1 and g[0][0] != "v":
-            steps.append(("pass", at(*g[0])))
+            steps.append((0, at(*g[0])))
         elif len(g) == 2 and "v" not in (g[0][0], g[1][0]):
-            steps.append(("cell", len(cells)))
+            steps.append((1, len(cells)))
             cells.append((at(*g[0]), at(*g[1])))
         else:
-            steps.append(("chain", len(chains)))
-            factors = [vecs[i] if kind == "v" else at(kind, i) for kind, i in g]
-            read = [x for x in factors if type(x) is int]
-            chains.append((itemgetter(*read) if read else lambda _k: (), factors,
-                           [(at(*r1), at(*r2)) for r1, r2 in pairs], {}))
-    # a candidate's `ents` are its cells' table entries, then its folded groups
-    slots = [(kind != "pass", len(cells) + n if kind == "chain" else n) for kind, n in steps]
+            steps.append((2, len(chains)))
+            chain_vecs += [vecs[i] for kind, i in g if kind == "v"]
+            chains.append((tuple(None if kind == "v" else at(kind, i) for kind, i in g),
+                           tuple((at(*r1), at(*r2)) for r1, r2 in pairs)))
 
     lb, rb = sc.left_block, sc.right_block
-    a_blocks = [(a_leg, lb if a_first else rb) for a_leg, _, a_first in joins]
     b_blocks = [(b_leg, rb if a_first else lb) for _, b_leg, a_first in joins]
-    index: dict[tuple, list] = {}  # blocks -> keys of b
-    b_entries = b.entries
-    for kb in b_entries:
-        index.setdefault(tuple([blk[kb[leg]] for leg, blk in b_blocks]), []).append(kb)
+    index: dict[tuple, list] = {}  # blocks -> entries of b
+    for kb, cb in b.entries.items():
+        index.setdefault(tuple([blk[kb[leg]] for leg, blk in b_blocks]), []).append((kb, cb))
 
-    table = sc.table
-    one = CycScalar.one(sc.order)
+    sig = (a.degree, b.degree, tuple(joins), tuple(steps), tuple(cells), tuple(chains))
+    kernel = _KERNELS.get(sig) or _KERNELS.setdefault(sig, _compile_kernel(sig))
     out: dict = {}
-    for ka, ca in a.entries.items():
-        for kb in index.get(tuple([blk[ka[leg]] for leg, blk in a_blocks]), ()):
-            k = ka + kb
-            ents = [table.get((k[p], k[q])) for p, q in cells]
-            if None in ents:
-                continue
-            for read, factors, tests, folds in chains:
-                ix = read(k)
-                v = folds.get(ix)
-                if v is None:
-                    v = folds[ix] = _chain_pairs(
-                        table, [k[x] if type(x) is int else x for x in factors], one
-                    ) if all((k[p], k[q]) in table for p, q in tests) else ()
-                if not v:
-                    break
-                ents.append(v)
-            else:
-                cb = b_entries[kb]
-                c = cb if ca is one else (ca if cb is one else ca * cb)
-                key = []
-                wide = []  # (output leg, entry) of each group with several terms
-                for is_ent, x in slots:
-                    if not is_ent:
-                        key.append(k[x])
-                    elif len(ents[x]) > 1:
-                        wide.append((len(key), ents[x]))
-                        key.append(None)
-                    else:
-                        i, ci = ents[x][0]
-                        key.append(i)
-                        if ci is not one:
-                            c = ci if c is one else c * ci
-                if wide:
-                    terms = []
-                    for combo in product(*[ent for _, ent in wide]):
-                        cc = c
-                        for (leg, _), (i, ci) in zip(wide, combo):
-                            key[leg] = i
-                            if ci is not one:
-                                cc = ci if cc is one else cc * ci
-                        terms.append((tuple(key), cc))
-                else:
-                    terms = ((tuple(key), c),)
-                for key, c in terms:
-                    prev = out.get(key)
-                    out[key] = c if prev is None else prev + c
+    kernel(a.entries.items(), index, sc.table, lb, rb, CycScalar.one(sc.order),
+           chain_vecs, [{} for _ in chains], out)
     return _owned(a.dim, len(groups), a.order, out)
+
+
+_KERNELS: dict = {}  # plan signature -> its candidate loop, see _compile_kernel
+
+
+def _tuple_src(items) -> str:
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+def _leaves(x) -> list:
+    return [y for z in x for y in _leaves(z)] if type(x) is tuple else [x]
+
+
+def _compile_kernel(sig):
+    """The candidate loop of merge_pair for one plan, run through exec.  sig
+    is the plan's (degree of a, degree of b, joins, steps, cells, chains),
+    None standing for a vector factor; only these ints, bools and None become
+    source text.  A candidate makes one table.get per cell and one memoized
+    fold per chain, each with an early continue; its key is a tuple literal
+    when every cell and fold has one term, else _add_terms adds it."""
+    if any(type(x) not in (int, bool, type(None)) for x in _leaves(sig)):
+        raise AlgebraError(f"merge_pair kernel signature not of ints, bools, None: {sig!r}")
+    da, db, joins, steps, cells, chains = sig
+    k = [f"k{p}" for p in range(da + db)]
+    src = []
+
+    def line(depth, text):
+        src.append("    " * depth + text)
+
+    line(0, "def kernel(a_items, index, table, lb, rb, one, vecs, folds, out):")
+    line(1, "get = table.get")
+    line(1, f"{_tuple_src([f'f{n}' for n in range(len(chains))])} = folds")
+    blocks = _tuple_src([f"{'lb' if a_first else 'rb'}[{k[leg]}]" for leg, _, a_first in joins])
+    line(1, "for ka, ca in a_items:")
+    line(2, f"{_tuple_src(k[:da])} = ka")
+    line(2, f"for kb, cb in index.get({blocks}, ()):")
+    line(3, f"{_tuple_src(k[da:])} = kb")
+    for n, (p, q) in enumerate(cells):
+        line(3, f"e{n} = get(({k[p]}, {k[q]}))")
+        line(3, f"if e{n} is None: continue")
+    vec = count()
+    for n, (factors, tests) in enumerate(chains):
+        read = [k[x] for x in factors if x is not None]
+        ix = read[0] if len(read) == 1 else _tuple_src(read)
+        items = _tuple_src([f"vecs[{next(vec)}]" if x is None else k[x] for x in factors])
+        fold = f"_chain_pairs(table, {items}, one)"
+        if tests:
+            fold += f" if {' and '.join(f'({k[p]}, {k[q]}) in table' for p, q in tests)} else ()"
+        line(3, f"x{n} = f{n}.get({ix})")
+        line(3, f"if x{n} is None: x{n} = f{n}[{ix}] = {fold}")
+        line(3, f"if not x{n}: continue")
+    line(3, "c = cb if ca is one else (ca if cb is one else ca * cb)")
+    parts = [k[n] if kind == 0 else f"{'ex'[kind - 1]}{n}" for kind, n in steps]
+    terms = [t for t in parts if t[0] != "k"]
+    if terms:
+        line(3, f"if {' and '.join(f'len({t}) == 1' for t in terms)}:")
+        for t in terms:
+            line(4, f"(i{t}, c{t}), = {t}")
+            line(4, f"if c{t} is not one: c = c{t} if c is one else c * c{t}")
+    depth = 4 if terms else 3
+    line(depth, f"key = {_tuple_src([t if t[0] == 'k' else f'i{t}' for t in parts])}")
+    line(depth, "prev = out.get(key)")
+    line(depth, "out[key] = c if prev is None else prev + c")
+    if terms:
+        line(3, "else:")
+        line(4, f"_add_terms(out, c, one, {_tuple_src(parts)})")
+    scope: dict = {}
+    exec("\n".join(src), globals(), scope)
+    return scope["kernel"]
+
+
+def _add_terms(out: dict, c, one, parts):
+    """Adds to out a candidate of merge_pair whose output legs (parts: an
+    index passed through, or a tuple of (index, coeff) terms) have several
+    terms: c times each one-term coefficient, then times each combination."""
+    for x in parts:
+        if type(x) is not int and len(x) == 1 and x[0][1] is not one:
+            c = x[0][1] if c is one else c * x[0][1]
+    legs = [((x, one),) if type(x) is int else (x if len(x) > 1 else ((x[0][0], one),))
+            for x in parts]
+    for combo in product(*legs):
+        cc = c
+        for _, ci in combo:
+            if ci is not one:
+                cc = ci if cc is one else cc * ci
+        key = tuple(i for i, _ in combo)
+        prev = out.get(key)
+        out[key] = cc if prev is None else prev + cc

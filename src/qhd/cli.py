@@ -25,6 +25,7 @@ from .heisenberg import (
     check_theorem_4_4,
     check_theorem_4_5,
     leg_pairs,
+    pentagon_lefts,
     probe_invertibility,
 )
 from .quasihopf import (
@@ -307,6 +308,7 @@ class RunContext:
         self._doubles = None
         self._elements = None
         self._closed_form = None
+        self._lefts = None
 
     def derived(self) -> DerivedElements:
         if self._derived is None:
@@ -330,6 +332,13 @@ class RunContext:
             had, hap = self.doubles()
             self._elements = canonical_elements(had, hap, self.derived())
         return self._elements
+
+    def pentagon_lefts(self):
+        """4.9's two left parenthesizations, which section 5 expands too."""
+        if self._lefts is None:
+            ce = self.elements()
+            self._lefts = pentagon_lefts(self.doubles()[1], ce.What, ce.PhiBarS)
+        return self._lefts
 
     def closed_form(self):
         if self._closed_form is None:
@@ -403,7 +412,7 @@ def _suite_theorems(run: RunContext, rec: Recorder):
     had, hap = run.doubles()
     ce = run.elements()
     check_theorem_4_4(ce, had, rec)
-    check_theorem_4_5(ce, hap, rec)
+    check_theorem_4_5(ce, hap, rec, run.pentagon_lefts())
     cf = run.closed_form().elements
     for name in ("W", "Wtilde", "Wbar", "What",
                  "PhiBoldInv", "PhiBold321S", "PhiBarInv321", "PhiBarS"):
@@ -443,8 +452,7 @@ def _suite_theorems(run: RunContext, rec: Recorder):
 
 
 def _suite_section5(run: RunContext, rec: Recorder):
-    _, hap = run.doubles()
-    check_section5_expansions(run.w, run.elements(), hap, rec)
+    check_section5_expansions(run.w, *run.pentagon_lefts(), rec)
 
 
 def _suite_invertibility(run: RunContext, rec: Recorder):
@@ -638,7 +646,7 @@ def main(argv=None) -> int:
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         traceback.print_exc()
         return 3
-    if spec.out:
+    if spec.out is not None:
         try:
             with open(spec.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -102,6 +102,7 @@ def _build_double(H: QuasiHopfAlgebra, side: str) -> HeisenbergAlgebra:
     phi_inv = tuple((rev(key), c) for key, c in H.associator_inv.entries.items())
 
     table: dict = {}
+    convs: dict = {}  # (p, i, w, k) -> the convolution, the same for every j
     for j in range(m):
         acc: dict = {}
         for (p, q, r), c in phi_inv:
@@ -124,7 +125,9 @@ def _build_double(H: QuasiHopfAlgebra, side: str) -> HeisenbergAlgebra:
             for i, xi1 in support[p]:
                 row = index[i][j]
                 for k, xi2 in support[w]:
-                    conv = convolution(cop, *rev((xi1, xi2)))
+                    conv = convs.get((p, i, w, k))
+                    if conv is None:
+                        conv = convs[p, i, w, k] = convolution(cop, *rev((xi1, xi2)))
                     if not conv:
                         continue
                     for v, cc in vlist:
@@ -230,19 +233,22 @@ def _add(entries: dict, key, c):
 
 
 def check_parenthesization(ha: HeisenbergAlgebra, a: SparseTensor, b: SparseTensor,
-                           c: SparseTensor):
+                           c: SparseTensor, left: SparseTensor | None = None):
     """((ab)c) against (a(bc)); returns (equal, left, right).  A factor may
-    be a Placement."""
-    left = multiply(ha.sc, multiply(ha.sc, a, b), c)
+    be a Placement; left, when given, is (ab)c already formed."""
+    if left is None:
+        left = multiply(ha.sc, multiply(ha.sc, a, b), c)
     right = multiply(ha.sc, a, multiply(ha.sc, b, c))
     return left == right, left, right
 
 
-def _equation(ha: HeisenbergAlgebra, rec: Recorder, label: str, name: str, lhs, rhs):
-    """Records both parenthesizations of each side, then the equation."""
+def _equation(ha: HeisenbergAlgebra, rec: Recorder, label: str, name: str, lhs, rhs,
+              lefts=(None, None)):
+    """Records both parenthesizations of each side, then the equation; lefts
+    are the sides' left parenthesizations already formed, or None."""
     sides = []
-    for tag, side, factors in (("lhs", "left", lhs), ("rhs", "right", rhs)):
-        _, left, right = check_parenthesization(ha, *factors)
+    for (tag, side, factors), left in zip((("lhs", "left", lhs), ("rhs", "right", rhs)), lefts):
+        _, left, right = check_parenthesization(ha, *factors, left)
         rec.tensor_check(f"{label}-parens-{tag}",
                          f"triple product parenthesization, {side} side of {label}",
                          left, right)
@@ -256,11 +262,21 @@ def leg_pairs(x: SparseTensor):
     return tuple(Placement(x, legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
 
 
-def _quasi_pentagon(ha, rec, label, element, x, phi):
-    """(X12 X13) X23 = (X23 X12) Phi."""
+def _pentagon_sides(x, phi):
+    """The factors of the sides of (X12 X13) X23 = (X23 X12) Phi."""
     x12, x13, x23 = leg_pairs(x)
+    return (x12, x13, x23), (x23, x12, phi)
+
+
+def pentagon_lefts(ha: HeisenbergAlgebra, x: SparseTensor, phi: SparseTensor) -> tuple:
+    """(X12 X13) X23 and (X23 X12) Phi: the left parenthesizations of the two
+    sides of the quasi-pentagon equation for x."""
+    return tuple(multiply(ha.sc, multiply(ha.sc, f, g), h) for f, g, h in _pentagon_sides(x, phi))
+
+
+def _quasi_pentagon(ha, rec, label, element, x, phi, lefts=(None, None)):
     _equation(ha, rec, label, f"quasi-pentagon equation for the {element}",
-              (x12, x13, x23), (x23, x12, phi))
+              *_pentagon_sides(x, phi), lefts)
 
 
 def _quasi_hopf(ha, rec, label, element, x, phi):
@@ -280,11 +296,12 @@ def check_theorem_4_4(ce: CanonicalElements, ha: HeisenbergAlgebra,
 
 
 def check_theorem_4_5(ce: CanonicalElements, ha: HeisenbergAlgebra,
-                      rec: Recorder | None = None) -> Recorder:
-    """Quasi-Hopf 4.8 and quasi-pentagon 4.9 on the plain-side double."""
+                      rec: Recorder | None = None, lefts=(None, None)) -> Recorder:
+    """Quasi-Hopf 4.8 and quasi-pentagon 4.9 on the plain-side double; lefts
+    are 4.9's pentagon_lefts when already formed."""
     rec = rec or Recorder()
     _quasi_hopf(ha, rec, "4.8", "canonical element", ce.Wbar, ce.PhiBarInv321)
-    _quasi_pentagon(ha, rec, "4.9", "quasi-inverse", ce.What, ce.PhiBarS)
+    _quasi_pentagon(ha, rec, "4.9", "quasi-inverse", ce.What, ce.PhiBarS, lefts)
     return rec
 
 
@@ -395,7 +412,8 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     by then, so its emptied rows have zero right sides and the pivot rows
     span the same augmented row space as rows_l; stacked with rows_r they
     have the same row space, hence the same reduced row echelon form, as
-    rows_l + rows_r: the same solution and the same consistency.
+    rows_l + rows_r: the same solution and the same consistency.  If the left
+    system has full rank, y is unique and that is whether y solves rows_r.
     """
     dim = ha.dim
     ncols = dim * dim
@@ -419,10 +437,14 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     right_inv = unflatten(y) if y_ok else None
     left_inv = unflatten(z) if z_ok else None
     if y_ok and z_ok:
-        basis = pivots_l.values()
-        v = solve_linear([reduced_l[r] for r in basis] + rows_r,
-                         [rhs_l[r] for r in basis] + rhs, ncols, order)
-        if not isinstance(v, Inconsistency):
+        if len(pivots_l) == ncols:  # y is the only candidate: does it solve rows_r?
+            v = y if all(sum((c * y[j] for j, c in row.items() if j in y), zero) is r
+                         for row, r in zip(rows_r, rhs)) else None
+        else:
+            basis = pivots_l.values()
+            v = solve_linear([reduced_l[r] for r in basis] + rows_r,
+                             [rhs_l[r] for r in basis] + rhs, ncols, order)
+        if v is not None and not isinstance(v, Inconsistency):
             vt = unflatten(v)
             if multiply(ha.sc, x, vt) == unit2 and multiply(ha.sc, vt, x) == unit2:
                 return InvertibilityResult("two_sided", vt, right_inv, left_inv,

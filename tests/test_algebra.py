@@ -3,8 +3,12 @@
 import os
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhd.algebra import (
     AlgebraError,
@@ -16,6 +20,9 @@ from qhd.algebra import (
     SparseTensor,
     StructureConstants,
     _chain_pairs,
+    _check_space,
+    _compile_kernel,
+    _owned,
     _row_reduce,
     apply_leg,
     convolution,
@@ -700,6 +707,191 @@ def test_merge_pair_folds_each_chain_once_per_index_tuple():
     want = SparseTensor(2, 2, 1, {(0, 0): rat(35)})
     assert merge_pair(sc, a, b, groups, ({0: ONE},)) == want
     assert _merge_pair_reference(sc, a, b, groups, ({0: ONE},)) == want
+
+
+# -- merge_pair's compiled kernels against the plan interpreted per candidate ----
+
+
+def _merge_pair_plan_reference(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups, vecs=()):
+    """Multiply legs of two tensors (and fixed vectors) into output legs.
+
+    Each group is a tuple of factor refs ('a', leg) / ('b', leg) / ('v', k),
+    multiplied left to right inside the algebra; the output tensor has one
+    leg per group.  Every input leg must appear exactly once overall.
+
+    The groups become a plan once per call: a group of one tensor leg passes
+    its index through, a group of two tensor legs is one table lookup, and
+    any other group (with a vector, or of three or more factors) is folded
+    by _chain_pairs once per tuple of the tensor indices it reads: the fold,
+    or () when an a/b pair inside it is not a cell of the table, is kept for
+    the rest of the call, since the block join makes many candidates read
+    the same indices (on k^omega G about n^2 tuples for n^4 candidates).
+    b is indexed by the blocks (see StructureConstants) of
+    its legs in adjacent a/b factor pairs, right blocks where a comes first
+    and left blocks otherwise, and the candidates of an entry of a are the b
+    entries whose key equals its own blocks on the partner side (all of b
+    if there is no such pair).  A candidate makes its lookups and takes its
+    folds before it multiplies: ca * cb and the expansion come once every
+    group is nonzero.
+
+    For a two-factor group this filter is exact on any table, since
+    e_i * e_j != 0 puts i and j in one block, so multiply stays exact on the
+    nonassociative doubles.  For a pair inside a longer chain it relies on
+    associativity: (v * a) * b is skipped when a * b = 0.  Every caller with
+    such chains passes H.mult, whose associativity the `assoc` axiom checks.
+    """
+    used_a = sorted(i for g in groups for kind, i in g if kind == "a")
+    used_b = sorted(i for g in groups for kind, i in g if kind == "b")
+    if used_a != list(range(a.degree)) or used_b != list(range(b.degree)):
+        raise AlgebraError("merge_pair groups must use every input leg exactly once")
+    _check_space(sc.dim, sc.order, a, b)
+
+    def at(kind, i):  # position of a tensor leg in the joined key ka + kb
+        return i if kind == "a" else a.degree + i
+
+    joins = []  # (a leg, b leg, a comes first) of each adjacent a/b pair
+    cells = []  # (position, position) of each two-leg group
+    # per folded group: the getter of the indices it reads, its factors
+    # (positions and vectors), the (position, position) of each a/b pair in
+    # it, and its folds by those indices
+    chains = []
+    steps = []  # per group: ("pass", position), ("cell", n) or ("chain", n)
+    for g in groups:
+        pairs = [(r1, r2) for r1, r2 in zip(g, g[1:]) if {r1[0], r2[0]} == {"a", "b"}]
+        joins += [(r1[1], r2[1], True) if r1[0] == "a" else (r2[1], r1[1], False)
+                  for r1, r2 in pairs]
+        if len(g) == 1 and g[0][0] != "v":
+            steps.append(("pass", at(*g[0])))
+        elif len(g) == 2 and "v" not in (g[0][0], g[1][0]):
+            steps.append(("cell", len(cells)))
+            cells.append((at(*g[0]), at(*g[1])))
+        else:
+            steps.append(("chain", len(chains)))
+            factors = [vecs[i] if kind == "v" else at(kind, i) for kind, i in g]
+            read = [x for x in factors if type(x) is int]
+            chains.append((itemgetter(*read) if read else lambda _k: (), factors,
+                           [(at(*r1), at(*r2)) for r1, r2 in pairs], {}))
+    # a candidate's `ents` are its cells' table entries, then its folded groups
+    slots = [(kind != "pass", len(cells) + n if kind == "chain" else n) for kind, n in steps]
+
+    lb, rb = sc.left_block, sc.right_block
+    a_blocks = [(a_leg, lb if a_first else rb) for a_leg, _, a_first in joins]
+    b_blocks = [(b_leg, rb if a_first else lb) for _, b_leg, a_first in joins]
+    index: dict[tuple, list] = {}  # blocks -> keys of b
+    b_entries = b.entries
+    for kb in b_entries:
+        index.setdefault(tuple([blk[kb[leg]] for leg, blk in b_blocks]), []).append(kb)
+
+    table = sc.table
+    one = CycScalar.one(sc.order)
+    out: dict = {}
+    for ka, ca in a.entries.items():
+        for kb in index.get(tuple([blk[ka[leg]] for leg, blk in a_blocks]), ()):
+            k = ka + kb
+            ents = [table.get((k[p], k[q])) for p, q in cells]
+            if None in ents:
+                continue
+            for read, factors, tests, folds in chains:
+                ix = read(k)
+                v = folds.get(ix)
+                if v is None:
+                    v = folds[ix] = _chain_pairs(
+                        table, [k[x] if type(x) is int else x for x in factors], one
+                    ) if all((k[p], k[q]) in table for p, q in tests) else ()
+                if not v:
+                    break
+                ents.append(v)
+            else:
+                cb = b_entries[kb]
+                c = cb if ca is one else (ca if cb is one else ca * cb)
+                key = []
+                wide = []  # (output leg, entry) of each group with several terms
+                for is_ent, x in slots:
+                    if not is_ent:
+                        key.append(k[x])
+                    elif len(ents[x]) > 1:
+                        wide.append((len(key), ents[x]))
+                        key.append(None)
+                    else:
+                        i, ci = ents[x][0]
+                        key.append(i)
+                        if ci is not one:
+                            c = ci if c is one else c * ci
+                if wide:
+                    terms = []
+                    for combo in product(*[ent for _, ent in wide]):
+                        cc = c
+                        for (leg, _), (i, ci) in zip(wide, combo):
+                            key[leg] = i
+                            if ci is not one:
+                                cc = ci if cc is one else cc * ci
+                        terms.append((tuple(key), cc))
+                else:
+                    terms = ((tuple(key), c),)
+                for key, c in terms:
+                    prev = out.get(key)
+                    out[key] = c if prev is None else prev + c
+    return _owned(a.dim, len(groups), a.order, out)
+
+
+@lru_cache(maxsize=None)
+def kernel_algebras() -> tuple:
+    """The function algebra, S3, the zn:3:1 double, a nonassociative table
+    and one whose cells have several terms (so _add_terms runs)."""
+    return (function_algebra(3), group_algebra_s3(),
+            build_H1(build_k_omega_G(cyclic_cocycle(3, 1))).sc, lopsided_algebra(),
+            plain_ones_algebra(random.Random(8114)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 4), da=st.integers(1, 3), db=st.integers(0, 3),
+       na=st.sampled_from((0, 1, 4, 15, 40)), nb=st.sampled_from((0, 1, 4, 15, 40)),
+       seed=st.integers(0, 2**32 - 1))
+def test_merge_pair_kernels_match_interpreted_plan(which, da, db, na, nb, seed):
+    sc = kernel_algebras()[which]
+    rng = random.Random(seed)
+    vecs = tuple({k[0]: c for k, c in sparse_tensor(rng, sc, 1, rng.randint(1, 3)).entries.items()}
+                 for _ in range(2))
+    groups = random_groups(rng, da, db, len(vecs))
+    a = sparse_tensor(rng, sc, da, na)
+    b = sparse_tensor(rng, sc, db, nb)
+    want = _merge_pair_plan_reference(sc, a, b, groups, vecs)
+    got = merge_pair(sc, a, b, groups, vecs)
+    assert got == want and got.degree == len(groups) and got.order == sc.order, groups
+
+
+def test_merge_pair_kernel_is_reused_across_vectors_and_tables(monkeypatch):
+    import qhd.algebra as algebra
+
+    compiled, expanded = [], []
+    compile_kernel, add_terms = algebra._compile_kernel, algebra._add_terms
+    monkeypatch.setattr(algebra, "_KERNELS", {})
+    monkeypatch.setattr(algebra, "_compile_kernel",
+                        lambda sig: compiled.append(sig) or compile_kernel(sig))
+    monkeypatch.setattr(algebra, "_add_terms",
+                        lambda *args: expanded.append(args) or add_terms(*args))
+    rng = random.Random(4471)
+    groups = ((("a", 0), ("v", 0), ("b", 0)), (("b", 1), ("a", 1)), (("v", 1),))
+    for sc in kernel_algebras():
+        for _ in range(3):
+            vecs = tuple({k[0]: c for k, c in sparse_tensor(rng, sc, 1, 3).entries.items()}
+                         for _ in range(2))
+            a, b = sparse_tensor(rng, sc, 2, 30), sparse_tensor(rng, sc, 2, 30)
+            want = _merge_pair_plan_reference(sc, a, b, groups, vecs)
+            assert merge_pair(sc, a, b, groups, vecs) == want, sc.dim
+    assert len(compiled) == 1 and len(algebra._KERNELS) == 1
+    assert expanded  # the several-term candidates of the last table
+
+
+def test_kernel_generation_refuses_a_signature_of_other_types():
+    sig = (2, 1, ((0, 0, True),), ((1, 0), (0, 1)), ((0, 2),), ())
+    _compile_kernel(sig)
+    for bad in [(2, 1, ((0, 0, "True"),), ((1, 0), (0, 1)), ((0, 2),), ()),
+                (2, 1, ((0, 0, True),), ((1, 0), (0, 1.0)), ((0, 2),), ()),
+                (2, 1, ((0, 0, True),), ((1, 0), (0, 1)), ([0, 2],), ()),
+                (2, 1, (), ((1, 0), (0, 1)), ((0, 2),), ((("__import__('os')", 0), ()),))]:
+        with pytest.raises(AlgebraError, match="signature"):
+            _compile_kernel(bad)
 
 
 def test_blocks_hold_every_cell_and_are_complete_for_built_algebras():

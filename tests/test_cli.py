@@ -223,6 +223,10 @@ def test_main_unwritable_out_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and str(out) in err
     assert not out.exists()
+    # an empty path is a path that cannot be written, not a request for stdout
+    assert main(["--example", "trivial:2", "--check", "axioms", "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write")
 
 
 def test_products_equal_ignores_cell_order():
@@ -416,6 +420,21 @@ def test_closed_form_elements_built_once_per_run(monkeypatch):
     monkeypatch.setattr(cli, "closed_form_elements", lambda w: calls.append(w) or real(w))
     assert run_spec("zn:3:1").exit_code == 0
     assert len(calls) == 1
+
+
+def test_pentagon_lefts_built_once_per_run(monkeypatch):
+    # 4.9 and section 5 share the two left parenthesizations; each suite
+    # alone builds them, and a run with both builds them once
+    import qhd.cli as cli
+
+    calls = []
+    real = cli.pentagon_lefts
+    monkeypatch.setattr(cli, "pentagon_lefts", lambda *args: calls.append(args) or real(*args))
+    for suites in (("theorems", "section5"), ("section5",), ("theorems",)):
+        calls.clear()
+        report = run_spec("zn:3:1", suites)
+        assert report.exit_code == 0 and len(calls) == 1, suites
+        assert [name for name, _ in report.suites] == list(suites)
 
 
 def test_cocycle_checked_once_per_file_run(monkeypatch):

@@ -20,7 +20,7 @@ from qhd.algebra import (
     multiply,
     solve_linear,
 )
-from qhd.cli import _products_equal, parse_input
+from qhd.cli import _products_equal, parse_input, resolve_builtin
 from qhd.heisenberg import (
     InvertibilityResult,
     build_H1,
@@ -415,6 +415,52 @@ def test_probe_matches_stacked_from_scratch_reference():
         statuses.add(got.status)
     assert probe_invertibility(ab, x).status == "two_sided"
     assert {"two_sided", "one_sided_both", "none"} <= statuses
+
+
+def test_probe_skips_the_stacked_solve_only_at_full_rank(monkeypatch):
+    # on these inputs, the probe workload's among them, every left system has
+    # full rank, so y is tested against the right system and the stacked
+    # system is not solved; the results stay those of the stacked solve, and
+    # the rank-deficient left system of the a, b algebra still solves it
+    import qhd.heisenberg as heisenberg
+
+    solves = []
+    real = heisenberg.solve_linear
+    monkeypatch.setattr(heisenberg, "solve_linear",
+                        lambda rows, *args: solves.append(len(rows)) or real(rows, *args))
+    cases = []
+    for example in ("zn:3:1", "zn:4:1", "zn:7:1", "trivial:6"):
+        _, _, had, hap, ce = make_all(resolve_builtin(example))
+        cases += [(had, ce.W, 1), (hap, ce.Wbar, 1)]
+    minus = CycScalar.from_rational(1, -1)
+    cases.append((_a_b_algebra(), SparseTensor(3, 2, 1, {(2, 0): minus, (1, 1): minus}), 2))
+    statuses = []
+    for ha, x, nsolves in cases:
+        solves.clear()
+        got = probe_invertibility(ha, x)
+        assert len(solves) == nsolves, (ha.dim, solves)
+        assert got == _probe_reference(ha, x), (ha.dim, got.status)
+        statuses.append(got.status)
+    assert statuses == ["one_sided_both"] * 6 + ["two_sided"] * 3, statuses
+
+
+def test_build_double_convolves_each_pair_once(monkeypatch):
+    import qhd.heisenberg as heisenberg
+
+    seen = []
+    real = heisenberg.convolution
+
+    def counted(cop, xi, nu):
+        seen.append((frozenset(xi.items()), frozenset(nu.items())))
+        return real(cop, xi, nu)
+
+    monkeypatch.setattr(heisenberg, "convolution", counted)
+    for w in (cyclic_cocycle(3, 1), parse_input(S3_SIGN)[1]):
+        H = build_k_omega_G(w)
+        for build in (build_H1_dual, build_H1):
+            seen.clear()
+            build(H)
+            assert seen and len(seen) == len(set(seen)), (w.group.order, build.__name__)
 
 
 # -- probe rows against the per-basis products they replaced --------------------
