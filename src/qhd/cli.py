@@ -308,7 +308,7 @@ class RunContext:
         self._doubles = None
         self._elements = None
         self._closed_form = None
-        self._lefts = None
+        self._lefts: dict = {}
 
     def derived(self) -> DerivedElements:
         if self._derived is None:
@@ -333,12 +333,15 @@ class RunContext:
             self._elements = canonical_elements(had, hap, self.derived())
         return self._elements
 
-    def pentagon_lefts(self):
-        """4.9's two left parenthesizations, which section 5 expands too."""
-        if self._lefts is None:
+    def pentagon_lefts(self, side: str):
+        """The two left parenthesizations of the quasi-pentagon equation of
+        one side: 4.6's on "dual", which hopf.pentagon reuses, and 4.9's on
+        "plain", which section 5 expands."""
+        if side not in self._lefts:
             ce = self.elements()
-            self._lefts = pentagon_lefts(self.doubles()[1], ce.What, ce.PhiBarS)
-        return self._lefts
+            x, phi = (ce.W, ce.PhiBoldInv) if side == "dual" else (ce.What, ce.PhiBarS)
+            self._lefts[side] = pentagon_lefts(self.doubles()[side == "plain"], x, phi)
+        return self._lefts[side]
 
     def closed_form(self):
         if self._closed_form is None:
@@ -378,22 +381,17 @@ def _suite_lemma41(run: RunContext, rec: Recorder):
 
 
 def _suite_heisenberg(run: RunContext, rec: Recorder):
-    had, hap = run.doubles()
-    check_double(had, rec)
-    check_double(hap, rec)
-    cfd, cfp = closed_form_double(run.w)
-    rec.bool_check("5.cf-product-dual",
-                   "dual-side product table equals the twisted closed form",
-                   _products_equal(had.sc, cfd.sc))
-    rec.bool_check("5.cf-product-plain",
-                   "plain-side product table equals the twisted closed form",
-                   _products_equal(hap.sc, cfp.sc))
-    rec.bool_check("5.cf-action-dual",
-                   "dual-side action equals the twisted closed form",
-                   _actions_equal(had.action, cfd.action))
-    rec.bool_check("5.cf-action-plain",
-                   "plain-side action equals the twisted closed form",
-                   _actions_equal(hap.action, cfp.action))
+    for ha in run.doubles():
+        check_double(ha, rec)
+    closed = tuple(zip(run.doubles(), closed_form_double(run.w)))
+    for ha, (sc, _) in closed:
+        rec.bool_check(f"5.cf-product-{ha.side}",
+                       f"{ha.side}-side product table equals the twisted closed form",
+                       _products_equal(ha.sc, sc))
+    for ha, (_, action) in closed:
+        rec.bool_check(f"5.cf-action-{ha.side}",
+                       f"{ha.side}-side action equals the twisted closed form",
+                       _actions_equal(ha.action, action))
 
 
 def _products_equal(a: StructureConstants, b: StructureConstants) -> bool:
@@ -411,8 +409,8 @@ def _actions_equal(a: dict, b: dict) -> bool:
 def _suite_theorems(run: RunContext, rec: Recorder):
     had, hap = run.doubles()
     ce = run.elements()
-    check_theorem_4_4(ce, had, rec)
-    check_theorem_4_5(ce, hap, rec, run.pentagon_lefts())
+    check_theorem_4_4(ce, had, rec, run.pentagon_lefts("dual"))
+    check_theorem_4_5(ce, hap, rec, run.pentagon_lefts("plain"))
     cf = run.closed_form().elements
     for name in ("W", "Wtilde", "Wbar", "What",
                  "PhiBoldInv", "PhiBold321S", "PhiBarInv321", "PhiBarS"):
@@ -428,10 +426,9 @@ def _suite_theorems(run: RunContext, rec: Recorder):
 
     # the Hopf case is Phi = 1 (x) 1 (x) 1
     if run.H.associator == run.H.mult.unit_tensor(3):
-        w12, w13, w23 = leg_pairs(ce.W)
-        lhs = multiply(had.sc, multiply(had.sc, w12, w13), w23)
-        rhs = multiply(had.sc, w23, w12)
-        rec.tensor_check("hopf.pentagon", "plain pentagon in the untwisted case", lhs, rhs)
+        w12, _, w23 = leg_pairs(ce.W)
+        rec.tensor_check("hopf.pentagon", "plain pentagon in the untwisted case",
+                         run.pentagon_lefts("dual")[0], multiply(had.sc, w23, w12))
         rec.tensor_check("hopf.Wtilde-inverse", "quasi-inverse is the genuine inverse",
                          ww, unit2d)
         rec.tensor_check("hopf.Wtilde-inverse'", "quasi-inverse is a two-sided inverse",
@@ -452,7 +449,7 @@ def _suite_theorems(run: RunContext, rec: Recorder):
 
 
 def _suite_section5(run: RunContext, rec: Recorder):
-    check_section5_expansions(run.w, *run.pentagon_lefts(), rec)
+    check_section5_expansions(run.w, *run.pentagon_lefts("plain"), rec)
 
 
 def _suite_invertibility(run: RunContext, rec: Recorder):

@@ -36,13 +36,11 @@ from .scalar import CycScalar
 
 
 class HeisenbergAlgebra:
-    """One of the two doubles, with its product table and module action.
+    """One of the two doubles of its parent, with its product table and
+    module action, and the `_Side` its builder used as `side_data`."""
 
-    A double built from a parent keeps the `_Side` its builder used as
-    `side_data`; a closed-form double has neither."""
-
-    def __init__(self, side: str, parent: QuasiHopfAlgebra | None, m: int,
-                 sc: StructureConstants, action: dict, side_data: _Side | None = None):
+    def __init__(self, side: str, parent: QuasiHopfAlgebra, m: int,
+                 sc: StructureConstants, action: dict, side_data: _Side):
         if side not in ("dual", "plain"):
             raise ValueError(f"unknown side {side!r}")
         self.side = side
@@ -54,9 +52,6 @@ class HeisenbergAlgebra:
         self.sc = sc
         self.unit = sc.unit
         self.action = action
-
-    def act_basis(self, k: int, h: int) -> dict:
-        return self.action.get((k, h), {})
 
     def __repr__(self):
         return f"HeisenbergAlgebra({self.side}, m={self.m})"
@@ -287,10 +282,11 @@ def _quasi_hopf(ha, rec, label, element, x, phi):
 
 
 def check_theorem_4_4(ce: CanonicalElements, ha: HeisenbergAlgebra,
-                      rec: Recorder | None = None) -> Recorder:
-    """Quasi-pentagon 4.6 and quasi-Hopf 4.7 on the dual-side double."""
+                      rec: Recorder | None = None, lefts=(None, None)) -> Recorder:
+    """Quasi-pentagon 4.6 and quasi-Hopf 4.7 on the dual-side double; lefts
+    are 4.6's pentagon_lefts when already formed."""
     rec = rec or Recorder()
-    _quasi_pentagon(ha, rec, "4.6", "canonical element", ce.W, ce.PhiBoldInv)
+    _quasi_pentagon(ha, rec, "4.6", "canonical element", ce.W, ce.PhiBoldInv, lefts)
     _quasi_hopf(ha, rec, "4.7", "quasi-inverse", ce.Wtilde, ce.PhiBold321S)
     return rec
 
@@ -316,7 +312,8 @@ _EPS_CHECKS = {
 
 def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder:
     """Unit law, the two counit-slot product specializations, and the
-    module axioms of the attached action.  A counit-slot family compares one
+    module axioms of the attached action, each side of a specialization
+    read from the parent and the side data.  A counit-slot family compares one
     pair per leading index i0, keyed (i1, i2, z); the action one pair per
     basis element k, keyed (h1, h2, z), after its unit pair."""
     rec = rec or Recorder()
@@ -325,8 +322,6 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
                    not ha.sc.check_unit())
 
     H = ha.parent
-    if H is None:
-        return rec
     m, dim, order = H.dim, ha.dim, ha.order
     one = CycScalar.one(order)
     sd = ha.side_data

@@ -16,7 +16,7 @@ from itertools import product
 from math import lcm
 
 from .algebra import Coproduct, LinearMap, SparseTensor, StructureConstants
-from .heisenberg import CanonicalElements, HeisenbergAlgebra
+from .heisenberg import CanonicalElements
 from .quasihopf import QuasiHopfAlgebra
 from .report import Recorder
 from .scalar import CycScalar, root_of_unity
@@ -309,57 +309,31 @@ def build_k_omega_G(w: Cocycle3) -> QuasiHopfAlgebra:
 
 
 def closed_form_double(w: Cocycle3):
-    """Both twisted Heisenberg doubles straight from the product formulas.
+    """Both twisted Heisenberg doubles straight from the product formulas,
+    as ((dual_sc, dual_action), (plain_sc, plain_action)).
 
-    Dual-side basis (g, a) is g # delta_a; plain-side basis (a, g) is
-    delta_a # g.  The tables must match the generic construction exactly.
+    Dual-side basis (x, a) is x # delta_a; plain-side basis (a, x) is
+    delta_a # x.  One pass over (x, y, z) fills both tables,
+      (x # delta_{yz})(y # delta_z) = omega(x, y, z) xy # delta_z,
+      (delta_x # y)(delta_{xy} # z) = omega(x, y, z) delta_x # yz,
+    and every other product of basis pairs is zero.  delta_b acts on
+    x # delta_a and on delta_a # x as [b = x].  The tables must match the
+    generic construction exactly.
     """
     g = w.group
-    n = g.order
-    N = w.root_order
+    n, N = g.order, w.root_order
     one = CycScalar.one(N)
-    m2 = n * n
-    flat = lambda x, y: x * n + y
-
-    dual_table = {}
-    for gg in range(n):
-        for a in range(n):
-            for h in range(n):
-                for b in range(n):
-                    if a == g.mul(h, b):
-                        coeff = w.omega(gg, h, b)
-                        dual_table[(flat(gg, a), flat(h, b))] = (
-                            (flat(g.mul(gg, h), b), coeff),
-                        )
-    dual_unit = {flat(g.identity, b): one for b in range(n)}
-    dual_sc = StructureConstants(m2, N, dual_table, dual_unit)
-    dual_action = {}
-    for gg in range(n):
-        for a in range(n):
-            for b in range(n):
-                dual_action[(flat(gg, a), b)] = {flat(gg, a): one} if b == gg else {}
-
-    plain_table = {}
-    for a in range(n):
-        for gg in range(n):
-            for b in range(n):
-                for h in range(n):
-                    if b == g.mul(a, gg):
-                        coeff = w.omega(a, gg, h)
-                        plain_table[(flat(a, gg), flat(b, h))] = (
-                            (flat(a, g.mul(gg, h)), coeff),
-                        )
-    plain_unit = {flat(a, g.identity): one for a in range(n)}
-    plain_sc = StructureConstants(m2, N, plain_table, plain_unit)
-    plain_action = {}
-    for a in range(n):
-        for gg in range(n):
-            for b in range(n):
-                plain_action[(flat(a, gg), b)] = {flat(a, gg): one} if b == gg else {}
-
-    dual = HeisenbergAlgebra("dual", None, n, dual_sc, dual_action)
-    plain = HeisenbergAlgebra("plain", None, n, plain_sc, plain_action)
-    return dual, plain
+    mul, e = g.mul, g.identity
+    dual, plain = {}, {}
+    for x, y, z in product(range(n), repeat=3):
+        c = w.omega(x, y, z)
+        dual[(x * n + mul(y, z), y * n + z)] = ((mul(x, y) * n + z, c),)
+        plain[(x * n + y, mul(x, y) * n + z)] = ((x * n + mul(y, z), c),)
+    pairs = tuple(product(range(n), repeat=2))
+    return ((StructureConstants(n * n, N, dual, {e * n + b: one for b in range(n)}),
+             {(x * n + a, x): {x * n + a: one} for x, a in pairs}),
+            (StructureConstants(n * n, N, plain, {a * n + e: one for a in range(n)}),
+             {(a * n + x, x): {a * n + x: one} for a, x in pairs}))
 
 
 @dataclass

@@ -423,18 +423,43 @@ def test_closed_form_elements_built_once_per_run(monkeypatch):
 
 
 def test_pentagon_lefts_built_once_per_run(monkeypatch):
-    # 4.9 and section 5 share the two left parenthesizations; each suite
-    # alone builds them, and a run with both builds them once
+    # 4.6 and hopf.pentagon share the dual side's two left parenthesizations,
+    # 4.9 and section 5 the plain side's; each suite alone builds the sides
+    # it needs, and a run with both builds each side once
     import qhd.cli as cli
+    import qhd.heisenberg as heisenberg
 
     calls = []
     real = cli.pentagon_lefts
-    monkeypatch.setattr(cli, "pentagon_lefts", lambda *args: calls.append(args) or real(*args))
-    for suites in (("theorems", "section5"), ("section5",), ("theorems",)):
+    monkeypatch.setattr(cli, "pentagon_lefts",
+                        lambda ha, *args: calls.append(ha.side) or real(ha, *args))
+    for source, suites, sides in (
+            ("zn:3:1", ("theorems", "section5"), ["dual", "plain"]),
+            ("zn:3:1", ("section5",), ["plain"]),
+            ("zn:3:1", ("theorems",), ["dual", "plain"]),
+            ("trivial:3", ("theorems", "section5"), ["dual", "plain"])):
         calls.clear()
-        report = run_spec("zn:3:1", suites)
-        assert report.exit_code == 0 and len(calls) == 1, suites
+        report = run_spec(source, suites)
+        assert report.exit_code == 0 and calls == sides, (source, suites)
         assert [name for name, _ in report.suites] == list(suites)
+
+    # the Hopf case adds three products to the theorems suite: the right
+    # side of hopf.pentagon and the two plain-side inverse products
+    products = []
+    real_multiply = heisenberg.multiply
+
+    def counted(*args):
+        products.append(1)
+        return real_multiply(*args)
+
+    monkeypatch.setattr(cli, "multiply", counted)
+    monkeypatch.setattr(heisenberg, "multiply", counted)
+    made = []
+    for source in ("zn:4:1", "trivial:4"):
+        products.clear()
+        assert run_spec(source, ("theorems",)).exit_code == 0
+        made.append(len(products))
+    assert made[1] - made[0] == 3, made
 
 
 def test_cocycle_checked_once_per_file_run(monkeypatch):

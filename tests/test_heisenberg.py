@@ -82,14 +82,12 @@ def test_unit_law_eps_specializations_actions():
 
 def test_side_data_built_once_per_double(monkeypatch):
     import qhd.heisenberg as heisenberg
-    from qhd.twisted import closed_form_double
 
     w = cyclic_cocycle(3, 1)
     H = build_k_omega_G(w)
     had, hap = build_H1_dual(H), build_H1(H)
     assert (had.side_data.h_prod, had.side_data.h_act) == \
         (hap.side_data.h_act, hap.side_data.h_prod)
-    assert all(ha.side_data is None for ha in closed_form_double(w))
 
     def never(*args):
         raise AssertionError("a double's side data was built a second time")
@@ -139,7 +137,7 @@ def test_twisted_plain_product_and_action():
     for a in range(3):
         for gg in range(3):
             for b in range(3):
-                got = hap.act_basis(f(a, gg), b)
+                got = hap.action.get((f(a, gg), b), {})
                 want = {f(a, gg): CycScalar.one(3)} if b == gg else {}
                 assert got == want
 
@@ -171,15 +169,11 @@ def test_closed_form_double_matches_generic():
     for w in (trivial_cocycle(FiniteGroup.cyclic(2)), cyclic_cocycle(2, 1),
               cyclic_cocycle(3, 1), cyclic_cocycle(3, 2)):
         H, D, had, hap, ce = make_all(w)
-        cfd, cfp = closed_form_double(w)
-        assert had.sc.table == cfd.sc.table
-        assert had.sc.unit == cfd.sc.unit
-        assert hap.sc.table == cfp.sc.table
-        assert hap.sc.unit == cfp.sc.unit
-        for key in set(had.action) | set(cfd.action):
-            assert had.action.get(key, {}) == cfd.action.get(key, {})
-        for key in set(hap.action) | set(cfp.action):
-            assert hap.action.get(key, {}) == cfp.action.get(key, {})
+        for ha, (sc, action) in zip((had, hap), closed_form_double(w)):
+            assert ha.sc.table == sc.table
+            assert ha.sc.unit == sc.unit
+            for key in set(ha.action) | set(action):
+                assert ha.action.get(key, {}) == action.get(key, {})
 
 
 def test_parenthesization_with_unit_always_holds():
@@ -721,8 +715,6 @@ def _check_double_reference(ha, rec=None):
                    not ha.sc.check_unit())
 
     H = ha.parent
-    if H is None:
-        return rec
     m = H.dim
     one = CycScalar.one(H.order)
     sd = ha.side_data
@@ -771,7 +763,7 @@ def _check_double_reference(ha, rec=None):
                     # dual: (x <| h1) <| h2 = x <| (h1 h2);
                     # plain: h1 |> (h2 |> x) = (h1 h2) |> x
                     first, second = rev((h1, h2))
-                    lhs = act_vec(ha.act_basis(k, first), {second: one})
+                    lhs = act_vec(ha.action.get((k, first), {}), {second: one})
                     rhs = act_vec(base, products[h1, h2])
                     yield (k, h1, h2), v1(lhs), v1(rhs)
 

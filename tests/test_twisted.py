@@ -179,6 +179,76 @@ def test_invalid_cocycle_builds_and_fails_its_axioms(tmp_path, capsys):
         assert err.startswith("error:") and needle in err, err
 
 
+def _closed_form_double_reference(w):
+    """closed_form_double as four nested loops per side, before the one pass
+    over G^3: ((dual_sc, dual_action), (plain_sc, plain_action))."""
+    from qhd.algebra import StructureConstants
+
+    g = w.group
+    n = g.order
+    N = w.root_order
+    one = CycScalar.one(N)
+    m2 = n * n
+    flat = lambda x, y: x * n + y
+
+    dual_table = {}
+    for gg in range(n):
+        for a in range(n):
+            for h in range(n):
+                for b in range(n):
+                    if a == g.mul(h, b):
+                        coeff = w.omega(gg, h, b)
+                        dual_table[(flat(gg, a), flat(h, b))] = (
+                            (flat(g.mul(gg, h), b), coeff),
+                        )
+    dual_unit = {flat(g.identity, b): one for b in range(n)}
+    dual_sc = StructureConstants(m2, N, dual_table, dual_unit)
+    dual_action = {}
+    for gg in range(n):
+        for a in range(n):
+            for b in range(n):
+                dual_action[(flat(gg, a), b)] = {flat(gg, a): one} if b == gg else {}
+
+    plain_table = {}
+    for a in range(n):
+        for gg in range(n):
+            for b in range(n):
+                for h in range(n):
+                    if b == g.mul(a, gg):
+                        coeff = w.omega(a, gg, h)
+                        plain_table[(flat(a, gg), flat(b, h))] = (
+                            (flat(a, g.mul(gg, h)), coeff),
+                        )
+    plain_unit = {flat(a, g.identity): one for a in range(n)}
+    plain_sc = StructureConstants(m2, N, plain_table, plain_unit)
+    plain_action = {}
+    for a in range(n):
+        for gg in range(n):
+            for b in range(n):
+                plain_action[(flat(a, gg), b)] = {flat(a, gg): one} if b == gg else {}
+    return (dual_sc, dual_action), (plain_sc, plain_action)
+
+
+def test_closed_form_double_matches_four_loop_reference():
+    # the S3 sign file is nonabelian, so a swapped factor in a = h b or
+    # b = a g (or in either product of the result) changes a key
+    import os
+
+    from qhd.cli import parse_input
+    from qhd.twisted import closed_form_double
+
+    s3 = parse_input(os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd"))[1]
+    cocycles = [cyclic_cocycle(n, k) for n in range(2, 6) for k in range(n)]
+    cocycles += [klein_cocycle(t) for t in range(4)] + [s3]
+    for w in cocycles:
+        got, want = closed_form_double(w), _closed_form_double_reference(w)
+        for (sc, action), (ref_sc, ref_action) in zip(got, want):
+            assert sc.table == ref_sc.table, (w.group.name, w.root_order)
+            assert sc.unit == ref_sc.unit
+            assert all(action.get(key, {}) == ref_action.get(key, {})
+                       for key in set(action) | set(ref_action))
+
+
 def test_closed_form_elements_collapse_untwisted():
     w = trivial_cocycle(FiniteGroup.cyclic(2))
     cf = closed_form_elements(w)
@@ -190,9 +260,9 @@ def test_closed_form_elements_collapse_untwisted():
     # untwisted corrections are unit tensors of the doubles
     from qhd.twisted import closed_form_double
 
-    had, hap = closed_form_double(w)
-    assert cf.elements.PhiBoldInv == had.sc.unit_tensor(3)
-    assert cf.elements.PhiBarS == hap.sc.unit_tensor(3)
+    (dual_sc, _), (plain_sc, _) = closed_form_double(w)
+    assert cf.elements.PhiBoldInv == dual_sc.unit_tensor(3)
+    assert cf.elements.PhiBarS == plain_sc.unit_tensor(3)
 
 
 def test_expansion_formulas_agree_and_match_generic():
