@@ -9,8 +9,6 @@ from .algebra import (
     Placement,
     SparseTensor,
     StructureConstants,
-    convolution,
-    harpoon,
     invert_map,
     leg_embed,
     multiply,

@@ -625,49 +625,6 @@ def permute_legs(t: SparseTensor, perm) -> SparseTensor:
     return _owned(t.dim, t.degree, t.order, out)
 
 
-def convolution(cop: Coproduct, xi: dict, nu: dict) -> dict:
-    """(xi * nu)(h) = (xi x nu)(Delta h), on dual vectors."""
-    out: dict = {}
-    for h, ent in cop.table.items():
-        acc = None
-        for (j, k), c in ent:
-            a = xi.get(j)
-            if a is None:
-                continue
-            b = nu.get(k)
-            if b is None:
-                continue
-            term = c * a * b
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            out[h] = acc
-    return out
-
-
-def harpoon(sc: StructureConstants, h: dict, xi: dict, side: str) -> dict:
-    """Regular actions of the algebra on its dual.
-
-    left:  (h -> xi)(a) = xi(a h);  right: (xi <- h)(a) = xi(h a).
-    """
-    out: dict = {}
-    table = sc.table
-    for a in range(sc.dim):
-        acc = None
-        for j, cj in h.items():
-            ent = table.get((a, j)) if side == "left" else table.get((j, a))
-            if not ent:
-                continue
-            for k, ck in ent:
-                x = xi.get(k)
-                if x is None:
-                    continue
-                term = cj * ck * x
-                acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            out[a] = acc
-    return out
-
-
 def _chain_pairs(table, items, one):
     """Fold a product chain of basis indices / sparse vectors into a short
     list of (index, coeff) pairs, avoiding dict churn on singleton paths."""

@@ -24,8 +24,7 @@ from .algebra import (
     _read_solution,
     _row_reduce,
     apply_leg,
-    convolution,
-    harpoon,
+    merge_pair,
     multiplication_rows,
     multiply,
     solve_linear,
@@ -62,12 +61,15 @@ class _Side:
 
     rev(t) returns t on the dual side and t reversed on the plain side; it
     orders the factors of an H-product, the legs of the coproduct and of the
-    associators, the arguments of a convolution, the (row, column) key of a
-    table cell and the pair (product harpoons, action harpoons).
+    associators, the (row, column) key of a table cell and the pair
+    (product harpoons, action harpoons).
     prod[a][b] is the H-product of e_a and e_b in that order, cop[a] the
     coproduct of e_a with its legs in that order, index[xi][a] the pair
     basis element that joins the dual basis vector xi to e_a, and h_prod and
-    h_act the harpoon tables of the product and of the action.
+    h_act the harpoon tables of the product and of the action: h[b][i] is
+    e_b -> e^i (left) or e^i <- e_b (right) as a {basis index: coeff} map,
+    read off the table since (e_b -> e^i)(e_a) = (e^i <- e_a)(e_b) =
+    e^i(e_a e_b).
     """
 
     def __init__(self, H: QuasiHopfAlgebra, side: str):
@@ -80,79 +82,62 @@ class _Side:
                     for a in range(m)]
         self.index = [[xi * m + a if dual else a * m + xi for a in range(m)]
                       for xi in range(m)]
-        one = CycScalar.one(H.order)
-        self.h_prod, self.h_act = rev(tuple(
-            [[harpoon(H.mult, {p: one}, {i: one}, way) for i in range(m)] for p in range(m)]
-            for way in ("left", "right")))
+        left, right = ([[{} for _ in range(m)] for _ in range(m)] for _ in range(2))
+        for (a, b), cell in sorted(H.mult.table.items()):
+            for i, c in cell:
+                _add(left[b][i], a, c)
+                _add(right[a][i], b, c)
+        self.h_prod, self.h_act = rev((left, right))
 
 
 def _build_double(H: QuasiHopfAlgebra, side: str) -> HeisenbergAlgebra:
-    """The double of one side; the loops are written for the dual side and
-    take every order that the plain side reverses from `_Side`."""
-    m = H.dim
-    cop = H.coproduct
+    """The double of one side, written for the dual side; the plain side
+    takes every order that `_Side` reverses.
+
+    With Phi^-1 = p (x) q (x) r and Delta(e_j) = s (x) t,
+    (e^i # e_j)(e^k # e_l) = (e_p -> e^i) * (e_q e_s -> e^k) # (e_r e_t) e_l,
+    and the convolution (e_p -> e^i) * (e_w -> e^k) takes e_u to
+    e^i(h1 e_p) e^k(h2 e_w) with Delta(e_u) = h1 (x) h2.  So with split =
+    sum of e_j (x) Delta(e_j), two merge_pair calls form the whole sum:
+    Phi^-1 against split gives (j, p, q s, r t), and split against that gives
+    (u, h1 p, h2 q s, j, r t), the coefficient of e^u # (r t) e_l in cell
+    ((i, j), (k, l)) at (u, i, k, j, r t).  Every group has at most two
+    factors, so both calls are exact on any table (see merge_pair).
+    """
+    m, order = H.dim, H.order
     sd = _Side(H, side)
     rev, prod, index = sd.rev, sd.prod, sd.index
-    support = [tuple((i, xi) for i, xi in enumerate(row) if xi) for row in sd.h_prod]
-    phi_inv = tuple((rev(key), c) for key, c in H.associator_inv.entries.items())
+    phi_inv = SparseTensor(m, 3, order, {rev(k): c for k, c in H.associator_inv.entries.items()})
+    split = SparseTensor(m, 3, order, {(j, *st): d for j in range(m) for st, d in sd.cop[j]})
+    pairs = tuple(rev((("a", n), ("b", n))) for n in (1, 2))
+    x = merge_pair(H.mult, phi_inv, split, ((("b", 0),), (("a", 0),), *pairs))
+    y = merge_pair(H.mult, split, x, ((("a", 0),), *pairs, (("b", 0),), (("b", 3),)))
+    del phi_inv, split, x  # freed before the table fills, which lowers the peak
 
     table: dict = {}
-    convs: dict = {}  # (p, i, w, k) -> the convolution, the same for every j
-    for j in range(m):
-        acc: dict = {}
-        for (p, q, r), c in phi_inv:
-            for (s, t), d in sd.cop[j]:
-                qs = prod[q][s]
-                if not qs:
-                    continue
-                rt = prod[r][t]
-                if not rt:
-                    continue
-                cd = c * d
-                for w, cw in qs:
-                    sub = acc.setdefault((p, w), {})
-                    for v, cv in rt:
-                        _add(sub, v, cd * cw * cv)
-        for (p, w), vmap in acc.items():
-            vlist = tuple((v, cc) for v, cc in vmap.items() if not cc.is_zero())
-            if not vlist:
-                continue
-            for i, xi1 in support[p]:
-                row = index[i][j]
-                for k, xi2 in support[w]:
-                    conv = convs.get((p, i, w, k))
-                    if conv is None:
-                        conv = convs[p, i, w, k] = convolution(cop, *rev((xi1, xi2)))
-                    if not conv:
-                        continue
-                    for v, cc in vlist:
-                        for l in range(m):
-                            alg = prod[v][l]
-                            if not alg:
-                                continue
-                            cell = table.setdefault(rev((row, index[k][l])), {})
-                            for u, cu in conv.items():
-                                base = cc * cu
-                                for z, cz in alg:
-                                    _add(cell, index[u][z], base * cz)
+    for (u, i, k, j, v), c in y.entries.items():
+        row = index[i][j]
+        for l in range(m):
+            for z, cz in prod[v][l]:
+                _add(table.setdefault(rev((row, index[k][l])), {}), index[u][z], c * cz)
+    del y
 
     unit = {index[u][z]: cu * cz
             for u, cu in H.counit.items() for z, cz in H.unit_vec().items()}
     action = {(index[i][j], h): {index[u][j]: cu for u, cu in sd.h_act[h][i].items()}
               for i in range(m) for j in range(m) for h in range(m)}
-    sc = StructureConstants(m * m, H.order,
-                            {k: tuple(v.items()) for k, v in table.items()}, unit)
+    sc = StructureConstants(m * m, order, {k: tuple(v.items()) for k, v in table.items()}, unit)
     return HeisenbergAlgebra(side, H, m, sc, action, sd)
 
 
 def build_H1_dual(H: QuasiHopfAlgebra) -> HeisenbergAlgebra:
-    """Double on H* (x) H: (xi # a)(nu # b) uses the inverse associator,
-    left harpoons, convolution, and the coproduct of the middle factor."""
+    """Double on H* (x) H: (xi # a)(nu # b) sums over the inverse
+    associator and the coproduct of a (see _build_double)."""
     return _build_double(H, "dual")
 
 
 def build_H1(H: QuasiHopfAlgebra) -> HeisenbergAlgebra:
-    """Double on H (x) H*: mirror construction with right harpoons."""
+    """Double on H (x) H*: the dual side's construction in mirror order."""
     return _build_double(H, "plain")
 
 
@@ -403,12 +388,13 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     the Y = Z test.  Any returned inverse is re-verified by multiplication.
 
     The stacked system starts from the left system's reduced pivot rows
-    with their right sides, not from rows_l.  The left system is consistent
-    by then, so its emptied rows have zero right sides and the pivot rows
-    span the same augmented row space as rows_l; stacked with rows_r they
-    have the same row space, hence the same reduced row echelon form, as
-    rows_l + rows_r: the same solution and the same consistency.  If the left
-    system has full rank, y is unique and that is whether y solves rows_r.
+    with their right sides, not from its rows rows_l, which are dropped once
+    reduced.  The left system is consistent by then, so its emptied rows have
+    zero right sides and the pivot rows span the same augmented row space as
+    rows_l; stacked with rows_r they have the same row space, hence the same
+    reduced row echelon form, as rows_l + rows_r: the same solution and the
+    same consistency.  If the left system has full rank, y is unique and that
+    is whether y solves rows_r.
     """
     dim = ha.dim
     ncols = dim * dim
@@ -416,15 +402,15 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     zero = CycScalar.zero(order)
     unit2 = ha.sc.unit_tensor(2)
 
-    rows_l = multiplication_rows(ha.sc, x, "right")
-    rows_r = multiplication_rows(ha.sc, x, "left")
     rhs = [unit2.entries.get((r // dim, r % dim), zero) for r in range(ncols)]
 
     def unflatten(sol: dict) -> SparseTensor:
         return SparseTensor(dim, 2, order,
                             {(c // dim, c % dim): v for c, v in sol.items()})
 
-    reduced_l, rhs_l, pivots_l = _row_reduce(rows_l, rhs, ncols, order)
+    reduced_l, rhs_l, pivots_l = _row_reduce(multiplication_rows(ha.sc, x, "right"),
+                                             rhs, ncols, order)
+    rows_r = multiplication_rows(ha.sc, x, "left")
     y = _read_solution(reduced_l, rhs_l, pivots_l)
     z = solve_linear(rows_r, rhs, ncols, order)
     y_ok = not isinstance(y, Inconsistency)

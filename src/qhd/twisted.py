@@ -12,7 +12,7 @@ be compared, table against table, with the generic machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import lcm
 
 from .algebra import Coproduct, LinearMap, SparseTensor, StructureConstants
@@ -140,13 +140,15 @@ class Cocycle3:
 
     def with_exponent(self, a: int, b: int, c: int, e: int) -> "Cocycle3":
         """Copy with one table entry replaced (for mutation testing)."""
-        table = [ [list(r) for r in plane] for plane in self.exponents ]
-        table[a][b][c] = e % self.root_order
-        return Cocycle3(self.group, self.root_order, _freeze(table))
+        e %= self.root_order
+        return _tabulate(self.group, self.root_order,
+                         lambda *key: e if key == (a, b, c) else self.exponent(*key))
 
 
-def _freeze(table) -> tuple:
-    return tuple(tuple(tuple(r) for r in plane) for plane in table)
+def _tabulate(g: FiniteGroup, N: int, exp) -> Cocycle3:
+    """The cocycle on g with root order N and exponents exp(a, b, c)."""
+    n = range(g.order)
+    return Cocycle3(g, N, tuple(tuple(tuple(exp(a, b, c) for c in n) for b in n) for a in n))
 
 
 @dataclass
@@ -170,18 +172,8 @@ def check_cocycle(w: Cocycle3, max_report: int = 10) -> CocycleReport:
     n = g.order
     N = w.root_order
     e = g.identity
-    norm = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if (a == e or b == e or c == e) and w.exponent(a, b, c) % N != 0:
-                    norm.append((a, b, c))
-                    if len(norm) >= max_report:
-                        break
-            if len(norm) >= max_report:
-                break
-        if len(norm) >= max_report:
-            break
+    norm = list(islice((t for t in product(range(n), repeat=3)
+                        if e in t and w.exponent(*t) % N != 0), max_report))
     viol = []
     exp = w.exponent
     mul = g.mul
@@ -202,15 +194,12 @@ def check_cocycle(w: Cocycle3, max_report: int = 10) -> CocycleReport:
 
 
 def trivial_cocycle(g: FiniteGroup, root_order: int = 1) -> Cocycle3:
-    n = g.order
-    return Cocycle3(g, root_order, _freeze([[[0] * n for _ in range(n)] for _ in range(n)]))
+    return _tabulate(g, root_order, lambda a, b, c: 0)
 
 
 def cyclic_cocycle(n: int, k: int) -> Cocycle3:
     """On Z/n: exponent k*a*b*c mod n over representatives 0..n-1."""
-    g = FiniteGroup.cyclic(n)
-    table = [[[(k * a * b * c) % n for c in range(n)] for b in range(n)] for a in range(n)]
-    return Cocycle3(g, n, _freeze(table))
+    return _tabulate(FiniteGroup.cyclic(n), n, lambda a, b, c: (k * a * b * c) % n)
 
 
 def product_cocycle(w1: Cocycle3, w2: Cocycle3) -> Cocycle3:
@@ -226,9 +215,7 @@ def product_cocycle(w1: Cocycle3, w2: Cocycle3) -> Cocycle3:
         c1, c2 = divmod(c, n2)
         return (m1 * w1.exponent(a1, b1, c1) + m2 * w2.exponent(a2, b2, c2)) % N
 
-    n = g.order
-    table = [[[exp(a, b, c) for c in range(n)] for b in range(n)] for a in range(n)]
-    return Cocycle3(g, N, _freeze(table))
+    return _tabulate(g, N, exp)
 
 
 def klein_cocycle(table_id: int) -> Cocycle3:
@@ -252,8 +239,7 @@ def klein_cocycle(table_id: int) -> Cocycle3:
             return (a1 * b1 * c1 + a2 * b2 * c2) % 2
         raise CocycleError(f"unknown bundled table id {table_id}")
 
-    table = [[[exp(a, b, c) for c in range(4)] for b in range(4)] for a in range(4)]
-    return Cocycle3(g, 2, _freeze(table))
+    return _tabulate(g, 2, exp)
 
 
 # -- the twisted function algebra ----------------------------------------------
@@ -499,13 +485,8 @@ def invertibility_criterion(w: Cocycle3):
 
 def coboundary_exponents(g: FiniteGroup, phi2, N: int) -> Cocycle3:
     """The coboundary of a normalized 2-cochain given as an exponent table."""
-    n = g.order
-
-    def exp(a, b, c):
-        return (phi2[b][c] - phi2[g.mul(a, b)][c] + phi2[a][g.mul(b, c)] - phi2[a][b]) % N
-
-    table = [[[exp(a, b, c) for c in range(n)] for b in range(n)] for a in range(n)]
-    return Cocycle3(g, N, _freeze(table))
+    return _tabulate(g, N, lambda a, b, c: (phi2[b][c] - phi2[g.mul(a, b)][c]
+                                            + phi2[a][g.mul(b, c)] - phi2[a][b]) % N)
 
 
 def search_coboundary(g: FiniteGroup, N: int) -> Cocycle3:

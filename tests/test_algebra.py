@@ -25,9 +25,7 @@ from qhd.algebra import (
     _owned,
     _row_reduce,
     apply_leg,
-    convolution,
     counit_leg,
-    harpoon,
     invert_map,
     leg_embed,
     map_legs,
@@ -73,14 +71,6 @@ def matrix_units_algebra() -> StructureConstants:
     }
     table = {k: ((v, ONE),) for k, v in prods.items()}
     return StructureConstants(3, 1, table, {E11: ONE, E22: ONE})
-
-
-def group_coproduct(n: int) -> Coproduct:
-    """Coproduct on functions over Z/n split along group factorizations."""
-    table = {}
-    for a in range(n):
-        table[a] = tuple(((x, (a - x) % n), ONE) for x in range(n))
-    return Coproduct(n, 1, table)
 
 
 def rand_tensor(rng, dim, degree, density=0.5):
@@ -172,75 +162,6 @@ def test_leg_embed_rejects_bad_positions():
         leg_embed(t, (1, 4), 3, sc.unit)
     with pytest.raises(Exception):
         leg_embed(t, (2, 2), 3, sc.unit)
-
-
-def test_convolution_group_dual_is_group_algebra():
-    n = 6
-    cop = group_coproduct(n)
-    for a in range(n):
-        for b in range(n):
-            got = convolution(cop, {a: ONE}, {b: ONE})
-            assert got == {(a + b) % n: ONE}
-
-
-def test_convolution_counit_is_unit():
-    n = 4
-    cop = group_coproduct(n)
-    eps = {0: ONE}  # dual of the identity delta function
-    rng = random.Random(3)
-    for _ in range(10):
-        nu = {i: rat(rng.randint(-3, 3)) for i in range(n) if rng.random() < 0.7}
-        nu = {k: v for k, v in nu.items() if not v.is_zero()}
-        assert convolution(cop, eps, nu) == nu
-        assert convolution(cop, nu, eps) == nu
-
-
-def test_convolution_associative_on_coalgebra():
-    n = 4
-    cop = group_coproduct(n)
-    rng = random.Random(5)
-    for _ in range(10):
-        xs = [
-            {i: rat(rng.randint(-2, 2)) for i in range(n)}
-            for _ in range(3)
-        ]
-        a, b, c = ({k: v for k, v in x.items() if not v.is_zero()} for x in xs)
-        lhs = convolution(cop, convolution(cop, a, b), c)
-        rhs = convolution(cop, a, convolution(cop, b, c))
-        assert lhs == rhs
-
-
-def test_harpoon_examples_and_axioms():
-    sc = function_algebra(2)
-    # unit acts trivially on both sides
-    xi = {0: rat(2), 1: rat(-1)}
-    assert harpoon(sc, sc.unit, xi, "left") == xi
-    assert harpoon(sc, sc.unit, xi, "right") == xi
-    # delta_0 -> e^0 = e^0 in the two-point function algebra
-    assert harpoon(sc, {0: ONE}, {0: ONE}, "left") == {0: ONE}
-    assert harpoon(sc, {0: ONE}, {1: ONE}, "left") == {}
-    # action axioms, exhaustively over the basis
-    for scn in (function_algebra(3), matrix_units_algebra()):
-        m = scn.dim
-        for h1 in range(m):
-            for h2 in range(m):
-                hh = scn.vec_mult({h1: ONE}, {h2: ONE})
-                for i in range(m):
-                    xi = {i: ONE}
-                    lhs = harpoon(scn, hh, xi, "left")
-                    rhs = harpoon(scn, {h1: ONE},
-                                  harpoon(scn, {h2: ONE}, xi, "left"), "left")
-                    assert lhs == rhs
-                    lhs = harpoon(scn, hh, xi, "right")
-                    rhs = harpoon(scn, {h2: ONE},
-                                  harpoon(scn, {h1: ONE}, xi, "right"), "right")
-                    assert lhs == rhs
-                    # the two actions commute
-                    a = harpoon(scn, {h2: ONE},
-                                harpoon(scn, {h1: ONE}, xi, "left"), "right")
-                    b = harpoon(scn, {h1: ONE},
-                                harpoon(scn, {h2: ONE}, xi, "right"), "left")
-                    assert a == b
 
 
 def test_invert_map_identity_involution_singular():

@@ -4,6 +4,7 @@ and the invertibility probe."""
 import os
 import random
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 from qhd.algebra import (
@@ -13,9 +14,8 @@ from qhd.algebra import (
     SparseTensor,
     StructureConstants,
     _row_reduce,
-    convolution,
-    harpoon,
     leg_embed,
+    map_legs,
     multiplication_rows,
     multiply,
     solve_linear,
@@ -23,6 +23,7 @@ from qhd.algebra import (
 from qhd.cli import _products_equal, parse_input, resolve_builtin
 from qhd.heisenberg import (
     InvertibilityResult,
+    _Side,
     build_H1,
     build_H1_dual,
     canonical_elements,
@@ -93,7 +94,6 @@ def test_side_data_built_once_per_double(monkeypatch):
         raise AssertionError("a double's side data was built a second time")
 
     monkeypatch.setattr(heisenberg, "_Side", never)
-    monkeypatch.setattr(heisenberg, "harpoon", never)
     canonical_elements(had, hap, derive_elements(H))
     rec = Recorder()
     check_double(had, rec)
@@ -438,25 +438,6 @@ def test_probe_skips_the_stacked_solve_only_at_full_rank(monkeypatch):
     assert statuses == ["one_sided_both"] * 6 + ["two_sided"] * 3, statuses
 
 
-def test_build_double_convolves_each_pair_once(monkeypatch):
-    import qhd.heisenberg as heisenberg
-
-    seen = []
-    real = heisenberg.convolution
-
-    def counted(cop, xi, nu):
-        seen.append((frozenset(xi.items()), frozenset(nu.items())))
-        return real(cop, xi, nu)
-
-    monkeypatch.setattr(heisenberg, "convolution", counted)
-    for w in (cyclic_cocycle(3, 1), parse_input(S3_SIGN)[1]):
-        H = build_k_omega_G(w)
-        for build in (build_H1_dual, build_H1):
-            seen.clear()
-            build(H)
-            assert seen and len(seen) == len(set(seen)), (w.group.order, build.__name__)
-
-
 # -- probe rows against the per-basis products they replaced --------------------
 
 
@@ -511,6 +492,49 @@ def test_multiplication_rows_match_per_basis_products():
 
 
 # -- the side-parameterized builder against the two builders it replaced --------
+
+
+def convolution(cop: Coproduct, xi: dict, nu: dict) -> dict:
+    """(xi * nu)(h) = (xi x nu)(Delta h), on dual vectors."""
+    out: dict = {}
+    for h, ent in cop.table.items():
+        acc = None
+        for (j, k), c in ent:
+            a = xi.get(j)
+            if a is None:
+                continue
+            b = nu.get(k)
+            if b is None:
+                continue
+            term = c * a * b
+            acc = term if acc is None else acc + term
+        if acc is not None and not acc.is_zero():
+            out[h] = acc
+    return out
+
+
+def harpoon(sc: StructureConstants, h: dict, xi: dict, side: str) -> dict:
+    """Regular actions of the algebra on its dual.
+
+    left:  (h -> xi)(a) = xi(a h);  right: (xi <- h)(a) = xi(h a).
+    """
+    out: dict = {}
+    table = sc.table
+    for a in range(sc.dim):
+        acc = None
+        for j, cj in h.items():
+            ent = table.get((a, j)) if side == "left" else table.get((j, a))
+            if not ent:
+                continue
+            for k, ck in ent:
+                x = xi.get(k)
+                if x is None:
+                    continue
+                term = cj * ck * x
+                acc = term if acc is None else acc + term
+        if acc is not None and not acc.is_zero():
+            out[a] = acc
+    return out
 
 
 def _ref_harpoon_tables(H):
@@ -688,6 +712,54 @@ def test_side_builder_matches_former_builders_on_noncommutative_H():
         assert len(ha.sc.table) == 216
         rec = check_double(ha)
         assert rec.ok and len(rec.items) == 4, failing(rec)
+
+
+def test_side_harpoon_tables_match_former_harpoon():
+    # kS3, and M_2 on its matrix units E_ab = 2a + b: E_ab E_bd = E_ad
+    one = CycScalar.one(1)
+    m2 = StructureConstants(4, 1, {(2 * a + b, 2 * b + d): ((2 * a + d, one),)
+                                   for a, b, d in product(range(2), repeat=3)}, {0: one, 3: one})
+    for H in (group_algebra(parse_input(S3_SIGN)[0]),
+              SimpleNamespace(dim=4, order=1, mult=m2, coproduct=Coproduct(4, 1, {}))):
+        left, right = _ref_harpoon_tables(H)
+        dual, plain = _Side(H, "dual"), _Side(H, "plain")
+        assert (dual.h_prod, dual.h_act) == (left, right)
+        assert (plain.h_prod, plain.h_act) == (right, left)
+
+
+def _random_quasi_bialgebra(rng, m):
+    """Random H on m basis vectors over Q(zeta_3): multi-term cells with
+    coefficients other than one, a dense inverse associator; the product
+    and the coproduct obey no axiom."""
+    order = 3
+    coeffs = [root_of_unity(order, k) * CycScalar.from_rational(order, r)
+              for k in range(order) for r in (1, -1, 2)]
+
+    def terms(keys, p):
+        return tuple((k, rng.choice(coeffs)) for k in keys if rng.random() < p)
+
+    mult = StructureConstants(m, order, {(i, j): terms(range(m), 0.5)
+                                         for i, j in product(range(m), repeat=2)},
+                              dict(terms(range(m), 0.7)))
+    cop = Coproduct(m, order, {a: terms(product(range(m), repeat=2), 0.4) for a in range(m)})
+    phi_inv = SparseTensor(m, 3, order, dict(terms(product(range(m), repeat=3), 1.0)))
+    return QuasiHopfAlgebra(mult, cop, dict(terms(range(m), 0.8)), phi_inv, phi_inv,
+                            {}, {}, LinearMap.identity(m, order))
+
+
+def test_build_double_matches_former_builders_on_random_tables():
+    rng = random.Random(17)
+    for m in (2, 2, 3, 3):
+        H = _random_quasi_bialgebra(rng, m)
+        diag = SparseTensor(m, 2, H.order, {(j, j): H.one() for j in range(m)})
+        assert H.mult.check_associative(), m
+        assert map_legs(diag, (H.coproduct, 2), (H.coproduct, 2)) != \
+            map_legs(diag, (H.coproduct, 2), (H.coproduct, 3)), m
+        for build, ref in ((build_H1_dual, _ref_build_H1_dual), (build_H1, _ref_build_H1)):
+            ha = build(H)
+            sc, action = ref(H)
+            assert _products_equal(ha.sc, sc), (m, build.__name__)
+            assert ha.action == action, (m, build.__name__)
 
 
 def _check_double_reference(ha, rec=None):

@@ -494,9 +494,12 @@ def _one_change_each(H):
     the two counit laws of 2.2 fail apart)."""
     one, two = H.one(), CycScalar.from_rational(H.order, 2)
 
-    def bumped(t):  # one entry on distinct legs, so a sum that swaps two legs shows
+    def bumped(t):
+        # one entry on distinct legs, so a sum that swaps two legs shows; the
+        # first leg is not 0, the unit of kG, so on kS3 a factor multiplied
+        # from the wrong side of that leg shows too
         ent = dict(t.entries)
-        ent[(0, 1, 2)] = ent.get((0, 1, 2), one) * two
+        ent[(1, 2, 0)] = ent.get((1, 2, 0), one) * two
         return SparseTensor(H.dim, 3, H.order, ent)
 
     def plus_one(v, k):
