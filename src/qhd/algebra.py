@@ -299,10 +299,20 @@ def _row_reduce(rows: list, rhs: list, ncols: int, order: int):
     """The Gauss-Jordan elimination behind solve_linear, on copies.
 
     Returns (rows, rhs, pivots): the reduced rows and right sides, in the
-    positions of the input, and col -> position of that column's pivot row.
-    The pivot rows in column order are the reduced row echelon form of the
-    system, each with its right side.
+    positions of the input, and col -> position of that column's pivot row,
+    in column order.  The pivot rows in column order are the reduced row
+    echelon form of the system, each with its right side.
+
+    A column held by one row that holds no other column is a connected
+    component of its own, at the start or once elimination has emptied the
+    rest of the row.  That row is the column's pivot (it is not one
+    already, since a pivot row keeps its own pivot column), and nothing is
+    eliminated, so it is reduced in one step: it becomes {col: one}, and a
+    nonzero right side is scaled by the entry's inverse.  On kωG every row
+    of both probe systems is such a row.
     """
+    if len(rows) != len(rhs):
+        raise AlgebraError(f"{len(rows)} rows but {len(rhs)} right sides")
     rows = [dict(r) for r in rows]
     rhs = list(rhs)
     one = CycScalar.one(order)
@@ -310,23 +320,38 @@ def _row_reduce(rows: list, rhs: list, ncols: int, order: int):
     for r, row in enumerate(rows):
         for c in row:
             holders.setdefault(c, set()).add(r)
+    if holders and (min(holders) < 0 or max(holders) >= ncols):
+        raise AlgebraError(f"a column lies outside 0..{ncols - 1}")
     pivots: dict[int, int] = {}  # col -> row position in `rows`
     used: set[int] = set()
     inverses: dict = {}
+
+    def inverse(v: CycScalar) -> CycScalar:
+        inv = inverses.get(v)
+        if inv is None:
+            inv = inverses[v] = v.inverse()
+        return inv
+
     for col in range(ncols):
         held = holders.get(col)
         if not held:
             continue
+        if len(held) == 1:
+            (piv,) = held
+            # isolated: it meets no other row, so `used` need not hold it
+            if len(rows[piv]) == 1:
+                pivots[col] = piv
+                if not rhs[piv].is_zero():
+                    rhs[piv] = rhs[piv] * inverse(rows[piv][col])
+                rows[piv] = {col: one}
+                continue
         piv = min((r for r in held if r not in used), default=None)
         if piv is None:
             continue
         used.add(piv)
         pivots[col] = piv
-        pval = rows[piv][col]
-        inv = inverses.get(pval)
-        if inv is None:
-            inv = inverses[pval] = pval.inverse()
-        # the pivot entry is pval * inv, which is one by construction
+        inv = inverse(rows[piv][col])
+        # the pivot entry times inv is one by construction
         prow = rows[piv] = {c: one if c == col else v * inv for c, v in rows[piv].items()}
         rest = [(c, v) for c, v in prow.items() if c != col]
         prhs = rhs[piv]
@@ -381,7 +406,13 @@ def solve_linear(rows: list, rhs: list, ncols: int, order: int):
     computed: the normalised pivot entry is stored as the exact one of
     Q(zeta_order), the pivot column is dropped from each eliminated row, and
     a zero pivot right side is neither scaled nor subtracted from the other
-    rows.  The caller's row dicts are not modified.
+    rows, and an isolated row, one alone on its column and holding no other,
+    is reduced in one step (see _row_reduce).  The caller's row dicts are not
+    modified.
+
+    Raises AlgebraError when the number of right sides is not the number of
+    rows, or when a row holds a column outside 0..ncols-1, which the
+    elimination would never reach.
     """
     return _read_solution(*_row_reduce(rows, rhs, ncols, order))
 
@@ -442,6 +473,9 @@ def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> l
 
     One pass over x's entries and their partners in the structure
     constants; equal to the components of one `multiply` per basis tensor.
+    An entry set by one term is a product of nonzero scalars, so only the
+    rows where a second term was added to an entry can hold a zero, and
+    only those are pruned.
     """
     if x.degree != 2:
         raise AlgebraError("multiplication rows need a degree-2 tensor")
@@ -452,6 +486,7 @@ def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> l
     right = side == "right"
     partners = sc.right_partners if right else sc.left_partners
     rows: list = [{} for _ in range(dim * dim)]
+    summed: set = set()  # positions of the rows where terms met
     for (a1, a2), cx in x.entries.items():
         p2 = partners.get(a2)
         if not p2:
@@ -466,8 +501,14 @@ def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> l
                         row = rows[base + k2]
                         term = c if c2 is one else c * c2
                         prev = row.get(col)
-                        row[col] = term if prev is None else prev + term
-    return [_prune(row) for row in rows]
+                        if prev is None:
+                            row[col] = term
+                        else:
+                            row[col] = prev + term
+                            summed.add(base + k2)
+    for r in summed:
+        rows[r] = _prune(rows[r])
+    return rows
 
 
 def tensor_product(*tensors: SparseTensor) -> SparseTensor:

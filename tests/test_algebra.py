@@ -219,6 +219,22 @@ def test_solve_linear_exact_fractions():
     assert sol[0] == CycScalar(1, (Fraction(1, 2),))
 
 
+def test_solve_linear_refuses_rows_and_right_sides_of_other_lengths():
+    with pytest.raises(AlgebraError):
+        solve_linear([{0: ONE}], [ONE, ONE], 1, 1)
+    with pytest.raises(AlgebraError):
+        solve_linear([{0: ONE}, {1: ONE}], [ONE], 2, 1)
+
+
+def test_solve_linear_refuses_a_column_outside_the_system():
+    # column 5 of a 3-column system was never reached: {} is no solution
+    with pytest.raises(AlgebraError):
+        solve_linear([{5: ONE}], [ONE], 3, 1)
+    with pytest.raises(AlgebraError):
+        solve_linear([{0: ONE, -1: ONE}], [ONE], 3, 1)
+    assert solve_linear([{2: rat(2)}], [ONE], 3, 1) == {2: CycScalar(1, (Fraction(1, 2),))}
+
+
 def test_merge_pair_agrees_with_multiply():
     rng = random.Random(9)
     for sc in (function_algebra(3), matrix_units_algebra()):
@@ -1016,6 +1032,98 @@ def test_solve_linear_matches_row_scan_reference():
     assert ("fraction-pivots", False) in seen and ("sparse-rhs", True) in seen
     assert any(isinstance(c, Fraction) and c.denominator > 1
                for c in fraction_pivot(random.Random(0), 7).inverse().coeffs)
+
+
+# -- _row_reduce against the elimination before isolated rows took one step,
+# -- copied verbatim as the reference
+
+
+def _row_reduce_reference(rows: list, rhs: list, ncols: int, order: int):
+    """The Gauss-Jordan elimination behind solve_linear, on copies.
+
+    Returns (rows, rhs, pivots): the reduced rows and right sides, in the
+    positions of the input, and col -> position of that column's pivot row.
+    The pivot rows in column order are the reduced row echelon form of the
+    system, each with its right side.
+    """
+    rows = [dict(r) for r in rows]
+    rhs = list(rhs)
+    one = CycScalar.one(order)
+    holders: dict[int, set] = {}  # col -> positions of the rows holding it
+    for r, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(r)
+    pivots: dict[int, int] = {}  # col -> row position in `rows`
+    used: set[int] = set()
+    inverses: dict = {}
+    for col in range(ncols):
+        held = holders.get(col)
+        if not held:
+            continue
+        piv = min((r for r in held if r not in used), default=None)
+        if piv is None:
+            continue
+        used.add(piv)
+        pivots[col] = piv
+        pval = rows[piv][col]
+        inv = inverses.get(pval)
+        if inv is None:
+            inv = inverses[pval] = pval.inverse()
+        # the pivot entry is pval * inv, which is one by construction
+        prow = rows[piv] = {c: one if c == col else v * inv for c, v in rows[piv].items()}
+        rest = [(c, v) for c, v in prow.items() if c != col]
+        prhs = rhs[piv]
+        if prhs.is_zero():  # then rhs[r] - f * prhs is rhs[r]
+            prhs = None
+        else:
+            prhs = rhs[piv] = prhs * inv
+        for r in held:  # no later column reads holders[col] again
+            if r == piv:
+                continue
+            row = rows[r]
+            f = row.pop(col)  # f - f * 1 is zero
+            for c, v in rest:
+                prev = row.get(c)
+                nv = -f * v if prev is None else prev - f * v
+                if nv.is_zero():
+                    if prev is not None:
+                        del row[c]
+                        holders[c].discard(r)
+                else:
+                    if prev is None:
+                        holders[c].add(r)
+                    row[c] = nv
+            if prhs is not None:
+                rhs[r] = rhs[r] - f * prhs
+    return rows, rhs, pivots
+
+
+def row_reduce_cases(order):
+    """(label, rows, rhs, ncols) where an isolated row needs care."""
+    p = fraction_pivot(random.Random(order), order)
+    a, b, c, d = (p * CycScalar.from_rational(order, k) for k in (1, 2, 5, -3))
+    zero = CycScalar.zero(order)
+    # row 1 is isolated on column 1 only once row 0's pivot has eliminated
+    # its column 0, and that elimination changes its right side
+    yield "isolated-later", [{0: a}, {0: b, 1: c}, {2: d}], [a, c, d], 3
+    yield "equal-one-entry-rows", [{1: a}, {1: a}, {0: b}], [c, c, zero], 2
+    yield "empty-row-nonzero-rhs", [{1: a}, {}, {0: b, 1: c}], [zero, d, b], 2
+
+
+def test_row_reduce_matches_reference_with_pivots_in_column_order():
+    rng, shaped_rng = random.Random(17), random.Random(4111)
+    for order in (1, 3, 7):
+        systems = list(row_reduce_cases(order))
+        for _ in range(6):
+            systems += random_systems(rng, order)
+            systems += probe_shaped_systems(shaped_rng, order)
+        for label, rows, rhs, ncols in systems:
+            before = [dict(r) for r in rows], list(rhs)
+            want_rows, want_rhs, want_piv = _row_reduce_reference(rows, rhs, ncols, order)
+            got_rows, got_rhs, got_piv = _row_reduce(rows, rhs, ncols, order)
+            assert got_rows == want_rows and got_rhs == want_rhs, (order, label)
+            assert list(got_piv.items()) == list(want_piv.items()), (order, label)
+            assert ([dict(r) for r in rows], list(rhs)) == before, (order, label)
 
 
 # -- the dense Gauss-Jordan that invert_map replaced, copied verbatim as the

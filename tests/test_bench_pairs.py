@@ -1,5 +1,6 @@
 """tools/bench_pairs.summarize on synthetic runs: failed and incorrect runs,
-ties, and traced results that are missing for one side or a workload."""
+ties, traced results that are missing for one side or a workload, and the
+span medians and agreeing counts over several traced runs."""
 
 import importlib.util
 import os
@@ -37,9 +38,17 @@ def summary():
                        result(4.0, 73)],
         },
         "probe": {"parent": [result(2.0)], "change": [None]},
+        "identities": {"parent": [result(1.0)], "change": [result(1.0)]},
     }
-    traced = {"doubles": {"parent": result(1.0, **{"scalar.mul.calls": 42910,
-                                                   "heisenberg.check_double.self_s": 0.15})}}
+    def traced_run(calls, span):
+        return result(1.0, **{"scalar.mul.calls": calls, "heisenberg.check_double.self_s": span})
+
+    traced = {
+        "doubles": {"parent": [traced_run(42910, 0.15)]},
+        # the change's counts disagree, and its third traced run failed
+        "probe": {"parent": [traced_run(7, 0.3), traced_run(7, 0.1), traced_run(7, 0.2)],
+                  "change": [traced_run(5, 0.4), traced_run(6, 0.5), None]},
+    }
     return bench_pairs.summarize(BENCH, runs, traced)["workloads"]
 
 
@@ -82,5 +91,12 @@ def test_missing_traced_side_reads_none():
         "scalar.mul.calls": {"parent": 42910, "change": None}}
     assert d["doubles"]["traced_spans"] == {
         "heisenberg.check_double.self_s": {"parent": 0.15, "change": None}}
-    assert d["probe"]["traced_counts"] == {
+    assert d["identities"]["traced_counts"] == {
         "scalar.mul.calls": {"parent": None, "change": None}}
+
+
+def test_traced_spans_are_medians_and_counts_must_agree():
+    d = summary()["probe"]
+    assert d["traced_spans"] == {
+        "heisenberg.check_double.self_s": {"parent": 0.2, "change": pytest.approx(0.45)}}
+    assert d["traced_counts"] == {"scalar.mul.calls": {"parent": 7, "change": None}}

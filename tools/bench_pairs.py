@@ -6,15 +6,19 @@ PARENT_DIR and CHANGE_DIR are two source checkouts, each with its own
 `qhdbench/`.  Each of the PAIRS (ten) pairs runs `qhdbench/run.py --workload W
 --seed 0 --trace 0` for every workload in both checkouts, the parent first in
 odd pairs and the change first in even ones, one run at a time; run.py's own
-default sets the run length.  Then each checkout makes one `--trace 1` run
-per workload for the per-layer counts.
+default sets the run length.  Then each checkout makes TRACED (three)
+`--trace 1` runs per workload for the per-layer metrics, alternating which
+side runs first.
 
 The summary holds, per workload and end-to-end metric of BENCHMARK.json,
 each side's median, quartiles and runs, the number of pairs and the pairs
 the change won (ties count for neither side), and the traced per-layer
-metrics of both sides: the counts as `traced_counts`, the span times (each
-`*.self_s` and `cli.ctx.*.s`) as `traced_spans`.  A run that fails or reads `correct: false` is kept in the summary
-and leaves its pair undecided.  The summary is rewritten after every pair.
+metrics of both sides: the span times (each `*.self_s` and `cli.ctx.*.s`)
+as `traced_spans`, each the median over a side's traced runs, and the
+counts as `traced_counts`, each the value all of a side's traced runs read,
+or null where they disagree.  A failed traced run is left out of both.  A
+run that fails or reads `correct: false` is kept in the summary and leaves
+its pair undecided.  The summary is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import subprocess
 import sys
 
 PAIRS = 10
+TRACED = 3
 COMMAND = ["qhdbench/run.py", "--seed", "0"]
 
 
@@ -50,8 +55,19 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def traced_value(results: list, name: str, unit: str):
+    """The median of a span, or the count all runs agree on, over the traced
+    runs that did not fail; None without one."""
+    values = [r["metrics"][name]["value"] for r in results if r]
+    if not values:
+        return None
+    if unit == "s":
+        return statistics.median(values)
+    return values[0] if all(v == values[0] for v in values) else None
+
+
 def summarize(bench: dict, runs: dict, traced: dict) -> dict:
-    """traced[workload][side] is a --trace 1 result, missing until measured."""
+    """traced[workload][side] lists the --trace 1 results, missing until measured."""
     def per_layer(unit: str) -> list:
         return [m["name"] for m in bench["per_layer"] if m["unit"] == unit]
 
@@ -77,7 +93,7 @@ def summarize(bench: dict, runs: dict, traced: dict) -> dict:
         got = traced.get(wl, {})
         for field, unit in (("traced_counts", "count"), ("traced_spans", "s")):
             entry[field] = {
-                name: {side: got[side]["metrics"][name]["value"] if got.get(side) else None
+                name: {side: traced_value(got.get(side, []), name, unit)
                        for side in ("parent", "change")}
                 for name in per_layer(unit)}
         out["workloads"][wl] = entry
@@ -112,8 +128,10 @@ def main(argv=None) -> int:
                 print(f"pair {i} {wl} {side}: verify_s {value}", file=sys.stderr)
         write()
     for wl in workloads:
-        traced[wl] = {side: run_once(checkout, wl, 1)
-                      for side, checkout in checkouts.items()}
+        traced[wl] = {"parent": [], "change": []}
+        for i in range(TRACED):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                traced[wl][side].append(run_once(checkouts[side], wl, 1))
     write()
     return 0
 
