@@ -711,13 +711,13 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
     or () when an a/b pair inside it is not a cell of the table, is kept for
     the rest of the call, since the block join makes many candidates read
     the same indices (on k^omega G about n^2 tuples for n^4 candidates).
-    b is indexed by the blocks (see StructureConstants) of
-    its legs in adjacent a/b factor pairs, right blocks where a comes first
-    and left blocks otherwise, and the candidates of an entry of a are the b
-    entries whose key equals its own blocks on the partner side (all of b
-    if there is no such pair).  A candidate makes its lookups and takes its
-    folds before it multiplies: ca * cb and the expansion come once every
-    group is nonzero.
+    The compiled kernel indexes b, in b's order, by the blocks (see
+    StructureConstants) of its legs in adjacent a/b factor pairs, right
+    blocks where a comes first and left blocks otherwise, and the candidates
+    of an entry of a are the b entries whose key equals its own blocks on
+    the partner side (all of b if there is no such pair).  A candidate
+    makes its lookups and takes its folds before it multiplies: ca * cb and
+    the expansion come once every group is nonzero.
 
     For a two-factor group this filter is exact on any table, since
     e_i * e_j != 0 puts i and j in one block, so multiply stays exact on the
@@ -754,17 +754,11 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
             chains.append((tuple(None if kind == "v" else at(kind, i) for kind, i in g),
                            tuple((at(*r1), at(*r2)) for r1, r2 in pairs)))
 
-    lb, rb = sc.left_block, sc.right_block
-    b_blocks = [(b_leg, rb if a_first else lb) for _, b_leg, a_first in joins]
-    index: dict[tuple, list] = {}  # blocks -> entries of b
-    for kb, cb in b.entries.items():
-        index.setdefault(tuple([blk[kb[leg]] for leg, blk in b_blocks]), []).append((kb, cb))
-
     sig = (a.degree, b.degree, tuple(joins), tuple(steps), tuple(cells), tuple(chains))
     kernel = _KERNELS.get(sig) or _KERNELS.setdefault(sig, _compile_kernel(sig))
     out: dict = {}
-    kernel(a.entries.items(), index, sc.table, lb, rb, CycScalar.one(sc.order),
-           chain_vecs, [{} for _ in chains], out)
+    kernel(a.entries.items(), b.entries.items(), sc.table, sc.left_block, sc.right_block,
+           CycScalar.one(sc.order), chain_vecs, [{} for _ in chains], out)
     return _owned(a.dim, len(groups), a.order, out)
 
 
@@ -783,9 +777,11 @@ def _compile_kernel(sig):
     """The candidate loop of merge_pair for one plan, run through exec.  sig
     is the plan's (degree of a, degree of b, joins, steps, cells, chains),
     None standing for a vector factor; only these ints, bools and None become
-    source text.  A candidate makes one table.get per cell and one memoized
-    fold per chain, each with an early continue; its key is a tuple literal
-    when every cell and fold has one term, else _add_terms adds it."""
+    source text.  The kernel first indexes b's entries by the blocks of the
+    joined legs, one literal key per entry.  A candidate makes one table.get
+    per cell and one memoized fold per chain, each with an early continue;
+    its key is a tuple literal when every cell and fold has one term, else
+    _add_terms adds it."""
     if any(type(x) not in (int, bool, type(None)) for x in _leaves(sig)):
         raise AlgebraError(f"merge_pair kernel signature not of ints, bools, None: {sig!r}")
     da, db, joins, steps, cells, chains = sig
@@ -795,13 +791,21 @@ def _compile_kernel(sig):
     def line(depth, text):
         src.append("    " * depth + text)
 
-    line(0, "def kernel(a_items, index, table, lb, rb, one, vecs, folds, out):")
+    line(0, "def kernel(a_items, b_items, table, lb, rb, one, vecs, folds, out):")
     line(1, "get = table.get")
     line(1, f"{_tuple_src([f'f{n}' for n in range(len(chains))])} = folds")
-    blocks = _tuple_src([f"{'lb' if a_first else 'rb'}[{k[leg]}]" for leg, _, a_first in joins])
+    a_blocks = _tuple_src([f"{'lb' if a_first else 'rb'}[{k[leg]}]" for leg, _, a_first in joins])
+    b_blocks = _tuple_src([f"{'rb' if a_first else 'lb'}[kb[{leg}]]" for _, leg, a_first in joins])
+    line(1, "index = {}")  # b's entries, in b's order, by the blocks of the joined legs
+    line(1, "for item in b_items:")
+    line(2, "kb = item[0]")
+    line(2, f"blk = {b_blocks}")
+    line(2, "got = index.get(blk)")
+    line(2, "if got is None: index[blk] = [item]")
+    line(2, "else: got.append(item)")
     line(1, "for ka, ca in a_items:")
     line(2, f"{_tuple_src(k[:da])} = ka")
-    line(2, f"for kb, cb in index.get({blocks}, ()):")
+    line(2, f"for kb, cb in index.get({a_blocks}, ()):")
     line(3, f"{_tuple_src(k[da:])} = kb")
     for n, (p, q) in enumerate(cells):
         line(3, f"e{n} = get(({k[p]}, {k[q]}))")

@@ -239,10 +239,11 @@ def twist_candidates(H: QuasiHopfAlgebra):
     del a1
 
     # f = sum (S x1_(2) (x) S x1_(1)) gamma Delta(x2 beta S x3) over phi^-1;
-    # w holds (S x1_(1), S x1_(2), x2 beta S x3)
-    w = _contract(H, map_legs(phiinv, (cop, 1), (S, 1), (S, 2), (S, 4)), (
-        (("a", 0),), (("a", 1),), (("a", 2), ("v", 0), ("a", 3))), (H.beta,))
-    twist = merge_pair(sc, split_leg(cop, w, 3), gamma, groups=(
+    # w holds (x1, x2 beta S x3), contracted before x1 and the product are
+    # split into (S x1_(1), S x1_(2), (x2 beta S x3)_(1), (x2 beta S x3)_(2))
+    w = _contract(H, apply_leg(S, phiinv, 3), ((("a", 0),), (("a", 1), ("v", 0), ("a", 2))),
+                  (H.beta,))
+    twist = merge_pair(sc, map_legs(w, (cop, 1), (S, 1), (S, 2), (cop, 3)), gamma, groups=(
         (("a", 1), ("b", 0), ("a", 2)), (("a", 0), ("b", 1), ("a", 3))))
 
     delta = merge_pair(sc, map_legs(phi, (cop, 1), (S, 3), (S, 4)),
@@ -252,10 +253,11 @@ def twist_candidates(H: QuasiHopfAlgebra):
     ), vecs=(H.beta,))
 
     # f^-1 = sum Delta(S x1 alpha x2) delta (S x3_(2) (x) S x3_(1)) over phi^-1;
-    # w holds (S x1 alpha x2, S x3_(1), S x3_(2))
-    w = _contract(H, map_legs(phiinv, (cop, 3), (S, 1), (S, 3), (S, 4)),
-                  ((("a", 0), ("v", 0), ("a", 1)), (("a", 2),), (("a", 3),)), (H.alpha,))
-    twist_inv = merge_pair(sc, split_leg(cop, w, 1), delta, groups=(
+    # w holds (S x1 alpha x2, x3), contracted before the product and x3 are
+    # split into ((S x1 alpha x2)_(1), (S x1 alpha x2)_(2), S x3_(1), S x3_(2))
+    w = _contract(H, apply_leg(S, phiinv, 1), ((("a", 0), ("v", 0), ("a", 1)), (("a", 2),)),
+                  (H.alpha,))
+    twist_inv = merge_pair(sc, map_legs(w, (cop, 2), (S, 2), (S, 3), (cop, 1)), delta, groups=(
         (("a", 0), ("b", 0), ("a", 3)), (("a", 1), ("b", 1), ("a", 2))))
     return gamma, delta, twist, twist_inv
 

@@ -175,17 +175,17 @@ def check_cocycle(w: Cocycle3, max_report: int = 10) -> CocycleReport:
     norm = list(islice((t for t in product(range(n), repeat=3)
                         if e in t and w.exponent(*t) % N != 0), max_report))
     viol = []
-    exp = w.exponent
-    mul = g.mul
+    exps, cayley = w.exponents, g.cayley  # rows looked up once per (a, b) or (a, b, c)
     for a in range(n):
         for b in range(n):
-            ab = mul(a, b)
+            a_b, ab = exps[a][b], exps[cayley[a][b]]
             for c in range(n):
-                bc = mul(b, c)
-                abc_l = exp(a, b, c)
+                # the rows w(a, bc, -), w(b, c, -), w(ab, c, -) and c * -
+                a_bc, b_c, ab_c, c_mul = exps[a][cayley[b][c]], exps[b][c], ab[c], cayley[c]
+                abc = a_b[c]
                 for d in range(n):
-                    lhs = abc_l + exp(a, bc, d) + exp(b, c, d)
-                    rhs = exp(ab, c, d) + exp(a, b, mul(c, d))
+                    lhs = abc + a_bc[d] + b_c[d]
+                    rhs = ab_c[d] + a_b[c_mul[d]]
                     if (lhs - rhs) % N != 0:
                         viol.append(((a, b, c, d), lhs % N, rhs % N))
                         if len(viol) >= max_report:

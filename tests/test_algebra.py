@@ -795,6 +795,28 @@ def test_merge_pair_kernels_match_interpreted_plan(which, da, db, na, nb, seed):
     want = _merge_pair_plan_reference(sc, a, b, groups, vecs)
     got = merge_pair(sc, a, b, groups, vecs)
     assert got == want and got.degree == len(groups) and got.order == sc.order, groups
+    assert list(got.entries.items()) == list(want.entries.items()), groups
+
+
+def test_merge_pair_kernel_order_with_no_joined_legs_and_an_empty_b():
+    rng = random.Random(6011)
+    cases = [  # b's legs meet no a leg, so every entry of b has the block key ()
+        ((("a", 0), ("v", 0), ("b", 0)), (("a", 1),), (("b", 1),)),
+        ((("a", 0), ("a", 1)), (("b", 0), ("b", 1))),
+        ((("a", 0),), (("a", 1),)),  # a degree-0 b
+        ((("a", 0), ("b", 0)), (("b", 1), ("a", 1))),  # joined legs, for the empty b
+    ]
+    for sc in kernel_algebras():
+        vecs = ({k[0]: c for k, c in sparse_tensor(rng, sc, 1, 2).entries.items()},)
+        for groups in cases:
+            db = sum(kind == "b" for g in groups for kind, _ in g)
+            a = sparse_tensor(rng, sc, 2, 15)
+            for b in (sparse_tensor(rng, sc, db, 15 if db else 1),
+                      SparseTensor(sc.dim, db, sc.order, {})):
+                want = _merge_pair_plan_reference(sc, a, b, groups, vecs)
+                got = merge_pair(sc, a, b, groups, vecs)
+                assert list(got.entries.items()) == list(want.entries.items()), groups
+                assert got.degree == len(groups) and (got.entries or not b.entries)
 
 
 def test_merge_pair_kernel_is_reused_across_vectors_and_tables(monkeypatch):

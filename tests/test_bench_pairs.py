@@ -1,6 +1,6 @@
 """tools/bench_pairs.summarize on synthetic runs: failed and incorrect runs,
 ties, traced results that are missing for one side or a workload, and the
-span medians and agreeing counts over several traced runs."""
+span medians, mins and maxes and agreeing counts over several traced runs."""
 
 import importlib.util
 import os
@@ -89,14 +89,16 @@ def test_missing_traced_side_reads_none():
     d = summary()
     assert d["doubles"]["traced_counts"] == {
         "scalar.mul.calls": {"parent": 42910, "change": None}}
-    assert d["doubles"]["traced_spans"] == {
-        "heisenberg.check_double.self_s": {"parent": 0.15, "change": None}}
+    assert d["doubles"]["traced_spans"] == {"heisenberg.check_double.self_s": {
+        "parent": {"median": 0.15, "min": 0.15, "max": 0.15},
+        "change": {"median": None, "min": None, "max": None}}}
     assert d["identities"]["traced_counts"] == {
         "scalar.mul.calls": {"parent": None, "change": None}}
 
 
 def test_traced_spans_are_medians_and_counts_must_agree():
     d = summary()["probe"]
-    assert d["traced_spans"] == {
-        "heisenberg.check_double.self_s": {"parent": 0.2, "change": pytest.approx(0.45)}}
+    assert d["traced_spans"] == {"heisenberg.check_double.self_s": {
+        "parent": {"median": 0.2, "min": 0.1, "max": 0.3},
+        "change": {"median": pytest.approx(0.45), "min": 0.4, "max": 0.5}}}
     assert d["traced_counts"] == {"scalar.mul.calls": {"parent": 7, "change": None}}

@@ -1,6 +1,7 @@
 """Axiom checking, twist machinery, and the inverse-like elements."""
 
 import dataclasses
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,8 @@ from qhd.algebra import (
     apply_leg,
     counit_leg,
     leg_embed,
+    map_legs,
+    merge_pair,
     multiply,
     permute_legs,
     split_leg,
@@ -21,6 +24,7 @@ from qhd.algebra import (
 from qhd.quasihopf import (
     AntipodeNotBijectiveError,
     QuasiHopfAlgebra,
+    _contract,
     check_lemma41,
     check_qp_identities,
     check_quasi_antipode,
@@ -554,3 +558,93 @@ def test_sweedler_contractions_match_per_term_loops():
             failed.update(i.label for i in got.items if i.status == "fail")
     # the changed inputs reach every rewritten family with a failing report
     assert set(ReferenceFamilies.LOOPS) <= failed, failed
+
+
+def _twist_candidates_reference(H: QuasiHopfAlgebra):
+    """gamma, delta and the twist pair, unvalidated.
+
+    Returns (gamma, delta, twist, twist_inv).  Nothing here compares gamma
+    and delta with their second expressions (twist_alternatives) or the
+    twist with its inverse: the CLI's twist suite records those as 2.gamma,
+    2.delta, 2.f-inv and 2.f-inv'.
+    """
+    sc, cop, S = H.mult, H.coproduct, H.antipode
+    phi, phiinv = H.associator, H.associator_inv
+
+    # split-and-antipode views of the associator legs, each built in one
+    # pass and freed once used
+    a1 = map_legs(phiinv, (cop, 1), (S, 1), (S, 2))
+    gamma = merge_pair(sc, a1, map_legs(phi, (S, 1), (S, 2)), groups=(
+        (("a", 1), ("b", 1), ("v", 0), ("b", 2), ("a", 2)),
+        (("a", 0), ("b", 0), ("v", 0), ("a", 3)),
+    ), vecs=(H.alpha,))
+    del a1
+
+    # f = sum (S x1_(2) (x) S x1_(1)) gamma Delta(x2 beta S x3) over phi^-1;
+    # w holds (S x1_(1), S x1_(2), x2 beta S x3)
+    w = _contract(H, map_legs(phiinv, (cop, 1), (S, 1), (S, 2), (S, 4)), (
+        (("a", 0),), (("a", 1),), (("a", 2), ("v", 0), ("a", 3))), (H.beta,))
+    twist = merge_pair(sc, split_leg(cop, w, 3), gamma, groups=(
+        (("a", 1), ("b", 0), ("a", 2)), (("a", 0), ("b", 1), ("a", 3))))
+
+    delta = merge_pair(sc, map_legs(phi, (cop, 1), (S, 3), (S, 4)),
+                       apply_leg(S, phiinv, 3), groups=(
+        (("a", 0), ("b", 0), ("v", 0), ("a", 3)),
+        (("a", 1), ("b", 1), ("v", 0), ("b", 2), ("a", 2)),
+    ), vecs=(H.beta,))
+
+    # f^-1 = sum Delta(S x1 alpha x2) delta (S x3_(2) (x) S x3_(1)) over phi^-1;
+    # w holds (S x1 alpha x2, S x3_(1), S x3_(2))
+    w = _contract(H, map_legs(phiinv, (cop, 3), (S, 1), (S, 3), (S, 4)),
+                  ((("a", 0), ("v", 0), ("a", 1)), (("a", 2),), (("a", 3),)), (H.alpha,))
+    twist_inv = merge_pair(sc, split_leg(cop, w, 1), delta, groups=(
+        (("a", 0), ("b", 0), ("a", 3)), (("a", 1), ("b", 1), ("a", 2))))
+    return gamma, delta, twist, twist_inv
+
+
+def _random_quasi_hopf_tables(rng, m):
+    """Random H on m basis vectors over Q(zeta_3), drawn as the random tables
+    of the double builders' test: multi-term cells with coefficients other
+    than one, a nonassociative product, no axiom.  Then a dense phi apart
+    from the dense phi^-1, alpha and beta with several terms other than the
+    unit, and an antipode with multi-term columns."""
+    order = 3
+    coeffs = [root_of_unity(order, k) * CycScalar.from_rational(order, r)
+              for k in range(order) for r in (1, -1, 2)]
+
+    def terms(keys, p):
+        return tuple((k, rng.choice(coeffs)) for k in keys if rng.random() < p)
+
+    mult = StructureConstants(m, order, {(i, j): terms(range(m), 0.5)
+                                         for i, j in product(range(m), repeat=2)},
+                              dict(terms(range(m), 0.7)))
+    cop = Coproduct(m, order, {a: terms(product(range(m), repeat=2), 0.4) for a in range(m)})
+    phi_inv = SparseTensor(m, 3, order, dict(terms(product(range(m), repeat=3), 1.0)))
+    counit = dict(terms(range(m), 0.8))
+    phi = SparseTensor(m, 3, order, dict(terms(product(range(m), repeat=3), 1.0)))
+    alpha, beta = dict(terms(range(m), 1.0)), dict(terms(range(m), 1.0))
+    antipode = LinearMap(m, order, tuple(dict(terms(range(m), 0.6)) for _ in range(m)))
+    return QuasiHopfAlgebra(mult, cop, counit, phi, phi_inv, alpha, beta, antipode)
+
+
+def test_twist_candidates_match_former_split_then_contract():
+    import os
+    import random
+
+    from qhd.cli import parse_input
+
+    s3 = parse_input(os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd"))
+    cases = [(f"zn:{n}:{k}", build_k_omega_G(cyclic_cocycle(n, k)))
+             for n in range(2, 6) for k in range(n)]
+    cases += [(f"v4:{t}", build_k_omega_G(klein_cocycle(t))) for t in (1, 2, 3)]
+    cases += [("s3_sign", build_k_omega_G(s3[1])), ("kS3", _group_algebra(s3[0]))]
+    rng = random.Random(17)
+    for m in (2, 2, 3, 3):
+        H = _random_quasi_hopf_tables(rng, m)
+        assert H.mult.check_associative() and len(H.alpha) > 1 and len(H.beta) > 1, m
+        assert H.associator != H.associator_inv, m
+        cases.append((f"random:{m}", H))
+    for where, H in cases:
+        got, want = twist_candidates(H), _twist_candidates_reference(H)
+        assert got == want, where
+        assert got[2].entries and got[3].entries, where

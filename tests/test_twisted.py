@@ -139,6 +139,54 @@ def test_ten_mutated_tables_rejected_with_quadruples():
         assert len(q) == 4 and lhs != rhs
 
 
+def _check_cocycle_reference(w, max_report=10):
+    """check_cocycle as it looked each exponent and product up by method call."""
+    from itertools import islice, product
+
+    from qhd.twisted import CocycleReport
+
+    g = w.group
+    n = g.order
+    N = w.root_order
+    e = g.identity
+    norm = list(islice((t for t in product(range(n), repeat=3)
+                        if e in t and w.exponent(*t) % N != 0), max_report))
+    viol = []
+    exp = w.exponent
+    mul = g.mul
+    for a in range(n):
+        for b in range(n):
+            ab = mul(a, b)
+            for c in range(n):
+                bc = mul(b, c)
+                abc_l = exp(a, b, c)
+                for d in range(n):
+                    lhs = abc_l + exp(a, bc, d) + exp(b, c, d)
+                    rhs = exp(ab, c, d) + exp(a, b, mul(c, d))
+                    if (lhs - rhs) % N != 0:
+                        viol.append(((a, b, c, d), lhs % N, rhs % N))
+                        if len(viol) >= max_report:
+                            return CocycleReport(norm, viol)
+    return CocycleReport(norm, viol)
+
+
+def test_check_cocycle_matches_former_scan():
+    import os
+
+    from qhd.cli import parse_input
+
+    s3 = parse_input(os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd"))[1]
+    valid = [cyclic_cocycle(5, 2), cyclic_cocycle(8, 1), klein_cocycle(3), s3]
+    # one entry changed off and on the identity: cocycle and normalization faults
+    cases = valid + [w.with_exponent(*t, w.exponent(*t) + 1)
+                     for w in valid for t in ((1, 2, 3), (2, 0, 1))]
+    for w in cases:
+        for max_report in (1, 4, 10, 10**6):
+            assert check_cocycle(w, max_report) == _check_cocycle_reference(w, max_report)
+    assert all(check_cocycle(w).ok for w in valid)
+    assert all(len(check_cocycle(w, 10**6).cocycle_violations) > 10 for w in cases[len(valid):])
+
+
 def test_build_k_omega_structure():
     w = cyclic_cocycle(2, 1)
     H = build_k_omega_G(w)

@@ -14,9 +14,10 @@ The summary holds, per workload and end-to-end metric of BENCHMARK.json,
 each side's median, quartiles and runs, the number of pairs and the pairs
 the change won (ties count for neither side), and the traced per-layer
 metrics of both sides: the span times (each `*.self_s` and `cli.ctx.*.s`)
-as `traced_spans`, each the median over a side's traced runs, and the
-counts as `traced_counts`, each the value all of a side's traced runs read,
-or null where they disagree.  A failed traced run is left out of both.  A
+as `traced_spans`, each side's median, min and max over its traced runs, so
+that a move of a median can be weighed against the spread of the runs, and
+the counts as `traced_counts`, each the value all of a side's traced runs
+read, or null where they disagree.  A failed traced run is left out of both.  A
 run that fails or reads `correct: false` is kept in the summary and leaves
 its pair undecided.  The summary is rewritten after every pair.
 """
@@ -56,13 +57,15 @@ def spread(values: list) -> dict:
 
 
 def traced_value(results: list, name: str, unit: str):
-    """The median of a span, or the count all runs agree on, over the traced
-    runs that did not fail; None without one."""
+    """Over the traced runs that did not fail: a span's median, min and max
+    (each None without a run), or the count all runs agree on (None without
+    a run or if they disagree)."""
     values = [r["metrics"][name]["value"] for r in results if r]
+    if unit == "s":
+        return {"median": statistics.median(values) if values else None,
+                "min": min(values, default=None), "max": max(values, default=None)}
     if not values:
         return None
-    if unit == "s":
-        return statistics.median(values)
     return values[0] if all(v == values[0] for v in values) else None
 
 
