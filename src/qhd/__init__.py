@@ -28,6 +28,7 @@ from .heisenberg import (
     HeisenbergAlgebra,
     build_H1,
     build_H1_dual,
+    canonical_element,
     canonical_elements,
     check_parenthesization,
     check_theorem_4_4,

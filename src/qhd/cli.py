@@ -20,6 +20,7 @@ from .algebra import StructureConstants, multiply
 from .heisenberg import (
     build_H1,
     build_H1_dual,
+    canonical_element,
     canonical_elements,
     check_double,
     check_theorem_4_4,
@@ -298,7 +299,8 @@ def resolve_source(spec: RunSpec) -> Cocycle3:
 
 
 class RunContext:
-    """Shared lazily-built artifacts so suites never recompute each other's work."""
+    """Shared lazily-built artifacts: each is built on first use, so a suite
+    builds only the artifacts it reads and never recomputes another suite's."""
 
     def __init__(self, w: Cocycle3):
         self.w = w
@@ -332,6 +334,15 @@ class RunContext:
             had, hap = self.doubles()
             self._elements = canonical_elements(had, hap, self.derived())
         return self._elements
+
+    def canonical(self, side: str):
+        """W on "dual", W-bar on "plain": the full elements' when some suite
+        built them, else the double's own, which needs no derived element.
+        Only the probe reads it, once per side and after every suite that
+        builds the full elements, so each side builds its W once."""
+        if self._elements is None:
+            return canonical_element(self.doubles()[side == "plain"])
+        return self._elements.W if side == "dual" else self._elements.Wbar
 
     def pentagon_lefts(self, side: str):
         """The two left parenthesizations of the quasi-pentagon equation of
@@ -454,8 +465,6 @@ def _suite_section5(run: RunContext, rec: Recorder):
 
 def _suite_invertibility(run: RunContext, rec: Recorder):
     w = run.w
-    had, hap = run.doubles()
-    ce = run.elements()
     holds, obstructions = invertibility_criterion(w)
     if holds:
         detail = "omega(a, a^-1, a) = 1 for every a"
@@ -464,9 +473,10 @@ def _suite_invertibility(run: RunContext, rec: Recorder):
         detail = (f"omega(a, a^-1, a) != 1 at a={a}: value zeta_{w.root_order}^{ex}")
     rec.info("5.r-criterion", "diagonal obstruction values of the cocycle", detail)
 
-    for label, ha, x, name in (("5.r-W", had, ce.W, "canonical element, dual side"),
-                               ("5.r-Wbar", hap, ce.Wbar, "canonical element, plain side")):
-        res = probe_invertibility(ha, x)
+    had, hap = run.doubles()
+    for label, ha, name in (("5.r-W", had, "canonical element, dual side"),
+                            ("5.r-Wbar", hap, "canonical element, plain side")):
+        res = probe_invertibility(ha, run.canonical(ha.side))
         ok = (res.status == "two_sided") == holds
         if holds:
             msg = (f"{name}: two-sided inverse found and verified" if ok else

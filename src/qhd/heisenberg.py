@@ -153,35 +153,47 @@ class CanonicalElements:
     PhiBarS: SparseTensor
 
 
+def canonical_element(ha: HeisenbergAlgebra) -> SparseTensor:
+    """The basis-pairing element of one double, W on the dual side and W-bar
+    on the plain side: the sum over i of (eps # e_i) (x) (e^i # 1), written
+    for the dual side.  It reads only the double's side data, the counit and
+    the unit, as in the Hopf case, so it needs no derived element."""
+    H = ha.parent
+    m, index = H.dim, ha.side_data.index
+    eps, unit = tuple(H.counit.items()), tuple(H.unit_vec().items())
+    w: dict = {}
+    for i in range(m):
+        for u, cu in eps:
+            for z, cz in unit:
+                _add(w, (index[u][i], index[i][z]), cu * cz)
+    return SparseTensor(m * m, 2, H.order, w)
+
+
 def canonical_elements(ha_dual: HeisenbergAlgebra, ha_plain: HeisenbergAlgebra,
                        D: DerivedElements) -> CanonicalElements:
-    """The basis-pairing elements, their quasi-inverses, and the four
-    associator correction tensors, all as displayed."""
+    """The basis-pairing elements (from `canonical_element`), their
+    quasi-inverses, and the four associator correction tensors, all as
+    displayed."""
     H = ha_dual.parent
     S = H.antipode
     phi_s = apply_leg(S, apply_leg(S, apply_leg(S, H.associator, 1), 2), 3)
-    W, Wtilde, PhiBoldInv, PhiBold321S = _side_elements(ha_dual, D.U, phi_s)
-    Wbar, What, PhiBarInv321, PhiBarS = _side_elements(ha_plain, D.Vtilde, phi_s)
-    return CanonicalElements(W, Wtilde, Wbar, What,
+    Wtilde, PhiBoldInv, PhiBold321S = _side_elements(ha_dual, D.U, phi_s)
+    What, PhiBarInv321, PhiBarS = _side_elements(ha_plain, D.Vtilde, phi_s)
+    return CanonicalElements(canonical_element(ha_dual), Wtilde,
+                             canonical_element(ha_plain), What,
                              PhiBoldInv, PhiBold321S, PhiBarInv321, PhiBarS)
 
 
 def _side_elements(ha: HeisenbergAlgebra, x: SparseTensor, phi_s: SparseTensor):
-    """(canonical element, quasi-inverse, inverse-associator correction,
-    antipode-associator correction) of one double.  x is U on the dual side
-    and V-tilde on the plain side, phi_s is (S x S x S)(associator); written
-    for the dual side."""
+    """(quasi-inverse, inverse-associator correction, antipode-associator
+    correction) of one double: the elements that need the quasi-Hopf data.
+    x is U on the dual side and V-tilde on the plain side, phi_s is
+    (S x S x S)(associator); written for the dual side."""
     H = ha.parent
     m, order, S = H.dim, H.order, H.antipode
     sd = ha.side_data
     rev, index = sd.rev, sd.index
     eps = tuple(H.counit.items())
-
-    w: dict = {}
-    for i in range(m):
-        for u, cu in eps:
-            for z, cz in H.unit_vec().items():
-                _add(w, (index[u][i], index[i][z]), cu * cz)
 
     wq: dict = {}
     for key, c in x.entries.items():
@@ -202,7 +214,7 @@ def _side_elements(ha: HeisenbergAlgebra, x: SparseTensor, phi_s: SparseTensor):
                 _add(out, (index[u1][l1], index[u2][l2], index[u3][l3]), c * ce)
         return SparseTensor(m * m, 3, order, out)
 
-    return (SparseTensor(m * m, 2, order, w), SparseTensor(m * m, 2, order, wq),
+    return (SparseTensor(m * m, 2, order, wq),
             correction((rev(k), c) for k, c in H.associator_inv.entries.items()),
             correction((rev(k[::-1]), c) for k, c in phi_s.entries.items()))
 

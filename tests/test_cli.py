@@ -11,6 +11,13 @@ and item order of a full run.  Regenerate them from the repository root with
         > golden/$f.json; done
     PYTHONPATH=../../src python -m qhd.cli --input s3_sign.qhd --backend float \
       --report json > golden/s3_sign_float.json
+
+and the probe alone, which test_probe_derives_nothing pins, with
+
+    PYTHONPATH=src python -m qhd.cli --example zn:4:1 --check invertibility \
+      --report json > tests/data/golden/zn_4_1_invertibility.json
+    cd tests/data && PYTHONPATH=../../src python -m qhd.cli --input s3_sign.qhd \
+      --check invertibility --report json > golden/s3_sign_invertibility.json
 """
 
 import json
@@ -18,6 +25,7 @@ import os
 
 import pytest
 
+from qhd import cli, heisenberg
 from qhd.algebra import StructureConstants
 from qhd.cli import (
     MAX_GROUP_ORDER,
@@ -30,6 +38,7 @@ from qhd.cli import (
     resolve_builtin,
     run,
 )
+from qhd.heisenberg import canonical_element
 from qhd.scalar import CycScalar
 from qhd.twisted import FiniteGroup, GroupError
 
@@ -535,6 +544,36 @@ def test_s3_float_backend_matches_golden(capsys):
     out = capsys.readouterr().out
     out = out.replace(json.dumps(f"file:{path}"), json.dumps("file:s3_sign.qhd"), 1)
     assert out == golden("s3_sign_float.json")
+
+
+def test_probe_derives_nothing(monkeypatch, capsys):
+    # the probe reads W and W-bar from the doubles alone: no twist derivation
+    def refuse(*args):
+        raise AssertionError("the invertibility suite derived an element")
+
+    monkeypatch.setattr(cli, "derive_elements", refuse)
+    monkeypatch.setattr(cli, "canonical_elements", refuse)
+    path = os.path.join(DATA, "s3_sign.qhd")
+    for source, name in ((["--example", "zn:4:1"], "zn_4_1"),
+                         (["--input", path], "s3_sign")):
+        assert main([*source, "--check", "invertibility", "--report", "json"]) == 0
+        out = capsys.readouterr().out
+        out = out.replace(json.dumps(f"file:{path}"), json.dumps("file:s3_sign.qhd"), 1)
+        assert out == golden(f"{name}_invertibility.json"), name
+
+
+def test_full_run_builds_each_canonical_element_once(monkeypatch):
+    built = []
+
+    def counted(ha):
+        built.append(ha.side)
+        return canonical_element(ha)
+
+    monkeypatch.setattr(cli, "canonical_element", counted)
+    monkeypatch.setattr(heisenberg, "canonical_element", counted)
+    report = run_spec("zn:4:1", report_format="json")
+    assert report.to_json() == golden("zn_4_1.json")
+    assert built == ["dual", "plain"]
 
 
 @pytest.mark.parametrize("example", ["trivial:4", "v4:3", "zn:4:1"])

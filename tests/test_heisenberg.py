@@ -23,9 +23,11 @@ from qhd.algebra import (
 from qhd.cli import _products_equal, parse_input, resolve_builtin
 from qhd.heisenberg import (
     InvertibilityResult,
+    _add,
     _Side,
     build_H1,
     build_H1_dual,
+    canonical_element,
     canonical_elements,
     check_double,
     check_parenthesization,
@@ -760,6 +762,37 @@ def test_build_double_matches_former_builders_on_random_tables():
             sc, action = ref(H)
             assert _products_equal(ha.sc, sc), (m, build.__name__)
             assert ha.action == action, (m, build.__name__)
+
+
+def _canonical_element_reference(ha):
+    """W as the former `_side_elements` built it, before the quasi-inverse."""
+    H = ha.parent
+    m, order = H.dim, H.order
+    sd = ha.side_data
+    index = sd.index
+    eps = tuple(H.counit.items())
+
+    w: dict = {}
+    for i in range(m):
+        for u, cu in eps:
+            for z, cz in H.unit_vec().items():
+                _add(w, (index[u][i], index[i][z]), cu * cz)
+    return SparseTensor(m * m, 2, order, w)
+
+
+def test_canonical_element_matches_former_side_elements():
+    s3 = parse_input(S3_SIGN)
+    algebras = [build_k_omega_G(cyclic_cocycle(3, 1)), build_k_omega_G(resolve_builtin("v4:2")),
+                build_k_omega_G(s3[1]), group_algebra(s3[0])]
+    rng = random.Random(17)  # the draws of test_build_double_matches_former_builders_...
+    algebras += [_random_quasi_bialgebra(rng, m) for m in (2, 2, 3, 3)]
+    assert any(len(H.counit) > 1 and len(H.unit_vec()) > 1 for H in algebras[4:])
+    for H in algebras:
+        for build in (build_H1_dual, build_H1):
+            ha = build(H)
+            got, want = canonical_element(ha), _canonical_element_reference(ha)
+            assert got == want, (H.dim, ha.side)
+            assert list(got.entries.items()) == list(want.entries.items()), (H.dim, ha.side)
 
 
 def _check_double_reference(ha, rec=None):
