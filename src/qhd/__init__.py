@@ -30,7 +30,6 @@ from .heisenberg import (
     build_H1_dual,
     canonical_element,
     canonical_elements,
-    check_parenthesization,
     check_theorem_4_4,
     check_theorem_4_5,
     probe_invertibility,
@@ -45,9 +44,10 @@ from .twisted import (
     cyclic_cocycle,
     invertibility_criterion,
     klein_cocycle,
-    product_cocycle,
     trivial_cocycle,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the classes and functions imported above; the submodules are not exported
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and callable(value))
 __version__ = "0.1.0"

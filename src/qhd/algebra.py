@@ -257,12 +257,6 @@ class LinearMap:
                 out[i] = c * m if prev is None else prev + c * m
         return _prune(out)
 
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
-        return LinearMap(
-            self.dim, self.order, tuple(self.apply_vec(c) for c in other.cols)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented

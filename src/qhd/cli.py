@@ -12,9 +12,11 @@ a table that fails the cocycle gate),
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .algebra import StructureConstants, multiply
 from .heisenberg import (
@@ -137,6 +139,36 @@ def resolve_builtin(example: str) -> Cocycle3:
         f"unknown builtin example {example!r} (use zn:<n>:<k>, trivial:<n>, v4:<id>)")
 
 
+def _fail(path: str, lineno: int, msg: str):
+    raise InputError(f"{path}:{lineno}: {msg}")
+
+
+def _parse_group_tokens(tokens: list, lineno: int, path: str):
+    """The group of a `cyclic n` or `product <spec> <spec>` token list, and
+    the tokens left after it."""
+    if not tokens:
+        _fail(path, lineno, "empty group specification")
+    head, rest = tokens[0], tokens[1:]
+    if head == "cyclic":
+        if not rest:
+            _fail(path, lineno, "cyclic group needs an order")
+        try:
+            n = int(rest[0])
+        except ValueError as e:
+            _fail(path, lineno, f"bad cyclic group: {e}")
+        check_group_order(n, f"{path}:{lineno}: ")
+        try:
+            return FiniteGroup.cyclic(n), rest[1:]
+        except (ValueError, GroupError) as e:
+            _fail(path, lineno, f"bad cyclic group: {e}")
+    if head == "product":
+        g1, rest = _parse_group_tokens(rest, lineno, path)
+        g2, rest = _parse_group_tokens(rest, lineno, path)
+        check_group_order(g1.order * g2.order, f"{path}:{lineno}: ")
+        return FiniteGroup.direct_product(g1, g2), rest
+    _fail(path, lineno, f"unknown group form {head!r} (use cyclic, product, table)")
+
+
 def parse_input(path: str):
     """Parse the line-oriented group/cocycle description.
 
@@ -161,8 +193,7 @@ def parse_input(path: str):
 
     pos = 0
 
-    def fail(lineno, msg):
-        raise InputError(f"{path}:{lineno}: {msg}")
+    fail = partial(_fail, path)
 
     def next_line(expect):
         nonlocal pos
@@ -171,29 +202,6 @@ def parse_input(path: str):
         item = lines[pos]
         pos += 1
         return item
-
-    def parse_group_tokens(tokens, lineno):
-        if not tokens:
-            fail(lineno, "empty group specification")
-        head, rest = tokens[0], tokens[1:]
-        if head == "cyclic":
-            if not rest:
-                fail(lineno, "cyclic group needs an order")
-            try:
-                n = int(rest[0])
-            except ValueError as e:
-                fail(lineno, f"bad cyclic group: {e}")
-            check_group_order(n, f"{path}:{lineno}: ")
-            try:
-                return FiniteGroup.cyclic(n), rest[1:]
-            except (ValueError, GroupError) as e:
-                fail(lineno, f"bad cyclic group: {e}")
-        if head == "product":
-            g1, rest = parse_group_tokens(rest, lineno)
-            g2, rest = parse_group_tokens(rest, lineno)
-            check_group_order(g1.order * g2.order, f"{path}:{lineno}: ")
-            return FiniteGroup.direct_product(g1, g2), rest
-        fail(lineno, f"unknown group form {head!r} (use cyclic, product, table)")
 
     lineno, text = next_line("a `group` stanza")
     tokens = text.split()
@@ -222,7 +230,7 @@ def parse_input(path: str):
         except GroupError as e:
             fail(lineno, f"not a group: {e}")
     else:
-        group, leftover = parse_group_tokens(tokens[1:], lineno)
+        group, leftover = _parse_group_tokens(tokens[1:], lineno, path)
         if leftover:
             fail(lineno, f"trailing tokens after group spec: {' '.join(leftover)}")
 
@@ -588,24 +596,37 @@ class Report:
 
 def run(spec: RunSpec) -> Report:
     """Execute the selected suites; prerequisites that failed mark their
-    dependents as skipped rather than running them on bad data."""
-    w = resolve_source(spec)
-    ctx = RunContext(w)
-    report = Report(spec)
-    outcomes: dict[str, bool] = {}
-    float_check = spec.backend == "float"
-    for name in spec.selected():
-        rec = Recorder(float_check=float_check, timings=spec.timings)
-        failed_deps = [d for d in SUITE_DEPS[name] if outcomes.get(d) is False]
-        if failed_deps:
-            rec.skip(name, f"{name} suite",
-                     f"skipped: prerequisite suite {failed_deps[0]} failed")
-            outcomes[name] = None
-        else:
-            SUITES[name](ctx, rec)
-            outcomes[name] = rec.ok
-        report.suites.append((name, rec))
-    return report
+    dependents as skipped rather than running them on bad data.
+
+    The cyclic garbage collector is paused for the run and switched back on
+    afterwards only if it was on.  The contractions allocate millions of
+    tuples, dicts and scalars but no reference cycle, so reference counting
+    frees all of them and the collector's passes over the growing heap are
+    pure cost (tests/test_cli.py checks that a run leaves no cyclic garbage).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        w = resolve_source(spec)
+        ctx = RunContext(w)
+        report = Report(spec)
+        outcomes: dict[str, bool] = {}
+        float_check = spec.backend == "float"
+        for name in spec.selected():
+            rec = Recorder(float_check=float_check, timings=spec.timings)
+            failed_deps = [d for d in SUITE_DEPS[name] if outcomes.get(d) is False]
+            if failed_deps:
+                rec.skip(name, f"{name} suite",
+                         f"skipped: prerequisite suite {failed_deps[0]} failed")
+                outcomes[name] = None
+            else:
+                SUITES[name](ctx, rec)
+                outcomes[name] = rec.ok
+            report.suites.append((name, rec))
+        return report
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
-from math import lcm
 
 from .algebra import Coproduct, LinearMap, SparseTensor, StructureConstants
 from .heisenberg import CanonicalElements
@@ -200,22 +199,6 @@ def trivial_cocycle(g: FiniteGroup, root_order: int = 1) -> Cocycle3:
 def cyclic_cocycle(n: int, k: int) -> Cocycle3:
     """On Z/n: exponent k*a*b*c mod n over representatives 0..n-1."""
     return _tabulate(FiniteGroup.cyclic(n), n, lambda a, b, c: (k * a * b * c) % n)
-
-
-def product_cocycle(w1: Cocycle3, w2: Cocycle3) -> Cocycle3:
-    """Pullback product on the direct product group, root order the lcm."""
-    g = FiniteGroup.direct_product(w1.group, w2.group)
-    n2 = w2.group.order
-    N = lcm(w1.root_order, w2.root_order)
-    m1, m2 = N // w1.root_order, N // w2.root_order
-
-    def exp(a, b, c):
-        a1, a2 = divmod(a, n2)
-        b1, b2 = divmod(b, n2)
-        c1, c2 = divmod(c, n2)
-        return (m1 * w1.exponent(a1, b1, c1) + m2 * w2.exponent(a2, b2, c2)) % N
-
-    return _tabulate(g, N, exp)
 
 
 def klein_cocycle(table_id: int) -> Cocycle3:
@@ -487,27 +470,3 @@ def coboundary_exponents(g: FiniteGroup, phi2, N: int) -> Cocycle3:
     """The coboundary of a normalized 2-cochain given as an exponent table."""
     return _tabulate(g, N, lambda a, b, c: (phi2[b][c] - phi2[g.mul(a, b)][c]
                                             + phi2[a][g.mul(b, c)] - phi2[a][b]) % N)
-
-
-def search_coboundary(g: FiniteGroup, N: int) -> Cocycle3:
-    """Brute-force search over normalized 2-cochains; returns the first
-    coboundary whose diagonal obstruction values all vanish."""
-    n = g.order
-    e = g.identity
-    free = [(a, b) for a in range(n) for b in range(n) if a != e and b != e]
-    best = None
-    for mask in range(N ** len(free)):
-        phi2 = [[0] * n for _ in range(n)]
-        m = mask
-        for (a, b) in free:
-            phi2[a][b] = m % N
-            m //= N
-        w = coboundary_exponents(g, phi2, N)
-        ok, _ = invertibility_criterion(w)
-        if ok:
-            best = w
-            if mask > 0:
-                return w
-    if best is None:
-        raise CocycleError("no admissible coboundary found")
-    return best

@@ -8,6 +8,7 @@ them stream.
 import dataclasses
 import time
 
+from helpers import search_coboundary
 from qhd.algebra import SparseTensor, leg_embed, multiply
 from qhd.cli import RunSpec, run
 from qhd.heisenberg import (
@@ -28,7 +29,6 @@ from qhd.twisted import (
     expansion_tensor,
     invertibility_criterion,
     klein_cocycle,
-    search_coboundary,
     trivial_cocycle,
 )
 

@@ -20,6 +20,7 @@ and the probe alone, which test_probe_derives_nothing pins, with
       --check invertibility --report json > golden/s3_sign_invertibility.json
 """
 
+import gc
 import json
 import os
 
@@ -580,3 +581,65 @@ def test_full_run_builds_each_canonical_element_once(monkeypatch):
 def test_full_report_matches_golden(example):
     report = run_spec(example, report_format="json")
     assert report.to_json() == golden(example.replace(":", "_") + ".json")
+
+
+def _garbage_left_by(spec):
+    # run pauses the cyclic collector, so any reference cycle a run drops is
+    # still there to be found afterwards; gc.collect() counts what it frees
+    gc.collect()
+    gc.disable()
+    try:
+        run(spec)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def _broken_axioms(ctx, rec):
+    rec.bool_check("forced", "forced failure for dependency testing", False)
+
+
+def test_run_leaves_no_cyclic_garbage(tmp_path, monkeypatch):
+    product = tmp_path / "v4.qhd"
+    product.write_text("group product cyclic 2 cyclic 2\ncocycle trivial\n")
+    for source in ("zn:4:1", f"file:{os.path.join(DATA, 's3_sign.qhd')}", f"file:{product}"):
+        assert _garbage_left_by(RunSpec(source=source)) == 0, source
+    monkeypatch.setitem(cli.SUITES, "axioms", _broken_axioms)
+    spec = RunSpec(source="zn:2:1", suites=("axioms", "twist", "heisenberg"))
+    assert run(spec).exit_code == 1
+    assert _garbage_left_by(spec) == 0
+
+
+def _crash(ctx, rec):
+    raise KeyError("boom")
+
+
+def test_run_restores_the_collector(tmp_path, monkeypatch, capsys):
+    assert gc.isenabled()
+    run_spec("zn:2:1", suites=("axioms",))
+    assert gc.isenabled()
+    bad = tmp_path / "bad.qhd"
+    bad.write_text("group cyclic 3\ncocycle table 3\n1 1 1 -> 1\n")
+    with pytest.raises(InputError):
+        run_spec(f"file:{bad}")
+    assert gc.isenabled()
+    assert main(["--input", str(bad)]) == 2
+    assert gc.isenabled()
+    with monkeypatch.context() as m:
+        m.setitem(cli.SUITES, "axioms", _crash)
+        with pytest.raises(KeyError):
+            run_spec("zn:2:1", suites=("axioms",))
+        assert gc.isenabled()
+        assert main(["--example", "zn:2:1", "--check", "axioms"]) == 3
+        assert gc.isenabled()
+    capsys.readouterr()
+    # a caller that paused the collector itself finds it still paused
+    gc.disable()
+    try:
+        run_spec("zn:2:1", suites=("axioms",))
+        assert not gc.isenabled()
+        with pytest.raises(InputError):
+            run_spec(f"file:{bad}")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

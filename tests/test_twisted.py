@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import product_cocycle, search_coboundary
 from qhd.algebra import leg_embed, multiply
 from qhd.cli import main, resolve_builtin
 from qhd.heisenberg import build_H1, build_H1_dual, canonical_elements, probe_invertibility
@@ -19,8 +20,6 @@ from qhd.twisted import (
     expansion_tensor,
     invertibility_criterion,
     klein_cocycle,
-    product_cocycle,
-    search_coboundary,
     trivial_cocycle,
 )
 
