@@ -594,6 +594,17 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _release_free_lists():
+    """Hand the interpreter's free lists of tuples, floats, lists and dicts
+    back to the allocator.  Only a full collection empties them; with every
+    object frozen first it has nothing to traverse.  Objects a caller froze
+    would be thawed with the rest, so then nothing is done."""
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
+        gc.collect()
+        gc.unfreeze()
+
+
 def run(spec: RunSpec) -> Report:
     """Execute the selected suites; prerequisites that failed mark their
     dependents as skipped rather than running them on bad data.
@@ -603,6 +614,9 @@ def run(spec: RunSpec) -> Report:
     tuples, dicts and scalars but no reference cycle, so reference counting
     frees all of them and the collector's passes over the growing heap are
     pure cost (tests/test_cli.py checks that a run leaves no cyclic garbage).
+    The free lists, which the collector's full passes would have emptied,
+    are released before each suite instead, so that a suite's peak memory
+    does not include the dead tuples its predecessors left in them.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -613,6 +627,7 @@ def run(spec: RunSpec) -> Report:
         outcomes: dict[str, bool] = {}
         float_check = spec.backend == "float"
         for name in spec.selected():
+            _release_free_lists()
             rec = Recorder(float_check=float_check, timings=spec.timings)
             failed_deps = [d for d in SUITE_DEPS[name] if outcomes.get(d) is False]
             if failed_deps:

@@ -8,6 +8,7 @@ from qhd.twisted import (
     Cocycle3,
     CocycleError,
     FiniteGroup,
+    _tabulate,
     coboundary_exponents,
     invertibility_criterion,
 )
@@ -31,8 +32,7 @@ def product_cocycle(w1: Cocycle3, w2: Cocycle3) -> Cocycle3:
         c1, c2 = divmod(c, n2)
         return (m1 * w1.exponent(a1, b1, c1) + m2 * w2.exponent(a2, b2, c2)) % N
 
-    n = range(g.order)
-    return Cocycle3(g, N, tuple(tuple(tuple(exp(a, b, c) for c in n) for b in n) for a in n))
+    return _tabulate(g, N, exp)
 
 
 def search_coboundary(g: FiniteGroup, N: int) -> Cocycle3:

@@ -602,8 +602,10 @@ def _broken_axioms(ctx, rec):
 def test_run_leaves_no_cyclic_garbage(tmp_path, monkeypatch):
     product = tmp_path / "v4.qhd"
     product.write_text("group product cyclic 2 cyclic 2\ncocycle trivial\n")
-    for source in ("zn:4:1", f"file:{os.path.join(DATA, 's3_sign.qhd')}", f"file:{product}"):
-        assert _garbage_left_by(RunSpec(source=source)) == 0, source
+    s3 = f"file:{os.path.join(DATA, 's3_sign.qhd')}"
+    for spec in (RunSpec(source="zn:4:1"), RunSpec(source=s3), RunSpec(source=f"file:{product}"),
+                 RunSpec(source=s3, backend="float", timings=True)):
+        assert _garbage_left_by(spec) == 0, spec
     monkeypatch.setitem(cli.SUITES, "axioms", _broken_axioms)
     spec = RunSpec(source="zn:2:1", suites=("axioms", "twist", "heisenberg"))
     assert run(spec).exit_code == 1
@@ -643,3 +645,36 @@ def test_run_restores_the_collector(tmp_path, monkeypatch, capsys):
         assert not gc.isenabled()
     finally:
         gc.enable()
+    assert gc.get_freeze_count() == 0
+
+
+def _collections_in(spec):
+    # (generation, objects the collector would traverse) of each collection
+    seen = []
+
+    def watch(phase, info):
+        if phase == "start":
+            seen.append((info["generation"], len(gc.get_objects())))
+
+    gc.callbacks.append(watch)
+    try:
+        run(spec)
+    finally:
+        gc.callbacks.remove(watch)
+    return seen
+
+
+def test_run_collects_only_a_frozen_heap():
+    # the only collections in a run are the free-list releases before each
+    # suite, full passes over a heap that is frozen and so traverse nothing
+    spec = RunSpec(source="zn:4:1")
+    assert _collections_in(spec) == [(2, 0)] * len(spec.selected())
+    assert gc.get_freeze_count() == 0
+    # objects a caller froze stay frozen, and then the run does not collect
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert _collections_in(spec) == []
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()

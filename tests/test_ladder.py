@@ -19,8 +19,8 @@ def test_commands_for_builtins_and_files():
     assert ladder.command("file:a/b.qhd", "axioms")[3:5] == ["--input", "a/b.qhd"]
 
 
-def test_large_example_is_opt_in():
-    assert ladder.LARGE not in ladder.LADDER
+def test_largest_example_is_opt_in():
+    assert "zn:32:1" not in ladder.LADDER
     assert ladder.CHECKS == ("axioms", "invertibility", "all")
 
 

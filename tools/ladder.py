@@ -1,10 +1,10 @@
 """Wall time and peak RSS of full `qhd` runs on a ladder of examples.
 
-    python3 tools/ladder.py [--src DIR] [--large] [--out FILE] [EXAMPLE ...]
+    python3 tools/ladder.py [--src DIR] [--out FILE] [EXAMPLE ...]
 
 Run it from the repository root, where LADDER's file path resolves.  Each
 EXAMPLE is a builtin id (`zn:16:1`) or `file:PATH`; without any, the ladder
-is LADDER.  `--large` appends zn:32:1, whose three runs take one to two
+is LADDER.  zn:32:1 runs only when named: its three runs take one to two
 minutes in all and peak at about 1.4 GB.  Every example runs once with each
 of CHECKS, in a fresh `python -m qhd.cli ... --report json` process whose
 report is discarded, with the qhd package imported from DIR (default: this
@@ -25,7 +25,6 @@ import time
 
 LADDER = ("zn:6:1", "zn:8:1", "zn:10:1", "zn:16:1", "zn:24:1", "v4:3",
           "file:tests/data/s3_sign.qhd")
-LARGE = "zn:32:1"
 CHECKS = ("axioms", "invertibility", "all")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -76,10 +75,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("examples", nargs="*", metavar="EXAMPLE")
     ap.add_argument("--src", default=SRC, help="directory holding the qhd package")
-    ap.add_argument("--large", action="store_true", help=f"append {LARGE}")
     ap.add_argument("--out", help="write the JSON records here, not to stdout")
     args = ap.parse_args(argv)
-    examples = list(args.examples or LADDER) + ([LARGE] if args.large else [])
+    examples = args.examples or LADDER
     records = []
     for example in examples:
         for check in CHECKS:
