@@ -89,9 +89,6 @@ class SparseTensor:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.dim, self.degree, frozenset(self.entries.items())))
-
     def __add__(self, other: "SparseTensor") -> "SparseTensor":
         self._compat(other)
         out = dict(self.entries)

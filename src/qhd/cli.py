@@ -57,19 +57,6 @@ from .twisted import (
     trivial_cocycle,
 )
 
-SUITE_ORDER = ("axioms", "twist", "lemma41", "heisenberg", "theorems",
-               "section5", "invertibility")
-SUITE_DEPS = {
-    "axioms": (),
-    "twist": ("axioms",),
-    "lemma41": ("twist",),
-    "heisenberg": ("axioms",),
-    "theorems": ("lemma41", "heisenberg"),
-    "section5": ("theorems",),
-    "invertibility": ("heisenberg",),
-}
-
-
 # Cost grows polynomially in the group order n (the invertibility probe solves
 # systems in n^4 unknowns), so larger orders are refused before any n^2 or n^3
 # table is built.
@@ -307,65 +294,55 @@ def resolve_source(spec: RunSpec) -> Cocycle3:
 
 
 class RunContext:
-    """Shared lazily-built artifacts: each is built on first use, so a suite
-    builds only the artifacts it reads and never recomputes another suite's."""
+    """Shared lazily-built artifacts, kept in one memo by key: each is built
+    on first use, so a suite builds only the artifacts it reads and never
+    recomputes another suite's."""
 
     def __init__(self, w: Cocycle3):
         self.w = w
         self.H = build_k_omega_G(w)
-        self._derived = None
-        self._alternatives = None
-        self._doubles = None
-        self._elements = None
-        self._closed_form = None
-        self._lefts: dict = {}
+        self._memo: dict = {}
+
+    def _once(self, key, build, *args):
+        """The artifact under key, built as build(*args) on first use."""
+        if key not in self._memo:
+            self._memo[key] = build(*args)
+        return self._memo[key]
 
     def derived(self) -> DerivedElements:
-        if self._derived is None:
-            self._derived = derive_elements(self.H)
-        return self._derived
-
-    def twist_pieces(self):
-        """(derived elements, gamma_alt, delta_alt); only the twist suite
-        compares the second expressions, so only it builds them."""
-        if self._alternatives is None:
-            self._alternatives = twist_alternatives(self.H)
-        return (self.derived(),) + self._alternatives
+        return self._once("derived", derive_elements, self.H)
 
     def doubles(self):
-        if self._doubles is None:
-            self._doubles = (build_H1_dual(self.H), build_H1(self.H))
-        return self._doubles
+        """(H1(H*), H1(H)): the dual side's double and the plain side's."""
+        return self._once("doubles", lambda H: (build_H1_dual(H), build_H1(H)), self.H)
+
+    def double(self, side: str):
+        return self.doubles()[side == "plain"]
 
     def elements(self):
-        if self._elements is None:
-            had, hap = self.doubles()
-            self._elements = canonical_elements(had, hap, self.derived())
-        return self._elements
+        """The full canonical elements; their W and W-bar are kept where
+        `canonical` reads them, so neither is built twice."""
+        ce = self._once("elements", canonical_elements, *self.doubles(), self.derived())
+        self._memo["W", "dual"], self._memo["W", "plain"] = ce.W, ce.Wbar
+        return ce
 
     def canonical(self, side: str):
         """W on "dual", W-bar on "plain": the full elements' when some suite
         built them, else the double's own, which needs no derived element.
-        Only the probe reads it, once per side and after every suite that
-        builds the full elements, so each side builds its W once."""
-        if self._elements is None:
-            return canonical_element(self.doubles()[side == "plain"])
-        return self._elements.W if side == "dual" else self._elements.Wbar
+        The probe, its one reader, runs after every suite that builds the
+        full elements, so each side's W is built once."""
+        return self._once(("W", side), canonical_element, self.double(side))
 
     def pentagon_lefts(self, side: str):
         """The two left parenthesizations of the quasi-pentagon equation of
         one side: 4.6's on "dual", which hopf.pentagon reuses, and 4.9's on
         "plain", which section 5 expands."""
-        if side not in self._lefts:
-            ce = self.elements()
-            x, phi = (ce.W, ce.PhiBoldInv) if side == "dual" else (ce.What, ce.PhiBarS)
-            self._lefts[side] = pentagon_lefts(self.doubles()[side == "plain"], x, phi)
-        return self._lefts[side]
+        ce = self.elements()
+        x, phi = (ce.W, ce.PhiBoldInv) if side == "dual" else (ce.What, ce.PhiBarS)
+        return self._once(("lefts", side), pentagon_lefts, self.double(side), x, phi)
 
     def closed_form(self):
-        if self._closed_form is None:
-            self._closed_form = closed_form_elements(self.w)
-        return self._closed_form
+        return self._once("closed_form", closed_form_elements, self.w)
 
 
 # -- suites ----------------------------------------------------------------------
@@ -378,7 +355,8 @@ def _suite_axioms(run: RunContext, rec: Recorder):
 
 def _suite_twist(run: RunContext, rec: Recorder):
     H = run.H
-    d, gamma_alt, delta_alt = run.twist_pieces()
+    gamma_alt, delta_alt = twist_alternatives(H)
+    d = run.derived()
     rec.tensor_check("2.gamma", "both expressions for gamma agree", d.gamma, gamma_alt)
     rec.tensor_check("2.delta", "both expressions for delta agree", d.delta, delta_alt)
     one2 = H.mult.unit_tensor(2)
@@ -506,6 +484,16 @@ SUITES = {
     "section5": _suite_section5,
     "invertibility": _suite_invertibility,
 }
+SUITE_ORDER = tuple(SUITES)
+SUITE_DEPS = {
+    "axioms": (),
+    "twist": ("axioms",),
+    "lemma41": ("twist",),
+    "heisenberg": ("axioms",),
+    "theorems": ("lemma41", "heisenberg"),
+    "section5": ("theorems",),
+    "invertibility": ("heisenberg",),
+}
 
 
 # -- runner and rendering ---------------------------------------------------------
@@ -606,8 +594,9 @@ def _release_free_lists():
 
 
 def run(spec: RunSpec) -> Report:
-    """Execute the selected suites; prerequisites that failed mark their
-    dependents as skipped rather than running them on bad data.
+    """Execute the selected suites; a prerequisite that failed or was skipped
+    marks its dependents as skipped rather than running them on bad data.
+    A prerequisite that was not selected does not block.
 
     The cyclic garbage collector is paused for the run and switched back on
     afterwards only if it was on.  The contractions allocate millions of
@@ -624,19 +613,19 @@ def run(spec: RunSpec) -> Report:
         w = resolve_source(spec)
         ctx = RunContext(w)
         report = Report(spec)
-        outcomes: dict[str, bool] = {}
+        outcomes: dict[str, str] = {}  # "passed", "failed" or "was skipped"
         float_check = spec.backend == "float"
         for name in spec.selected():
             _release_free_lists()
             rec = Recorder(float_check=float_check, timings=spec.timings)
-            failed_deps = [d for d in SUITE_DEPS[name] if outcomes.get(d) is False]
-            if failed_deps:
+            blocked = [d for d in SUITE_DEPS[name] if outcomes.get(d, "passed") != "passed"]
+            if blocked:
                 rec.skip(name, f"{name} suite",
-                         f"skipped: prerequisite suite {failed_deps[0]} failed")
-                outcomes[name] = None
+                         f"skipped: prerequisite suite {blocked[0]} {outcomes[blocked[0]]}")
+                outcomes[name] = "was skipped"
             else:
                 SUITES[name](ctx, rec)
-                outcomes[name] = rec.ok
+                outcomes[name] = "passed" if rec.ok else "failed"
             report.suites.append((name, rec))
         return report
     finally:

@@ -23,13 +23,12 @@ from .algebra import (
     StructureConstants,
     _read_solution,
     _row_reduce,
-    apply_leg,
     merge_pair,
     multiplication_rows,
     multiply,
     solve_linear,
 )
-from .quasihopf import DerivedElements, QuasiHopfAlgebra
+from .quasihopf import DerivedElements, QuasiHopfAlgebra, antipode_legs
 from .report import Recorder
 from .scalar import CycScalar
 
@@ -175,8 +174,7 @@ def canonical_elements(ha_dual: HeisenbergAlgebra, ha_plain: HeisenbergAlgebra,
     quasi-inverses, and the four associator correction tensors, all as
     displayed."""
     H = ha_dual.parent
-    S = H.antipode
-    phi_s = apply_leg(S, apply_leg(S, apply_leg(S, H.associator, 1), 2), 3)
+    phi_s = antipode_legs(H.antipode, H.associator)
     Wtilde, PhiBoldInv, PhiBold321S = _side_elements(ha_dual, D.U, phi_s)
     What, PhiBarInv321, PhiBarS = _side_elements(ha_plain, D.Vtilde, phi_s)
     return CanonicalElements(canonical_element(ha_dual), Wtilde,
@@ -187,8 +185,9 @@ def canonical_elements(ha_dual: HeisenbergAlgebra, ha_plain: HeisenbergAlgebra,
 def _side_elements(ha: HeisenbergAlgebra, x: SparseTensor, phi_s: SparseTensor):
     """(quasi-inverse, inverse-associator correction, antipode-associator
     correction) of one double: the elements that need the quasi-Hopf data.
-    x is U on the dual side and V-tilde on the plain side, phi_s is
-    (S x S x S)(associator); written for the dual side."""
+    x is U on the dual side and V-tilde on the plain side, phi_s is the
+    antipode of the associator, (S x S x S) of its reversal; written for
+    the dual side."""
     H = ha.parent
     m, order, S = H.dim, H.order, H.antipode
     sd = ha.side_data
@@ -216,7 +215,7 @@ def _side_elements(ha: HeisenbergAlgebra, x: SparseTensor, phi_s: SparseTensor):
 
     return (SparseTensor(m * m, 2, order, wq),
             correction((rev(k), c) for k, c in H.associator_inv.entries.items()),
-            correction((rev(k[::-1]), c) for k, c in phi_s.entries.items()))
+            correction((rev(k), c) for k, c in phi_s.entries.items()))
 
 
 def _add(entries: dict, key, c):

@@ -306,7 +306,7 @@ def check_twist_identities(H: QuasiHopfAlgebra, D: DerivedElements,
     lhs = multiply(sc, lhs, H.associator)
     lhs = multiply(sc, lhs, split_leg(cop, g, 1))
     lhs = multiply(sc, lhs, Placement(g, (1, 2), 3))
-    rhs = apply_leg(S, apply_leg(S, apply_leg(S, permute_legs(H.associator, (2, 1, 0)), 1), 2), 3)
+    rhs = antipode_legs(S, H.associator)
     rec.tensor_check("2.8", "twist pentagon against the reversed associator", lhs, rhs)
     return rec
 
@@ -333,10 +333,6 @@ def check_qp_identities(H: QuasiHopfAlgebra, D: DerivedElements,
     f, g = D.twist, D.twist_inv
     u = H.unit_vec()
 
-    def sinv_swap(t):
-        """(S^-1 x S^-1) of t with its two legs swapped."""
-        return apply_leg(Sinv, apply_leg(Sinv, permute_legs(t, (1, 0)), 1), 2)
-
     # families over h = e_i on the first leg; ("v", 0) is the unit
     diag = _diagonal(H)
     d = split_leg(cop, diag, 2)
@@ -358,12 +354,12 @@ def check_qp_identities(H: QuasiHopfAlgebra, D: DerivedElements,
 
     lhs_212 = multiply(sc, multiply(sc, Placement(qR, (1, 2), 3), split_leg(cop, qR, 1)),
                        H.associator_inv)
-    fp = multiply(sc, Placement(sinv_swap(f), (2, 3), 3), split_leg(cop, qR, 2))
+    fp = multiply(sc, Placement(antipode_legs(Sinv, f), (2, 3), 3), split_leg(cop, qR, 2))
     zero3 = SparseTensor(H.dim, 3, H.order, {})
     # sum over (i2, i3) of phi * (1 x S^-1 e_i3 x S^-1 e_i2), grouped by i1
     rhs_212 = zero3
     for i1, phi23 in slice_leg(H.associator, 1).items():
-        front = Placement(sinv_swap(phi23), (2, 3), 3)
+        front = Placement(antipode_legs(Sinv, phi23), (2, 3), 3)
         tower = split_leg(cop, cop.of_vec(H.basis_vec(i1)), 2)
         rhs_212 = rhs_212 + multiply(sc, multiply(sc, front, fp), tower)
     rec.tensor_check("2.12", "coproduct expansion of the right transposition element",
@@ -371,11 +367,11 @@ def check_qp_identities(H: QuasiHopfAlgebra, D: DerivedElements,
 
     lhs_213 = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, pL, 2)),
                        Placement(pL, (2, 3), 3))
-    pg = multiply(sc, split_leg(cop, pL, 1), Placement(sinv_swap(g), (1, 2), 3))
+    pg = multiply(sc, split_leg(cop, pL, 1), Placement(antipode_legs(Sinv, g), (1, 2), 3))
     # sum over (i1, i2) of phi * (S^-1 e_i2 x S^-1 e_i1 x 1), grouped by i3
     rhs_213 = zero3
     for i3, phi12 in slice_leg(H.associator, 3).items():
-        back = Placement(sinv_swap(phi12), (1, 2), 3)
+        back = Placement(antipode_legs(Sinv, phi12), (1, 2), 3)
         tower = split_leg(cop, cop.of_vec(H.basis_vec(i3)), 1)
         rhs_213 = rhs_213 + multiply(sc, multiply(sc, tower, pg), back)
     rec.tensor_check("2.13", "coproduct expansion of the left transposition element",
@@ -387,10 +383,8 @@ def compute_U_Vtilde(H: QuasiHopfAlgebra, twist: SparseTensor, twist_inv: Sparse
                      qR: SparseTensor, pL: SparseTensor):
     """The inverse-like building blocks for the canonical elements."""
     sc, S = H.mult, H.antipode
-    sq = apply_leg(S, apply_leg(S, permute_legs(qR, (1, 0)), 1), 2)
-    U = multiply(sc, twist_inv, sq)
-    sp = apply_leg(S, apply_leg(S, permute_legs(pL, (1, 0)), 1), 2)
-    Vt = multiply(sc, sp, twist)
+    U = multiply(sc, twist_inv, antipode_legs(S, qR))
+    Vt = multiply(sc, antipode_legs(S, pL), twist)
     return U, Vt
 
 
@@ -452,6 +446,13 @@ def derive_elements(H: QuasiHopfAlgebra) -> DerivedElements:
 
 
 # -- contraction helpers --------------------------------------------------------
+
+
+def antipode_legs(m: LinearMap, t: SparseTensor) -> SparseTensor:
+    """m on every leg of t with the legs in reverse order, in one pass: the
+    antipode of a tensor, (S x ... x S) of its reversal, when m is S."""
+    n = t.degree
+    return map_legs(permute_legs(t, range(n - 1, -1, -1)), *((m, leg) for leg in range(1, n + 1)))
 
 
 def _contract(H: QuasiHopfAlgebra, t: SparseTensor, groups, vecs=()) -> SparseTensor:

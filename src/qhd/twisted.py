@@ -246,14 +246,10 @@ def build_k_omega_G(w: Cocycle3) -> QuasiHopfAlgebra:
     unit = {a: one for a in range(n)}
     mult = StructureConstants(n, N, table, unit)
 
-    cop_table = {}
-    for a in range(n):
-        ent = []
-        for x in range(n):
-            for y in range(n):
-                if g.mul(x, y) == a:
-                    ent.append(((x, y), one))
-        cop_table[a] = tuple(ent)
+    cop_table: dict = {a: [] for a in range(n)}
+    for x in range(n):
+        for y in range(n):
+            cop_table[g.mul(x, y)].append(((x, y), one))
     cop = Coproduct(n, N, cop_table)
 
     counit = {g.identity: one}

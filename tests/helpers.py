@@ -1,9 +1,12 @@
-"""Library helpers that only the tests use: composing linear maps, the
-pullback product of two cocycles, and a brute-force coboundary search."""
+"""Helpers that only the tests use: the labels of a recorder's failed
+checks, the group algebra kG, composing linear maps, the pullback product
+of two cocycles, and a brute-force coboundary search."""
 
 from math import lcm
 
-from qhd.algebra import LinearMap
+from qhd.algebra import Coproduct, LinearMap, SparseTensor, StructureConstants
+from qhd.quasihopf import QuasiHopfAlgebra
+from qhd.scalar import CycScalar
 from qhd.twisted import (
     Cocycle3,
     CocycleError,
@@ -12,6 +15,23 @@ from qhd.twisted import (
     coboundary_exponents,
     invertibility_criterion,
 )
+
+
+def failing(rec):
+    return [i.label for i in rec.items if i.status == "fail"]
+
+
+def group_algebra(g):
+    """kG: e_a e_b = e_ab, Delta a = a (x) a, eps = 1, S(a) = a^-1, trivial associator."""
+    n, e = g.order, g.identity
+    one = CycScalar.one(1)
+    mult = StructureConstants(n, 1, {(a, b): ((g.mul(a, b), one),)
+                                     for a in range(n) for b in range(n)}, {e: one})
+    cop = Coproduct(n, 1, {a: (((a, a), one),) for a in range(n)})
+    unit3 = SparseTensor(n, 3, 1, {(e, e, e): one})
+    antipode = LinearMap(n, 1, tuple({g.inv(a): one} for a in range(n)))
+    return QuasiHopfAlgebra(mult, cop, {a: one for a in range(n)}, unit3, unit3,
+                            {e: one}, {e: one}, antipode)
 
 
 def compose(a: LinearMap, b: LinearMap) -> LinearMap:

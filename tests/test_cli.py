@@ -290,6 +290,42 @@ def test_failed_prerequisite_skips_dependents(monkeypatch):
     assert [i.status for i in by_suite["heisenberg"].items] == ["skipped"]
 
 
+def test_skipped_prerequisite_skips_dependents(monkeypatch):
+    # a suite whose prerequisite was skipped is skipped too, so no suite
+    # below a failed one runs on its data
+    monkeypatch.setitem(cli.SUITES, "axioms", _broken_axioms)
+    rep = run_spec("zn:3:1")
+    assert rep.exit_code == 1
+    details = {name: [(i.status, i.detail) for i in rec.items] for name, rec in rep.suites}
+    assert details.pop("axioms") == [("fail", "")]
+    assert details == {
+        "twist": [("skipped", "skipped: prerequisite suite axioms failed")],
+        "lemma41": [("skipped", "skipped: prerequisite suite twist was skipped")],
+        "heisenberg": [("skipped", "skipped: prerequisite suite axioms failed")],
+        "theorems": [("skipped", "skipped: prerequisite suite lemma41 was skipped")],
+        "section5": [("skipped", "skipped: prerequisite suite theorems was skipped")],
+        "invertibility": [("skipped", "skipped: prerequisite suite heisenberg was skipped")],
+    }
+
+
+def test_suite_table_lists_each_suite_after_its_prerequisites():
+    assert cli.SUITE_ORDER == tuple(cli.SUITES)
+    assert cli.SUITE_DEPS.keys() == cli.SUITES.keys()
+    # run reads only the outcomes of the suites that have already run
+    for name, deps in cli.SUITE_DEPS.items():
+        assert all(cli.SUITE_ORDER.index(d) < cli.SUITE_ORDER.index(name) for d in deps), name
+
+
+def test_twist_alternatives_built_once_and_only_by_the_twist_suite(monkeypatch):
+    calls = []
+    real = cli.twist_alternatives
+    monkeypatch.setattr(cli, "twist_alternatives", lambda H: calls.append(H) or real(H))
+    for suites, built in ((("all",), 1), (("axioms", "invertibility"), 0)):
+        calls.clear()
+        assert run_spec("zn:4:1", suites).exit_code == 0
+        assert len(calls) == built, suites
+
+
 def test_klein_tables_full_run():
     for tid in range(4):
         rep = run_spec(f"v4:{tid}")

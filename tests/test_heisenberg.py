@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
+from helpers import failing, group_algebra
 from qhd.algebra import (
     Coproduct,
     Inconsistency,
@@ -48,10 +49,6 @@ from qhd.twisted import (
 
 
 S3_SIGN = os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd")
-
-
-def failing(rec):
-    return [i.label for i in rec.items if i.status == "fail"]
 
 
 def make_all(w):
@@ -683,19 +680,6 @@ def _ref_build_H1(H):
     sc = StructureConstants(m * m, H.order,
                             {k: tuple(v.items()) for k, v in table.items()}, unit)
     return sc, action
-
-
-def group_algebra(g):
-    """kG: e_a e_b = e_ab, Delta a = a (x) a, eps = 1, S(a) = a^-1, trivial associator."""
-    n, e = g.order, g.identity
-    one = CycScalar.one(1)
-    mult = StructureConstants(n, 1, {(a, b): ((g.mul(a, b), one),)
-                                     for a in range(n) for b in range(n)}, {e: one})
-    cop = Coproduct(n, 1, {a: (((a, a), one),) for a in range(n)})
-    unit3 = SparseTensor(n, 3, 1, {(e, e, e): one})
-    antipode = LinearMap(n, 1, tuple({g.inv(a): one} for a in range(n)))
-    return QuasiHopfAlgebra(mult, cop, {a: one for a in range(n)}, unit3, unit3,
-                            {e: one}, {e: one}, antipode)
 
 
 def test_side_builder_matches_former_builders_on_noncommutative_H():

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from helpers import compose
+from helpers import compose, failing, group_algebra
 from qhd.algebra import (
     Coproduct,
     LinearMap,
@@ -26,6 +26,7 @@ from qhd.quasihopf import (
     AntipodeNotBijectiveError,
     QuasiHopfAlgebra,
     _contract,
+    antipode_legs,
     check_lemma41,
     check_qp_identities,
     check_quasi_antipode,
@@ -40,10 +41,6 @@ from qhd.quasihopf import (
 from qhd.report import Recorder
 from qhd.scalar import CycScalar, root_of_unity
 from qhd.twisted import FiniteGroup, build_k_omega_G, cyclic_cocycle, klein_cocycle, trivial_cocycle
-
-
-def failing(rec):
-    return [i.label for i in rec.items if i.status == "fail"]
 
 
 def axioms_ok(H):
@@ -107,6 +104,21 @@ def test_beta_values_on_twisted_two_point_algebra():
     H = build_k_omega_G(cyclic_cocycle(2, 1))
     one = H.one()
     assert H.beta == {0: one, 1: CycScalar.from_rational(2, -1)}  # delta_0 - delta_1
+
+
+def test_antipode_legs_matches_nested_leg_maps():
+    # a map that is no involution and no permutation, so a leg mapped twice,
+    # or not at all, or legs left in their order, all show
+    one, two = CycScalar.one(3), CycScalar.from_rational(3, 2)
+    m = LinearMap(3, 3, ({0: one, 1: two}, {2: one}, {0: -one, 2: root_of_unity(3, 1)}))
+    for degree in (1, 2, 3):
+        entries = {k: CycScalar.from_rational(3, 1 + sum(i * 3 ** p for p, i in enumerate(k)))
+                   for k in product(range(3), repeat=degree) if sum(k) % 2}
+        t = SparseTensor(3, degree, 3, entries)
+        ref = permute_legs(t, tuple(reversed(range(degree))))
+        for leg in range(1, degree + 1):
+            ref = apply_leg(m, ref, leg)
+        assert antipode_legs(m, t) == ref, degree
 
 
 def test_twist_hopf_degeneration_is_unit():
@@ -479,19 +491,6 @@ class ReferenceFamilies(Recorder):
         return super().family_check(label, name, triples)
 
 
-def _group_algebra(g):
-    """kG: e_a e_b = e_ab, Delta a = a (x) a, eps = 1, S(a) = a^-1, trivial associator."""
-    n, e = g.order, g.identity
-    one = CycScalar.one(1)
-    mult = StructureConstants(n, 1, {(a, b): ((g.mul(a, b), one),)
-                                     for a in range(n) for b in range(n)}, {e: one})
-    cop = Coproduct(n, 1, {a: (((a, a), one),) for a in range(n)})
-    unit3 = SparseTensor(n, 3, 1, {(e, e, e): one})
-    antipode = LinearMap(n, 1, tuple({g.inv(a): one} for a in range(n)))
-    return QuasiHopfAlgebra(mult, cop, {a: one for a in range(n)}, unit3, unit3,
-                            {e: one}, {e: one}, antipode)
-
-
 def _one_change_each(H):
     """H itself and six copies, each with one change to one of phi, phi^-1,
     alpha, beta, S (its first and last columns swapped, so that S^-1 moves
@@ -534,7 +533,7 @@ def test_sweedler_contractions_match_per_term_loops():
     bases = [("zn:3:1", build_k_omega_G(resolve_builtin("zn:3:1"))),
              ("v4:3", build_k_omega_G(resolve_builtin("v4:3"))),
              ("s3_sign", build_k_omega_G(s3[1])),
-             ("kS3", _group_algebra(s3[0]))]
+             ("kS3", group_algebra(s3[0]))]
     failed = set()
     for base, H0 in bases:
         for change, H in _one_change_each(H0):
@@ -638,7 +637,7 @@ def test_twist_candidates_match_former_split_then_contract():
     cases = [(f"zn:{n}:{k}", build_k_omega_G(cyclic_cocycle(n, k)))
              for n in range(2, 6) for k in range(n)]
     cases += [(f"v4:{t}", build_k_omega_G(klein_cocycle(t))) for t in (1, 2, 3)]
-    cases += [("s3_sign", build_k_omega_G(s3[1])), ("kS3", _group_algebra(s3[0]))]
+    cases += [("s3_sign", build_k_omega_G(s3[1])), ("kS3", group_algebra(s3[0]))]
     rng = random.Random(17)
     for m in (2, 2, 3, 3):
         H = _random_quasi_hopf_tables(rng, m)
