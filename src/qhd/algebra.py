@@ -17,7 +17,7 @@ Every CycScalar is interned (see scalar.py), so a table, coproduct or map
 coefficient equal to one is CycScalar.one(order) itself, and the tensor
 kernels skip the product with such a coefficient on an `is` test.  Since
 that skips the order test of CycScalar.__mul__ too, merge_pair (so
-multiply), multiplication_rows and map_legs (so split_leg and apply_leg)
+multiply), multiplication_system and map_legs (so split_leg and apply_leg)
 check on entry that their tensors have the dimension and the order of the
 table or map.  counit_leg has no such order to check: it skips only the one
 of its tensor's own order, so a counit of another order still fails in
@@ -286,35 +286,50 @@ class Inconsistency:
     rhs: CycScalar
 
 
-def _row_reduce(rows: list, rhs: list, ncols: int, order: int):
-    """The Gauss-Jordan elimination behind solve_linear, on copies.
-
-    Returns (rows, rhs, pivots): the reduced rows and right sides, in the
-    positions of the input, and col -> position of that column's pivot row,
-    in column order.  The pivot rows in column order are the reduced row
-    echelon form of the system, each with its right side.
-
-    A column held by one row that holds no other column is a connected
-    component of its own, at the start or once elimination has emptied the
-    rest of the row.  That row is the column's pivot (it is not one
-    already, since a pivot row keeps its own pivot column), and nothing is
-    eliminated, so it is reduced in one step: it becomes {col: one}, and a
-    nonzero right side is scaled by the entry's inverse.  On kωG every row
-    of both probe systems is such a row.
-    """
+def _system_of(rows: list, rhs: list, ncols: int):
+    """A system _reduce_system may reduce in place, from the caller's dict
+    rows: (rows, held, rhs) with copied rows and right sides, a row of one
+    entry as a (col, coeff) pair, and held[col] the number of rows holding
+    col.  Refuses right sides that do not match the rows in number, and a
+    column outside 0..ncols-1, which the elimination would never reach."""
     if len(rows) != len(rhs):
         raise AlgebraError(f"{len(rows)} rows but {len(rhs)} right sides")
-    rows = [dict(r) for r in rows]
-    rhs = list(rhs)
-    one = CycScalar.one(order)
-    holders: dict[int, set] = {}  # col -> positions of the rows holding it
-    for r, row in enumerate(rows):
+    held = [0] * ncols
+    system = []
+    for row in rows:
         for c in row:
-            holders.setdefault(c, set()).add(r)
-    if holders and (min(holders) < 0 or max(holders) >= ncols):
-        raise AlgebraError(f"a column lies outside 0..{ncols - 1}")
-    pivots: dict[int, int] = {}  # col -> row position in `rows`
-    used: set[int] = set()
+            if not 0 <= c < ncols:
+                raise AlgebraError(f"a column lies outside 0..{ncols - 1}")
+            held[c] += 1
+        system.append(dict(row) if len(row) > 1 else next(iter(row.items()), None))
+    return system, held, list(rhs)
+
+
+def _reduce_system(rows: list, held: list, rhs: list, ncols: int, order: int):
+    """The Gauss-Jordan elimination behind solve_linear and the probe, in
+    place on a system the caller hands over.
+
+    rows[r] is None for an empty row, a (col, coeff) pair for a row of one
+    entry, or a dict {col: coeff} of several; held[col] is the number of
+    rows holding col, and rhs[r] is row r's right side.  Returns (rows,
+    rhs, pivots): the reduced rows and right sides, in their positions, and
+    col -> position of that column's pivot row, in column order.  The pivot
+    rows in column order are the reduced row echelon form of the system,
+    each with its right side; a pair among the reduced rows is a pivot row
+    reduced to the exact one on its column.
+
+    A row that is alone on its column and holds no other column is a
+    connected component of its own.  That row is the column's pivot (it is
+    not one already, since a pivot row keeps its own pivot column), nothing
+    is eliminated, and a nonzero right side is scaled by the memoized
+    inverse of the entry.  A pair with held 1 is such a row from the start:
+    it is settled where it lies, with no copy and no index entry.  On kωG
+    every row of both probe systems is one.  Every other row becomes a dict
+    in the column -> rows index of the elimination, and one that elimination
+    leaves holding a single column held by no other row is settled in the
+    same step, as {col: one}.
+    """
+    zero, one = CycScalar.zero(order), CycScalar.one(order)
     inverses: dict = {}
 
     def inverse(v: CycScalar) -> CycScalar:
@@ -323,12 +338,32 @@ def _row_reduce(rows: list, rhs: list, ncols: int, order: int):
             inv = inverses[v] = v.inverse()
         return inv
 
-    for col in range(ncols):
-        held = holders.get(col)
-        if not held:
+    settled: list = [None] * ncols  # col -> position of the pair settled on it
+    holders: dict[int, set] = {}  # col -> positions of the other rows holding it
+    for r, row in enumerate(rows):
+        if row is None:
             continue
-        if len(held) == 1:
-            (piv,) = held
+        if type(row) is tuple:
+            col, v = row
+            if held[col] == 1:
+                settled[col] = r
+                if rhs[r] is not zero:
+                    rhs[r] = rhs[r] * inverse(v)
+                continue
+            row = rows[r] = {col: v}
+        for c in row:
+            holders.setdefault(c, set()).add(r)
+    pivots: dict[int, int] = {}  # col -> row position in `rows`
+    used: set[int] = set()
+    for col, piv in enumerate(settled):
+        if piv is not None:
+            pivots[col] = piv
+            continue
+        held_by = holders.get(col)
+        if not held_by:
+            continue
+        if len(held_by) == 1:
+            (piv,) = held_by
             # isolated: it meets no other row, so `used` need not hold it
             if len(rows[piv]) == 1:
                 pivots[col] = piv
@@ -336,7 +371,7 @@ def _row_reduce(rows: list, rhs: list, ncols: int, order: int):
                     rhs[piv] = rhs[piv] * inverse(rows[piv][col])
                 rows[piv] = {col: one}
                 continue
-        piv = min((r for r in held if r not in used), default=None)
+        piv = min((r for r in held_by if r not in used), default=None)
         if piv is None:
             continue
         used.add(piv)
@@ -350,7 +385,7 @@ def _row_reduce(rows: list, rhs: list, ncols: int, order: int):
             prhs = None
         else:
             prhs = rhs[piv] = prhs * inv
-        for r in held:  # no later column reads holders[col] again
+        for r in held_by:  # no later column reads holders[col] again
             if r == piv:
                 continue
             row = rows[r]
@@ -371,14 +406,25 @@ def _row_reduce(rows: list, rhs: list, ncols: int, order: int):
     return rows, rhs, pivots
 
 
-def _read_solution(rows: list, rhs: list, pivots: dict):
+def _row_reduce(rows: list, rhs: list, ncols: int, order: int):
+    """_reduce_system on copies of dict rows, with the reduced rows as
+    dicts: each pivot row of the reduced row echelon form, the rows it
+    emptied ({}) and the others, in the positions of the input."""
+    rows, rhs, pivots = _reduce_system(*_system_of(rows, rhs, ncols), ncols, order)
+    one = CycScalar.one(order)
+    return [{} if row is None else {row[0]: one} if type(row) is tuple else row
+            for row in rows], rhs, pivots
+
+
+def _read_solution(rows: list, rhs: list, pivots: dict, order: int):
     """The solution of a reduced system (free columns set to zero), or the
-    Inconsistency of its first emptied row with a nonzero right side.  A
-    pivot row always keeps its pivot entry, so it is never empty."""
+    Inconsistency of its lowest-numbered row left empty with a nonzero right
+    side.  A pivot row always keeps its pivot entry, so it is never empty."""
+    zero = CycScalar.zero(order)
     for r, row in enumerate(rows):
-        if not row and not rhs[r].is_zero():
+        if not row and rhs[r] is not zero:
             return Inconsistency(row_index=r, rhs=rhs[r])
-    return {col: rhs[r] for col, r in pivots.items() if not rhs[r].is_zero()}
+    return {col: rhs[r] for col, r in pivots.items() if rhs[r] is not zero}
 
 
 def solve_linear(rows: list, rhs: list, ncols: int, order: int):
@@ -388,7 +434,8 @@ def solve_linear(rows: list, rhs: list, ncols: int, order: int):
     Inconsistency certificate.  Columns are eliminated in increasing order;
     a column's pivot is the lowest-numbered row not yet used as a pivot that
     holds the column, i.e. the first nonzero entry of a row-major scan, which
-    keeps reports deterministic.
+    keeps reports deterministic.  The certificate names the lowest-numbered
+    row that the elimination leaves empty with a nonzero right side.
 
     A column -> rows index, updated as entries appear and cancel during
     elimination, finds each pivot and the rows to eliminate, so the work
@@ -398,14 +445,14 @@ def solve_linear(rows: list, rhs: list, ncols: int, order: int):
     Q(zeta_order), the pivot column is dropped from each eliminated row, and
     a zero pivot right side is neither scaled nor subtracted from the other
     rows, and an isolated row, one alone on its column and holding no other,
-    is reduced in one step (see _row_reduce).  The caller's row dicts are not
-    modified.
+    is settled in one step (see _reduce_system).  The caller's row dicts are
+    not modified.
 
     Raises AlgebraError when the number of right sides is not the number of
     rows, or when a row holds a column outside 0..ncols-1, which the
     elimination would never reach.
     """
-    return _read_solution(*_row_reduce(rows, rhs, ncols, order))
+    return _read_solution(*_reduce_system(*_system_of(rows, rhs, ncols), ncols, order), order)
 
 
 # -- tensor operations --------------------------------------------------------
@@ -456,17 +503,21 @@ def _placed(x) -> tuple:
     return x, range(1, x.degree + 1), x.degree
 
 
-def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> list:
-    """Rows of the linear map Y -> x*Y (side "right") or Y -> Y*x (side
-    "left") on degree-2 tensors, with a basis key (k1, k2) flattened to
-    k1 * dim + k2 for both rows and columns: row r is {col: coeff}, the r-th
-    component of the product with the col-th basis tensor.
+def multiplication_system(sc: StructureConstants, x: SparseTensor, side: str) -> tuple:
+    """The linear map Y -> x*Y (side "right") or Y -> Y*x (side "left") on
+    degree-2 tensors as a system for _reduce_system, with a basis key
+    (k1, k2) flattened to k1 * dim + k2 for both rows and columns: (rows,
+    held), where row r holds the r-th component of the product with the
+    col-th basis tensor as its entry on col, and held[col] is the number of
+    rows holding col.  An empty row is None, a row of one entry a (col,
+    coeff) pair, and a row of several a dict {col: coeff}.
 
     One pass over x's entries and their partners in the structure
     constants; equal to the components of one `multiply` per basis tensor.
-    An entry set by one term is a product of nonzero scalars, so only the
-    rows where a second term was added to an entry can hold a zero, and
-    only those are pruned.
+    A row stays a pair until a second term reaches it, and only then
+    becomes a dict.  An entry set by one term is a product of nonzero
+    scalars, so only those dicts can hold a zero: they are pruned, and one
+    left with fewer than two entries goes back to a pair or to None.
     """
     if x.degree != 2:
         raise AlgebraError("multiplication rows need a degree-2 tensor")
@@ -476,30 +527,53 @@ def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> l
     one = CycScalar.one(sc.order)
     right = side == "right"
     partners = sc.right_partners if right else sc.left_partners
-    rows: list = [{} for _ in range(dim * dim)]
-    summed: set = set()  # positions of the rows where terms met
+    rows: list = [None] * (dim * dim)
+    held = [0] * (dim * dim)
+    met: list = []  # positions of the rows that a second term made dicts
     for (a1, a2), cx in x.entries.items():
         p2 = partners.get(a2)
         if not p2:
             continue
+        second = [(b2, table[(a2, b2) if right else (b2, a2)]) for b2 in p2]
         for b1 in partners.get(a1, ()):
+            first = b1 * dim
             for k1, c1 in table[(a1, b1) if right else (b1, a1)]:
                 c = cx if c1 is one else cx * c1
                 base = k1 * dim
-                for b2 in p2:
-                    col = b1 * dim + b2
-                    for k2, c2 in table[(a2, b2) if right else (b2, a2)]:
-                        row = rows[base + k2]
+                for b2, products in second:
+                    col = first + b2
+                    for k2, c2 in products:
+                        r = base + k2
                         term = c if c2 is one else c * c2
+                        row = rows[r]
+                        if row is None:
+                            rows[r] = (col, term)
+                            held[col] += 1
+                            continue
+                        if type(row) is tuple:
+                            met.append(r)
+                            row = rows[r] = dict([row])
                         prev = row.get(col)
                         if prev is None:
                             row[col] = term
+                            held[col] += 1
                         else:
                             row[col] = prev + term
-                            summed.add(base + k2)
-    for r in summed:
-        rows[r] = _prune(rows[r])
-    return rows
+    for r in met:
+        row = rows[r]
+        for c in [c for c, v in row.items() if v.is_zero()]:
+            del row[c]
+            held[c] -= 1
+        if len(row) < 2:
+            rows[r] = next(iter(row.items()), None)
+    return rows, held
+
+
+def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> list:
+    """The rows of multiplication_system as dicts {col: coeff}, an empty
+    row as {}."""
+    return [{} if row is None else dict([row]) if type(row) is tuple else row
+            for row in multiplication_system(sc, x, side)[0]]
 
 
 def tensor_product(*tensors: SparseTensor) -> SparseTensor:

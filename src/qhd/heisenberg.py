@@ -22,9 +22,11 @@ from .algebra import (
     SparseTensor,
     StructureConstants,
     _read_solution,
+    _reduce_system,
     _row_reduce,
     merge_pair,
     multiplication_rows,
+    multiplication_system,
     multiply,
     solve_linear,
 )
@@ -395,17 +397,22 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     """Exact solve of x*Y = unit and Z*x = unit over the pair-tensor space.
 
     A two-sided verdict requires one element solving both systems at once
-    (the stacked system); with unique one-sided solutions this is exactly
-    the Y = Z test.  Any returned inverse is re-verified by multiplication.
+    (the stacked system).  Any returned inverse is re-verified by
+    multiplication.  A system with no solution is named by the row of its
+    certificate: the lowest-numbered row that its elimination leaves empty
+    with a nonzero right side.
 
-    The stacked system starts from the left system's reduced pivot rows
-    with their right sides, not from its rows rows_l, which are dropped once
-    reduced.  The left system is consistent by then, so its emptied rows have
-    zero right sides and the pivot rows span the same augmented row space as
-    rows_l; stacked with rows_r they have the same row space, hence the same
-    reduced row echelon form, as rows_l + rows_r: the same solution and the
-    same consistency.  If the left system has full rank, y is unique and that
-    is whether y solves rows_r.
+    Each one-sided system is generated and reduced in place (see
+    multiplication_system and _reduce_system), and only its solution and
+    whether it has full rank are kept, so one system is alive at a time.
+    When both have full rank, y and z are the only solutions, so an element
+    solves both exactly when y == z.  Otherwise the stacked system is solved
+    from the left system's reduced pivot rows with their right sides, not
+    from its rows rows_l.  The left system is consistent by then, so its
+    emptied rows have zero right sides and the pivot rows span the same
+    augmented row space as rows_l; stacked with rows_r they have the same
+    row space, hence the same reduced row echelon form, as rows_l + rows_r:
+    the same solution and the same consistency.
     """
     dim = ha.dim
     ncols = dim * dim
@@ -413,28 +420,33 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     zero = CycScalar.zero(order)
     unit2 = ha.sc.unit_tensor(2)
 
-    rhs = [unit2.entries.get((r // dim, r % dim), zero) for r in range(ncols)]
+    rhs = [zero] * ncols
+    for (a, b), v in unit2.entries.items():
+        rhs[a * dim + b] = v
 
     def unflatten(sol: dict) -> SparseTensor:
         return SparseTensor(dim, 2, order,
                             {(c // dim, c % dim): v for c, v in sol.items()})
 
-    reduced_l, rhs_l, pivots_l = _row_reduce(multiplication_rows(ha.sc, x, "right"),
-                                             rhs, ncols, order)
-    rows_r = multiplication_rows(ha.sc, x, "left")
-    y = _read_solution(reduced_l, rhs_l, pivots_l)
-    z = solve_linear(rows_r, rhs, ncols, order)
+    def solve(side: str):
+        rows, reduced_rhs, pivots = _reduce_system(*multiplication_system(ha.sc, x, side),
+                                                   list(rhs), ncols, order)
+        return _read_solution(rows, reduced_rhs, pivots, order), len(pivots) == ncols
+
+    y, y_full = solve("right")
+    z, z_full = solve("left")
     y_ok = not isinstance(y, Inconsistency)
     z_ok = not isinstance(z, Inconsistency)
     right_inv = unflatten(y) if y_ok else None
     left_inv = unflatten(z) if z_ok else None
     if y_ok and z_ok:
-        if len(pivots_l) == ncols:  # y is the only candidate: does it solve rows_r?
-            v = y if all(sum((c * y[j] for j, c in row.items() if j in y), zero) is r
-                         for row, r in zip(rows_r, rhs)) else None
+        if y_full and z_full:
+            v = y if y == z else None
         else:
+            reduced_l, rhs_l, pivots_l = _row_reduce(multiplication_rows(ha.sc, x, "right"),
+                                                     rhs, ncols, order)
             basis = pivots_l.values()
-            v = solve_linear([reduced_l[r] for r in basis] + rows_r,
+            v = solve_linear([reduced_l[r] for r in basis] + multiplication_rows(ha.sc, x, "left"),
                              [rhs_l[r] for r in basis] + rhs, ncols, order)
         if v is not None and not isinstance(v, Inconsistency):
             vt = unflatten(v)

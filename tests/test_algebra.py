@@ -24,6 +24,8 @@ from qhd.algebra import (
     _check_space,
     _compile_kernel,
     _owned,
+    _read_solution,
+    _reduce_system,
     _row_reduce,
     apply_leg,
     counit_leg,
@@ -1147,6 +1149,111 @@ def test_row_reduce_matches_reference_with_pivots_in_column_order():
             assert got_rows == want_rows and got_rhs == want_rhs, (order, label)
             assert list(got_piv.items()) == list(want_piv.items()), (order, label)
             assert ([dict(r) for r in rows], list(rhs)) == before, (order, label)
+
+
+# -- _reduce_system on the row forms of the probe's systems, against both
+# -- references
+
+
+def mixed_system(rng, order, consistent):
+    """(rows, held, rhs, ncols) in the form multiplication_system hands to
+    _reduce_system: None for an empty row, a (col, coeff) pair, or a dict of
+    two or more entries.  It mixes pairs alone on their column, pairs on a
+    column other rows hold, dict rows and empty rows, whose right sides are
+    nonzero unless `consistent`."""
+    ncols = rng.randint(3, 9)
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+    k = rng.randint(1, ncols - 2)
+    alone, shared = cols[:k], cols[k:]
+    rows = [(c, fraction_pivot(rng, order)) for c in alone]
+    rows += [(rng.choice(shared), random_scalar(rng, order)) for _ in range(rng.randint(1, 3))]
+    rows += [{c: random_scalar(rng, order)
+              for c in rng.sample(shared, rng.randint(2, min(3, len(shared))))}
+             for _ in range(rng.randint(0, 3))]
+    rows += [None] * rng.randint(0, 2)
+    rng.shuffle(rows)
+    held = [0] * ncols
+    for row in rows:
+        for c in ((row[0],) if type(row) is tuple else row or ()):
+            held[c] += 1
+    x = {c: random_scalar(rng, order) for c in range(ncols) if rng.random() < 0.6}
+    rhs = rows_times([as_dict(row) for row in rows], x, order)
+    if not consistent:
+        zero = CycScalar.zero(order)
+        rhs = [random_scalar(rng, order) if row is None or rng.random() < 0.3 else
+               zero if rng.random() < 0.5 else b for row, b in zip(rows, rhs)]
+    return rows, held, rhs, ncols
+
+
+def as_dict(row, one=None):
+    """A row of a system as {col: coeff}; a pair as {col: one} if one is given."""
+    if row is None:
+        return {}
+    if type(row) is tuple:
+        return {row[0]: row[1] if one is None else one}
+    return dict(row)
+
+
+def test_reduce_system_matches_references_on_mixed_rows():
+    rng = random.Random(4127)
+    seen = set()
+    for order in (1, 3, 7):
+        one = CycScalar.one(order)
+        for i in range(40):
+            rows, held, rhs, ncols = mixed_system(rng, order, consistent=i % 3 == 0)
+            dict_rows = [as_dict(row) for row in rows]
+            want_rows, want_rhs, want_piv = _row_reduce_reference(dict_rows, rhs, ncols, order)
+            system = [dict(row) if type(row) is dict else row for row in rows]
+            got_rows, got_rhs, got_piv = _reduce_system(system, list(held), list(rhs),
+                                                        ncols, order)
+            assert [as_dict(row, one) for row in got_rows] == want_rows, (order, i)
+            assert got_rhs == want_rhs, (order, i)
+            assert list(got_piv.items()) == list(want_piv.items()), (order, i)
+            # a pair among the reduced rows was settled where it lay
+            settled = [r for r, row in enumerate(got_rows) if type(row) is tuple]
+            assert all(got_rows[r] is rows[r] for r in settled), (order, i)
+            assert {rows[r][0] for r in settled} == {row[0] for row in rows
+                                                     if type(row) is tuple and held[row[0]] == 1}
+            got = _read_solution(got_rows, got_rhs, got_piv, order)
+            assert got == _solve_linear_reference(dict_rows, rhs, ncols, order), (order, i)
+            assert got == solve_linear(dict_rows, rhs, ncols, order), (order, i)
+            if isinstance(got, Inconsistency):
+                # the certificate's row: the lowest-numbered row the
+                # elimination leaves empty with a nonzero right side
+                assert got.row_index == min(r for r, row in enumerate(want_rows)
+                                            if not row and not want_rhs[r].is_zero())
+                seen.add(("emptied" if rows[got.row_index] else "empty", True))
+            else:
+                seen.add((len(got_piv) == ncols, False))
+            seen.update(("alone", "shared")[held[c] > 1] for c in (row[0] for row in rows
+                                                                   if type(row) is tuple))
+    assert {"alone", "shared", ("empty", True), ("emptied", True)} <= seen, seen
+    assert (True, False) in seen and (False, False) in seen, seen
+
+
+def test_inconsistency_names_the_lowest_row_left_empty_with_a_nonzero_right_side():
+    order = 1
+    a, b, c = rat(2), rat(3), rat(5)
+    zero = CycScalar.zero(order)
+    # row 0 is empty with a zero right side, row 2 is emptied by row 1's
+    # pivot with right side -1, and row 3 is empty from the start with right
+    # side c: rows 2 and 3 are inconsistent, and row 2 is named, although it
+    # held entries and row 3 never did
+    rows = [None, {0: a, 1: b}, {0: a, 1: b}, None, (2, c)]
+    held = [2, 2, 1]
+    rhs = [zero, ONE, zero, c, c]
+    dict_rows = [as_dict(r) for r in rows]
+    reduced, reduced_rhs, pivots = _reduce_system(rows, held, list(rhs), 3, order)
+    assert list(pivots.items()) == [(0, 1), (2, 4)]
+    assert reduced[2] == {} and reduced[4] == (2, c) and reduced_rhs[4] is ONE
+    cert = _read_solution(reduced, reduced_rhs, pivots, order)
+    assert cert == Inconsistency(row_index=2, rhs=rat(-1))
+    assert cert == _solve_linear_reference(dict_rows, rhs, 3, order)
+    # with row 2's right side equal to row 1's, the elimination cancels it,
+    # and row 3 is named
+    rhs[2] = ONE
+    assert solve_linear(dict_rows, rhs, 3, order) == Inconsistency(3, c)
 
 
 # -- the dense Gauss-Jordan that invert_map replaced, copied verbatim as the

@@ -599,6 +599,43 @@ def test_probe_derives_nothing(monkeypatch, capsys):
         assert out == golden(f"{name}_invertibility.json"), name
 
 
+def test_probe_builds_no_dict_system(monkeypatch, capsys):
+    # on kωG every row of both probe systems is a pair alone on its column:
+    # it is settled where it lies, so no row becomes a dict, the reduced
+    # rows are the generated pairs, and no dict-row elimination or stacked
+    # solve runs
+    systems = []
+    generate, reduce = heisenberg.multiplication_system, heisenberg._reduce_system
+
+    def pairs_only(sc, x, side):
+        rows, held = generate(sc, x, side)
+        assert all(type(row) is tuple for row in rows), side
+        systems.append(rows)
+        return rows, held
+
+    def settled_in_place(rows, *args):
+        reduced = reduce(rows, *args)
+        assert reduced[0] is systems[-1] and all(type(row) is tuple for row in reduced[0])
+        return reduced
+
+    def refuse(*args):
+        raise AssertionError("the probe built a system of dict rows")
+
+    monkeypatch.setattr(heisenberg, "multiplication_system", pairs_only)
+    monkeypatch.setattr(heisenberg, "_reduce_system", settled_in_place)
+    for name in ("multiplication_rows", "_row_reduce", "solve_linear"):
+        monkeypatch.setattr(heisenberg, name, refuse)
+    path = os.path.join(DATA, "s3_sign.qhd")
+    for source, name in ((["--example", "zn:4:1"], "zn_4_1"),
+                         (["--input", path], "s3_sign")):
+        systems.clear()
+        assert main([*source, "--check", "invertibility", "--report", "json"]) == 0
+        assert len(systems) == 4, name  # two sides, two systems each
+        out = capsys.readouterr().out
+        out = out.replace(json.dumps(f"file:{path}"), json.dumps("file:s3_sign.qhd"), 1)
+        assert out == golden(f"{name}_invertibility.json"), name
+
+
 def test_full_run_builds_each_canonical_element_once(monkeypatch):
     built = []
 

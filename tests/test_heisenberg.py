@@ -8,6 +8,7 @@ from itertools import product
 from types import SimpleNamespace
 
 from helpers import failing, group_algebra
+from test_algebra import _solve_linear_reference
 from qhd.algebra import (
     Coproduct,
     Inconsistency,
@@ -18,6 +19,7 @@ from qhd.algebra import (
     leg_embed,
     map_legs,
     multiplication_rows,
+    multiplication_system,
     multiply,
     solve_linear,
 )
@@ -320,12 +322,13 @@ def test_probe_zero_element_has_no_inverses():
 # -- the probe against the one that solved the stacked system from scratch ------
 
 
-def _probe_reference(ha, x):
+def _probe_reference(ha, x, multiplication_rows=multiplication_rows, solve_linear=solve_linear):
     """Exact solve of x*Y = unit and Z*x = unit over the pair-tensor space.
 
     A two-sided verdict requires one element solving both systems at once
     (the stacked system); with unique one-sided solutions this is exactly
     the Y = Z test.  Any returned inverse is re-verified by multiplication.
+    The rows and the solve can be swapped for references of their own.
     """
     dim = ha.dim
     ncols = dim * dim
@@ -410,28 +413,63 @@ def test_probe_matches_stacked_from_scratch_reference():
     assert {"two_sided", "one_sided_both", "none"} <= statuses
 
 
+def _random_unital_algebra(rng, dim, order):
+    """Basis 0 is the unit; the other products are random sums of signed
+    roots of unity, so rows meet, cancel and are often rank-deficient."""
+    one = CycScalar.one(order)
+    table = {(0, j): ((j, one),) for j in range(dim)}
+    table.update({(i, 0): ((i, one),) for i in range(1, dim)})
+    for i, j in product(range(1, dim), repeat=2):
+        table[(i, j)] = tuple((k, _signed_root(rng, order)) for k in range(dim)
+                              if rng.random() < 0.4)
+    return SimpleNamespace(dim=dim, order=order, sc=StructureConstants(dim, order, table, {0: one}))
+
+
+def _signed_root(rng, order):
+    return root_of_unity(order, rng.randrange(order)) * CycScalar.from_rational(
+        order, rng.choice((1, -1)))
+
+
+def test_probe_matches_independent_reference_on_random_algebras():
+    # the reference builds its rows by one multiply per basis tensor and
+    # solves by the row-scanning elimination, sharing no code with the probe
+    rng = random.Random(2311)
+    statuses = set()
+    for _ in range(60):
+        order = rng.choice((1, 3))
+        ha = _random_unital_algebra(rng, rng.choice((2, 3)), order)
+        x = SparseTensor(ha.dim, 2, order, {
+            (rng.randrange(ha.dim), rng.randrange(ha.dim)): _signed_root(rng, order)
+            for _ in range(rng.randint(1, 4))})
+        got = probe_invertibility(ha, x)
+        want = _probe_reference(ha, x, _rows_by_basis_products, _solve_linear_reference)
+        assert got == want, (ha.sc.table, x.entries)
+        statuses.add(got.status)
+    assert statuses == {"two_sided", "one_sided_both", "right_only", "left_only", "none"}
+
+
 def test_probe_skips_the_stacked_solve_only_at_full_rank(monkeypatch):
-    # on these inputs, the probe workload's among them, every left system has
-    # full rank, so y is tested against the right system and the stacked
-    # system is not solved; the results stay those of the stacked solve, and
-    # the rank-deficient left system of the a, b algebra still solves it
+    # on these inputs, the probe workload's among them, both one-sided
+    # systems have full rank, so y == z decides the stacked system and it is
+    # not solved; the results stay those of the stacked solve, and the
+    # rank-deficient left system of the a, b algebra still solves it, once
     import qhd.heisenberg as heisenberg
 
-    solves = []
+    stacked = []
     real = heisenberg.solve_linear
     monkeypatch.setattr(heisenberg, "solve_linear",
-                        lambda rows, *args: solves.append(len(rows)) or real(rows, *args))
+                        lambda rows, *args: stacked.append(len(rows)) or real(rows, *args))
     cases = []
     for example in ("zn:3:1", "zn:4:1", "zn:7:1", "trivial:6"):
         _, _, had, hap, ce = make_all(resolve_builtin(example))
-        cases += [(had, ce.W, 1), (hap, ce.Wbar, 1)]
+        cases += [(had, ce.W, 0), (hap, ce.Wbar, 0)]
     minus = CycScalar.from_rational(1, -1)
-    cases.append((_a_b_algebra(), SparseTensor(3, 2, 1, {(2, 0): minus, (1, 1): minus}), 2))
+    cases.append((_a_b_algebra(), SparseTensor(3, 2, 1, {(2, 0): minus, (1, 1): minus}), 1))
     statuses = []
-    for ha, x, nsolves in cases:
-        solves.clear()
+    for ha, x, nstacked in cases:
+        stacked.clear()
         got = probe_invertibility(ha, x)
-        assert len(solves) == nsolves, (ha.dim, solves)
+        assert len(stacked) == nstacked, (ha.dim, stacked)
         assert got == _probe_reference(ha, x), (ha.dim, got.status)
         statuses.append(got.status)
     assert statuses == ["one_sided_both"] * 6 + ["two_sided"] * 3, statuses
@@ -455,7 +493,9 @@ def _rows_by_basis_products(sc, x, side):
     return rows
 
 
-def test_multiplication_rows_match_per_basis_products():
+def _rows_cases():
+    """(sc, x) pairs for the probe's row generation: the doubles' canonical
+    elements, random x whose terms meet and cancel, and ones given by value."""
     rng = random.Random(5)
     _, _, had, hap, ce = make_all(cyclic_cocycle(3, 1))
     s3 = make_all(parse_input(S3_SIGN)[1])
@@ -485,9 +525,50 @@ def test_multiplication_rows_match_per_basis_products():
     cases.append((plain, SparseTensor(3, 2, 3, {
         (plain_rng.randrange(3), plain_rng.randrange(3)): plain_rng.choice(coeffs)
         for _ in range(8)})))
-    for sc, x in cases:
+    return cases
+
+
+def test_multiplication_rows_match_per_basis_products():
+    for sc, x in _rows_cases():
         for side in ("right", "left"):
             assert multiplication_rows(sc, x, side) == _rows_by_basis_products(sc, x, side)
+
+
+def test_multiplication_system_keeps_pairs_and_counts_columns():
+    # a row is None, a pair or a dict of two or more nonzero entries, and
+    # held counts the rows holding each column; on the doubles every row is
+    # a pair, and on the random x some rows lose terms that cancel
+    cancelled = 0
+    for i, (sc, x) in enumerate(_rows_cases()):
+        for side in ("right", "left"):
+            rows, held = multiplication_system(sc, x, side)
+            want = _rows_by_basis_products(sc, x, side)
+            for row, w in zip(rows, want):
+                if row is None:
+                    assert not w
+                elif type(row) is tuple:
+                    assert {row[0]: row[1]} == w
+                else:
+                    assert type(row) is dict and len(row) > 1 and row == w
+            counts = [0] * sc.dim ** 2
+            for w in want:
+                for c in w:
+                    counts[c] += 1
+            assert held == counts
+            if i < 4:  # the canonical elements of the doubles
+                assert all(type(row) is tuple for row in rows), (i, side)
+                continue
+            # the columns that terms reach in each row, before they are summed
+            reached = [set() for _ in rows]
+            for a1, a2 in x.entries:
+                for b1, b2 in product(range(sc.dim), repeat=2):
+                    f1, f2 = ((sc.basis_product(a1, b1), sc.basis_product(a2, b2))
+                              if side == "right" else
+                              (sc.basis_product(b1, a1), sc.basis_product(b2, a2)))
+                    for (k1, _), (k2, _) in product(f1, f2):
+                        reached[k1 * sc.dim + k2].add(b1 * sc.dim + b2)
+            cancelled += sum(len(cols) > len(w) for cols, w in zip(reached, want))
+    assert cancelled > 0
 
 
 # -- the side-parameterized builder against the two builders it replaced --------

@@ -28,7 +28,8 @@ def test_records_of_fresh_runs(tmp_path, capsys):
     out = tmp_path / "ladder.json"
     bad = tmp_path / "bad.qhd"
     bad.write_text("group cyclic 3\ncocycle table 3\n1 1 1 -> 1\n")
-    assert ladder.main(["zn:2:1", f"file:{bad}", "--out", str(out)]) == 0
+    # a run that exits nonzero makes the tool exit 1, after the records
+    assert ladder.main(["zn:2:1", f"file:{bad}", "--out", str(out)]) == 1
     records = json.loads(out.read_text())
     assert [(r["example"], r["check"]) for r in records] == [
         (ex, c) for ex in ("zn:2:1", f"file:{bad}") for c in ladder.CHECKS]
@@ -39,6 +40,15 @@ def test_records_of_fresh_runs(tmp_path, capsys):
         assert 5 < r["peak_rss_mb"] < 200
     err = capsys.readouterr().err
     assert "| zn:2:1 | " in err and "(exit 2)" in err
+
+
+def test_check_option_picks_the_checks(tmp_path, capsys):
+    out = tmp_path / "ladder.json"
+    assert ladder.main(["zn:2:1", "--check", "invertibility", "--out", str(out)]) == 0
+    records = json.loads(out.read_text())
+    assert [(r["example"], r["check"], r["exit_code"]) for r in records] == [
+        ("zn:2:1", "invertibility", 0)]
+    assert "| zn:2:1 | " in capsys.readouterr().err
 
 
 def test_table_has_a_cell_per_check():

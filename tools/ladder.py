@@ -1,17 +1,18 @@
 """Wall time and peak RSS of full `qhd` runs on a ladder of examples.
 
-    python3 tools/ladder.py [--src DIR] [--out FILE] [EXAMPLE ...]
+    python3 tools/ladder.py [--src DIR] [--out FILE] [--check CHECK ...] [EXAMPLE ...]
 
 Run it from the repository root, where LADDER's file path resolves.  Each
 EXAMPLE is a builtin id (`zn:16:1`) or `file:PATH`; without any, the ladder
-is LADDER.  zn:32:1 runs only when named: its three runs take one to two
-minutes in all and peak at about 1.4 GB.  Every example runs once with each
-of CHECKS, in a fresh `python -m qhd.cli ... --report json` process whose
-report is discarded, with the qhd package imported from DIR (default: this
+is LADDER.  zn:32:1 runs only when named: its three runs take about a
+minute in all and peak at about 0.8 GB.  Every example runs once with each
+CHECK, one of CHECKS (`--check` may be repeated; default: all of CHECKS), in
+a fresh `python -m qhd.cli ... --report json` process whose report is
+discarded, with the qhd package imported from DIR (default: this
 checkout's `src`).  Each run records its wall time from spawn to exit, the
 peak RSS of that child alone (its own `ru_maxrss`, from `os.wait4`) and its
 exit code.  The records are written as JSON to FILE or stdout, and a table
-of them goes to stderr.
+of them goes to stderr.  The tool exits 1 if any run exited nonzero, else 0.
 """
 
 from __future__ import annotations
@@ -76,11 +77,13 @@ def main(argv=None) -> int:
     ap.add_argument("examples", nargs="*", metavar="EXAMPLE")
     ap.add_argument("--src", default=SRC, help="directory holding the qhd package")
     ap.add_argument("--out", help="write the JSON records here, not to stdout")
+    ap.add_argument("--check", action="append", choices=CHECKS, dest="checks",
+                    help="run only this check (repeatable; default: each of CHECKS)")
     args = ap.parse_args(argv)
     examples = args.examples or LADDER
     records = []
     for example in examples:
-        for check in CHECKS:
+        for check in args.checks or CHECKS:
             records.append(run_once(args.src, example, check))
             print(json.dumps(records[-1]), file=sys.stderr)
     text = json.dumps(records, indent=1) + "\n"
@@ -90,7 +93,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     print(table(records), file=sys.stderr)
-    return 0
+    return 1 if any(r["exit_code"] != 0 for r in records) else 0
 
 
 if __name__ == "__main__":
