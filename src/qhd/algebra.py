@@ -330,14 +330,6 @@ def _reduce_system(rows: list, held: list, rhs: list, ncols: int, order: int):
     same step, as {col: one}.
     """
     zero, one = CycScalar.zero(order), CycScalar.one(order)
-    inverses: dict = {}
-
-    def inverse(v: CycScalar) -> CycScalar:
-        inv = inverses.get(v)
-        if inv is None:
-            inv = inverses[v] = v.inverse()
-        return inv
-
     settled: list = [None] * ncols  # col -> position of the pair settled on it
     holders: dict[int, set] = {}  # col -> positions of the other rows holding it
     for r, row in enumerate(rows):
@@ -348,7 +340,7 @@ def _reduce_system(rows: list, held: list, rhs: list, ncols: int, order: int):
             if held[col] == 1:
                 settled[col] = r
                 if rhs[r] is not zero:
-                    rhs[r] = rhs[r] * inverse(v)
+                    rhs[r] = rhs[r] * v.inverse()
                 continue
             row = rows[r] = {col: v}
         for c in row:
@@ -368,7 +360,7 @@ def _reduce_system(rows: list, held: list, rhs: list, ncols: int, order: int):
             if len(rows[piv]) == 1:
                 pivots[col] = piv
                 if not rhs[piv].is_zero():
-                    rhs[piv] = rhs[piv] * inverse(rows[piv][col])
+                    rhs[piv] = rhs[piv] * rows[piv][col].inverse()
                 rows[piv] = {col: one}
                 continue
         piv = min((r for r in held_by if r not in used), default=None)
@@ -376,7 +368,7 @@ def _reduce_system(rows: list, held: list, rhs: list, ncols: int, order: int):
             continue
         used.add(piv)
         pivots[col] = piv
-        inv = inverse(rows[piv][col])
+        inv = rows[piv][col].inverse()
         # the pivot entry times inv is one by construction
         prow = rows[piv] = {c: one if c == col else v * inv for c, v in rows[piv].items()}
         rest = [(c, v) for c, v in prow.items() if c != col]
@@ -440,13 +432,13 @@ def solve_linear(rows: list, rhs: list, ncols: int, order: int):
     A column -> rows index, updated as entries appear and cancel during
     elimination, finds each pivot and the rows to eliminate, so the work
     follows the nonzeros touched rather than rows x columns.  Each distinct
-    pivot value is inverted once.  No product whose result is known is
-    computed: the normalised pivot entry is stored as the exact one of
-    Q(zeta_order), the pivot column is dropped from each eliminated row, and
-    a zero pivot right side is neither scaled nor subtracted from the other
-    rows, and an isolated row, one alone on its column and holding no other,
-    is settled in one step (see _reduce_system).  The caller's row dicts are
-    not modified.
+    pivot value is inverted once per run (CycScalar.inverse is memoized).
+    No product whose result is known is computed: the normalised pivot
+    entry is stored as the exact one of Q(zeta_order), the pivot column is
+    dropped from each eliminated row, and a zero pivot right side is
+    neither scaled nor subtracted from the other rows, and an isolated row,
+    one alone on its column and holding no other, is settled in one step
+    (see _reduce_system).  The caller's row dicts are not modified.
 
     Raises AlgebraError when the number of right sides is not the number of
     rows, or when a row holds a column outside 0..ncols-1, which the

@@ -20,6 +20,7 @@ from .algebra import (
     SingularMapError,
     SparseTensor,
     StructureConstants,
+    _owned,
     apply_leg,
     counit_leg,
     invert_map,
@@ -225,63 +226,99 @@ def twist_candidates(H: QuasiHopfAlgebra):
     and delta with their second expressions (twist_alternatives) or the
     twist with its inverse: the CLI's twist suite records those as 2.gamma,
     2.delta, 2.f-inv and 2.f-inv'.
+
+    Each is a sum over the basis index e_i of one associator leg.  One
+    merge_pair builds the first factor for every i at once, with i on a leg
+    of its own, and _slice_products multiplies it by the second factor one
+    index at a time.  So no tensor of degree 4 is built: about n^3 entries
+    on kωG where the whole Sweedler sums built n^4.  x runs over phi^-1 and
+    y over phi in gamma and f, the other way round in delta and f^-1; A_i is
+    S e_i(2) (x) S e_i(1) (see _antipode_coproduct):
+
+        gamma = sum_i M_i (x2 (x) x3 at x1 = e_i),
+                M_i = sum_y S e_i(2) S y2 alpha y3 (x) S e_i(1) S y1 alpha
+        f     = sum_i (A_i gamma) Delta(w_i),  w = x1 (x) x2 beta S x3 at x1 = e_i
+        delta = sum_i K_i (S x3 (x) S x2 at x1 = e_i),
+                K_i = sum_y e_i(1) y1 beta (x) e_i(2) y2 beta S y3
+        f^-1  = sum_i (Delta(w'_i) delta) A_i,  w' = S x1 alpha x2 (x) x3 at x3 = e_i
+
+    Each product chain is grouped left to right, M and K are one merge_pair
+    each whose only a/b pair opens its chain (see merge_pair), and every
+    other product has two factors, so all four equal their per-term
+    Sweedler sums on any table, associative or not.
     """
     sc, cop, S = H.mult, H.coproduct, H.antipode
     phi, phiinv = H.associator, H.associator_inv
+    anti = _antipode_coproduct(H)
+    phiinv_s3 = apply_leg(S, phiinv, 3)  # (x1, x2, S x3)
 
-    # split-and-antipode views of the associator legs, each built in one
-    # pass and freed once used
-    a1 = map_legs(phiinv, (cop, 1), (S, 1), (S, 2))
-    gamma = merge_pair(sc, a1, map_legs(phi, (S, 1), (S, 2)), groups=(
-        (("a", 1), ("b", 1), ("v", 0), ("b", 2), ("a", 2)),
-        (("a", 0), ("b", 0), ("v", 0), ("a", 3)),
+    # (i, M_i) from (i, S e_i(2), S e_i(1)) and (S y1, S y2, y3)
+    M = merge_pair(sc, anti, map_legs(phi, (S, 1), (S, 2)), groups=(
+        (("a", 0),),
+        (("a", 1), ("b", 1), ("v", 0), ("b", 2)),
+        (("a", 2), ("b", 0), ("v", 0)),
     ), vecs=(H.alpha,))
-    del a1
+    gamma = _slice_products(H, M, 1, phiinv, 1)
+    del M
 
-    # f = sum (S x1_(2) (x) S x1_(1)) gamma Delta(x2 beta S x3) over phi^-1;
-    # w holds (x1, x2 beta S x3), contracted before x1 and the product are
-    # split into (S x1_(1), S x1_(2), (x2 beta S x3)_(1), (x2 beta S x3)_(2))
-    w = _contract(H, apply_leg(S, phiinv, 3), ((("a", 0),), (("a", 1), ("v", 0), ("a", 2))),
-                  (H.beta,))
-    twist = merge_pair(sc, map_legs(w, (cop, 1), (S, 1), (S, 2), (cop, 3)), gamma, groups=(
-        (("a", 1), ("b", 0), ("a", 2)), (("a", 0), ("b", 1), ("a", 3))))
+    # (i, A_i gamma) against (x1, Delta(x2 beta S x3))
+    w = _contract(H, phiinv_s3, ((("a", 0),), (("a", 1), ("v", 0), ("a", 2))), (H.beta,))
+    twist = _slice_products(H, merge_pair(sc, anti, gamma, groups=(
+        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), 1, split_leg(cop, w, 2), 1)
 
-    delta = merge_pair(sc, map_legs(phi, (cop, 1), (S, 3), (S, 4)),
-                       apply_leg(S, phiinv, 3), groups=(
-        (("a", 0), ("b", 0), ("v", 0), ("a", 3)),
-        (("a", 1), ("b", 1), ("v", 0), ("b", 2), ("a", 2)),
+    # (i, K_i) from (i, e_i(1), e_i(2)) and (y1, y2, S y3), then K_i times
+    # S x3 (x) S x2, read off (x1, S x2, S x3) with the legs crossed
+    K = merge_pair(sc, split_leg(cop, _diagonal(H), 2), phiinv_s3, groups=(
+        (("a", 0),),
+        (("a", 1), ("b", 0), ("v", 0)),
+        (("a", 2), ("b", 1), ("v", 0), ("b", 2)),
     ), vecs=(H.beta,))
+    del phiinv_s3
+    delta = _slice_products(H, K, 1, map_legs(phi, (S, 2), (S, 3)), 1,
+                            ((("a", 0), ("b", 1)), (("a", 1), ("b", 0))))
+    del K
 
-    # f^-1 = sum Delta(S x1 alpha x2) delta (S x3_(2) (x) S x3_(1)) over phi^-1;
-    # w holds (S x1 alpha x2, x3), contracted before the product and x3 are
-    # split into ((S x1 alpha x2)_(1), (S x1 alpha x2)_(2), S x3_(1), S x3_(2))
-    w = _contract(H, apply_leg(S, phiinv, 1), ((("a", 0), ("v", 0), ("a", 1)), (("a", 2),)),
+    # (x3, Delta(S x1 alpha x2) delta) against (i, A_i)
+    w = _contract(H, apply_leg(S, phiinv, 1), ((("a", 2),), (("a", 0), ("v", 0), ("a", 1))),
                   (H.alpha,))
-    twist_inv = merge_pair(sc, map_legs(w, (cop, 2), (S, 2), (S, 3), (cop, 1)), delta, groups=(
-        (("a", 0), ("b", 0), ("a", 3)), (("a", 1), ("b", 1), ("a", 2))))
+    twist_inv = _slice_products(H, merge_pair(sc, split_leg(cop, w, 2), delta, groups=(
+        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), 1, anti, 1)
     return gamma, delta, twist, twist_inv
 
 
 def twist_alternatives(H: QuasiHopfAlgebra):
     """The second defining expressions for gamma and delta, (gamma_alt,
-    delta_alt); they equal twist_candidates' gamma and delta exactly when
-    the input tables are consistent."""
-    sc, cop, S = H.mult, H.coproduct, H.antipode
+    delta_alt), each a sum over the basis index e_i of one associator leg
+    built like twist_candidates', with A_i = S e_i(2) (x) S e_i(1):
+
+        gamma_alt = sum_i (P_i Y) Delta(e_i),
+                    P_i = S x2 (x) S x1 over phi at x3 = e_i,
+                    Y = sum S y1 alpha y2 (x) alpha y3 over phi^-1
+        delta_alt = sum_i (Q_i Z) A_i,
+                    Q_i = x1 (x) x2 over phi^-1 at x3 = e_i,
+                    Z = sum beta S y3 (x) y1 beta S y2 over phi
+
+    Y and Z multiply the y side of each chain first, so these are the
+    per-term sums only where H.mult associates.  There they equal
+    twist_candidates' gamma and delta exactly when the input tables are
+    consistent; the twist suite runs only after `axioms` has checked
+    associativity."""
+    sc, S = H.mult, H.antipode
     phi, phiinv = H.associator, H.associator_inv
 
-    a2 = map_legs(phi, (cop, 3), (S, 1), (S, 2))
-    b2 = apply_leg(S, phiinv, 1)
-    gamma_alt = merge_pair(sc, a2, b2, groups=(
-        (("a", 1), ("b", 0), ("v", 0), ("b", 1), ("a", 2)),
-        (("a", 0), ("v", 0), ("b", 2), ("a", 3)),
-    ), vecs=(H.alpha,))
+    # (P_i Y, x3) from (S x1, S x2, x3), against (i, Delta(e_i))
+    Y = _contract(H, apply_leg(S, phiinv, 1), ((("a", 0), ("v", 0), ("a", 1)),
+                                                (("v", 0), ("a", 2))), (H.alpha,))
+    PY = merge_pair(sc, map_legs(phi, (S, 1), (S, 2)), Y, groups=(
+        (("a", 1), ("b", 0)), (("a", 0), ("b", 1)), (("a", 2),)))
+    gamma_alt = _slice_products(H, PY, 3, split_leg(H.coproduct, _diagonal(H), 2), 1)
+    del PY
 
-    a4 = map_legs(phiinv, (cop, 3), (S, 3), (S, 4))
-    b4 = map_legs(phi, (S, 2), (S, 3))
-    delta_alt = merge_pair(sc, a4, b4, groups=(
-        (("a", 0), ("v", 0), ("b", 2), ("a", 3)),
-        (("a", 1), ("b", 0), ("v", 0), ("b", 1), ("a", 2)),
-    ), vecs=(H.beta,))
+    # (Q_i Z, x3) from (x1, x2, x3), against (i, A_i)
+    Z = _contract(H, map_legs(phi, (S, 2), (S, 3)), ((("v", 0), ("a", 2)),
+                                                      (("a", 0), ("v", 0), ("a", 1))), (H.beta,))
+    QZ = merge_pair(sc, phiinv, Z, groups=((("a", 0), ("b", 0)), (("a", 1), ("b", 1)), (("a", 2),)))
+    delta_alt = _slice_products(H, QZ, 3, _antipode_coproduct(H), 1)
     return gamma_alt, delta_alt
 
 
@@ -355,13 +392,11 @@ def check_qp_identities(H: QuasiHopfAlgebra, D: DerivedElements,
     lhs_212 = multiply(sc, multiply(sc, Placement(qR, (1, 2), 3), split_leg(cop, qR, 1)),
                        H.associator_inv)
     fp = multiply(sc, Placement(antipode_legs(Sinv, f), (2, 3), 3), split_leg(cop, qR, 2))
-    zero3 = SparseTensor(H.dim, 3, H.order, {})
     # sum over (i2, i3) of phi * (1 x S^-1 e_i3 x S^-1 e_i2), grouped by i1
-    rhs_212 = zero3
-    for i1, phi23 in slice_leg(H.associator, 1).items():
-        front = Placement(antipode_legs(Sinv, phi23), (2, 3), 3)
-        tower = split_leg(cop, cop.of_vec(H.basis_vec(i1)), 2)
-        rhs_212 = rhs_212 + multiply(sc, multiply(sc, front, fp), tower)
+    rhs_212 = _sum_slices(H, 3, (
+        multiply(sc, multiply(sc, Placement(antipode_legs(Sinv, phi23), (2, 3), 3), fp),
+                 split_leg(cop, cop.of_vec(H.basis_vec(i1)), 2))
+        for i1, phi23 in slice_leg(H.associator, 1).items()))
     rec.tensor_check("2.12", "coproduct expansion of the right transposition element",
                      lhs_212, rhs_212)
 
@@ -369,11 +404,10 @@ def check_qp_identities(H: QuasiHopfAlgebra, D: DerivedElements,
                        Placement(pL, (2, 3), 3))
     pg = multiply(sc, split_leg(cop, pL, 1), Placement(antipode_legs(Sinv, g), (1, 2), 3))
     # sum over (i1, i2) of phi * (S^-1 e_i2 x S^-1 e_i1 x 1), grouped by i3
-    rhs_213 = zero3
-    for i3, phi12 in slice_leg(H.associator, 3).items():
-        back = Placement(antipode_legs(Sinv, phi12), (1, 2), 3)
-        tower = split_leg(cop, cop.of_vec(H.basis_vec(i3)), 1)
-        rhs_213 = rhs_213 + multiply(sc, multiply(sc, tower, pg), back)
+    rhs_213 = _sum_slices(H, 3, (
+        multiply(sc, multiply(sc, split_leg(cop, cop.of_vec(H.basis_vec(i3)), 1), pg),
+                 Placement(antipode_legs(Sinv, phi12), (1, 2), 3))
+        for i3, phi12 in slice_leg(H.associator, 3).items()))
     rec.tensor_check("2.13", "coproduct expansion of the left transposition element",
                      lhs_213, rhs_213)
     return rec
@@ -416,21 +450,20 @@ def check_lemma41(H: QuasiHopfAlgebra, D: DerivedElements,
 
     lhs_44 = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, U, 2)),
                       Placement(U, (2, 3), 3))
-    zero3 = SparseTensor(H.dim, 3, H.order, {})
     # sum over (i2, i3) of phi * (e_i2 x e_i3 x 1), grouped by i1
-    rhs_44 = zero3
-    for i1, phi23 in slice_leg(H.associator, 1).items():
-        a = multiply(sc, cop.of_vec(S.cols[i1]), U)
-        rhs_44 = rhs_44 + multiply(sc, split_leg(cop, a, 1), Placement(phi23, (1, 2), 3))
+    rhs_44 = _sum_slices(H, 3, (
+        multiply(sc, split_leg(cop, multiply(sc, cop.of_vec(S.cols[i1]), U), 1),
+                 Placement(phi23, (1, 2), 3))
+        for i1, phi23 in slice_leg(H.associator, 1).items()))
     rec.tensor_check("4.4", "coproduct expansion of U against the associator", lhs_44, rhs_44)
 
     lhs_45 = multiply(sc, multiply(sc, Placement(Vt, (1, 2), 3), split_leg(cop, Vt, 1)),
                       H.associator_inv)
     # sum over (i1, i2) of phi * (1 x e_i1 x e_i2), grouped by i3
-    rhs_45 = zero3
-    for i3, phi12 in slice_leg(H.associator, 3).items():
-        c_ten = multiply(sc, Vt, cop.of_vec(S.cols[i3]))
-        rhs_45 = rhs_45 + multiply(sc, Placement(phi12, (2, 3), 3), split_leg(cop, c_ten, 2))
+    rhs_45 = _sum_slices(H, 3, (
+        multiply(sc, Placement(phi12, (2, 3), 3),
+                 split_leg(cop, multiply(sc, Vt, cop.of_vec(S.cols[i3])), 2))
+        for i3, phi12 in slice_leg(H.associator, 3).items()))
     rec.tensor_check("4.5", "coproduct expansion of V-tilde against the associator",
                      lhs_45, rhs_45)
     return rec
@@ -453,6 +486,33 @@ def antipode_legs(m: LinearMap, t: SparseTensor) -> SparseTensor:
     antipode of a tensor, (S x ... x S) of its reversal, when m is S."""
     n = t.degree
     return map_legs(permute_legs(t, range(n - 1, -1, -1)), *((m, leg) for leg in range(1, n + 1)))
+
+
+def _antipode_coproduct(H: QuasiHopfAlgebra) -> SparseTensor:
+    """sum_i e_i (x) S e_i(2) (x) S e_i(1): its slice at e_i is A_i, the
+    antipode of Delta(e_i)."""
+    S = H.antipode
+    return permute_legs(map_legs(_diagonal(H), (H.coproduct, 2), (S, 2), (S, 3)), (0, 2, 1))
+
+
+def _slice_products(H: QuasiHopfAlgebra, s: SparseTensor, s_leg: int, t: SparseTensor,
+                    t_leg: int, groups=((("a", 0), ("b", 0)), (("a", 1), ("b", 1)))):
+    """sum_i s_i t_i over the basis indices e_i, s_i and t_i the slices of s
+    and t at e_i on the given legs (see slice_leg): one merge_pair of two
+    degree-2 tensors per index, by default their product."""
+    ss, ts = slice_leg(s, s_leg), slice_leg(t, t_leg)
+    return _sum_slices(H, 2, (merge_pair(H.mult, ss[i], ts[i], groups) for i in ss if i in ts))
+
+
+def _sum_slices(H: QuasiHopfAlgebra, degree: int, terms) -> SparseTensor:
+    """The sum of the tensors of the given degree that terms yields, each
+    added in place as it comes: a sum over n slices copies no partial sum."""
+    out: dict = {}
+    for t in terms:
+        for k, c in t.entries.items():
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
+    return _owned(H.dim, degree, H.order, out)
 
 
 def _contract(H: QuasiHopfAlgebra, t: SparseTensor, groups, vecs=()) -> SparseTensor:

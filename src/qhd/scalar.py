@@ -12,7 +12,8 @@ Every value is interned: each value of Q(zeta_N) that is alive exists as
 exactly one CycScalar, held by a weak-value table, so the tensor kernels
 compare coefficients by identity and test for one with `is`.  The few
 distinct values a run meets make *, + and - memos keyed on the operand
-pair pay off; their size is bounded by MEMO_SIZE.
+pair pay off, and an inverse memo keyed on the value; their size is
+bounded by MEMO_SIZE.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ def _field_data(n: int):
     return phi, tuple(rows)
 
 
-# Operand pairs kept by each memo of *, + and -: far more than the distinct
-# pairs a run meets (at most a few hundred on the examples), and a bound on
-# the memory held when a run meets many.
+# Operand pairs (values, for inverse) kept by each memo of *, + and -: far
+# more than the distinct pairs a run meets (at most a few hundred on the
+# examples), and a bound on the memory held when a run meets many.
 MEMO_SIZE = 1 << 14
 
 # (order, coeffs) -> the one live CycScalar of that value
@@ -101,8 +102,9 @@ class CycScalar:
 
     Immutable and interned: CycScalar(order, coeffs) returns the one live
     object of that value, so equal values are the same object and equality
-    is identity.  *, + and - are memoized on the operand pair.  Mixing
-    different orders raises OrderMismatchError rather than coercing.
+    is identity.  *, + and - are memoized on the operand pair, inverse on
+    the value.  Mixing different orders raises OrderMismatchError rather
+    than coercing.
     """
 
     __slots__ = ("order", "coeffs", "_zero", "_complex", "__weakref__")
@@ -203,10 +205,12 @@ class CycScalar:
                         out[i] += t * row[i]
         return CycScalar(self.order, out)
 
+    @lru_cache(maxsize=MEMO_SIZE)
     def inverse(self) -> "CycScalar":
         """Multiplicative inverse: the product of the other Galois conjugates
         sigma_k(a) = sum a_i zeta^(k i), k coprime to N, over the norm
-        N(a) = a * (that product), which is rational."""
+        N(a) = a * (that product), which is rational.  Memoized like *, +
+        and -, since the probe's systems invert a few values many times."""
         if self._zero:
             raise ZeroDivisionScalarError("inverse of zero")
         n = self.order

@@ -59,3 +59,15 @@ def test_table_has_a_cell_per_check():
         "|---|---:|---:|",
         "| zn:8:1 | 0.10 s, 20 MB | 0.20 s, 24 MB |",
     ]
+
+
+def test_check_option_takes_every_suite_of_the_cli(tmp_path, capsys):
+    from qhd.cli import SUITE_ORDER
+
+    assert set(ladder.SUITES) == {"all", *SUITE_ORDER}
+    out = tmp_path / "ladder.json"
+    assert ladder.main(["zn:2:1", "--check", "twist", "--check", "theorems",
+                        "--out", str(out)]) == 0
+    records = json.loads(out.read_text())
+    assert [(r["check"], r["exit_code"]) for r in records] == [("twist", 0), ("theorems", 0)]
+    assert "| zn:2:1 | " in capsys.readouterr().err

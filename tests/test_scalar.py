@@ -395,3 +395,22 @@ def test_memos_stay_within_their_bound():
         info = op.cache_info()
         assert info.misses - before >= MEMO_SIZE + 100
         assert info.currsize <= info.maxsize == MEMO_SIZE
+    inverse = CycScalar.inverse
+    before = inverse.cache_info().misses
+    for i in range(MEMO_SIZE + 100):
+        assert CycScalar.from_rational(1, i + 10**9).inverse() is \
+            CycScalar.from_rational(1, Fraction(1, i + 10**9))
+    info = inverse.cache_info()
+    assert info.misses - before >= MEMO_SIZE + 100
+    assert info.currsize <= info.maxsize == MEMO_SIZE
+
+
+def test_inverse_memo_serves_repeats_and_stores_no_failure():
+    a = root_of_unity(7, 1) + CycScalar.from_rational(7, 3)
+    inv = a.inverse()
+    hits = CycScalar.inverse.cache_info().hits
+    assert a.inverse() is inv and (a * inv).is_one()
+    assert CycScalar.inverse.cache_info().hits == hits + 1
+    for _ in range(2):  # the zero that raised was not stored
+        with pytest.raises(ZeroDivisionScalarError):
+            CycScalar.zero(7).inverse()

@@ -6,8 +6,9 @@ Run it from the repository root, where LADDER's file path resolves.  Each
 EXAMPLE is a builtin id (`zn:16:1`) or `file:PATH`; without any, the ladder
 is LADDER.  zn:32:1 runs only when named: its three runs take about a
 minute in all and peak at about 0.8 GB.  Every example runs once with each
-CHECK, one of CHECKS (`--check` may be repeated; default: all of CHECKS), in
-a fresh `python -m qhd.cli ... --report json` process whose report is
+CHECK, a suite name of SUITES, the names `qhd --check` takes (`--check`
+may be repeated; default: each of CHECKS), in a fresh
+`python -m qhd.cli ... --report json` process whose report is
 discarded, with the qhd package imported from DIR (default: this
 checkout's `src`).  Each run records its wall time from spawn to exit, the
 peak RSS of that child alone (its own `ru_maxrss`, from `os.wait4`) and its
@@ -27,6 +28,9 @@ import time
 LADDER = ("zn:6:1", "zn:8:1", "zn:10:1", "zn:16:1", "zn:24:1", "v4:3",
           "file:tests/data/s3_sign.qhd")
 CHECKS = ("axioms", "invertibility", "all")
+# the suite names of `qhd --check`: "all" and qhd.cli.SUITE_ORDER
+SUITES = ("all", "axioms", "twist", "lemma41", "heisenberg", "theorems", "section5",
+          "invertibility")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
@@ -77,8 +81,8 @@ def main(argv=None) -> int:
     ap.add_argument("examples", nargs="*", metavar="EXAMPLE")
     ap.add_argument("--src", default=SRC, help="directory holding the qhd package")
     ap.add_argument("--out", help="write the JSON records here, not to stdout")
-    ap.add_argument("--check", action="append", choices=CHECKS, dest="checks",
-                    help="run only this check (repeatable; default: each of CHECKS)")
+    ap.add_argument("--check", action="append", choices=SUITES, dest="checks",
+                    help="run only this suite (repeatable; default: each of CHECKS)")
     args = ap.parse_args(argv)
     examples = args.examples or LADDER
     records = []
