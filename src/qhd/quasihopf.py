@@ -350,122 +350,48 @@ def check_twist_identities(H: QuasiHopfAlgebra, D: DerivedElements,
 
 def compute_qR_pL(H: QuasiHopfAlgebra):
     """The right/left transposition elements q_R = x1 (x) S^-1(alpha x3) x2 and
-    p_L = x2 S^-1(x1 beta) (x) x3 over phi.  S^-1 maps the products alpha x3
-    and x1 beta whole: splitting it over the factors assumes S is an anti-map."""
-    Sinv, phi = H.antipode_inverse(), H.associator
-    q = _contract(H, phi, ((("a", 0),), (("a", 1),), (("v", 0), ("a", 2))), (H.alpha,))
-    qR = _contract(H, apply_leg(Sinv, q, 3), ((("a", 0),), (("a", 2), ("a", 1))))
-    p = _contract(H, phi, ((("a", 0), ("v", 0)), (("a", 1),), (("a", 2),)), (H.beta,))
-    pL = _contract(H, apply_leg(Sinv, p, 1), ((("a", 1), ("a", 0)), (("a", 2),)))
-    return qR, pL
+    p_L = x2 S^-1(x1 beta) (x) x3 over phi, p_L as q_R of the mirror, reversed.
+    S^-1 maps the products alpha x3 and x1 beta whole: splitting it over the
+    factors assumes S is an anti-map."""
+    return _qR(H), _reversed(_qR(_mirror(H)))
 
 
 def check_qp_identities(H: QuasiHopfAlgebra, D: DerivedElements,
                         rec: Recorder | None = None) -> Recorder:
-    """Identities 2.10-2.13 for the transposition elements."""
+    """Identities 2.10-2.13 for q_R and p_L: 2.11 and 2.12 as 2.10 and 2.13 on the mirror."""
     rec = rec or Recorder()
-    sc, cop = H.mult, H.coproduct
-    Sinv = H.antipode_inverse()
-    qR, pL = D.qR, D.pL
-    f, g = D.twist, D.twist_inv
-    u = H.unit_vec()
-
-    # families over h = e_i on the first leg; ("v", 0) is the unit
-    diag = _diagonal(H)
-    d = split_leg(cop, diag, 2)
-    # (1 (x) S^-1 h_2) q_R Delta(h_1) against (h (x) 1) q_R
-    lhs = merge_pair(sc, split_leg(cop, apply_leg(Sinv, d, 3), 2), qR, vecs=(u,), groups=(
-        (("a", 0),), (("v", 0), ("b", 0), ("a", 1)), (("a", 3), ("b", 1), ("a", 2))))
-    rhs = merge_pair(sc, diag, qR, vecs=(u,), groups=(
-        (("a", 0),), (("a", 1), ("b", 0)), (("v", 0), ("b", 1))))
     rec.family_check("2.10", "intertwining law for the right transposition element",
-                     _family(lhs, rhs))
-
-    # Delta(h_2) p_L (S^-1 h_1 (x) 1) against p_L (1 (x) h)
-    lhs = merge_pair(sc, split_leg(cop, apply_leg(Sinv, d, 2), 3), pL, vecs=(u,), groups=(
-        (("a", 0),), (("a", 2), ("b", 0), ("a", 1)), (("a", 3), ("b", 1), ("v", 0))))
-    rhs = merge_pair(sc, diag, pL, vecs=(u,), groups=(
-        (("a", 0),), (("b", 0), ("v", 0)), (("b", 1), ("a", 1))))
+                     _family(*_qR_intertwining(H, D.qR)))
     rec.family_check("2.11", "intertwining law for the left transposition element",
-                     _family(lhs, rhs))
-
-    lhs_212 = multiply(sc, multiply(sc, Placement(qR, (1, 2), 3), split_leg(cop, qR, 1)),
-                       H.associator_inv)
-    fp = multiply(sc, Placement(antipode_legs(Sinv, f), (2, 3), 3), split_leg(cop, qR, 2))
-    # sum over (i2, i3) of phi * (1 x S^-1 e_i3 x S^-1 e_i2), grouped by i1
-    rhs_212 = _sum_slices(H, 3, (
-        multiply(sc, multiply(sc, Placement(antipode_legs(Sinv, phi23), (2, 3), 3), fp),
-                 split_leg(cop, cop.of_vec(H.basis_vec(i1)), 2))
-        for i1, phi23 in slice_leg(H.associator, 1).items()))
+                     _family(*_reversed(_qR_intertwining(_mirror(H), _reversed(D.pL)), 1)))
     rec.tensor_check("2.12", "coproduct expansion of the right transposition element",
-                     lhs_212, rhs_212)
-
-    lhs_213 = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, pL, 2)),
-                       Placement(pL, (2, 3), 3))
-    pg = multiply(sc, split_leg(cop, pL, 1), Placement(antipode_legs(Sinv, g), (1, 2), 3))
-    # sum over (i1, i2) of phi * (S^-1 e_i2 x S^-1 e_i1 x 1), grouped by i3
-    rhs_213 = _sum_slices(H, 3, (
-        multiply(sc, multiply(sc, split_leg(cop, cop.of_vec(H.basis_vec(i3)), 1), pg),
-                 Placement(antipode_legs(Sinv, phi12), (1, 2), 3))
-        for i3, phi12 in slice_leg(H.associator, 3).items()))
+                     *_reversed(_pL_expansion(_mirror(H), _reversed(D.qR), _reversed(D.twist))))
     rec.tensor_check("2.13", "coproduct expansion of the left transposition element",
-                     lhs_213, rhs_213)
+                     *_pL_expansion(H, D.pL, D.twist_inv))
     return rec
 
 
 def compute_U_Vtilde(H: QuasiHopfAlgebra, twist: SparseTensor, twist_inv: SparseTensor,
                      qR: SparseTensor, pL: SparseTensor):
-    """The inverse-like building blocks for the canonical elements."""
-    sc, S = H.mult, H.antipode
-    U = multiply(sc, twist_inv, antipode_legs(S, qR))
-    Vt = multiply(sc, antipode_legs(S, pL), twist)
-    return U, Vt
+    """The inverse-like building blocks U = f^-1 (S q_R2 (x) S q_R1) and V-tilde,
+    U of the mirror reversed, of which only the opposite product is read."""
+    S = H.antipode
+    U = multiply(H.mult, twist_inv, antipode_legs(S, qR))
+    Vt = multiply(_opposite(H.mult), _reversed(twist), antipode_legs(S, _reversed(pL)))
+    return U, _reversed(Vt)
 
 
 def check_lemma41(H: QuasiHopfAlgebra, D: DerivedElements,
                   rec: Recorder | None = None) -> Recorder:
-    """Identities 4.2-4.5 for U and V-tilde."""
+    """Identities 4.2-4.5 for U and V-tilde: 4.3 and 4.5 as 4.2 and 4.4 on the mirror."""
     rec = rec or Recorder()
-    sc, cop, S = H.mult, H.coproduct, H.antipode
-    U, Vt = D.U, D.Vtilde
-    u = H.unit_vec()
-
-    # families over h = e_i on the first leg; ("v", 0) is the unit
-    diag = _diagonal(H)
-    d = split_leg(cop, diag, 2)
-    s_diag = apply_leg(S, diag, 2)
-    # U (1 (x) S h) against Delta(S h_1) U (h_2 (x) 1)
-    lhs = merge_pair(sc, s_diag, U, vecs=(u,), groups=(
-        (("a", 0),), (("b", 0), ("v", 0)), (("b", 1), ("a", 1))))
-    rhs = merge_pair(sc, split_leg(cop, apply_leg(S, d, 2), 2), U, vecs=(u,), groups=(
-        (("a", 0),), (("a", 1), ("b", 0), ("a", 3)), (("a", 2), ("b", 1), ("v", 0))))
-    rec.family_check("4.2", "one-sided antipode slide across U", _family(lhs, rhs))
-
-    # (S h (x) 1) V-tilde against (1 (x) h_1) V-tilde Delta(S h_2)
-    lhs = merge_pair(sc, s_diag, Vt, vecs=(u,), groups=(
-        (("a", 0),), (("a", 1), ("b", 0)), (("v", 0), ("b", 1))))
-    rhs = merge_pair(sc, split_leg(cop, apply_leg(S, d, 3), 3), Vt, vecs=(u,), groups=(
-        (("a", 0),), (("v", 0), ("b", 0), ("a", 2)), (("a", 1), ("b", 1), ("a", 3))))
-    rec.family_check("4.3", "one-sided antipode slide across V-tilde", _family(lhs, rhs))
-
-    lhs_44 = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, U, 2)),
-                      Placement(U, (2, 3), 3))
-    # sum over (i2, i3) of phi * (e_i2 x e_i3 x 1), grouped by i1
-    rhs_44 = _sum_slices(H, 3, (
-        multiply(sc, split_leg(cop, multiply(sc, cop.of_vec(S.cols[i1]), U), 1),
-                 Placement(phi23, (1, 2), 3))
-        for i1, phi23 in slice_leg(H.associator, 1).items()))
-    rec.tensor_check("4.4", "coproduct expansion of U against the associator", lhs_44, rhs_44)
-
-    lhs_45 = multiply(sc, multiply(sc, Placement(Vt, (1, 2), 3), split_leg(cop, Vt, 1)),
-                      H.associator_inv)
-    # sum over (i1, i2) of phi * (1 x e_i1 x e_i2), grouped by i3
-    rhs_45 = _sum_slices(H, 3, (
-        multiply(sc, Placement(phi12, (2, 3), 3),
-                 split_leg(cop, multiply(sc, Vt, cop.of_vec(S.cols[i3])), 2))
-        for i3, phi12 in slice_leg(H.associator, 3).items()))
+    rec.family_check("4.2", "one-sided antipode slide across U", _family(*_U_slide(H, D.U)))
+    rec.family_check("4.3", "one-sided antipode slide across V-tilde",
+                     _family(*_reversed(_U_slide(_mirror(H), _reversed(D.Vtilde)), 1)))
+    rec.tensor_check("4.4", "coproduct expansion of U against the associator",
+                     *_U_expansion(H, D.U))
     rec.tensor_check("4.5", "coproduct expansion of V-tilde against the associator",
-                     lhs_45, rhs_45)
+                     *_reversed(_U_expansion(_mirror(H), _reversed(D.Vtilde))))
     return rec
 
 
@@ -478,14 +404,87 @@ def derive_elements(H: QuasiHopfAlgebra) -> DerivedElements:
     return DerivedElements(gamma, delta, f, g, qR, pL, U, Vtilde)
 
 
+def _mirror(H: QuasiHopfAlgebra) -> QuasiHopfAlgebra:
+    """H^op,cop (Drinfeld): the opposite product, the coproduct and both associators
+    with their legs reversed, alpha and beta swapped, S and H's S^-1 as they stand
+    (compute S^-1 on H first).  Given H's p_L, V-tilde, f reversed as its q_R, U, f^-1,
+    an identity on it is its partner's on H reversed, where H.mult associates."""
+    table = {i: tuple((jk[::-1], c) for jk, c in ent) for i, ent in H.coproduct.table.items()}
+    return QuasiHopfAlgebra(_opposite(H.mult), Coproduct(H.dim, H.order, table), H.counit,
+                            _reversed(H.associator), _reversed(H.associator_inv),
+                            H.beta, H.alpha, H.antipode, H.antipode_inv)
+
+
+def _opposite(sc: StructureConstants) -> StructureConstants:
+    return StructureConstants(sc.dim, sc.order, {k[::-1]: v for k, v in sc.table.items()}, sc.unit)
+
+
+def _reversed(t, fixed: int = 0):
+    """t with its legs after the first `fixed` reversed; a list of tensors in
+    place, each one dropped as soon as its copy is made."""
+    if isinstance(t, list):
+        for i in range(len(t)):
+            t[i] = _reversed(t[i], fixed)
+        return t
+    return _owned(t.dim, t.degree, t.order,
+                  {k[:fixed] + k[fixed:][::-1]: c for k, c in t.entries.items()})
+
+
+def _qR(H: QuasiHopfAlgebra) -> SparseTensor:
+    q = _contract(H, H.associator, ((("a", 0),), (("a", 1),), (("v", 0), ("a", 2))), (H.alpha,))
+    return _contract(H, apply_leg(H.antipode_inverse(), q, 3), ((("a", 0),), (("a", 2), ("a", 1))))
+
+
+def _qR_intertwining(H: QuasiHopfAlgebra, qR: SparseTensor):
+    """2.10: (1 (x) S^-1 h_2) q_R Delta(h_1) against (h (x) 1) q_R, h = e_i on leg 1."""
+    sc, cop, u, diag = H.mult, H.coproduct, H.unit_vec(), _diagonal(H)
+    d = split_leg(cop, apply_leg(H.antipode_inverse(), split_leg(cop, diag, 2), 3), 2)
+    lhs = merge_pair(sc, d, qR, vecs=(u,), groups=(
+        (("a", 0),), (("v", 0), ("b", 0), ("a", 1)), (("a", 3), ("b", 1), ("a", 2))))
+    return [lhs, merge_pair(sc, diag, qR, vecs=(u,), groups=(
+        (("a", 0),), (("a", 1), ("b", 0)), (("v", 0), ("b", 1))))]
+
+
+def _pL_expansion(H: QuasiHopfAlgebra, pL: SparseTensor, twist_inv: SparseTensor):
+    """2.13's sides, the right one summed one slice of phi at a time, by x3."""
+    sc, cop, Sinv = H.mult, H.coproduct, H.antipode_inverse()
+    lhs = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, pL, 2)),
+                   Placement(pL, (2, 3), 3))
+    pg = multiply(sc, split_leg(cop, pL, 1), Placement(antipode_legs(Sinv, twist_inv), (1, 2), 3))
+    return [lhs, _sum_slices(H, 3, (
+        multiply(sc, multiply(sc, split_leg(cop, cop.of_vec(H.basis_vec(i3)), 1), pg),
+                 Placement(antipode_legs(Sinv, phi12), (1, 2), 3))
+        for i3, phi12 in slice_leg(H.associator, 3).items()))]
+
+
+def _U_slide(H: QuasiHopfAlgebra, U: SparseTensor):
+    """4.2: U (1 (x) S h) against Delta(S h_1) U (h_2 (x) 1), h = e_i on leg 1."""
+    sc, cop, S, u, diag = H.mult, H.coproduct, H.antipode, H.unit_vec(), _diagonal(H)
+    lhs = merge_pair(sc, apply_leg(S, diag, 2), U, vecs=(u,), groups=(
+        (("a", 0),), (("b", 0), ("v", 0)), (("b", 1), ("a", 1))))
+    d = split_leg(cop, apply_leg(S, split_leg(cop, diag, 2), 2), 2)
+    return [lhs, merge_pair(sc, d, U, vecs=(u,), groups=(
+        (("a", 0),), (("a", 1), ("b", 0), ("a", 3)), (("a", 2), ("b", 1), ("v", 0))))]
+
+
+def _U_expansion(H: QuasiHopfAlgebra, U: SparseTensor):
+    """4.4's sides, the right one summed one slice of phi at a time, by x1."""
+    sc, cop, S = H.mult, H.coproduct, H.antipode
+    lhs = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, U, 2)),
+                   Placement(U, (2, 3), 3))
+    return [lhs, _sum_slices(H, 3, (
+        multiply(sc, split_leg(cop, multiply(sc, cop.of_vec(S.cols[i1]), U), 1),
+                 Placement(phi23, (1, 2), 3))
+        for i1, phi23 in slice_leg(H.associator, 1).items()))]
+
+
 # -- contraction helpers --------------------------------------------------------
 
 
 def antipode_legs(m: LinearMap, t: SparseTensor) -> SparseTensor:
     """m on every leg of t with the legs in reverse order, in one pass: the
     antipode of a tensor, (S x ... x S) of its reversal, when m is S."""
-    n = t.degree
-    return map_legs(permute_legs(t, range(n - 1, -1, -1)), *((m, leg) for leg in range(1, n + 1)))
+    return map_legs(_reversed(t), *((m, leg) for leg in range(1, t.degree + 1)))
 
 
 def _antipode_coproduct(H: QuasiHopfAlgebra) -> SparseTensor:

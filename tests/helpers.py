@@ -1,10 +1,21 @@
 """Helpers that only the tests use: the labels of a recorder's failed
-checks, the group algebra kG, composing linear maps, the pullback product
-of two cocycles, and a brute-force coboundary search."""
+checks, the group algebra kG, the Drinfeld gauge twist, composing linear
+maps, the pullback product of two cocycles, and a brute-force coboundary
+search."""
 
+import dataclasses
+from fractions import Fraction
 from math import lcm
 
-from qhd.algebra import Coproduct, LinearMap, SparseTensor, StructureConstants
+from qhd.algebra import (
+    Coproduct,
+    LinearMap,
+    Placement,
+    SparseTensor,
+    StructureConstants,
+    multiply,
+    split_leg,
+)
 from qhd.quasihopf import QuasiHopfAlgebra
 from qhd.scalar import CycScalar
 from qhd.twisted import (
@@ -32,6 +43,57 @@ def group_algebra(g):
     antipode = LinearMap(n, 1, tuple({g.inv(a): one} for a in range(n)))
     return QuasiHopfAlgebra(mult, cop, {a: one for a in range(n)}, unit3, unit3,
                             {e: one}, {e: one}, antipode)
+
+
+def gauge_twist(H, F, F_inv):
+    """H^F (Drinfeld) for an invertible counital F = sum f1 (x) f2 with inverse
+    F_inv = sum g1 (x) g2, in the convention of 2.1:
+    Delta_F(h) = F Delta(h) F^-1,
+    phi_F = F23 (id x Delta)(F) phi (Delta x id)(F^-1) F12^-1,
+    phi_F^-1 = F12 (Delta x id)(F) phi^-1 (id x Delta)(F^-1) F23^-1,
+    alpha_F = sum S(g1) alpha g2, beta_F = sum f1 beta S(f2); S is kept."""
+    sc, cop, S = H.mult, H.coproduct, H.antipode
+
+    def chain(*factors):
+        out = factors[0]
+        for x in factors[1:]:
+            out = multiply(sc, out, x)
+        return out
+
+    table = {i: tuple(chain(F, cop.of_vec(H.basis_vec(i)), F_inv).entries.items())
+             for i in range(H.dim)}
+    phi = chain(Placement(F, (2, 3), 3), split_leg(cop, F, 2), H.associator,
+                split_leg(cop, F_inv, 1), Placement(F_inv, (1, 2), 3))
+    phi_inv = chain(Placement(F, (1, 2), 3), split_leg(cop, F, 1), H.associator_inv,
+                    split_leg(cop, F_inv, 2), Placement(F_inv, (2, 3), 3))
+    alpha, beta = {}, {}
+    for (i, j), c in F_inv.entries.items():
+        for k, v in sc.vec_mult(sc.vec_mult(S.cols[i], H.alpha), H.basis_vec(j)).items():
+            alpha[k] = alpha[k] + c * v if k in alpha else c * v
+    for (i, j), c in F.entries.items():
+        for k, v in sc.vec_mult(sc.vec_mult(H.basis_vec(i), H.beta), S.cols[j]).items():
+            beta[k] = beta[k] + c * v if k in beta else c * v
+    return dataclasses.replace(
+        H, coproduct=Coproduct(H.dim, H.order, table), associator=phi, associator_inv=phi_inv,
+        alpha={k: v for k, v in alpha.items() if not v.is_zero()},
+        beta={k: v for k, v in beta.items() if not v.is_zero()})
+
+
+def gauge_twisted_kS3(g):
+    """kS3^F for the group S3 of tests/data/s3_sign.qhd, whose 1 and 2 are
+    noncommuting transpositions a and b: F = 1 (x) 1 + (a - e) (x) (b - e),
+    F^-1 = 1 (x) 1 - 1/5 (a - e) (x) (b - e), since ((a - e) (x) (b - e))^2 is
+    4 (a - e) (x) (b - e)."""
+    H = group_algebra(g)
+    e, a, b = g.identity, 1, 2
+    assert g.mul(a, a) == g.mul(b, b) == e != g.mul(a, b) != g.mul(b, a)
+
+    def pair(c):
+        c = CycScalar.from_rational(1, c)
+        return SparseTensor(H.dim, 2, 1, {(a, b): c, (a, e): -c, (e, b): -c,
+                                          (e, e): c + CycScalar.one(1)})
+
+    return gauge_twist(H, pair(1), pair(Fraction(-1, 5)))
 
 
 def compose(a: LinearMap, b: LinearMap) -> LinearMap:

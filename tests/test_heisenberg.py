@@ -448,6 +448,29 @@ def test_probe_matches_independent_reference_on_random_algebras():
     assert statuses == {"two_sided", "one_sided_both", "right_only", "left_only", "none"}
 
 
+def test_probe_matches_reference_where_only_one_consistent_system_has_full_rank():
+    # the seeds whose single draw, made as above, gives two consistent
+    # systems of which exactly one has full rank: the branch that stacks the
+    # left system's pivot rows on the right system's rows
+    for seed in (6, 21, 49, 65):
+        rng = random.Random(seed)
+        order = rng.choice((1, 3))
+        ha = _random_unital_algebra(rng, rng.choice((2, 3)), order)
+        x = SparseTensor(ha.dim, 2, order, {
+            (rng.randrange(ha.dim), rng.randrange(ha.dim)): _signed_root(rng, order)
+            for _ in range(rng.randint(1, 4))})
+        ncols = ha.dim * ha.dim
+        rhs = [ha.sc.unit_tensor(2).entries.get((r // ha.dim, r % ha.dim), CycScalar.zero(order))
+               for r in range(ncols)]
+        full = [len(_row_reduce(multiplication_rows(ha.sc, x, side), list(rhs), ncols, order)[2])
+                == ncols
+                for side in ("right", "left")]
+        got = probe_invertibility(ha, x)
+        assert got.right_inverse is not None and got.left_inverse is not None, seed
+        assert full[0] != full[1], seed
+        assert got == _probe_reference(ha, x), seed
+
+
 def test_probe_skips_the_stacked_solve_only_at_full_rank(monkeypatch):
     # on these inputs, the probe workload's among them, both one-sided
     # systems have full rank, so y == z decides the stacked system and it is

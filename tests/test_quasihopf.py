@@ -1,14 +1,16 @@
 """Axiom checking, twist machinery, and the inverse-like elements."""
 
 import dataclasses
+import functools
 from itertools import product
 
 import pytest
 
-from helpers import compose, failing, group_algebra
+from helpers import compose, failing, gauge_twisted_kS3, group_algebra
 from qhd.algebra import (
     Coproduct,
     LinearMap,
+    Placement,
     SingularMapError,
     SparseTensor,
     StructureConstants,
@@ -21,13 +23,20 @@ from qhd.algebra import (
     merge_pair,
     multiply,
     permute_legs,
+    slice_leg,
     split_leg,
     tensor_product,
 )
 from qhd.quasihopf import (
     AntipodeNotBijectiveError,
+    DerivedElements,
     QuasiHopfAlgebra,
     _contract,
+    _diagonal,
+    _family,
+    _mirror,
+    _reversed,
+    _sum_slices,
     antipode_legs,
     check_lemma41,
     check_qp_identities,
@@ -238,7 +247,8 @@ def test_antipode_is_involution_on_function_algebras():
 
 
 class CapturingRecorder(Recorder):
-    """Keeps both sides of every tensor check, by label."""
+    """Keeps both sides of every tensor check, and the triples of every
+    family check, by label."""
 
     def __init__(self):
         super().__init__()
@@ -247,6 +257,10 @@ class CapturingRecorder(Recorder):
     def tensor_check(self, label, name, lhs, rhs, detail=""):
         self.sides[label] = (lhs, rhs)
         return super().tensor_check(label, name, lhs, rhs, detail)
+
+    def family_check(self, label, name, triples):
+        self.sides[label] = triples = list(triples)
+        return super().family_check(label, name, triples)
 
 
 def test_grouped_associator_sums_match_per_entry_sums_on_mutated_input():
@@ -556,18 +570,23 @@ def _one_change_each(H):
             ("Delta", dataclasses.replace(H, coproduct=Coproduct(H.dim, H.order, table)))]
 
 
-def test_sweedler_contractions_match_per_term_loops():
+def _change_bases():
+    """The inputs that _one_change_each changes: zn:3:1, v4:3, the S3 sign
+    file and kS3."""
     import os
 
     from qhd.cli import parse_input, resolve_builtin
 
     s3 = parse_input(os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd"))
-    bases = [("zn:3:1", build_k_omega_G(resolve_builtin("zn:3:1"))),
-             ("v4:3", build_k_omega_G(resolve_builtin("v4:3"))),
-             ("s3_sign", build_k_omega_G(s3[1])),
-             ("kS3", group_algebra(s3[0]))]
+    return [("zn:3:1", build_k_omega_G(resolve_builtin("zn:3:1"))),
+            ("v4:3", build_k_omega_G(resolve_builtin("v4:3"))),
+            ("s3_sign", build_k_omega_G(s3[1])),
+            ("kS3", group_algebra(s3[0]))]
+
+
+def test_sweedler_contractions_match_per_term_loops():
     failed = set()
-    for base, H0 in bases:
+    for base, H0 in _change_bases():
         for change, H in _one_change_each(H0):
             where = (base, change)
             D = derive_elements(H)
@@ -792,3 +811,173 @@ def test_derivation_builds_no_degree_four_tensor(monkeypatch):
     monkeypatch.undo()
     assert max(degrees) == 3
     assert D == derive_elements(H)
+
+
+# -- the mirror H^op,cop against the hand-written halves it replaced -------------
+
+
+def _pL_reference(H):
+    Sinv, phi = H.antipode_inverse(), H.associator
+    p = _contract(H, phi, ((("a", 0), ("v", 0)), (("a", 1),), (("a", 2),)), (H.beta,))
+    return _contract(H, apply_leg(Sinv, p, 1), ((("a", 1), ("a", 0)), (("a", 2),)))
+
+
+def _Vtilde_reference(H, twist, pL):
+    return multiply(H.mult, antipode_legs(H.antipode, pL), twist)
+
+
+def _sides_211_reference(H, D):
+    sc, cop = H.mult, H.coproduct
+    Sinv = H.antipode_inverse()
+    pL = D.pL
+    u = H.unit_vec()
+    diag = _diagonal(H)
+    d = split_leg(cop, diag, 2)
+    # Delta(h_2) p_L (S^-1 h_1 (x) 1) against p_L (1 (x) h)
+    lhs = merge_pair(sc, split_leg(cop, apply_leg(Sinv, d, 2), 3), pL, vecs=(u,), groups=(
+        (("a", 0),), (("a", 2), ("b", 0), ("a", 1)), (("a", 3), ("b", 1), ("v", 0))))
+    rhs = merge_pair(sc, diag, pL, vecs=(u,), groups=(
+        (("a", 0),), (("b", 0), ("v", 0)), (("b", 1), ("a", 1))))
+    return lhs, rhs
+
+
+def _sides_212_reference(H, D):
+    sc, cop = H.mult, H.coproduct
+    Sinv = H.antipode_inverse()
+    qR, f, phi = D.qR, D.twist, H.associator
+    lhs_212 = multiply(sc, multiply(sc, Placement(qR, (1, 2), 3), split_leg(cop, qR, 1)),
+                       H.associator_inv)
+    fp = multiply(sc, Placement(antipode_legs(Sinv, f), (2, 3), 3), split_leg(cop, qR, 2))
+    # sum over (i2, i3) of phi * (1 x S^-1 e_i3 x S^-1 e_i2), grouped by i1
+    rhs_212 = _sum_slices(H, 3, (
+        multiply(sc, multiply(sc, Placement(antipode_legs(Sinv, phi23), (2, 3), 3), fp),
+                 split_leg(cop, cop.of_vec(H.basis_vec(i1)), 2))
+        for i1, phi23 in slice_leg(phi, 1).items()))
+    return lhs_212, rhs_212
+
+
+def _sides_43_reference(H, D):
+    sc, cop, S = H.mult, H.coproduct, H.antipode
+    Vt = D.Vtilde
+    u = H.unit_vec()
+    diag = _diagonal(H)
+    d = split_leg(cop, diag, 2)
+    s_diag = apply_leg(S, diag, 2)
+    # (S h (x) 1) V-tilde against (1 (x) h_1) V-tilde Delta(S h_2)
+    lhs = merge_pair(sc, s_diag, Vt, vecs=(u,), groups=(
+        (("a", 0),), (("a", 1), ("b", 0)), (("v", 0), ("b", 1))))
+    rhs = merge_pair(sc, split_leg(cop, apply_leg(S, d, 3), 3), Vt, vecs=(u,), groups=(
+        (("a", 0),), (("v", 0), ("b", 0), ("a", 2)), (("a", 1), ("b", 1), ("a", 3))))
+    return lhs, rhs
+
+
+def _sides_45_reference(H, D):
+    sc, cop, S = H.mult, H.coproduct, H.antipode
+    Vt = D.Vtilde
+    lhs_45 = multiply(sc, multiply(sc, Placement(Vt, (1, 2), 3), split_leg(cop, Vt, 1)),
+                      H.associator_inv)
+    # sum over (i1, i2) of phi * (1 x e_i1 x e_i2), grouped by i3
+    rhs_45 = _sum_slices(H, 3, (
+        multiply(sc, Placement(phi12, (2, 3), 3),
+                 split_leg(cop, multiply(sc, Vt, cop.of_vec(S.cols[i3])), 2))
+        for i3, phi12 in slice_leg(H.associator, 3).items()))
+    return lhs_45, rhs_45
+
+
+@functools.cache
+def _kS3F():
+    """kS3^F and its derived elements, shared by the tests below."""
+    import os
+
+    from qhd.cli import parse_input
+
+    H = gauge_twisted_kS3(parse_input(os.path.join(os.path.dirname(__file__), "data",
+                                                   "s3_sign.qhd"))[0])
+    return H, derive_elements(H)
+
+
+def test_mirrored_halves_match_the_former_hand_written_ones():
+    # p_L, V-tilde, 2.11, 2.12, 4.3 and 4.5 as the mirror gives them against
+    # the former hand-written halves, on every single change of four bases
+    # and on kS3^F, each with D derived from the changed H and from the base
+    H_F, D_F = _kS3F()
+    bases = [(base, derive_elements(H0), _one_change_each(H0)) for base, H0 in _change_bases()]
+    failed, runs = set(), 0
+    for base, D0, changes in bases + [("kS3^F", D_F, [("as built", H_F)])]:
+        for change, H in changes:
+            assert compute_qR_pL(H)[1] == _pL_reference(H), (base, change)
+            own = D0 if change == "as built" else derive_elements(H)
+            for d in ((D0,) if own is D0 else (own, D0)):
+                where = (base, change, "base's D" if d is D0 else "own D")
+                assert compute_U_Vtilde(H, d.twist, d.twist_inv, d.qR, d.pL)[1] == \
+                    _Vtilde_reference(H, d.twist, d.pL), where
+                rec = CapturingRecorder()
+                check_qp_identities(H, d, rec)
+                check_lemma41(H, d, rec)
+                assert rec.sides["2.11"] == _family(*_sides_211_reference(H, d)), where
+                assert rec.sides["2.12"] == _sides_212_reference(H, d), where
+                assert rec.sides["4.3"] == _family(*_sides_43_reference(H, d)), where
+                assert rec.sides["4.5"] == _sides_45_reference(H, d), where
+                runs += 1
+                failed.update(failing(rec))
+                if change == "as built":
+                    assert rec.ok, (where, failing(rec))
+    assert runs == 4 * (1 + 2 * 6) + 1
+    # the changed inputs make every mirrored check fail somewhere
+    assert {"2.11", "2.12", "4.3", "4.5"} <= failed, failed
+
+
+def test_gauge_twisted_kS3_passes_every_quasi_hopf_check():
+    # qp and lemma41 pass on it in test_mirrored_halves_match_the_former_hand_written_ones
+    H, D = _kS3F()
+    # its product, coproduct, associator and alpha / beta all differ from
+    # those of its mirror
+    M = _mirror(H)
+    assert H.mult.table != M.mult.table and H.coproduct.table != M.coproduct.table
+    assert H.associator != M.associator and H.alpha != M.alpha and H.alpha != H.beta
+    rec = axioms_ok(H)
+    check_twist_identities(H, D, rec)
+    assert rec.ok, failing(rec)
+    assert len(rec.items) == 17
+
+
+def _fields(H):
+    return (H.mult.table, H.mult.unit, H.coproduct.table, H.counit, H.associator,
+            H.associator_inv, H.alpha, H.beta, H.antipode, H.antipode_inv)
+
+
+def test_mirror_is_an_involution_that_keeps_valid_inputs_valid():
+    cases = _change_bases() + [("kS3^F", _kS3F()[0])]
+    for where, H in cases:
+        assert _fields(_mirror(_mirror(H))) == _fields(H), where
+        rec = axioms_ok(_mirror(H))
+        assert rec.ok, (where, failing(rec))
+
+
+def test_derived_elements_of_the_mirror_are_the_reversed_partners():
+    # on valid inputs only: gamma and delta, like f and f^-1, trade places
+    # only where the twist suite's identities hold
+    cases = [(where, H, derive_elements(H)) for where, H in _change_bases()]
+    cases.append(("kS3^F", *_kS3F()))
+    for where, H, D in cases:
+        want = DerivedElements(*map(_reversed, (D.delta, D.gamma, D.twist_inv, D.twist,
+                                                D.pL, D.qR, D.Vtilde, D.U)))
+        assert derive_elements(_mirror(H)) == want, where
+
+
+def test_mirror_inverts_no_antipode_that_H_does_not(monkeypatch):
+    # the mirror takes H's S^-1 as it stands: U, V-tilde and 4.2-4.5 read
+    # none, and the derivation and 2.10-2.13 compute it once, on H
+    import qhd.quasihopf as quasihopf
+
+    inverted = []
+    monkeypatch.setattr(quasihopf, "invert_map", lambda m: inverted.append(m) or invert_map(m))
+    H = build_k_omega_G(cyclic_cocycle(3, 1))
+    D = derive_elements(H)
+    assert len(inverted) == 1
+    for fresh in (dataclasses.replace(H, antipode_inv=None), H):
+        inverted.clear()
+        compute_U_Vtilde(fresh, D.twist, D.twist_inv, D.qR, D.pL)
+        assert check_lemma41(fresh, D).ok and not inverted
+    assert check_qp_identities(dataclasses.replace(H, antipode_inv=None), D).ok
+    assert len(inverted) == 1
