@@ -125,9 +125,11 @@ class SparseTensor:
 class StructureConstants:
     """Multiplication table of a finite-dimensional unital algebra.
 
-    table[(i, j)] lists the expansion of e_i * e_j; associativity is a
-    checkable property here, not an assumption, because the Heisenberg
-    double products stored in the same shape are generally nonassociative.
+    table[(i, j)] lists the expansion of e_i * e_j, as (k, coeff) pairs or
+    as a {k: coeff} dict; zero terms and empty cells are dropped.
+    Associativity is a checkable property here, not an assumption, because
+    the Heisenberg double products stored in the same shape are generally
+    nonassociative.
 
     left_block[i] and right_block[j] label the connected components of the
     partner graph, whose edges join left index i to right index j when
@@ -139,9 +141,12 @@ class StructureConstants:
     def __init__(self, dim: int, order: int, table: dict, unit: dict):
         self.dim = dim
         self.order = order
-        self.table = {ij: tuple((k, c) for k, c in ent if not c.is_zero())
-                      for ij, ent in table.items()}
-        self.table = {ij: ent for ij, ent in self.table.items() if ent}
+        self.table = {}
+        for ij, ent in table.items():
+            terms = tuple((k, c) for k, c in (ent.items() if type(ent) is dict else ent)
+                          if not c.is_zero())
+            if terms:
+                self.table[ij] = terms
         self.unit = _prune(dict(unit))
         rp: dict[int, list] = {}
         lp: dict[int, list] = {}

@@ -30,17 +30,19 @@ from .algebra import (
     multiply,
     solve_linear,
 )
-from .quasihopf import DerivedElements, QuasiHopfAlgebra, antipode_legs
+from .quasihopf import DerivedElements, QuasiHopfAlgebra, _opposite, antipode_legs
 from .report import Recorder
 from .scalar import CycScalar
 
 
 class HeisenbergAlgebra:
     """One of the two doubles of its parent, with its product table and
-    module action, and the `_Side` its builder used as `side_data`."""
+    module action, and the `_Side` its builder used as `side_data`.  An
+    action of None is built from the side data the first time it is read:
+    only `check_double` and the closed-form action check read it."""
 
     def __init__(self, side: str, parent: QuasiHopfAlgebra, m: int,
-                 sc: StructureConstants, action: dict, side_data: _Side):
+                 sc: StructureConstants, action: dict | None, side_data: _Side):
         if side not in ("dual", "plain"):
             raise ValueError(f"unknown side {side!r}")
         self.side = side
@@ -51,7 +53,13 @@ class HeisenbergAlgebra:
         self.order = sc.order
         self.sc = sc
         self.unit = sc.unit
-        self.action = action
+        self._action = action
+
+    @property
+    def action(self) -> dict:
+        if self._action is None:
+            self._action = _action(self.side_data)
+        return self._action
 
     def __repr__(self):
         return f"HeisenbergAlgebra({self.side}, m={self.m})"
@@ -61,11 +69,12 @@ class _Side:
     """The mirror choices of one double, fixed before any loop runs.
 
     rev(t) returns t on the dual side and t reversed on the plain side; it
-    orders the factors of an H-product, the legs of the coproduct and of the
-    associators, the (row, column) key of a table cell and the pair
-    (product harpoons, action harpoons).
-    prod[a][b] is the H-product of e_a and e_b in that order, cop[a] the
-    coproduct of e_a with its legs in that order, index[xi][a] the pair
+    orders the legs of the coproduct and of the associators, the (row,
+    column) key of a table cell and the pair (product harpoons, action
+    harpoons).  mult is H's product on the dual side and the opposite
+    product on the plain side, so mult's product of e_a and e_b is H's
+    product of rev((e_a, e_b)); prod[a][b] is that product, cop[a] the
+    coproduct of e_a with its legs in rev order, index[xi][a] the pair
     basis element that joins the dual basis vector xi to e_a, and h_prod and
     h_act the harpoon tables of the product and of the action: h[b][i] is
     e_b -> e^i (left) or e^i <- e_b (right) as a {basis index: coeff} map,
@@ -77,8 +86,8 @@ class _Side:
         m = H.dim
         dual = side == "dual"
         self.rev = rev = (lambda t: t) if dual else (lambda t: t[::-1])
-        self.prod = [[H.mult.basis_product(*rev((a, b))) for b in range(m)]
-                     for a in range(m)]
+        self.mult = H.mult if dual else _opposite(H.mult)
+        self.prod = [[self.mult.basis_product(a, b) for b in range(m)] for a in range(m)]
         self.cop = [tuple((rev(st), d) for st, d in H.coproduct.of_basis(a))
                     for a in range(m)]
         self.index = [[xi * m + a if dual else a * m + xi for a in range(m)]
@@ -91,9 +100,20 @@ class _Side:
         self.h_prod, self.h_act = rev((left, right))
 
 
+def _action(sd: _Side) -> dict:
+    """(k, h) -> k acted on by e_h, as {basis index: coeff}: on the dual side
+    (e^i # e_j) <| e_h = (e^i <- e_h) # e_j, on the plain side
+    e_h |> (e_j # e^i) = e_j # (e_h -> e^i)."""
+    index, h_act = sd.index, sd.h_act
+    m = len(index)
+    return {(index[i][j], h): {index[u][j]: cu for u, cu in h_act[h][i].items()}
+            for i in range(m) for j in range(m) for h in range(m)}
+
+
 def _build_double(H: QuasiHopfAlgebra, side: str) -> HeisenbergAlgebra:
     """The double of one side, written for the dual side; the plain side
-    takes every order that `_Side` reverses.
+    takes every order that `_Side` reverses, and runs the same two
+    contractions in the opposite product, so both sides share their plans.
 
     With Phi^-1 = p (x) q (x) r and Delta(e_j) = s (x) t,
     (e^i # e_j)(e^k # e_l) = (e_p -> e^i) * (e_q e_s -> e^k) # (e_r e_t) e_l,
@@ -103,32 +123,39 @@ def _build_double(H: QuasiHopfAlgebra, side: str) -> HeisenbergAlgebra:
     Phi^-1 against split gives (j, p, q s, r t), and split against that gives
     (u, h1 p, h2 q s, j, r t), the coefficient of e^u # (r t) e_l in cell
     ((i, j), (k, l)) at (u, i, k, j, r t).  Every group has at most two
-    factors, so both calls are exact on any table (see merge_pair).
+    factors, so both calls are exact on any table (see merge_pair).  The
+    table fills in one pass over the nonzero products (r t) e_l.
     """
     m, order = H.dim, H.order
     sd = _Side(H, side)
-    rev, prod, index = sd.rev, sd.prod, sd.index
+    dual, rev, prod, index = side == "dual", sd.rev, sd.prod, sd.index
     phi_inv = SparseTensor(m, 3, order, {rev(k): c for k, c in H.associator_inv.entries.items()})
     split = SparseTensor(m, 3, order, {(j, *st): d for j in range(m) for st, d in sd.cop[j]})
-    pairs = tuple(rev((("a", n), ("b", n))) for n in (1, 2))
-    x = merge_pair(H.mult, phi_inv, split, ((("b", 0),), (("a", 0),), *pairs))
-    y = merge_pair(H.mult, split, x, ((("a", 0),), *pairs, (("b", 0),), (("b", 3),)))
+    pairs = (("a", 1), ("b", 1)), (("a", 2), ("b", 2))
+    x = merge_pair(sd.mult, phi_inv, split, ((("b", 0),), (("a", 0),), *pairs))
+    y = merge_pair(sd.mult, split, x, ((("a", 0),), *pairs, (("b", 0),), (("b", 3),)))
     del phi_inv, split, x  # freed before the table fills, which lowers the peak
 
+    one = CycScalar.one(order)
+    nonzero = [[(l, terms) for l, terms in enumerate(row) if terms] for row in prod]
     table: dict = {}
     for (u, i, k, j, v), c in y.entries.items():
-        row = index[i][j]
-        for l in range(m):
-            for z, cz in prod[v][l]:
-                _add(table.setdefault(rev((row, index[k][l])), {}), index[u][z], c * cz)
+        row, col, out = index[i][j], index[k], index[u]
+        for l, terms in nonzero[v]:
+            key = (row, col[l]) if dual else (col[l], row)
+            cell = table.get(key)
+            if cell is None:
+                cell = table[key] = {}
+            for z, cz in terms:
+                cc = c if cz is one else c * cz
+                kz = out[z]
+                prev = cell.get(kz)
+                cell[kz] = cc if prev is None else prev + cc
     del y
 
     unit = {index[u][z]: cu * cz
             for u, cu in H.counit.items() for z, cz in H.unit_vec().items()}
-    action = {(index[i][j], h): {index[u][j]: cu for u, cu in sd.h_act[h][i].items()}
-              for i in range(m) for j in range(m) for h in range(m)}
-    sc = StructureConstants(m * m, order, {k: tuple(v.items()) for k, v in table.items()}, unit)
-    return HeisenbergAlgebra(side, H, m, sc, action, sd)
+    return HeisenbergAlgebra(side, H, m, StructureConstants(m * m, order, table, unit), None, sd)
 
 
 def build_H1_dual(H: QuasiHopfAlgebra) -> HeisenbergAlgebra:

@@ -353,7 +353,7 @@ def compute_qR_pL(H: QuasiHopfAlgebra):
     p_L = x2 S^-1(x1 beta) (x) x3 over phi, p_L as q_R of the mirror, reversed.
     S^-1 maps the products alpha x3 and x1 beta whole: splitting it over the
     factors assumes S is an anti-map."""
-    return _qR(H), _reversed(_qR(_mirror(H)))
+    return _qR(H), _reversed(_qR(_mirror(H, phi_inv=False)))
 
 
 def check_qp_identities(H: QuasiHopfAlgebra, D: DerivedElements,
@@ -363,7 +363,8 @@ def check_qp_identities(H: QuasiHopfAlgebra, D: DerivedElements,
     rec.family_check("2.10", "intertwining law for the right transposition element",
                      _family(*_qR_intertwining(H, D.qR)))
     rec.family_check("2.11", "intertwining law for the left transposition element",
-                     _family(*_reversed(_qR_intertwining(_mirror(H), _reversed(D.pL)), 1)))
+                     _family(*_reversed(_qR_intertwining(_mirror(H, phi=False, phi_inv=False),
+                                                         _reversed(D.pL)), 1)))
     rec.tensor_check("2.12", "coproduct expansion of the right transposition element",
                      *_reversed(_pL_expansion(_mirror(H), _reversed(D.qR), _reversed(D.twist))))
     rec.tensor_check("2.13", "coproduct expansion of the left transposition element",
@@ -387,7 +388,8 @@ def check_lemma41(H: QuasiHopfAlgebra, D: DerivedElements,
     rec = rec or Recorder()
     rec.family_check("4.2", "one-sided antipode slide across U", _family(*_U_slide(H, D.U)))
     rec.family_check("4.3", "one-sided antipode slide across V-tilde",
-                     _family(*_reversed(_U_slide(_mirror(H), _reversed(D.Vtilde)), 1)))
+                     _family(*_reversed(_U_slide(_mirror(H, phi=False, phi_inv=False),
+                                                 _reversed(D.Vtilde)), 1)))
     rec.tensor_check("4.4", "coproduct expansion of U against the associator",
                      *_U_expansion(H, D.U))
     rec.tensor_check("4.5", "coproduct expansion of V-tilde against the associator",
@@ -404,14 +406,17 @@ def derive_elements(H: QuasiHopfAlgebra) -> DerivedElements:
     return DerivedElements(gamma, delta, f, g, qR, pL, U, Vtilde)
 
 
-def _mirror(H: QuasiHopfAlgebra) -> QuasiHopfAlgebra:
+def _mirror(H: QuasiHopfAlgebra, phi: bool = True, phi_inv: bool = True) -> QuasiHopfAlgebra:
     """H^op,cop (Drinfeld): the opposite product, the coproduct and both associators
     with their legs reversed, alpha and beta swapped, S and H's S^-1 as they stand
     (compute S^-1 on H first).  Given H's p_L, V-tilde, f reversed as its q_R, U, f^-1,
-    an identity on it is its partner's on H reversed, where H.mult associates."""
+    an identity on it is its partner's on H reversed, where H.mult associates.
+    A caller that does not read Phi or Phi^-1 passes False for it and gets None in
+    its place: reversing an associator costs more than a check that reads neither."""
     table = {i: tuple((jk[::-1], c) for jk, c in ent) for i, ent in H.coproduct.table.items()}
     return QuasiHopfAlgebra(_opposite(H.mult), Coproduct(H.dim, H.order, table), H.counit,
-                            _reversed(H.associator), _reversed(H.associator_inv),
+                            _reversed(H.associator) if phi else None,
+                            _reversed(H.associator_inv) if phi_inv else None,
                             H.beta, H.alpha, H.antipode, H.antipode_inv)
 
 

@@ -1,9 +1,12 @@
 """tools/bench_pairs.summarize on synthetic runs: failed and incorrect runs,
 ties, traced results that are missing for one side or a workload, and the
-span medians, mins and maxes and agreeing counts over several traced runs."""
+span medians, mins and maxes and agreeing counts over several traced runs;
+and main, with its subprocess stubbed, passing --seed to every run."""
 
 import importlib.util
+import json
 import os
+import types
 
 import pytest
 
@@ -102,3 +105,36 @@ def test_traced_spans_are_medians_and_counts_must_agree():
         "parent": {"median": 0.2, "min": 0.1, "max": 0.3},
         "change": {"median": pytest.approx(0.45), "min": 0.4, "max": 0.5}}}
     assert d["traced_counts"] == {"scalar.mul.calls": {"parent": 7, "change": None}}
+
+
+def test_command_names_the_seed():
+    runs = {"probe": {"parent": [result(1.0)], "change": [result(0.5)]}}
+    assert bench_pairs.summarize(BENCH, runs, {})["command"] == \
+        "python3 qhdbench/run.py --seed 0 --workload W --trace 0"
+    assert bench_pairs.summarize(BENCH, runs, {}, 7)["command"] == \
+        "python3 qhdbench/run.py --seed 7 --workload W --trace 0"
+
+
+def test_seed_reaches_every_run(monkeypatch, tmp_path):
+    calls = []
+
+    def run(argv, cwd, **kw):
+        calls.append(argv[1:])
+        line = json.dumps(result(1.0, **{"scalar.mul.calls": 1,
+                                         "heisenberg.check_double.self_s": 0.1}))
+        return types.SimpleNamespace(returncode=0, stdout=line + "\n", stderr="")
+
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {**BENCH, "workloads": [{"name": "probe"}]}))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    monkeypatch.setattr(bench_pairs, "TRACED", 1)
+    out = tmp_path / "bench.json"
+    for argv, seed in (([], "0"), (["--seed", "7"], "7")):
+        calls.clear()
+        assert bench_pairs.main([*argv, str(tmp_path), str(tmp_path), str(out)]) == 0
+        # two pairs of two untraced runs, then one traced run per side
+        assert [c[:3] for c in calls] == [["qhdbench/run.py", "--seed", seed]] * 6
+        assert [c[-1] for c in calls] == ["0"] * 4 + ["1"] * 2
+        assert json.loads(out.read_text())["command"] == \
+            f"python3 qhdbench/run.py --seed {seed} --workload W --trace 0"

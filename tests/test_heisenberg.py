@@ -7,8 +7,9 @@ from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
-from helpers import failing, group_algebra
+from helpers import failing, gauge_twisted_kS3, group_algebra
 from test_algebra import _solve_linear_reference
+from qhd import algebra
 from qhd.algebra import (
     Coproduct,
     Inconsistency,
@@ -18,13 +19,15 @@ from qhd.algebra import (
     _row_reduce,
     leg_embed,
     map_legs,
+    merge_pair,
     multiplication_rows,
     multiplication_system,
     multiply,
     solve_linear,
 )
-from qhd.cli import _products_equal, parse_input, resolve_builtin
+from qhd.cli import _products_equal, main, parse_input, resolve_builtin
 from qhd.heisenberg import (
+    HeisenbergAlgebra,
     InvertibilityResult,
     _add,
     _Side,
@@ -850,6 +853,71 @@ def test_build_double_matches_former_builders_on_random_tables():
             sc, action = ref(H)
             assert _products_equal(ha.sc, sc), (m, build.__name__)
             assert ha.action == action, (m, build.__name__)
+
+
+def _build_double_reference(H, side):
+    """The former `_build_double`: the plain side's contractions in H's own
+    product with its groups reversed, a full m-wide sweep per cell, and the
+    action built with the table."""
+    m, order = H.dim, H.order
+    sd = _Side(H, side)
+    rev, index = sd.rev, sd.index
+    prod = [[H.mult.basis_product(*rev((a, b))) for b in range(m)] for a in range(m)]
+    phi_inv = SparseTensor(m, 3, order, {rev(k): c for k, c in H.associator_inv.entries.items()})
+    split = SparseTensor(m, 3, order, {(j, *st): d for j in range(m) for st, d in sd.cop[j]})
+    pairs = tuple(rev((("a", n), ("b", n))) for n in (1, 2))
+    x = merge_pair(H.mult, phi_inv, split, ((("b", 0),), (("a", 0),), *pairs))
+    y = merge_pair(H.mult, split, x, ((("a", 0),), *pairs, (("b", 0),), (("b", 3),)))
+
+    table: dict = {}
+    for (u, i, k, j, v), c in y.entries.items():
+        row = index[i][j]
+        for l in range(m):
+            for z, cz in prod[v][l]:
+                _add(table.setdefault(rev((row, index[k][l])), {}), index[u][z], c * cz)
+
+    unit = {index[u][z]: cu * cz
+            for u, cu in H.counit.items() for z, cz in H.unit_vec().items()}
+    action = {(index[i][j], h): {index[u][j]: cu for u, cu in sd.h_act[h][i].items()}
+              for i in range(m) for j in range(m) for h in range(m)}
+    sc = StructureConstants(m * m, order, {k: tuple(v.items()) for k, v in table.items()}, unit)
+    return HeisenbergAlgebra(side, H, m, sc, action, sd)
+
+
+def test_build_double_matches_reference_in_the_opposite_product():
+    # in kS3^F the product, coproduct, Phi and alpha/beta all differ from its
+    # mirror's, so the plain side's run in the opposite product meets each;
+    # _products_equal compares the units, the cell keys and each cell as a map
+    s3 = parse_input(S3_SIGN)
+    for H in (build_k_omega_G(resolve_builtin("zn:3:1")),
+              build_k_omega_G(resolve_builtin("v4:3")), build_k_omega_G(s3[1]),
+              group_algebra(s3[0]), gauge_twisted_kS3(s3[0])):
+        for side, build in (("dual", build_H1_dual), ("plain", build_H1)):
+            got, want = build(H), _build_double_reference(H, side)
+            assert _products_equal(got.sc, want.sc), (H.dim, side)
+            assert got.action == want.action, (H.dim, side)
+
+
+def test_both_doubles_share_two_kernel_plans(monkeypatch):
+    H = build_k_omega_G(resolve_builtin("zn:4:1"))
+    monkeypatch.setattr(algebra, "_KERNELS", {})
+    build_H1_dual(H)
+    assert len(algebra._KERNELS) == 2
+    build_H1(H)
+    assert len(algebra._KERNELS) == 2
+
+
+def test_invertibility_never_builds_an_action(monkeypatch):
+    import qhd.heisenberg as heisenberg
+
+    built = []
+    former = heisenberg._action
+    monkeypatch.setattr(heisenberg, "_action", lambda sd: built.append(sd) or former(sd))
+    assert main(["--example", "zn:3:1", "--check", "invertibility"]) == 0
+    assert built == []
+    # the counter sees the action that the heisenberg suite reads, once per double
+    assert main(["--example", "zn:3:1", "--check", "heisenberg"]) == 0
+    assert len(built) == 2
 
 
 def _canonical_element_reference(ha):

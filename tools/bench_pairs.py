@@ -1,14 +1,15 @@
 """Alternating parent/change pairs of the benchmark, summarized as BENCH_<PR>.json.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR BENCH_8.json
+    python3 tools/bench_pairs.py [--seed N] PARENT_DIR CHANGE_DIR BENCH_8.json
 
 PARENT_DIR and CHANGE_DIR are two source checkouts, each with its own
 `qhdbench/`.  Each of the PAIRS (ten) pairs runs `qhdbench/run.py --workload W
---seed 0 --trace 0` for every workload in both checkouts, the parent first in
+--seed N --trace 0` for every workload in both checkouts, the parent first in
 odd pairs and the change first in even ones, one run at a time; run.py's own
-default sets the run length.  Then each checkout makes TRACED (three)
-`--trace 1` runs per workload for the per-layer metrics, alternating which
-side runs first.
+default sets the run length.  N is --seed, 0 unless given, so that a claim
+measured on seed 0 can be checked again on a seed not used while writing it.
+Then each checkout makes TRACED (three) `--trace 1` runs per workload for
+the per-layer metrics, alternating which side runs first.
 
 The summary holds, per workload and end-to-end metric of BENCHMARK.json,
 each side's median, quartiles and runs, the number of pairs and the pairs
@@ -33,13 +34,16 @@ import sys
 
 PAIRS = 10
 TRACED = 3
-COMMAND = ["qhdbench/run.py", "--seed", "0"]
 
 
-def run_once(checkout: str, workload: str, trace: int):
+def command(seed: int) -> list:
+    return ["qhdbench/run.py", "--seed", str(seed)]
+
+
+def run_once(checkout: str, workload: str, trace: int, seed: int = 0):
     """The JSON result line of one run.py run, or None if it failed."""
     proc = subprocess.run(
-        [sys.executable, *COMMAND, "--workload", workload, "--trace", str(trace)],
+        [sys.executable, *command(seed), "--workload", workload, "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -69,12 +73,12 @@ def traced_value(results: list, name: str, unit: str):
     return values[0] if all(v == values[0] for v in values) else None
 
 
-def summarize(bench: dict, runs: dict, traced: dict) -> dict:
+def summarize(bench: dict, runs: dict, traced: dict, seed: int = 0) -> dict:
     """traced[workload][side] lists the --trace 1 results, missing until measured."""
     def per_layer(unit: str) -> list:
         return [m["name"] for m in bench["per_layer"] if m["unit"] == unit]
 
-    out = {"command": " ".join(["python3", *COMMAND, "--workload W --trace 0"]),
+    out = {"command": " ".join(["python3", *command(seed), "--workload W --trace 0"]),
            "workloads": {}}
     for wl, sides in runs.items():
         pairs = list(zip(sides["parent"], sides["change"]))
@@ -108,6 +112,7 @@ def main(argv=None) -> int:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("out")
+    ap.add_argument("--seed", type=int, default=0, help="instance seed of every run")
     args = ap.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
@@ -118,14 +123,14 @@ def main(argv=None) -> int:
 
     def write():
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(summarize(bench, runs, traced), fh, indent=1)
+            json.dump(summarize(bench, runs, traced, args.seed), fh, indent=1)
             fh.write("\n")
 
     for i in range(1, PAIRS + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for wl in workloads:
             for side in order:
-                res = run_once(checkouts[side], wl, 0)
+                res = run_once(checkouts[side], wl, 0, args.seed)
                 runs[wl][side].append(res)
                 value = res["metrics"]["verify_s"]["value"] if res else None
                 print(f"pair {i} {wl} {side}: verify_s {value}", file=sys.stderr)
@@ -134,7 +139,7 @@ def main(argv=None) -> int:
         traced[wl] = {"parent": [], "change": []}
         for i in range(TRACED):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                traced[wl][side].append(run_once(checkouts[side], wl, 1))
+                traced[wl][side].append(run_once(checkouts[side], wl, 1, args.seed))
     write()
     return 0
 
