@@ -9,9 +9,12 @@ merge_pair is the one join of the tensor kernels: multiply is merge_pair
 with leg i of x times leg i of y, and a single tensor is contracted by
 merge_pair against the degree-0 unit.  A factor of multiply may be a
 Placement, a tensor on some legs with the unit on the others, whose unit
-legs enter merge_pair as the vector sc.unit instead of being built.  The
-loop of merge_pair over candidate entry pairs is Python source generated for
-the call's plan and compiled once per plan signature (see _compile_kernel).
+legs enter merge_pair as the vector sc.unit instead of being built.  On a
+table whose stored unit is two-sided merge_pair drops that vector from its
+group, so a unit leg passes the other factor's index through; on any other
+table it is multiplied in.  The loop of merge_pair over candidate entry
+pairs is Python source generated for the call's plan and compiled once per
+plan signature (see _compile_kernel).
 
 Every CycScalar is interned (see scalar.py), so a table, coproduct or map
 coefficient equal to one is CycScalar.one(order) itself, and the tensor
@@ -136,18 +139,24 @@ class StructureConstants:
     (i, j) is a cell of the table.  So e_i * e_j != 0 implies
     left_block[i] == right_block[j]; the converse holds when every block is
     complete, as for the group, function and double algebras built here.
+    The table and the unit are not changed after construction.
     """
 
     def __init__(self, dim: int, order: int, table: dict, unit: dict):
         self.dim = dim
         self.order = order
         self.table = {}
+        zero = CycScalar.zero(order)
         for ij, ent in table.items():
-            terms = tuple((k, c) for k, c in (ent.items() if type(ent) is dict else ent)
-                          if not c.is_zero())
+            terms = tuple(ent.items()) if type(ent) is dict else tuple(ent)
+            for _, c in terms:  # a zero of another order is not `zero`: test it too
+                if c is zero or c.order != order:
+                    terms = tuple((k, c) for k, c in terms if not c.is_zero())
+                    break
             if terms:
                 self.table[ij] = terms
         self.unit = _prune(dict(unit))
+        self._unit_failures = None  # see unit_failures
         rp: dict[int, list] = {}
         lp: dict[int, list] = {}
         for (i, j) in self.table:
@@ -196,6 +205,14 @@ class StructureConstants:
             if self.vec_mult(self.unit, e) != e or self.vec_mult(e, self.unit) != e:
                 bad.append(i)
         return bad
+
+    def unit_failures(self) -> tuple:
+        """check_unit's indices, computed on the first call and kept, since
+        the table and the unit are fixed at construction: the `unit` and
+        `3.unit-*` checks and merge_pair's unit rule read this one result."""
+        if self._unit_failures is None:
+            self._unit_failures = tuple(self.check_unit())
+        return self._unit_failures
 
     def check_associative(self) -> list:
         """Violating (i, j, k) triples, empty when the product associates."""
@@ -479,7 +496,9 @@ def multiply(sc: StructureConstants, x, y) -> SparseTensor:
     group of its output leg as the vector factor sc.unit, so the product is
     the product with the built leg_embed tensor on any table, even one whose
     stored unit fails the unit law (a group of at most two factors is exact,
-    see merge_pair)."""
+    see merge_pair).  Where the unit is two-sided, merge_pair drops the
+    factor, so a unit leg costs no product; a product of two full tensors
+    holds no unit factor and never computes the unit law."""
     (xt, xlegs, d), (yt, ylegs, dy) = _placed(x), _placed(y)
     if (xt.dim, d, xt.order) != (yt.dim, dy, yt.order):
         raise AlgebraError(f"tensor mismatch: dim {xt.dim}/{yt.dim}, "
@@ -766,6 +785,15 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
     multiplied left to right inside the algebra; the output tensor has one
     leg per group.  Every input leg must appear exactly once overall.
 
+    A vector that is the table's own unit (vecs[k] is sc.unit) is dropped
+    from a group of several factors when the stored unit is two-sided (see
+    StructureConstants.unit_failures, computed on the first such group); a
+    group of unit factors alone keeps one.  That is exact on any table,
+    associative or not: the group is folded left to right, and prefix * 1 =
+    prefix and 1 * x = x follow from the unit law on the basis by linearity.
+    The adjacent a/b pairs, and so the joins and tests below, are those of
+    the group as given.  Where the unit fails either side it stays a factor.
+
     The groups become a plan once per call: a group of one tensor leg passes
     its index through, a group of two tensor legs is one table lookup, and
     any other group (with a vector, or of three or more factors) is folded
@@ -801,10 +829,14 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
     chains = []  # per folded group: its factors (None for a vector), its a/b pairs
     chain_vecs = []  # the vectors of the folded groups, in order
     steps = []  # per group: (0, position), (1, cell) or (2, chain)
+    unit = sc.unit
     for g in groups:
         pairs = [(r1, r2) for r1, r2 in zip(g, g[1:]) if {r1[0], r2[0]} == {"a", "b"}]
         joins += [(r1[1], r2[1], True) if r1[0] == "a" else (r2[1], r1[1], False)
                   for r1, r2 in pairs]
+        if len(g) > 1 and any(kind == "v" and vecs[i] is unit for kind, i in g) \
+                and not sc.unit_failures():
+            g = tuple(r for r in g if r[0] != "v" or vecs[r[1]] is not unit) or g[:1]
         if len(g) == 1 and g[0][0] != "v":
             steps.append((0, at(*g[0])))
         elif len(g) == 2 and "v" not in (g[0][0], g[1][0]):

@@ -344,7 +344,7 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
     rec = rec or Recorder()
     side = ha.side
     rec.bool_check(f"3.unit-{side}", f"two-sided unit law in the {side}-side double",
-                   not ha.sc.check_unit())
+                   not ha.sc.unit_failures())
 
     H = ha.parent
     m, dim, order = H.dim, ha.dim, ha.order

@@ -280,6 +280,19 @@ def test_tensor_entries_prune_zeros_and_compare():
     assert (a - b).is_zero()
 
 
+def test_structure_constants_drop_zero_terms_and_empty_cells():
+    # cells as pairs or dicts; a zero of another order is dropped as well,
+    # a nonzero of another order is kept as given
+    one3, zero3, z = CycScalar.one(3), CycScalar.zero(3), root_of_unity(3, 1)
+    one4 = CycScalar.one(4)
+    table = {(0, 0): ((0, one3), (1, zero3)), (0, 1): {1: z, 0: CycScalar.zero(4)},
+             (1, 0): ((0, zero3),), (1, 1): {}, (2, 2): ((2, one4),)}
+    sc = StructureConstants(3, 3, table, {0: one3, 1: zero3})
+    assert sc.table == {(0, 0): ((0, one3),), (0, 1): ((1, z),), (2, 2): ((2, one4),)}
+    assert sc.unit == {0: one3}
+    assert sc.right_partners == {0: (0, 1), 2: (2,)}
+
+
 def test_sum_and_difference_refuse_tensors_of_another_order():
     one3, one4 = CycScalar.one(3), CycScalar.one(4)
     x = SparseTensor(2, 1, 3, {(0,): one3})
@@ -1619,14 +1632,25 @@ def _bad_unit_algebra() -> StructureConstants:
     return StructureConstants(sc.dim, sc.order, sc.table, {0: ONE, 1: rat(2)})
 
 
+def _left_unit_algebra(n: int = 3) -> StructureConstants:
+    """e_i e_j = e_j with stored unit e_0: associative, and e_0 is a left
+    unit but no right one, since e_i e_0 = e_0."""
+    return StructureConstants(n, 1, {(i, j): ((j, ONE),) for i in range(n) for j in range(n)},
+                              {0: ONE})
+
+
 def test_placed_products_match_leg_embed():
+    # merge_pair drops the unit factor on H and the double, whose stored
+    # units are two-sided, and multiplies it in on the other two tables
     rng = random.Random(1313)
     H = build_k_omega_G(cyclic_cocycle(3, 1))
     double = build_H1(build_k_omega_G(cyclic_cocycle(2, 1))).sc
-    bad = _bad_unit_algebra()
+    bad, left = _bad_unit_algebra(), _left_unit_algebra()
     assert double.check_associative()  # nonassociative
+    assert not H.mult.check_unit() and not double.check_unit()
     assert bad.check_unit() == [0, 1, 2]  # the stored unit is no unit
-    for sc, density in ((H.mult, 0.5), (double, 0.3), (bad, 0.6)):
+    assert left.check_unit() == [1, 2] and not left.check_associative()  # a left unit only
+    for sc, density in ((H.mult, 0.5), (double, 0.3), (bad, 0.6), (left, 0.6)):
         def built(p):
             return leg_embed(p.tensor, p.legs, p.degree, sc.unit)
 
@@ -1649,6 +1673,78 @@ def test_placed_products_match_leg_embed():
         p = Placement(v, (1,), 3)
         assert multiply(sc, p, p) == _multiply_reference(sc, built(p), built(p))
         assert multiply(sc, Placement(t, (1, 2, 3), 3), t) == multiply(sc, t, t)
+
+
+def test_unit_factor_is_dropped_only_where_the_unit_is_two_sided(monkeypatch):
+    # a unit leg of a Placement against a tensor leg is a fold per index on
+    # a table whose unit fails a side, and a passed-through index otherwise
+    import qhd.algebra as algebra
+
+    folds = []
+    chain_pairs = algebra._chain_pairs
+    monkeypatch.setattr(algebra, "_chain_pairs",
+                        lambda *args: folds.append(args) or chain_pairs(*args))
+    rng = random.Random(2707)
+    H = build_k_omega_G(cyclic_cocycle(3, 1)).mult
+    for sc, two_sided in ((H, True), (_left_unit_algebra(), False), (_bad_unit_algebra(), False)):
+        s = sparse_tensor(rng, sc, 2, 6)
+        t = sparse_tensor(rng, sc, 3, 12)
+        folds.clear()
+        got = multiply(sc, Placement(s, (1, 2), 3), t)
+        assert got == _multiply_reference(sc, leg_embed(s, (1, 2), 3, sc.unit), t)
+        assert bool(folds) != two_sided, sc.dim
+
+
+def test_unit_law_is_computed_once_and_only_for_a_unit_factor(monkeypatch):
+    calls = []
+    check_unit = StructureConstants.check_unit
+    monkeypatch.setattr(StructureConstants, "check_unit",
+                        lambda sc: calls.append(sc) or check_unit(sc))
+    rng = random.Random(3301)
+    sc = build_k_omega_G(cyclic_cocycle(3, 1)).mult
+    s, t = sparse_tensor(rng, sc, 2, 6), sparse_tensor(rng, sc, 2, 6)
+    # no group holds the unit: full x full, the unit alone in its group, and
+    # a vector equal to the unit that is not the table's own
+    multiply(sc, s, t)
+    merge_pair(sc, s, t, ((("a", 0), ("b", 0)), (("a", 1), ("b", 1)), (("v", 0),)), (sc.unit,))
+    merge_pair(sc, s, t, ((("a", 0), ("b", 0)), (("a", 1), ("v", 0), ("b", 1))), (dict(sc.unit),))
+    assert calls == []
+    multiply(sc, Placement(s, (1, 2), 3), Placement(t, (2, 3), 3))
+    multiply(sc, Placement(s, (1, 3), 3), Placement(t, (1, 2), 3))
+    assert sc.unit_failures() == () and calls == [sc]
+
+
+# the groups of 2.10 (quasihopf._qR_intertwining) and 4.2 (_U_slide), with
+# the unit as vector 0: (degree of a, degree of b, groups)
+UNIT_GROUP_SHAPES = (
+    (4, 2, ((("a", 0),), (("v", 0), ("b", 0), ("a", 1)), (("a", 3), ("b", 1), ("a", 2)))),
+    (2, 2, ((("a", 0),), (("a", 1), ("b", 0)), (("v", 0), ("b", 1)))),
+    (2, 2, ((("a", 0),), (("b", 0), ("v", 0)), (("b", 1), ("a", 1)))),
+    (4, 2, ((("a", 0),), (("a", 1), ("b", 0), ("a", 3)), (("a", 2), ("b", 1), ("v", 0)))),
+)
+
+
+def test_merge_pair_unit_groups_match_interpreted_plan():
+    # the plan reference multiplies every unit factor in; merge_pair drops
+    # it on H, the nonassociative double and kS3^F, and keeps it on the
+    # tables whose unit fails a side
+    from helpers import gauge_twisted_kS3
+    from qhd.cli import parse_input
+
+    s3 = parse_input(os.path.join(os.path.dirname(__file__), "data", "s3_sign.qhd"))[0]
+    H = build_k_omega_G(cyclic_cocycle(3, 1))
+    rng = random.Random(5077)
+    for sc in (H.mult, build_H1(H).sc, gauge_twisted_kS3(s3).mult, _bad_unit_algebra(),
+               _left_unit_algebra()):
+        for da, db, groups in UNIT_GROUP_SHAPES:
+            terms = 0
+            for na, nb in ((60, 20), (15, 40)):
+                a, b = sparse_tensor(rng, sc, da, na), sparse_tensor(rng, sc, db, nb)
+                want = _merge_pair_plan_reference(sc, a, b, groups, (sc.unit,))
+                got = merge_pair(sc, a, b, groups, (sc.unit,))
+                assert list(got.entries.items()) == list(want.entries.items()), (sc.dim, groups)
+                terms += len(got.entries)
+            assert terms, (sc.dim, groups)
 
 
 def test_placement_guards():

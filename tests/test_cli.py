@@ -650,6 +650,34 @@ def test_full_run_builds_each_canonical_element_once(monkeypatch):
     assert built == ["dual", "plain"]
 
 
+def test_unit_law_computed_at_most_once_per_table(monkeypatch):
+    # the `unit` and `3.unit-*` checks and merge_pair's unit rule share one
+    # memo per table; the probe multiplies no unit factor, so computes none
+    calls = []
+    check_unit = StructureConstants.check_unit
+    monkeypatch.setattr(StructureConstants, "check_unit",
+                        lambda sc: calls.append(sc) or check_unit(sc))
+    assert run_spec("zn:3:1", ("invertibility",)).exit_code == 0
+    assert calls == []
+    for source, suites in (("zn:3:1", ("all",)), ("zn:8:1", ("axioms", "twist", "lemma41")),
+                           ("zn:10:1", ("heisenberg", "theorems", "section5"))):
+        calls.clear()  # each held table has its own id
+        assert run_spec(source, suites).exit_code == 0
+        assert calls and len({id(sc) for sc in calls}) == len(calls), (source, suites)
+
+
+def test_plans_compiled_per_run(monkeypatch):
+    # each plan compiled costs about 0.5 ms in a fresh process: a change
+    # that adds plans to these runs shows here
+    from qhd import algebra
+
+    for source, suites, plans in (("zn:8:1", ("axioms", "twist", "lemma41"), 24),
+                                  ("zn:10:1", ("heisenberg", "theorems", "section5"), 21)):
+        monkeypatch.setattr(algebra, "_KERNELS", {})
+        assert run_spec(source, suites).exit_code == 0
+        assert len(algebra._KERNELS) == plans, (source, suites)
+
+
 @pytest.mark.parametrize("example", ["trivial:4", "v4:3", "zn:4:1"])
 def test_full_report_matches_golden(example):
     report = run_spec(example, report_format="json")
