@@ -248,6 +248,41 @@ def twist_candidates(H: QuasiHopfAlgebra):
     Sweedler sums on any table, associative or not.
     """
     sc, cop, S = H.mult, H.coproduct, H.antipode
+    gamma, delta, anti, phiinv_s3 = _gamma_delta(H)
+
+    # (i, A_i gamma) against (x1, Delta(x2 beta S x3))
+    w = _contract(H, phiinv_s3, ((("a", 0),), (("a", 1), ("v", 0), ("a", 2))), (H.beta,))
+    del phiinv_s3
+    twist = _slice_products(H, merge_pair(sc, anti, gamma, groups=(
+        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), 1, split_leg(cop, w, 2), 1)
+
+    # (x3, Delta(S x1 alpha x2) delta) against (i, A_i)
+    w = _contract(H, apply_leg(S, H.associator_inv, 1),
+                  ((("a", 2),), (("a", 0), ("v", 0), ("a", 1))), (H.alpha,))
+    twist_inv = _slice_products(H, merge_pair(sc, split_leg(cop, w, 2), delta, groups=(
+        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), 1, anti, 1)
+    return gamma, delta, twist, twist_inv
+
+
+def twist_alternatives(H: QuasiHopfAlgebra):
+    """The second defining expressions for gamma and delta, x over phi and
+    y over phi^-1 in gamma_alt, the other way round in delta_alt:
+
+        gamma_alt = sum S x2 S y1 alpha y2 x3(1) (x) S x1 alpha y3 x3(2)
+        delta_alt = sum x1 beta S y3 S x3(2) (x) x2 y1 beta S y2 S x3(1)
+
+    These are delta and gamma of the mirror with their legs reversed, each
+    product chain grouped the other way round: so they are the per-term
+    sums where H.mult associates, whether or not the twist identities hold
+    (the twist suite runs only after `axioms` has checked associativity)."""
+    gamma, delta, _, _ = _gamma_delta(_mirror(H))
+    return _reversed(delta), _reversed(gamma)
+
+
+def _gamma_delta(H: QuasiHopfAlgebra):
+    """gamma and delta as twist_candidates gives them, with the two views
+    it reads again: _antipode_coproduct(H) and (x1, x2, S x3) over phi^-1."""
+    sc, cop, S = H.mult, H.coproduct, H.antipode
     phi, phiinv = H.associator, H.associator_inv
     anti = _antipode_coproduct(H)
     phiinv_s3 = apply_leg(S, phiinv, 3)  # (x1, x2, S x3)
@@ -261,11 +296,6 @@ def twist_candidates(H: QuasiHopfAlgebra):
     gamma = _slice_products(H, M, 1, phiinv, 1)
     del M
 
-    # (i, A_i gamma) against (x1, Delta(x2 beta S x3))
-    w = _contract(H, phiinv_s3, ((("a", 0),), (("a", 1), ("v", 0), ("a", 2))), (H.beta,))
-    twist = _slice_products(H, merge_pair(sc, anti, gamma, groups=(
-        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), 1, split_leg(cop, w, 2), 1)
-
     # (i, K_i) from (i, e_i(1), e_i(2)) and (y1, y2, S y3), then K_i times
     # S x3 (x) S x2, read off (x1, S x2, S x3) with the legs crossed
     K = merge_pair(sc, split_leg(cop, _diagonal(H), 2), phiinv_s3, groups=(
@@ -273,53 +303,9 @@ def twist_candidates(H: QuasiHopfAlgebra):
         (("a", 1), ("b", 0), ("v", 0)),
         (("a", 2), ("b", 1), ("v", 0), ("b", 2)),
     ), vecs=(H.beta,))
-    del phiinv_s3
     delta = _slice_products(H, K, 1, map_legs(phi, (S, 2), (S, 3)), 1,
                             ((("a", 0), ("b", 1)), (("a", 1), ("b", 0))))
-    del K
-
-    # (x3, Delta(S x1 alpha x2) delta) against (i, A_i)
-    w = _contract(H, apply_leg(S, phiinv, 1), ((("a", 2),), (("a", 0), ("v", 0), ("a", 1))),
-                  (H.alpha,))
-    twist_inv = _slice_products(H, merge_pair(sc, split_leg(cop, w, 2), delta, groups=(
-        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), 1, anti, 1)
-    return gamma, delta, twist, twist_inv
-
-
-def twist_alternatives(H: QuasiHopfAlgebra):
-    """The second defining expressions for gamma and delta, (gamma_alt,
-    delta_alt), each a sum over the basis index e_i of one associator leg
-    built like twist_candidates', with A_i = S e_i(2) (x) S e_i(1):
-
-        gamma_alt = sum_i (P_i Y) Delta(e_i),
-                    P_i = S x2 (x) S x1 over phi at x3 = e_i,
-                    Y = sum S y1 alpha y2 (x) alpha y3 over phi^-1
-        delta_alt = sum_i (Q_i Z) A_i,
-                    Q_i = x1 (x) x2 over phi^-1 at x3 = e_i,
-                    Z = sum beta S y3 (x) y1 beta S y2 over phi
-
-    Y and Z multiply the y side of each chain first, so these are the
-    per-term sums only where H.mult associates.  There they equal
-    twist_candidates' gamma and delta exactly when the input tables are
-    consistent; the twist suite runs only after `axioms` has checked
-    associativity."""
-    sc, S = H.mult, H.antipode
-    phi, phiinv = H.associator, H.associator_inv
-
-    # (P_i Y, x3) from (S x1, S x2, x3), against (i, Delta(e_i))
-    Y = _contract(H, apply_leg(S, phiinv, 1), ((("a", 0), ("v", 0), ("a", 1)),
-                                                (("v", 0), ("a", 2))), (H.alpha,))
-    PY = merge_pair(sc, map_legs(phi, (S, 1), (S, 2)), Y, groups=(
-        (("a", 1), ("b", 0)), (("a", 0), ("b", 1)), (("a", 2),)))
-    gamma_alt = _slice_products(H, PY, 3, split_leg(H.coproduct, _diagonal(H), 2), 1)
-    del PY
-
-    # (Q_i Z, x3) from (x1, x2, x3), against (i, A_i)
-    Z = _contract(H, map_legs(phi, (S, 2), (S, 3)), ((("v", 0), ("a", 2)),
-                                                      (("a", 0), ("v", 0), ("a", 1))), (H.beta,))
-    QZ = merge_pair(sc, phiinv, Z, groups=((("a", 0), ("b", 0)), (("a", 1), ("b", 1)), (("a", 2),)))
-    delta_alt = _slice_products(H, QZ, 3, _antipode_coproduct(H), 1)
-    return gamma_alt, delta_alt
+    return gamma, delta, anti, phiinv_s3
 
 
 def check_twist_identities(H: QuasiHopfAlgebra, D: DerivedElements,
@@ -421,7 +407,11 @@ def _mirror(H: QuasiHopfAlgebra, phi: bool = True, phi_inv: bool = True) -> Quas
 
 
 def _opposite(sc: StructureConstants) -> StructureConstants:
-    return StructureConstants(sc.dim, sc.order, {k[::-1]: v for k, v in sc.table.items()}, sc.unit)
+    """The opposite product with sc's unit and unit-law memo, exact since
+    u e_i = e_i and e_i u = e_i only trade places."""
+    op = StructureConstants(sc.dim, sc.order, {k[::-1]: v for k, v in sc.table.items()}, sc.unit)
+    op._unit_failures = sc._unit_failures
+    return op
 
 
 def _reversed(t, fixed: int = 0):

@@ -41,7 +41,7 @@ from qhd.heisenberg import (
     check_theorem_4_5,
     probe_invertibility,
 )
-from qhd.quasihopf import QuasiHopfAlgebra, derive_elements
+from qhd.quasihopf import QuasiHopfAlgebra, _mirror, derive_elements
 from qhd.report import Recorder
 from qhd.scalar import CycScalar, root_of_unity
 from qhd.twisted import (
@@ -896,6 +896,20 @@ def test_build_double_matches_reference_in_the_opposite_product():
             got, want = build(H), _build_double_reference(H, side)
             assert _products_equal(got.sc, want.sc), (H.dim, side)
             assert got.action == want.action, (H.dim, side)
+
+
+def test_plain_double_is_the_opposite_of_the_mirror_dual_double():
+    # build_H1(H) is the opposite algebra of build_H1_dual(H^op,cop) with each
+    # basis pair swapped, xi # a there being a # xi here: same cells, same unit
+    for H in (build_k_omega_G(resolve_builtin("zn:3:1")),
+              gauge_twisted_kS3(parse_input(S3_SIGN)[0])):
+        m = H.dim
+        swap = [k % m * m + k // m for k in range(m * m)]
+        dual = build_H1_dual(_mirror(H)).sc
+        opposite = StructureConstants(m * m, H.order, {
+            (swap[col], swap[row]): tuple((swap[k], c) for k, c in cell)
+            for (row, col), cell in dual.table.items()}, {swap[k]: c for k, c in dual.unit.items()})
+        assert _products_equal(build_H1(H).sc, opposite), m
 
 
 def test_both_doubles_share_two_kernel_plans(monkeypatch):

@@ -35,6 +35,7 @@ from qhd.quasihopf import (
     _diagonal,
     _family,
     _mirror,
+    _opposite,
     _reversed,
     _sum_slices,
     antipode_legs,
@@ -789,11 +790,19 @@ def test_twist_alternatives_match_former_contraction():
     H = _kS3_in_random_basis(random.Random(0))
     assert not H.mult.check_associative()
     assert max(len(ent) for ent in H.mult.table.values()) > 1
-    cases = _twist_cases() + [("kS3 in a random basis", H)]
-    for where, H in cases:
+    cases = _twist_cases() + [("kS3 in a random basis", H), ("kS3^F", _kS3F()[0])]
+    # each single change of the associative bases, so that the reports of
+    # 2.gamma and 2.delta stay as they were where they fail
+    changes = [((base, change), H) for base, H0 in _change_bases()
+               for change, H in _one_change_each(H0)[1:]]
+    for where, H in cases + changes:
         got = twist_alternatives(H)
         assert got == _twist_alternatives_reference(H), where
         assert all(t.entries for t in got), where
+    # they fail on every change but those of alpha and beta
+    failed = {change for (_, change), H in changes
+              if twist_alternatives(H) != twist_candidates(H)[:2]}
+    assert failed == {"phi", "phi^-1", "S", "Delta"}
 
 
 def test_derivation_builds_no_degree_four_tensor(monkeypatch):
@@ -963,6 +972,18 @@ def test_derived_elements_of_the_mirror_are_the_reversed_partners():
         want = DerivedElements(*map(_reversed, (D.delta, D.gamma, D.twist_inv, D.twist,
                                                 D.pL, D.qR, D.Vtilde, D.U)))
         assert derive_elements(_mirror(H)) == want, where
+
+
+def test_opposite_table_takes_the_unit_law_of_its_source():
+    # u e_i = e_i and e_i u = e_i only trade places, so the law the opposite
+    # table takes is the one it computes itself, two-sided unit or not
+    from test_algebra import _bad_unit_algebra, _left_unit_algebra
+
+    for sc in (build_k_omega_G(cyclic_cocycle(3, 1)).mult, _bad_unit_algebra(),
+               _left_unit_algebra()):
+        sc.unit_failures()
+        op = _opposite(sc)
+        assert op._unit_failures == tuple(op.check_unit()), sc.unit
 
 
 def test_mirror_inverts_no_antipode_that_H_does_not(monkeypatch):
