@@ -337,8 +337,9 @@ def _reduce_system(rows: list, held: list, rhs: list, ncols: int, order: int):
     rhs, pivots): the reduced rows and right sides, in their positions, and
     col -> position of that column's pivot row, in column order.  The pivot
     rows in column order are the reduced row echelon form of the system,
-    each with its right side; a pair among the reduced rows is a pivot row
-    reduced to the exact one on its column.
+    each with its right side.  A pair (col, v) among the reduced rows is a
+    settled pivot row that keeps its stored entry v while its right side is
+    scaled by v^-1, so a reader takes it as {col: one}.
 
     A row that is alone on its column and holds no other column is a
     connected component of its own.  That row is the column's pivot (it is
@@ -418,16 +419,6 @@ def _reduce_system(rows: list, held: list, rhs: list, ncols: int, order: int):
             if prhs is not None:
                 rhs[r] = rhs[r] - f * prhs
     return rows, rhs, pivots
-
-
-def _row_reduce(rows: list, rhs: list, ncols: int, order: int):
-    """_reduce_system on copies of dict rows, with the reduced rows as
-    dicts: each pivot row of the reduced row echelon form, the rows it
-    emptied ({}) and the others, in the positions of the input."""
-    rows, rhs, pivots = _reduce_system(*_system_of(rows, rhs, ncols), ncols, order)
-    one = CycScalar.one(order)
-    return [{} if row is None else {row[0]: one} if type(row) is tuple else row
-            for row in rows], rhs, pivots
 
 
 def _read_solution(rows: list, rhs: list, pivots: dict, order: int):
@@ -583,13 +574,6 @@ def multiplication_system(sc: StructureConstants, x: SparseTensor, side: str) ->
         if len(row) < 2:
             rows[r] = next(iter(row.items()), None)
     return rows, held
-
-
-def multiplication_rows(sc: StructureConstants, x: SparseTensor, side: str) -> list:
-    """The rows of multiplication_system as dicts {col: coeff}, an empty
-    row as {}."""
-    return [{} if row is None else dict([row]) if type(row) is tuple else row
-            for row in multiplication_system(sc, x, side)[0]]
 
 
 def tensor_product(*tensors: SparseTensor) -> SparseTensor:

@@ -23,9 +23,7 @@ from .algebra import (
     StructureConstants,
     _read_solution,
     _reduce_system,
-    _row_reduce,
     merge_pair,
-    multiplication_rows,
     multiplication_system,
     multiply,
     solve_linear,
@@ -421,7 +419,8 @@ class InvertibilityResult:
 
 
 def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> InvertibilityResult:
-    """Exact solve of x*Y = unit and Z*x = unit over the pair-tensor space.
+    """Exact solve of x*Y = unit (the right system) and Z*x = unit (the left
+    system) over the pair-tensor space.
 
     A two-sided verdict requires one element solving both systems at once
     (the stacked system).  Any returned inverse is re-verified by
@@ -429,22 +428,23 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     certificate: the lowest-numbered row that its elimination leaves empty
     with a nonzero right side.
 
-    Each one-sided system is generated and reduced in place (see
-    multiplication_system and _reduce_system), and only its solution and
-    whether it has full rank are kept, so one system is alive at a time.
-    When both have full rank, y and z are the only solutions, so an element
-    solves both exactly when y == z.  Otherwise the stacked system is solved
-    from the left system's reduced pivot rows with their right sides, not
-    from its rows rows_l.  The left system is consistent by then, so its
-    emptied rows have zero right sides and the pivot rows span the same
-    augmented row space as rows_l; stacked with rows_r they have the same
-    row space, hence the same reduced row echelon form, as rows_l + rows_r:
-    the same solution and the same consistency.
+    Each one-sided system is generated and reduced once, in place (see
+    multiplication_system and _reduce_system).  A full-rank or inconsistent
+    system keeps only its solution, so on kωG one system is alive at a time;
+    a consistent one without full rank keeps its reduced pivot rows, as
+    dicts, with their right sides.  When both have full rank, y and z are
+    the only solutions, so an element solves both exactly when y == z.
+    Otherwise the stacked system is solved from each side's pivot rows, a
+    full-rank side giving the unit rows with its solution as their right
+    sides.  A consistent system's emptied rows have zero right sides, so its
+    pivot rows span the augmented row space of its rows; stacked, the two
+    have the row space, hence the reduced row echelon form, of rows_r +
+    rows_l: the same solution and the same consistency.
     """
     dim = ha.dim
     ncols = dim * dim
     order = ha.order
-    zero = CycScalar.zero(order)
+    zero, one = CycScalar.zero(order), CycScalar.one(order)
     unit2 = ha.sc.unit_tensor(2)
 
     rhs = [zero] * ncols
@@ -456,25 +456,32 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
                             {(c // dim, c % dim): v for c, v in sol.items()})
 
     def solve(side: str):
+        """(solution or Inconsistency, pivot rows and their right sides, or
+        None at full rank or without a solution)."""
         rows, reduced_rhs, pivots = _reduce_system(*multiplication_system(ha.sc, x, side),
                                                    list(rhs), ncols, order)
-        return _read_solution(rows, reduced_rhs, pivots, order), len(pivots) == ncols
+        sol = _read_solution(rows, reduced_rhs, pivots, order)
+        if len(pivots) == ncols or isinstance(sol, Inconsistency):
+            return sol, None
+        basis = pivots.values()
+        return sol, ([{rows[r][0]: one} if type(rows[r]) is tuple else rows[r] for r in basis],
+                     [reduced_rhs[r] for r in basis])
 
-    y, y_full = solve("right")
-    z, z_full = solve("left")
+    def stacked(sol: dict, kept):
+        return kept or ([{c: one} for c in range(ncols)], [sol.get(c, zero) for c in range(ncols)])
+
+    y, kept_r = solve("right")
+    z, kept_l = solve("left")
     y_ok = not isinstance(y, Inconsistency)
     z_ok = not isinstance(z, Inconsistency)
     right_inv = unflatten(y) if y_ok else None
     left_inv = unflatten(z) if z_ok else None
     if y_ok and z_ok:
-        if y_full and z_full:
+        if kept_r is None and kept_l is None:
             v = y if y == z else None
         else:
-            reduced_l, rhs_l, pivots_l = _row_reduce(multiplication_rows(ha.sc, x, "right"),
-                                                     rhs, ncols, order)
-            basis = pivots_l.values()
-            v = solve_linear([reduced_l[r] for r in basis] + multiplication_rows(ha.sc, x, "left"),
-                             [rhs_l[r] for r in basis] + rhs, ncols, order)
+            (rows_r, rhs_r), (rows_l, rhs_l) = stacked(y, kept_r), stacked(z, kept_l)
+            v = solve_linear(rows_r + rows_l, rhs_r + rhs_l, ncols, order)
         if v is not None and not isinstance(v, Inconsistency):
             vt = unflatten(v)
             if multiply(ha.sc, x, vt) == unit2 and multiply(ha.sc, vt, x) == unit2:

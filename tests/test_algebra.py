@@ -26,14 +26,14 @@ from qhd.algebra import (
     _owned,
     _read_solution,
     _reduce_system,
-    _row_reduce,
+    _system_of,
     apply_leg,
     counit_leg,
     invert_map,
     leg_embed,
     map_legs,
     merge_pair,
-    multiplication_rows,
+    multiplication_system,
     multiply,
     slice_leg,
     solve_linear,
@@ -1072,8 +1072,8 @@ def test_solve_linear_matches_row_scan_reference():
                for c in fraction_pivot(random.Random(0), 7).inverse().coeffs)
 
 
-# -- _row_reduce against the elimination before isolated rows took one step,
-# -- copied verbatim as the reference
+# -- _reduce_system on dict rows against the elimination before isolated rows
+# -- took one step, copied verbatim as the reference
 
 
 def _row_reduce_reference(rows: list, rhs: list, ncols: int, order: int):
@@ -1158,7 +1158,7 @@ def test_row_reduce_matches_reference_with_pivots_in_column_order():
         for label, rows, rhs, ncols in systems:
             before = [dict(r) for r in rows], list(rhs)
             want_rows, want_rhs, want_piv = _row_reduce_reference(rows, rhs, ncols, order)
-            got_rows, got_rhs, got_piv = _row_reduce(rows, rhs, ncols, order)
+            got_rows, got_rhs, got_piv = reduced_dicts(rows, rhs, ncols, order)
             assert got_rows == want_rows and got_rhs == want_rhs, (order, label)
             assert list(got_piv.items()) == list(want_piv.items()), (order, label)
             assert ([dict(r) for r in rows], list(rhs)) == before, (order, label)
@@ -1206,6 +1206,19 @@ def as_dict(row, one=None):
     if type(row) is tuple:
         return {row[0]: row[1] if one is None else one}
     return dict(row)
+
+
+def system_rows(sc, x, side):
+    """The rows of multiplication_system as dicts, an empty row as {}."""
+    return [as_dict(row) for row in multiplication_system(sc, x, side)[0]]
+
+
+def reduced_dicts(rows, rhs, ncols, order):
+    """_reduce_system on copies of dict rows, with the reduced rows as dicts:
+    a settled pair read as {col: one}, a row left empty as {}."""
+    rows, rhs, pivots = _reduce_system(*_system_of(rows, rhs, ncols), ncols, order)
+    one = CycScalar.one(order)
+    return [as_dict(row, one) for row in rows], rhs, pivots
 
 
 def test_reduce_system_matches_references_on_mixed_rows():
@@ -1490,7 +1503,7 @@ def test_kernels_refuse_tensors_of_another_order():
     with pytest.raises(AlgebraError):
         merge_pair(sc, x, y, ((("a", 0), ("b", 0)),))
     with pytest.raises(AlgebraError):
-        multiplication_rows(sc, x2, "right")
+        multiplication_system(sc, x2, "right")
     with pytest.raises(AlgebraError):
         split_leg(cop, x, 1)
     with pytest.raises(AlgebraError):
@@ -1520,7 +1533,7 @@ def test_kernels_refuse_tensors_of_another_dimension():
         lambda: merge_pair(H.mult, x, y, ((("a", 0), ("b", 0)),)),
         lambda: merge_pair(H.mult, y, x, ((("a", 0),), (("b", 0),))),
         lambda: merge_pair(H.mult, x, unit0, ((("a", 0),),)),
-        lambda: multiplication_rows(H.mult, x2, "right"),
+        lambda: multiplication_system(H.mult, x2, "right"),
         lambda: multiply(H.mult, x, x),
     )
     for kernel in kernels:
@@ -1553,22 +1566,31 @@ def test_chain_pairs_matches_vec_mult_fold():
             assert dict(_chain_pairs(sc.table, chain, one)) == want, chain
 
 
-# -- the probe's stacked solve from the left system's reduced rows ---------------
+# -- the probe's stacked solve from the reductions of its two systems ------------
 
 
-def stacked_from_reduced(rows_l, rhs_l, rows_r, rhs_r, ncols, order):
-    """As probe_invertibility stacks: L's reduced pivot rows with their right
-    sides, then R's rows."""
-    reduced, rhs_red, pivots = _row_reduce(rows_l, rhs_l, ncols, order)
-    basis = pivots.values()
-    return solve_linear([reduced[r] for r in basis] + rows_r,
-                        [rhs_red[r] for r in basis] + rhs_r, ncols, order)
+def stacked_from_reduced(sides, ncols, order):
+    """As probe_invertibility stacks two consistent systems: each side's
+    reduced pivot rows with their right sides, or, at full rank, the unit
+    rows with its solution as their right sides."""
+    one, zero = CycScalar.one(order), CycScalar.zero(order)
+    rows, rhs = [], []
+    for side_rows, side_rhs in sides:
+        reduced, reduced_rhs, pivots = reduced_dicts(side_rows, side_rhs, ncols, order)
+        if len(pivots) == ncols:
+            sol = solve_linear(side_rows, side_rhs, ncols, order)
+            rows += [{c: one} for c in range(ncols)]
+            rhs += [sol.get(c, zero) for c in range(ncols)]
+        else:
+            rows += [reduced[r] for r in pivots.values()]
+            rhs += [reduced_rhs[r] for r in pivots.values()]
+    return solve_linear(rows, rhs, ncols, order)
 
 
 def kernel_vector(rows, ncols, order):
     """A nonzero v with rows * v = 0 read off the reduced rows, or None."""
     zero = CycScalar.zero(order)
-    reduced, _, pivots = _row_reduce(rows, [zero] * len(rows), ncols, order)
+    reduced, _, pivots = reduced_dicts(rows, [zero] * len(rows), ncols, order)
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
         return None
@@ -1581,8 +1603,9 @@ def kernel_vector(rows, ncols, order):
 
 
 def test_stacked_solve_from_reduced_rows_matches_from_scratch():
-    """Same row space, so the same RREF: L's reduced rows plus R solve as
-    rows_l + rows_r does, for every consistent L (the probe stacks only then)."""
+    """Same row space, so the same RREF: each consistent side's reduced pivot
+    rows, or its unit rows at full rank, solve stacked as rows_l + rows_r
+    does (the probe stacks only two consistent systems)."""
     rng = random.Random(29)
     seen = set()
     for order in (1, 3, 7):
@@ -1597,18 +1620,28 @@ def test_stacked_solve_from_reduced_rows_matches_from_scratch():
             if kernel is not None:
                 assert all(v.is_zero() for v in rows_times(rows_l, kernel, order))
             rows_r = random_rows(rng, order, rng.randint(1, ncols + 1), ncols, 0.5)
+            # R with a row on each column: of full rank, so stacked as unit rows
+            full_r = rows_r + [{c: random_scalar(rng, order)} for c in range(ncols)]
             shifted = dict(x)
             for c, v in (kernel or {}).items():  # L x = L shifted, R tells them apart
                 shifted[c] = shifted[c] + v if c in shifted else v
-            for rhs_r in (rows_times(rows_r, x, order), rows_times(rows_r, shifted, order),
-                          [random_scalar(rng, order) for _ in rows_r]):
-                want = solve_linear(rows_l + rows_r, rhs_l + rhs_r, ncols, order)
-                got = stacked_from_reduced(rows_l, rhs_l, rows_r, rhs_r, ncols, order)
-                assert isinstance(got, Inconsistency) == isinstance(want, Inconsistency)
-                if not isinstance(want, Inconsistency):
-                    assert got == want, (order, ncols)
-                seen.add((kernel is not None, isinstance(want, Inconsistency)))
-    assert (True, False) in seen and (True, True) in seen
+            for rows_r in (rows_r, full_r):
+                full = kernel_vector(rows_r, ncols, order) is None
+                for rhs_r in (rows_times(rows_r, x, order), rows_times(rows_r, shifted, order),
+                              [random_scalar(rng, order) for _ in rows_r]):
+                    want = solve_linear(rows_l + rows_r, rhs_l + rhs_r, ncols, order)
+                    if isinstance(solve_linear(rows_r, rhs_r, ncols, order), Inconsistency):
+                        assert isinstance(want, Inconsistency)
+                        continue
+                    sides = (rows_r, rhs_r), (rows_l, rhs_l)
+                    for got in (stacked_from_reduced(sides, ncols, order),
+                                stacked_from_reduced(sides[::-1], ncols, order)):
+                        assert isinstance(got, Inconsistency) == isinstance(want, Inconsistency)
+                        if not isinstance(want, Inconsistency):
+                            assert got == want, (order, ncols)
+                    seen.add((kernel is not None, full, isinstance(want, Inconsistency)))
+    assert {(True, False, False), (True, False, True), (True, True, False),
+            (True, True, True), (False, True, False)} <= seen, seen
 
 
 # -- multiply with placed factors against the built leg_embed tensors

@@ -8,7 +8,7 @@ from itertools import product
 from types import SimpleNamespace
 
 from helpers import failing, gauge_twisted_kS3, group_algebra
-from test_algebra import _solve_linear_reference
+from test_algebra import _solve_linear_reference, reduced_dicts, system_rows
 from qhd import algebra
 from qhd.algebra import (
     Coproduct,
@@ -16,11 +16,9 @@ from qhd.algebra import (
     LinearMap,
     SparseTensor,
     StructureConstants,
-    _row_reduce,
     leg_embed,
     map_legs,
     merge_pair,
-    multiplication_rows,
     multiplication_system,
     multiply,
     solve_linear,
@@ -325,7 +323,7 @@ def test_probe_zero_element_has_no_inverses():
 # -- the probe against the one that solved the stacked system from scratch ------
 
 
-def _probe_reference(ha, x, multiplication_rows=multiplication_rows, solve_linear=solve_linear):
+def _probe_reference(ha, x, system_rows=system_rows, solve_linear=solve_linear):
     """Exact solve of x*Y = unit and Z*x = unit over the pair-tensor space.
 
     A two-sided verdict requires one element solving both systems at once
@@ -339,22 +337,22 @@ def _probe_reference(ha, x, multiplication_rows=multiplication_rows, solve_linea
     zero = CycScalar.zero(order)
     unit2 = ha.sc.unit_tensor(2)
 
-    rows_l = multiplication_rows(ha.sc, x, "right")
-    rows_r = multiplication_rows(ha.sc, x, "left")
+    rows_r = system_rows(ha.sc, x, "right")
+    rows_l = system_rows(ha.sc, x, "left")
     rhs = [unit2.entries.get((r // dim, r % dim), zero) for r in range(ncols)]
 
     def unflatten(sol: dict) -> SparseTensor:
         return SparseTensor(dim, 2, order,
                             {(c // dim, c % dim): v for c, v in sol.items()})
 
-    y = solve_linear(rows_l, rhs, ncols, order)
-    z = solve_linear(rows_r, rhs, ncols, order)
+    y = solve_linear(rows_r, rhs, ncols, order)
+    z = solve_linear(rows_l, rhs, ncols, order)
     y_ok = not isinstance(y, Inconsistency)
     z_ok = not isinstance(z, Inconsistency)
     right_inv = unflatten(y) if y_ok else None
     left_inv = unflatten(z) if z_ok else None
     if y_ok and z_ok:
-        v = solve_linear(rows_l + rows_r, rhs + rhs, ncols, order)
+        v = solve_linear(rows_r + rows_l, rhs + rhs, ncols, order)
         if not isinstance(v, Inconsistency):
             vt = unflatten(v)
             if multiply(ha.sc, x, vt) == unit2 and multiply(ha.sc, vt, x) == unit2:
@@ -381,12 +379,19 @@ def _probe_reference(ha, x, multiplication_rows=multiplication_rows, solve_linea
 def _a_b_algebra():
     """Basis 1, a, b with a b = b a = 1 and a a = b b = 0: unital and not
     associative ((a a) b = 0, a (a b) = a).  Unlike on the doubles, a
-    right-invertible x can have a left system with a kernel here."""
+    right-invertible x can have a right system with a kernel here."""
     one = CycScalar.one(1)
     table = {(0, j): ((j, one),) for j in range(3)}
     table.update({(i, 0): ((i, one),) for i in range(1, 3)})
     table[(1, 2)] = table[(2, 1)] = ((0, one),)
     return SimpleNamespace(dim=3, order=1, sc=StructureConstants(3, 1, table, {0: one}))
+
+
+def _a_b_case():
+    """(the a, b algebra, x = -(b (x) 1) - a (x) a): a consistent right system
+    whose reduced rows are not unit vectors."""
+    minus = CycScalar.from_rational(1, -1)
+    return _a_b_algebra(), SparseTensor(3, 2, 1, {(2, 0): minus, (1, 1): minus})
 
 
 def test_probe_matches_stacked_from_scratch_reference():
@@ -399,13 +404,9 @@ def test_probe_matches_stacked_from_scratch_reference():
         for ha, x in ((had, ce.W), (hap, ce.Wbar)):
             cases += [(ha, x), (ha, ha.sc.unit_tensor(2)),
                       (ha, SparseTensor(ha.dim, 2, ha.order, {}))]
-    # x = -(b (x) 1) - a (x) a: consistent left system whose reduced rows are
-    # not unit vectors
-    ab = _a_b_algebra()
-    minus = CycScalar.from_rational(1, -1)
-    x = SparseTensor(3, 2, 1, {(2, 0): minus, (1, 1): minus})
+    ab, x = _a_b_case()
     zero = [CycScalar.zero(1)] * 9
-    reduced, _, pivots = _row_reduce(multiplication_rows(ab.sc, x, "right"), zero, 9, 1)
+    reduced, _, pivots = reduced_dicts(system_rows(ab.sc, x, "right"), zero, 9, 1)
     assert len(pivots) < 9 and any(len(reduced[r]) > 1 for r in pivots.values())
     cases.append((ab, x))
     for ha, x in cases:
@@ -433,17 +434,27 @@ def _signed_root(rng, order):
         order, rng.choice((1, -1)))
 
 
+def _random_case(rng):
+    """(a random unital algebra, a random x of degree 2 over it)."""
+    order = rng.choice((1, 3))
+    ha = _random_unital_algebra(rng, rng.choice((2, 3)), order)
+    return ha, SparseTensor(ha.dim, 2, order, {
+        (rng.randrange(ha.dim), rng.randrange(ha.dim)): _signed_root(rng, order)
+        for _ in range(rng.randint(1, 4))})
+
+
+# the seeds whose single draw of _random_case gives two consistent systems of
+# which exactly one has full rank, so the probe solves the stacked system
+_ONE_FULL_RANK_SEEDS = (6, 21, 49, 65)
+
+
 def test_probe_matches_independent_reference_on_random_algebras():
     # the reference builds its rows by one multiply per basis tensor and
     # solves by the row-scanning elimination, sharing no code with the probe
     rng = random.Random(2311)
     statuses = set()
     for _ in range(60):
-        order = rng.choice((1, 3))
-        ha = _random_unital_algebra(rng, rng.choice((2, 3)), order)
-        x = SparseTensor(ha.dim, 2, order, {
-            (rng.randrange(ha.dim), rng.randrange(ha.dim)): _signed_root(rng, order)
-            for _ in range(rng.randint(1, 4))})
+        ha, x = _random_case(rng)
         got = probe_invertibility(ha, x)
         want = _probe_reference(ha, x, _rows_by_basis_products, _solve_linear_reference)
         assert got == want, (ha.sc.table, x.entries)
@@ -452,20 +463,14 @@ def test_probe_matches_independent_reference_on_random_algebras():
 
 
 def test_probe_matches_reference_where_only_one_consistent_system_has_full_rank():
-    # the seeds whose single draw, made as above, gives two consistent
-    # systems of which exactly one has full rank: the branch that stacks the
-    # left system's pivot rows on the right system's rows
-    for seed in (6, 21, 49, 65):
-        rng = random.Random(seed)
-        order = rng.choice((1, 3))
-        ha = _random_unital_algebra(rng, rng.choice((2, 3)), order)
-        x = SparseTensor(ha.dim, 2, order, {
-            (rng.randrange(ha.dim), rng.randrange(ha.dim)): _signed_root(rng, order)
-            for _ in range(rng.randint(1, 4))})
+    # the branch that stacks one side's pivot rows on the other's unit rows
+    for seed in _ONE_FULL_RANK_SEEDS:
+        ha, x = _random_case(random.Random(seed))
+        order = ha.order
         ncols = ha.dim * ha.dim
         rhs = [ha.sc.unit_tensor(2).entries.get((r // ha.dim, r % ha.dim), CycScalar.zero(order))
                for r in range(ncols)]
-        full = [len(_row_reduce(multiplication_rows(ha.sc, x, side), list(rhs), ncols, order)[2])
+        full = [len(reduced_dicts(system_rows(ha.sc, x, side), list(rhs), ncols, order)[2])
                 == ncols
                 for side in ("right", "left")]
         got = probe_invertibility(ha, x)
@@ -478,7 +483,7 @@ def test_probe_skips_the_stacked_solve_only_at_full_rank(monkeypatch):
     # on these inputs, the probe workload's among them, both one-sided
     # systems have full rank, so y == z decides the stacked system and it is
     # not solved; the results stay those of the stacked solve, and the
-    # rank-deficient left system of the a, b algebra still solves it, once
+    # rank-deficient right system of the a, b algebra still solves it, once
     import qhd.heisenberg as heisenberg
 
     stacked = []
@@ -489,8 +494,7 @@ def test_probe_skips_the_stacked_solve_only_at_full_rank(monkeypatch):
     for example in ("zn:3:1", "zn:4:1", "zn:7:1", "trivial:6"):
         _, _, had, hap, ce = make_all(resolve_builtin(example))
         cases += [(had, ce.W, 0), (hap, ce.Wbar, 0)]
-    minus = CycScalar.from_rational(1, -1)
-    cases.append((_a_b_algebra(), SparseTensor(3, 2, 1, {(2, 0): minus, (1, 1): minus}), 1))
+    cases.append((*_a_b_case(), 1))
     statuses = []
     for ha, x, nstacked in cases:
         stacked.clear()
@@ -499,6 +503,25 @@ def test_probe_skips_the_stacked_solve_only_at_full_rank(monkeypatch):
         assert got == _probe_reference(ha, x), (ha.dim, got.status)
         statuses.append(got.status)
     assert statuses == ["one_sided_both"] * 6 + ["two_sided"] * 3, statuses
+
+
+def test_probe_stacks_the_reductions_it_made(monkeypatch):
+    # where the stacked system is solved, each one-sided system is generated
+    # and reduced once, and the stacked solve is the third elimination
+    import qhd.heisenberg as heisenberg
+
+    calls = []
+    for name in ("multiplication_system", "_reduce_system"):
+        real = getattr(algebra, name)
+        for module in (algebra, heisenberg):
+            monkeypatch.setattr(module, name,
+                                lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    cases = [_random_case(random.Random(seed)) for seed in _ONE_FULL_RANK_SEEDS] + [_a_b_case()]
+    for ha, x in cases:
+        calls.clear()
+        got = probe_invertibility(ha, x)
+        assert (calls.count("multiplication_system"), calls.count("_reduce_system")) == (2, 3)
+        assert got == _probe_reference(ha, x), ha.dim
 
 
 # -- probe rows against the per-basis products they replaced --------------------
@@ -557,7 +580,7 @@ def _rows_cases():
 def test_multiplication_rows_match_per_basis_products():
     for sc, x in _rows_cases():
         for side in ("right", "left"):
-            assert multiplication_rows(sc, x, side) == _rows_by_basis_products(sc, x, side)
+            assert system_rows(sc, x, side) == _rows_by_basis_products(sc, x, side)
 
 
 def test_multiplication_system_keeps_pairs_and_counts_columns():
@@ -910,6 +933,26 @@ def test_plain_double_is_the_opposite_of_the_mirror_dual_double():
             (swap[col], swap[row]): tuple((swap[k], c) for k, c in cell)
             for (row, col), cell in dual.table.items()}, {swap[k]: c for k, c in dual.unit.items()})
         assert _products_equal(build_H1(H).sc, opposite), m
+
+
+def test_plain_elements_are_the_mirror_dual_elements_pair_swapped():
+    # W-bar, W-hat, Phi-bar^-1_321 and Phi-bar_S of H are W, W-tilde,
+    # Phi-bold^-1 and Phi-bold_321S of H^op,cop with each leg's basis pair
+    # swapped, and the other way round
+    for H in (build_k_omega_G(resolve_builtin("zn:3:1")), build_k_omega_G(resolve_builtin("v4:3")),
+              gauge_twisted_kS3(parse_input(S3_SIGN)[0])):
+        m = H.dim
+        swap = [k % m * m + k // m for k in range(m * m)]
+        H.antipode_inverse()  # the mirror takes H's S^-1 as it stands
+        ce, mirror = (canonical_elements(build_H1_dual(A), build_H1(A), derive_elements(A))
+                         for A in (H, _mirror(H)))
+        for a, b in (("Wbar", "W"), ("What", "Wtilde"), ("PhiBarInv321", "PhiBoldInv"),
+                     ("PhiBarS", "PhiBold321S")):
+            for here, there in ((a, b), (b, a)):
+                t = getattr(ce, here)
+                assert SparseTensor(t.dim, t.degree, t.order, {
+                    tuple(swap[k] for k in key): c for key, c in t.entries.items()
+                }) == getattr(mirror, there), (m, here)
 
 
 def test_both_doubles_share_two_kernel_plans(monkeypatch):
