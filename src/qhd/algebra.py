@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, product
+from operator import itemgetter
 
 from .scalar import CycScalar
 
@@ -721,14 +722,12 @@ def slice_leg(t: SparseTensor, leg: int) -> dict:
 
 
 def permute_legs(t: SparseTensor, perm) -> SparseTensor:
-    """perm[i] gives the source leg (0-based) for output leg i."""
+    """perm[i] gives the source leg (0-based) for output leg i; no two keys meet."""
     perm = tuple(perm)
-    out: dict = {}
-    for key, c in t.entries.items():
-        nk = tuple(key[p] for p in perm)
-        prev = out.get(nk)
-        out[nk] = c if prev is None else prev + c
-    return _owned(t.dim, t.degree, t.order, out)
+    if sorted(perm) != list(range(t.degree)):
+        raise AlgebraError(f"{perm} is not a permutation of {t.degree} legs")
+    move = itemgetter(*perm) if len(perm) > 1 else tuple
+    return _owned(t.dim, t.degree, t.order, {move(k): c for k, c in t.entries.items()})
 
 
 def _chain_pairs(table, items, one):
@@ -762,12 +761,15 @@ def _chain_pairs(table, items, one):
     return tuple((k, c) for k, c in d.items() if not c.is_zero())
 
 
-def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups, vecs=()):
+def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups, vecs=(), sums=()):
     """Multiply legs of two tensors (and fixed vectors) into output legs.
 
     Each group is a tuple of factor refs ('a', leg) / ('b', leg) / ('v', k),
     multiplied left to right inside the algebra; the output tensor has one
-    leg per group.  Every input leg must appear exactly once overall.
+    leg per group.  A pair (a leg, b leg) in sums names two legs that must
+    carry the same basis index, summed out with no output leg: sum_i s_i t_i
+    over the slices of a and b at e_i is one call.  Every input leg must
+    appear exactly once overall, in a group or in sums.
 
     A vector that is the table's own unit (vecs[k] is sc.unit) is dropped
     from a group of several factors when the stored unit is two-sided (see
@@ -785,13 +787,14 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
     or () when an a/b pair inside it is not a cell of the table, is kept for
     the rest of the call, since the block join makes many candidates read
     the same indices (on k^omega G about n^2 tuples for n^4 candidates).
-    The compiled kernel indexes b, in b's order, by the blocks (see
-    StructureConstants) of its legs in adjacent a/b factor pairs, right
-    blocks where a comes first and left blocks otherwise, and the candidates
-    of an entry of a are the b entries whose key equals its own blocks on
-    the partner side (all of b if there is no such pair).  A candidate
-    makes its lookups and takes its folds before it multiplies: ca * cb and
-    the expansion come once every group is nonzero.
+    The compiled kernel indexes b, in b's order, by the raw indices of its
+    summed legs and the blocks (see StructureConstants) of its legs in
+    adjacent a/b factor pairs, right blocks where a comes first and left
+    blocks otherwise, and the candidates of an entry of a are the b entries
+    whose key equals its own indices and blocks on the partner side (all of
+    b if there is no sum and no such pair).  A candidate makes its lookups
+    and takes its folds before it multiplies: ca * cb and the expansion come
+    once every group is nonzero.
 
     For a two-factor group this filter is exact on any table, since
     e_i * e_j != 0 puts i and j in one block, so multiply stays exact on the
@@ -799,16 +802,16 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
     associativity: (v * a) * b is skipped when a * b = 0.  Every caller with
     such chains passes H.mult, whose associativity the `assoc` axiom checks.
     """
-    used_a = sorted(i for g in groups for kind, i in g if kind == "a")
-    used_b = sorted(i for g in groups for kind, i in g if kind == "b")
+    used_a = sorted([i for g in groups for kind, i in g if kind == "a"] + [i for i, _ in sums])
+    used_b = sorted([i for g in groups for kind, i in g if kind == "b"] + [j for _, j in sums])
     if used_a != list(range(a.degree)) or used_b != list(range(b.degree)):
-        raise AlgebraError("merge_pair groups must use every input leg exactly once")
+        raise AlgebraError("merge_pair groups and sums must use every input leg exactly once")
     _check_space(sc.dim, sc.order, a, b)
 
     def at(kind, i):  # position of a tensor leg in the joined key ka + kb
         return i if kind == "a" else a.degree + i
 
-    joins = []  # (a leg, b leg, a comes first) of each adjacent a/b pair
+    joins = [(i, j, None) for i, j in sums]  # then (a leg, b leg, a first) per a/b pair
     cells = []  # (position, position) of each two-leg group
     chains = []  # per folded group: its factors (None for a vector), its a/b pairs
     chain_vecs = []  # the vectors of the folded groups, in order
@@ -854,11 +857,12 @@ def _leaves(x) -> list:
 def _compile_kernel(sig):
     """The candidate loop of merge_pair for one plan, run through exec.  sig
     is the plan's (degree of a, degree of b, joins, steps, cells, chains),
-    None standing for a vector factor; only these ints, bools and None become
-    source text.  The kernel first indexes b's entries by the blocks of the
-    joined legs, one literal key per entry.  A candidate makes one table.get
-    per cell and one memoized fold per chain, each with an early continue;
-    its key is a tuple literal when every cell and fold has one term, else
+    None standing for a vector factor and, in a join, for a sum; only these
+    ints, bools and None become source text.  The kernel first indexes b's
+    entries by the indices of the summed legs and the blocks of the joined
+    legs, one literal key per entry.  A candidate makes one table.get per
+    cell and one memoized fold per chain, each with an early continue; its
+    key is a tuple literal when every cell and fold has one term, else
     _add_terms adds it."""
     if any(type(x) not in (int, bool, type(None)) for x in _leaves(sig)):
         raise AlgebraError(f"merge_pair kernel signature not of ints, bools, None: {sig!r}")
@@ -872,9 +876,13 @@ def _compile_kernel(sig):
     line(0, "def kernel(a_items, b_items, table, lb, rb, one, vecs, folds, out):")
     line(1, "get = table.get")
     line(1, f"{_tuple_src([f'f{n}' for n in range(len(chains))])} = folds")
-    a_blocks = _tuple_src([f"{'lb' if a_first else 'rb'}[{k[leg]}]" for leg, _, a_first in joins])
-    b_blocks = _tuple_src([f"{'rb' if a_first else 'lb'}[kb[{leg}]]" for _, leg, a_first in joins])
-    line(1, "index = {}")  # b's entries, in b's order, by the blocks of the joined legs
+
+    def part(x, a_first, blocks):  # a summed leg's index as it is, a joined leg's block
+        return x if a_first is None else f"{blocks}[{x}]"
+
+    a_blocks = _tuple_src([part(k[leg], af, "lb" if af else "rb") for leg, _, af in joins])
+    b_blocks = _tuple_src([part(f"kb[{leg}]", af, "rb" if af else "lb") for _, leg, af in joins])
+    line(1, "index = {}")  # b's entries, in b's order, by their summed indices and joined blocks
     line(1, "for item in b_items:")
     line(2, "kb = item[0]")
     line(2, f"blk = {b_blocks}")

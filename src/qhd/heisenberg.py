@@ -432,14 +432,15 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     multiplication_system and _reduce_system).  A full-rank or inconsistent
     system keeps only its solution, so on kωG one system is alive at a time;
     a consistent one without full rank keeps its reduced pivot rows, as
-    dicts, with their right sides.  When both have full rank, y and z are
-    the only solutions, so an element solves both exactly when y == z.
-    Otherwise the stacked system is solved from each side's pivot rows, a
-    full-rank side giving the unit rows with its solution as their right
-    sides.  A consistent system's emptied rows have zero right sides, so its
-    pivot rows span the augmented row space of its rows; stacked, the two
+    dicts, with their right sides.  A consistent system's emptied rows have
+    zero right sides, so its pivot rows span the augmented row space of its
+    rows.  A side of full rank has its solution as its only one, so an
+    element solves both systems exactly when that solution solves the other
+    side: y == z when both have full rank, else when it solves the other
+    side's pivot rows, with no elimination.  Without full rank on either
+    side, the stacked system is solved from both sides' pivot rows: they
     have the row space, hence the reduced row echelon form, of rows_r +
-    rows_l: the same solution and the same consistency.
+    rows_l, so the same solution and the same consistency.
     """
     dim = ha.dim
     ncols = dim * dim
@@ -467,8 +468,9 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
         return sol, ([{rows[r][0]: one} if type(rows[r]) is tuple else rows[r] for r in basis],
                      [reduced_rhs[r] for r in basis])
 
-    def stacked(sol: dict, kept):
-        return kept or ([{c: one} for c in range(ncols)], [sol.get(c, zero) for c in range(ncols)])
+    def solves(sol: dict, kept) -> bool:  # sol against a consistent system's pivot rows
+        return all(sum((v * sol[c] for c, v in row.items() if c in sol), zero) is r
+                   for row, r in zip(*kept))
 
     y, kept_r = solve("right")
     z, kept_l = solve("left")
@@ -477,11 +479,12 @@ def probe_invertibility(ha: HeisenbergAlgebra, x: SparseTensor) -> Invertibility
     right_inv = unflatten(y) if y_ok else None
     left_inv = unflatten(z) if z_ok else None
     if y_ok and z_ok:
-        if kept_r is None and kept_l is None:
-            v = y if y == z else None
+        if kept_r is None:
+            v = y if (y == z if kept_l is None else solves(y, kept_l)) else None
+        elif kept_l is None:
+            v = z if solves(z, kept_r) else None
         else:
-            (rows_r, rhs_r), (rows_l, rhs_l) = stacked(y, kept_r), stacked(z, kept_l)
-            v = solve_linear(rows_r + rows_l, rhs_r + rhs_l, ncols, order)
+            v = solve_linear(kept_r[0] + kept_l[0], kept_r[1] + kept_l[1], ncols, order)
         if v is not None and not isinstance(v, Inconsistency):
             vt = unflatten(v)
             if multiply(ha.sc, x, vt) == unit2 and multiply(ha.sc, vt, x) == unit2:

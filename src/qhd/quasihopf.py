@@ -229,11 +229,11 @@ def twist_candidates(H: QuasiHopfAlgebra):
 
     Each is a sum over the basis index e_i of one associator leg.  One
     merge_pair builds the first factor for every i at once, with i on a leg
-    of its own, and _slice_products multiplies it by the second factor one
-    index at a time.  So no tensor of degree 4 is built: about n^3 entries
-    on kωG where the whole Sweedler sums built n^4.  x runs over phi^-1 and
-    y over phi in gamma and f, the other way round in delta and f^-1; A_i is
-    S e_i(2) (x) S e_i(1) (see _antipode_coproduct):
+    of its own, and one more, summed over i (_slice_products), multiplies it
+    by the second factor.  So no tensor of degree 4 is built: about n^3
+    entries on kωG where the whole Sweedler sums built n^4.  x runs over
+    phi^-1 and y over phi in gamma and f, the other way round in delta and
+    f^-1; A_i is S e_i(2) (x) S e_i(1) (see _antipode_coproduct):
 
         gamma = sum_i M_i (x2 (x) x3 at x1 = e_i),
                 M_i = sum_y S e_i(2) S y2 alpha y3 (x) S e_i(1) S y1 alpha
@@ -254,13 +254,13 @@ def twist_candidates(H: QuasiHopfAlgebra):
     w = _contract(H, phiinv_s3, ((("a", 0),), (("a", 1), ("v", 0), ("a", 2))), (H.beta,))
     del phiinv_s3
     twist = _slice_products(H, merge_pair(sc, anti, gamma, groups=(
-        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), 1, split_leg(cop, w, 2), 1)
+        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), split_leg(cop, w, 2))
 
     # (x3, Delta(S x1 alpha x2) delta) against (i, A_i)
     w = _contract(H, apply_leg(S, H.associator_inv, 1),
                   ((("a", 2),), (("a", 0), ("v", 0), ("a", 1))), (H.alpha,))
     twist_inv = _slice_products(H, merge_pair(sc, split_leg(cop, w, 2), delta, groups=(
-        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), 1, anti, 1)
+        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), anti)
     return gamma, delta, twist, twist_inv
 
 
@@ -293,18 +293,17 @@ def _gamma_delta(H: QuasiHopfAlgebra):
         (("a", 1), ("b", 1), ("v", 0), ("b", 2)),
         (("a", 2), ("b", 0), ("v", 0)),
     ), vecs=(H.alpha,))
-    gamma = _slice_products(H, M, 1, phiinv, 1)
+    gamma = _slice_products(H, M, phiinv)
     del M
 
     # (i, K_i) from (i, e_i(1), e_i(2)) and (y1, y2, S y3), then K_i times
-    # S x3 (x) S x2, read off (x1, S x2, S x3) with the legs crossed
+    # S x3 (x) S x2, from (x1, S x3, S x2)
     K = merge_pair(sc, split_leg(cop, _diagonal(H), 2), phiinv_s3, groups=(
         (("a", 0),),
         (("a", 1), ("b", 0), ("v", 0)),
         (("a", 2), ("b", 1), ("v", 0), ("b", 2)),
     ), vecs=(H.beta,))
-    delta = _slice_products(H, K, 1, map_legs(phi, (S, 2), (S, 3)), 1,
-                            ((("a", 0), ("b", 1)), (("a", 1), ("b", 0))))
+    delta = _slice_products(H, K, map_legs(permute_legs(phi, (0, 2, 1)), (S, 2), (S, 3)))
     return gamma, delta, anti, phiinv_s3
 
 
@@ -441,15 +440,16 @@ def _qR_intertwining(H: QuasiHopfAlgebra, qR: SparseTensor):
 
 
 def _pL_expansion(H: QuasiHopfAlgebra, pL: SparseTensor, twist_inv: SparseTensor):
-    """2.13's sides, the right one summed one slice of phi at a time, by x3."""
+    """2.13's sides, the right one (x3, (Delta x id)Delta(x3) pg) built for
+    every x3 at once, then summed over x3 against (x3, S^-1 x2, S^-1 x1)."""
     sc, cop, Sinv = H.mult, H.coproduct, H.antipode_inverse()
     lhs = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, pL, 2)),
                    Placement(pL, (2, 3), 3))
     pg = multiply(sc, split_leg(cop, pL, 1), Placement(antipode_legs(Sinv, twist_inv), (1, 2), 3))
-    return [lhs, _sum_slices(H, 3, (
-        multiply(sc, multiply(sc, split_leg(cop, cop.of_vec(H.basis_vec(i3)), 1), pg),
-                 Placement(antipode_legs(Sinv, phi12), (1, 2), 3))
-        for i3, phi12 in slice_leg(H.associator, 3).items()))]
+    d = merge_pair(sc, map_legs(_diagonal(H), (cop, 2), (cop, 2)), pg, groups=(
+        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)), (("a", 3), ("b", 2))))
+    return [lhs, _slice_products(H, d, map_legs(permute_legs(H.associator, (2, 1, 0)),
+                                                (Sinv, 2), (Sinv, 3)))]
 
 
 def _U_slide(H: QuasiHopfAlgebra, U: SparseTensor):
@@ -463,14 +463,14 @@ def _U_slide(H: QuasiHopfAlgebra, U: SparseTensor):
 
 
 def _U_expansion(H: QuasiHopfAlgebra, U: SparseTensor):
-    """4.4's sides, the right one summed one slice of phi at a time, by x1."""
+    """4.4's sides, the right one (x1, (Delta x id)(Delta(S x1) U)) built for
+    every x1 at once, then summed over x1 against phi."""
     sc, cop, S = H.mult, H.coproduct, H.antipode
     lhs = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, U, 2)),
                    Placement(U, (2, 3), 3))
-    return [lhs, _sum_slices(H, 3, (
-        multiply(sc, split_leg(cop, multiply(sc, cop.of_vec(S.cols[i1]), U), 1),
-                 Placement(phi23, (1, 2), 3))
-        for i1, phi23 in slice_leg(H.associator, 1).items()))]
+    d = split_leg(cop, merge_pair(sc, map_legs(_diagonal(H), (S, 2), (cop, 2)), U, groups=(
+        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), 2)
+    return [lhs, _slice_products(H, d, H.associator)]
 
 
 # -- contraction helpers --------------------------------------------------------
@@ -489,24 +489,13 @@ def _antipode_coproduct(H: QuasiHopfAlgebra) -> SparseTensor:
     return permute_legs(map_legs(_diagonal(H), (H.coproduct, 2), (S, 2), (S, 3)), (0, 2, 1))
 
 
-def _slice_products(H: QuasiHopfAlgebra, s: SparseTensor, s_leg: int, t: SparseTensor,
-                    t_leg: int, groups=((("a", 0), ("b", 0)), (("a", 1), ("b", 1)))):
-    """sum_i s_i t_i over the basis indices e_i, s_i and t_i the slices of s
-    and t at e_i on the given legs (see slice_leg): one merge_pair of two
-    degree-2 tensors per index, by default their product."""
-    ss, ts = slice_leg(s, s_leg), slice_leg(t, t_leg)
-    return _sum_slices(H, 2, (merge_pair(H.mult, ss[i], ts[i], groups) for i in ss if i in ts))
-
-
-def _sum_slices(H: QuasiHopfAlgebra, degree: int, terms) -> SparseTensor:
-    """The sum of the tensors of the given degree that terms yields, each
-    added in place as it comes: a sum over n slices copies no partial sum."""
-    out: dict = {}
-    for t in terms:
-        for k, c in t.entries.items():
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-    return _owned(H.dim, degree, H.order, out)
+def _slice_products(H: QuasiHopfAlgebra, s: SparseTensor, t: SparseTensor) -> SparseTensor:
+    """sum_i s_i (t_i (x) 1 ...) over the basis indices e_i, s_i and t_i the
+    slices of s and t at e_i on their first legs (see slice_leg): one
+    merge_pair summed over that leg, leg k of s_i times leg k of t_i, or the
+    unit where t_i has no leg k."""
+    groups = tuple((("a", k), ("b", k) if k < t.degree else ("v", 0)) for k in range(1, s.degree))
+    return merge_pair(H.mult, s, t, groups, (H.unit_vec(),), sums=((0, 0),))
 
 
 def _contract(H: QuasiHopfAlgebra, t: SparseTensor, groups, vecs=()) -> SparseTensor:

@@ -4,7 +4,7 @@ import os
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from operator import itemgetter
 
 import pytest
@@ -35,6 +35,7 @@ from qhd.algebra import (
     merge_pair,
     multiplication_system,
     multiply,
+    permute_legs,
     slice_leg,
     solve_linear,
     split_leg,
@@ -271,6 +272,21 @@ def test_slice_leg_splits_by_one_leg():
     assert slice_leg(t, 3) == {1: SparseTensor(2, 2, 1, {(0, 1): ONE, (1, 0): rat(2),
                                                          (0, 0): rat(3)})}
     assert slice_leg(SparseTensor(2, 3, 1, {}), 1) == {}
+
+
+def test_permute_legs_moves_every_entry_and_refuses_other_maps():
+    rng = random.Random(4)
+    sc = matrix_units_algebra()
+    for degree in range(4):
+        t = sparse_tensor(rng, sc, degree, 30)
+        for perm in permutations(range(degree)):
+            want = {tuple(k[p] for p in perm): c for k, c in t.entries.items()}
+            got = permute_legs(t, perm)
+            assert got.entries == want and got.degree == degree, perm
+    t = sparse_tensor(rng, sc, 3, 30)
+    for bad in [(0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 3)]:
+        with pytest.raises(AlgebraError, match="not a permutation"):
+            permute_legs(t, bad)
 
 
 def test_tensor_entries_prune_zeros_and_compare():
@@ -867,6 +883,140 @@ def test_kernel_generation_refuses_a_signature_of_other_types():
                 (2, 1, (), ((1, 0), (0, 1)), ((0, 2),), ((("__import__('os')", 0), ()),))]:
         with pytest.raises(AlgebraError, match="signature"):
             _compile_kernel(bad)
+
+
+# -- merge_pair summed over shared legs against the per-slice loop it replaced --
+
+
+def _slice_products_reference(sc, a, b, groups, vecs=(), sums=((0, 0),), product=merge_pair):
+    """merge_pair summed over the legs paired in sums as a loop over slices:
+    one product of the slices of a and b at each tuple of basis indices on
+    those legs, a's legs and b's renumbered past the summed ones, added up."""
+    sum_a, sum_b = [i for i, _ in sums], [j for _, j in sums]
+
+    def slices(t, legs):
+        parts = {}
+        for key, c in t.entries.items():
+            rest = tuple(x for p, x in enumerate(key) if p not in legs)
+            parts.setdefault(tuple(key[p] for p in legs), {})[rest] = c
+        return {i: SparseTensor(t.dim, t.degree - len(legs), t.order, e) for i, e in parts.items()}
+
+    def renumbered(kind, i):
+        summed = sum_a if kind == "a" else sum_b if kind == "b" else ()
+        return kind, i - sum(p < i for p in summed)
+
+    groups = tuple(tuple(renumbered(*r) for r in g) for g in groups)
+    sa, sb = slices(a, sum_a), slices(b, sum_b)
+    out = {}
+    for i in sa:
+        if i in sb:
+            for key, c in product(sc, sa[i], sb[i], groups, vecs).entries.items():
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
+    return SparseTensor(sc.dim, len(groups), sc.order, out)
+
+
+@lru_cache(maxsize=None)
+def kS3F():
+    """kS3^F (see helpers.gauge_twisted_kS3): a nonabelian product and a dense
+    associator that is not diagonal."""
+    from helpers import gauge_twisted_kS3
+    from qhd.cli import parse_input
+
+    return gauge_twisted_kS3(parse_input(os.path.join(os.path.dirname(__file__), "data",
+                                                      "s3_sign.qhd"))[0])
+
+
+def summed_algebras() -> tuple:
+    """partial_algebra (its unit fails the unit law on e2), matrix units (a
+    two-sided unit), kS3^F's product, the zn:3:1 double (nonassociative) and
+    a table with several terms per cell."""
+    return (partial_algebra(), matrix_units_algebra(), kS3F().mult,
+            *kernel_algebras()[2:])
+
+
+# (groups, sums, degree of a, degree of b) in the shapes of quasihopf's sums
+SUMMED_SHAPES = [
+    (((("a", 1), ("b", 1)), (("a", 2), ("b", 2))), ((0, 0),), 3, 3),  # gamma, f
+    (((("a", 1), ("b", 2)), (("a", 2), ("b", 1))), ((0, 0),), 3, 3),  # crossed
+    (((("a", 1), ("b", 1)), (("a", 2), ("b", 2)), (("a", 3), ("v", 0))), ((0, 0),), 4, 3),
+    (((("a", 0), ("b", 0)), (("b", 2), ("a", 1))), ((2, 1),), 3, 3),  # a leg other than 0
+    (((("a", 0), ("v", 0), ("b", 1)),), ((1, 0),), 2, 2),  # the unit between
+    (((("a", 1), ("b", 0)),), ((0, 1), (2, 2)), 3, 3),  # two sums
+    (((("v", 0),),), ((0, 0),), 1, 1),  # every tensor leg summed
+]
+
+
+def test_merge_pair_sums_match_the_slice_loop():
+    rng = random.Random(3013)
+    for sc in summed_algebras():
+        for groups, sums, da, db in SUMMED_SHAPES:
+            for na, nb in [(0, 5), (5, 0), (12, 12), (40, 40), (80, 20)]:
+                a = sparse_tensor(rng, sc, da, na)
+                b = sparse_tensor(rng, sc, db, nb)
+                got = merge_pair(sc, a, b, groups, (sc.unit,), sums)
+                assert got == _slice_products_reference(sc, a, b, groups, (sc.unit,), sums), \
+                    (sc.dim, groups, sums)
+                assert got.degree == len(groups) and got.order == sc.order
+    # kS3^F's own associators, the second with x3 on its first leg, as 2.13 sums them
+    H = kS3F()
+    phi, phiinv = H.associator, H.associator_inv
+    for a, b in ((phi, phiinv), (phiinv, permute_legs(phi, (2, 1, 0))),
+                 (sparse_tensor(rng, H.mult, 4, 200), phi)):
+        groups, sums, _, _ = SUMMED_SHAPES[2 if a.degree == 4 else 1]
+        got = merge_pair(H.mult, a, b, groups, (H.mult.unit,), sums)
+        assert got.entries and got == _slice_products_reference(H.mult, a, b, groups,
+                                                                (H.mult.unit,), sums)
+
+
+def random_summed_groups(rng, da, db, nvecs):
+    """One or two pairs of summed legs, and the other legs of a and b with
+    some vector refs cut into groups as random_groups cuts them."""
+    nsums = rng.randint(1, min(2, da, db))
+    sums = tuple(zip(rng.sample(range(da), nsums), rng.sample(range(db), nsums)))
+    refs = [("a", i) for i in range(da) if i not in dict(sums)]
+    refs += [("b", j) for j in range(db) if j not in {j for _, j in sums}]
+    rng.shuffle(refs)
+    for _ in range(rng.randint(0 if refs else 1, 2)):
+        refs.insert(rng.randrange(len(refs) + 1), ("v", rng.randrange(nvecs)))
+    ngroups = rng.randint(1, min(3, len(refs)))
+    cuts = sorted(rng.sample(range(1, len(refs)), ngroups - 1))
+    return tuple(tuple(refs[i:j]) for i, j in zip([0] + cuts, cuts + [len(refs)])), sums
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 4), da=st.integers(1, 3), db=st.integers(1, 3),
+       na=st.sampled_from((0, 1, 4, 15, 40)), nb=st.sampled_from((0, 1, 4, 15, 40)),
+       seed=st.integers(0, 2**32 - 1))
+def test_merge_pair_sums_match_slices_of_the_interpreted_plan(which, da, db, na, nb, seed):
+    # the slices are multiplied by the plan interpreted per candidate, so the
+    # reference shares no compiled kernel with the summed call; the unit is
+    # one of the vectors, so unit legs are both dropped and kept
+    sc = summed_algebras()[which]
+    rng = random.Random(seed)
+    vecs = (sc.unit, {k[0]: c for k, c in sparse_tensor(rng, sc, 1, 2).entries.items()})
+    groups, sums = random_summed_groups(rng, da, db, len(vecs))
+    a = sparse_tensor(rng, sc, da, na)
+    b = sparse_tensor(rng, sc, db, nb)
+    got = merge_pair(sc, a, b, groups, vecs, sums)
+    want = _slice_products_reference(sc, a, b, groups, vecs, sums, _merge_pair_plan_reference)
+    assert got == want and got.degree == len(groups), (groups, sums)
+
+
+def test_merge_pair_refuses_a_summed_leg_used_twice():
+    sc = matrix_units_algebra()
+    a, b = sparse_tensor(random.Random(1), sc, 2, 4), sparse_tensor(random.Random(2), sc, 2, 4)
+    groups = ((("a", 1), ("b", 1)),)
+    assert merge_pair(sc, a, b, groups, sums=((0, 0),)) == \
+        _slice_products_reference(sc, a, b, groups)
+    for bad_groups, sums in [
+        (((("a", 0), ("b", 1)), (("a", 1),)), ((0, 0),)),  # a's leg 0 in a group and in sums
+        (((("a", 1), ("b", 0)),), ((0, 0), (0, 1))),  # a's leg 0 twice in sums
+        (((("a", 1), ("b", 1)),), ((0, 0), (0, 0))),  # one pair twice
+        (((("a", 1),),), ((0, 0), (2, 1))),  # a leg that a does not have
+    ]:
+        with pytest.raises(AlgebraError, match="exactly once"):
+            merge_pair(sc, a, b, bad_groups, sums=sums)
 
 
 def test_blocks_hold_every_cell_and_are_complete_for_built_algebras():

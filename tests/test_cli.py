@@ -674,11 +674,29 @@ def test_plans_compiled_per_run(monkeypatch):
     # that adds plans to these runs shows here
     from qhd import algebra
 
-    for source, suites, plans in (("zn:8:1", ("axioms", "twist", "lemma41"), 21),
+    for source, suites, plans in (("zn:8:1", ("axioms", "twist", "lemma41"), 22),
                                   ("zn:10:1", ("heisenberg", "theorems", "section5"), 21)):
         monkeypatch.setattr(algebra, "_KERNELS", {})
         assert run_spec(source, suites).exit_code == 0
         assert len(algebra._KERNELS) == plans, (source, suites)
+
+
+def test_merge_pair_calls_per_run(monkeypatch):
+    # the runs of test_plans_compiled_per_run: each Sweedler sum over the
+    # slices of an associator leg is one merge_pair summed over that leg, so
+    # a sum taken one slice at a time again shows here as many more calls
+    from qhd import algebra, heisenberg, quasihopf
+
+    calls = []
+    real = algebra.merge_pair
+    for module in (algebra, heisenberg, quasihopf):
+        monkeypatch.setattr(module, "merge_pair",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    for source, suites, count in (("zn:8:1", ("axioms", "twist", "lemma41"), 129),
+                                  ("zn:10:1", ("heisenberg", "theorems", "section5"), 54)):
+        calls.clear()
+        assert run_spec(source, suites).exit_code == 0
+        assert len(calls) == count, (source, suites)
 
 
 @pytest.mark.parametrize("example", ["trivial:4", "v4:3", "zn:4:1"])

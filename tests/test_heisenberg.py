@@ -444,7 +444,8 @@ def _random_case(rng):
 
 
 # the seeds whose single draw of _random_case gives two consistent systems of
-# which exactly one has full rank, so the probe solves the stacked system
+# which exactly one has full rank, so the probe checks that one's solution
+# against the other's pivot rows
 _ONE_FULL_RANK_SEEDS = (6, 21, 49, 65)
 
 
@@ -463,7 +464,8 @@ def test_probe_matches_independent_reference_on_random_algebras():
 
 
 def test_probe_matches_reference_where_only_one_consistent_system_has_full_rank():
-    # the branch that stacks one side's pivot rows on the other's unit rows
+    # the branch that checks the full-rank side's solution against the other
+    # side's pivot rows
     for seed in _ONE_FULL_RANK_SEEDS:
         ha, x = _random_case(random.Random(seed))
         order = ha.order
@@ -506,8 +508,10 @@ def test_probe_skips_the_stacked_solve_only_at_full_rank(monkeypatch):
 
 
 def test_probe_stacks_the_reductions_it_made(monkeypatch):
-    # where the stacked system is solved, each one-sided system is generated
-    # and reduced once, and the stacked solve is the third elimination
+    # each one-sided system is generated and reduced once; where one side has
+    # full rank its solution is checked against the other side's pivot rows
+    # with no elimination, and only where neither has full rank (the a, b
+    # algebra) is the stacked solve a third elimination
     import qhd.heisenberg as heisenberg
 
     calls = []
@@ -516,12 +520,17 @@ def test_probe_stacks_the_reductions_it_made(monkeypatch):
         for module in (algebra, heisenberg):
             monkeypatch.setattr(module, name,
                                 lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    cases = [_random_case(random.Random(seed)) for seed in _ONE_FULL_RANK_SEEDS] + [_a_b_case()]
-    for ha, x in cases:
+    cases = [(*_random_case(random.Random(seed)), 2) for seed in _ONE_FULL_RANK_SEEDS]
+    statuses = []
+    for ha, x, eliminations in cases + [(*_a_b_case(), 3)]:
         calls.clear()
         got = probe_invertibility(ha, x)
-        assert (calls.count("multiplication_system"), calls.count("_reduce_system")) == (2, 3)
+        assert (calls.count("multiplication_system"), calls.count("_reduce_system")) == \
+            (2, eliminations)
         assert got == _probe_reference(ha, x), ha.dim
+        statuses.append(got.status)
+    # the full-rank solution solves the other side's rows on two seeds and not on two
+    assert statuses == ["one_sided_both", "two_sided"] * 2 + ["two_sided"], statuses
 
 
 # -- probe rows against the per-basis products they replaced --------------------

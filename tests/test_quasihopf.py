@@ -36,8 +36,9 @@ from qhd.quasihopf import (
     _family,
     _mirror,
     _opposite,
+    _pL_expansion,
     _reversed,
-    _sum_slices,
+    _U_expansion,
     antipode_legs,
     check_lemma41,
     check_qp_identities,
@@ -850,6 +851,16 @@ def _sides_211_reference(H, D):
     return lhs, rhs
 
 
+def _sum_slices(H, degree, terms):
+    """The sum of the tensors of the given degree that terms yields."""
+    out = {}
+    for t in terms:
+        for k, c in t.entries.items():
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
+    return SparseTensor(H.dim, degree, H.order, out)
+
+
 def _sides_212_reference(H, D):
     sc, cop = H.mult, H.coproduct
     Sinv = H.antipode_inverse()
@@ -891,6 +902,47 @@ def _sides_45_reference(H, D):
                  split_leg(cop, multiply(sc, Vt, cop.of_vec(S.cols[i3])), 2))
         for i3, phi12 in slice_leg(H.associator, 3).items()))
     return lhs_45, rhs_45
+
+
+def _sides_213_reference(H, D):
+    """2.13's right side as the loop _pL_expansion replaced: one slice of phi
+    at a time, by x3."""
+    sc, cop, Sinv = H.mult, H.coproduct, H.antipode_inverse()
+    pg = multiply(sc, split_leg(cop, D.pL, 1),
+                  Placement(antipode_legs(Sinv, D.twist_inv), (1, 2), 3))
+    return _sum_slices(H, 3, (
+        multiply(sc, multiply(sc, split_leg(cop, cop.of_vec(H.basis_vec(i3)), 1), pg),
+                 Placement(antipode_legs(Sinv, phi12), (1, 2), 3))
+        for i3, phi12 in slice_leg(H.associator, 3).items()))
+
+
+def _sides_44_reference(H, D):
+    """4.4's right side as the loop _U_expansion replaced: one slice of phi at
+    a time, by x1."""
+    sc, cop, S = H.mult, H.coproduct, H.antipode
+    return _sum_slices(H, 3, (
+        multiply(sc, split_leg(cop, multiply(sc, cop.of_vec(S.cols[i1]), D.U), 1),
+                 Placement(phi23, (1, 2), 3))
+        for i1, phi23 in slice_leg(H.associator, 1).items()))
+
+
+def test_expansions_match_the_former_slice_loops():
+    # 2.13 and 4.4 summed over x3 and x1 in one merge_pair each, against the
+    # loops over the slices of phi, on every single change of four bases
+    # (with the base's D) and on kS3^F
+    H_F, D_F = _kS3F()
+    cases = [("kS3^F", H_F, D_F)]
+    for base, H0 in _change_bases():
+        D0 = derive_elements(H0)
+        cases += [((base, change), H, D0) for change, H in _one_change_each(H0)]
+    failed = set()
+    for where, H, D in cases:
+        sides = {"2.13": _pL_expansion(H, D.pL, D.twist_inv), "4.4": _U_expansion(H, D.U)}
+        assert sides["2.13"][1] == _sides_213_reference(H, D), where
+        assert sides["4.4"][1] == _sides_44_reference(H, D), where
+        assert sides["2.13"][1].entries and sides["4.4"][1].entries, where
+        failed.update(label for label, (lhs, rhs) in sides.items() if lhs != rhs)
+    assert failed == {"2.13", "4.4"}, failed
 
 
 @functools.cache
