@@ -20,6 +20,7 @@ from .algebra import (
     SingularMapError,
     SparseTensor,
     StructureConstants,
+    _diagonal,
     _owned,
     apply_leg,
     counit_leg,
@@ -71,14 +72,6 @@ class QuasiHopfAlgebra:
     def vec1(self, v: dict) -> SparseTensor:
         return vec_tensor(self.dim, self.order, v)
 
-    def eps_scalar(self, v: dict) -> CycScalar:
-        acc = CycScalar.zero(self.order)
-        for i, c in v.items():
-            e = self.counit.get(i)
-            if e is not None:
-                acc = acc + c * e
-        return acc
-
     def antipode_inverse(self) -> LinearMap:
         if self.antipode_inv is None:
             try:
@@ -107,7 +100,8 @@ def check_quasi_bialgebra(H: QuasiHopfAlgebra, rec: Recorder | None = None) -> R
     """Structural checks plus the four defining identities 2.1-2.4.
 
     Includes the two counit consequences for the associator, checked
-    directly rather than derived.
+    directly rather than derived.  Each algebra-map law is one pair read
+    off the product tensor, keys (i, j, ...), then its pair at the unit.
     """
     rec = rec or Recorder()
     sc, cop = H.mult, H.coproduct
@@ -119,26 +113,21 @@ def check_quasi_bialgebra(H: QuasiHopfAlgebra, rec: Recorder | None = None) -> R
     rec.bool_check("unit", "stored unit is a two-sided unit",
                    not sc.unit_failures())
 
-    def delta_map_pairs():
-        for i in range(H.dim):
-            di = cop.of_vec(H.basis_vec(i))
-            for j in range(H.dim):
-                lhs = cop.of_vec(sc.vec_mult(H.basis_vec(i), H.basis_vec(j)))
-                rhs = multiply(sc, di, cop.of_vec(H.basis_vec(j)))
-                yield (i, j), lhs, rhs
-        yield ("unit",), cop.of_vec(H.unit_vec()), H.mult.unit_tensor(2)
+    P, diag, unit1 = sc.product_tensor(), _diagonal(H), H.vec1(H.unit_vec())
+    # Delta(e_i e_j) against Delta(e_i) Delta(e_j)
+    d = split_leg(cop, diag, 2)
+    rec.family_check("coproduct-map", "coproduct is an algebra map", [
+        ((), split_leg(cop, P, 3), merge_pair(sc, d, d, groups=(
+            (("a", 0),), (("b", 0),), (("a", 1), ("b", 1)), (("a", 2), ("b", 2))))),
+        (("unit",), cop.of_vec(H.unit_vec()), H.mult.unit_tensor(2))])
 
-    rec.family_check("coproduct-map", "coproduct is an algebra map", delta_map_pairs())
-
-    def counit_map_pairs():
-        for i in range(H.dim):
-            for j in range(H.dim):
-                lhs = H.eps_scalar(sc.vec_mult(H.basis_vec(i), H.basis_vec(j)))
-                rhs = H.eps_scalar(H.basis_vec(i)) * H.eps_scalar(H.basis_vec(j))
-                yield (i, j), _scalar1(H, lhs), _scalar1(H, rhs)
-        yield ("unit",), _scalar1(H, H.eps_scalar(H.unit_vec())), _scalar1(H, H.one())
-
-    rec.family_check("counit-map", "counit is an algebra map", counit_map_pairs())
+    # eps(e_i e_j) against eps(e_i) eps(e_j), each on a last leg at e_0
+    eps0 = LinearMap(H.dim, H.order, [{0: H.counit[i]} if i in H.counit else {}
+                                      for i in range(H.dim)])
+    e0, eps = H.vec1(H.basis_vec(0)), H.vec1(H.counit)
+    rec.family_check("counit-map", "counit is an algebra map", [
+        ((), apply_leg(eps0, P, 3), tensor_product(eps, eps, e0)),
+        (("unit",), apply_leg(eps0, unit1, 1), e0)])
 
     rec.tensor_check("associator-inverse", "associator times its inverse is the unit tensor",
                      multiply(sc, phi, phiinv), one3)
@@ -146,20 +135,16 @@ def check_quasi_bialgebra(H: QuasiHopfAlgebra, rec: Recorder | None = None) -> R
                      multiply(sc, phiinv, phi), one3)
 
     # families over h = e_i on the first leg
-    diag = _diagonal(H)
     # (id x Delta)Delta(h) against phi (Delta x id)Delta(h) phi^-1
     rhs = merge_pair(sc, phi, map_legs(diag, (cop, 2), (cop, 2)), groups=(
         (("b", 0),), (("a", 0), ("b", 1)), (("a", 1), ("b", 2)), (("a", 2), ("b", 3))))
     rhs = merge_pair(sc, rhs, phiinv, groups=(
         (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)), (("a", 3), ("b", 2))))
-    rec.family_check("2.1", "coassociativity up to conjugation by the associator",
-                     _family(map_legs(diag, (cop, 2), (cop, 3)), rhs))
+    rec.tensor_check("2.1", "coassociativity up to conjugation by the associator",
+                     map_legs(diag, (cop, 2), (cop, 3)), rhs)
 
-    d = split_leg(cop, diag, 2)
-    right = _family(counit_leg(H.counit, d, 3), diag, "right")
-    left = _family(counit_leg(H.counit, d, 2), diag, "left")
-    rec.family_check("2.2", "counit law for the coproduct",
-                     [p for pair in zip(right, left) for p in pair])
+    rec.family_check("2.2", "counit law for the coproduct", _family(
+        (counit_leg(H.counit, d, 3), diag, "right"), (counit_leg(H.counit, d, 2), diag, "left")))
 
     lhs_23 = multiply(
         sc,
@@ -183,34 +168,30 @@ def check_quasi_antipode(H: QuasiHopfAlgebra, rec: Recorder | None = None) -> Re
     """Anti-map structure plus identities 2.5 and 2.6."""
     rec = rec or Recorder()
     sc, cop, S = H.mult, H.coproduct, H.antipode
+    diag, unit1 = _diagonal(H), H.vec1(H.unit_vec())
 
-    def antimap_pairs():
-        for i in range(H.dim):
-            for j in range(H.dim):
-                lhs = S.apply_vec(sc.vec_mult(H.basis_vec(i), H.basis_vec(j)))
-                rhs = sc.vec_mult(S.cols[j], S.cols[i])
-                yield (i, j), H.vec1(lhs), H.vec1(rhs)
-        yield ("unit",), H.vec1(S.apply_vec(H.unit_vec())), H.vec1(H.unit_vec())
-
-    rec.family_check("antipode-antimap", "antipode is an anti-algebra map", antimap_pairs())
+    # S(e_i e_j) against S(e_j) S(e_i)
+    s = apply_leg(S, diag, 2)
+    rec.family_check("antipode-antimap", "antipode is an anti-algebra map", [
+        ((), apply_leg(S, sc.product_tensor(), 3), merge_pair(sc, s, s, groups=(
+            (("a", 0),), (("b", 0),), (("b", 1), ("a", 1))))),
+        (("unit",), apply_leg(S, unit1, 1), unit1)])
 
     # sum S(h_1) alpha h_2 and sum h_1 beta S(h_2) against eps(h) alpha and
     # eps(h) beta, as families over h = e_i on the first leg
-    d = split_leg(cop, _diagonal(H), 2)
+    d = split_leg(cop, diag, 2)
     chain = ((("a", 0),), (("a", 1), ("v", 0), ("a", 2)))
     eps = H.vec1(H.counit)
-    alpha = _family(_contract(H, apply_leg(S, d, 2), chain, (H.alpha,)),
-                    tensor_product(eps, H.vec1(H.alpha)), "alpha")
-    beta = _family(_contract(H, apply_leg(S, d, 3), chain, (H.beta,)),
-                   tensor_product(eps, H.vec1(H.beta)), "beta")
-    rec.family_check("2.5", "antipode compatibility with alpha and beta",
-                     [p for pair in zip(alpha, beta) for p in pair])
+    rec.family_check("2.5", "antipode compatibility with alpha and beta", _family(
+        (_contract(H, apply_leg(S, d, 2), chain, (H.alpha,)),
+         tensor_product(eps, H.vec1(H.alpha)), "alpha"),
+        (_contract(H, apply_leg(S, d, 3), chain, (H.beta,)),
+         tensor_product(eps, H.vec1(H.beta)), "beta")))
 
     zigzag = ((("a", 0), ("v", 0), ("a", 1), ("v", 1), ("a", 2)),)
     lhs_a = _contract(H, apply_leg(S, H.associator, 2), zigzag, (H.beta, H.alpha))
     lhs_b = _contract(H, apply_leg(S, apply_leg(S, H.associator_inv, 1), 3), zigzag,
                       (H.alpha, H.beta))
-    unit1 = H.vec1(H.unit_vec())
     rec.family_check("2.6", "zig-zag normalization through the associator",
                      [(("beta-alpha",), lhs_a, unit1), (("alpha-beta",), lhs_b, unit1)])
     return rec
@@ -322,7 +303,7 @@ def check_twist_identities(H: QuasiHopfAlgebra, D: DerivedElements,
     lhs = merge_pair(sc, lhs, g, groups=(
         (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1))))
     rhs = permute_legs(map_legs(diag, (cop, 2), (S, 2), (S, 3)), (0, 2, 1))
-    rec.family_check("2.7", "twist intertwines the antipode coproduct", _family(lhs, rhs))
+    rec.tensor_check("2.7", "twist intertwines the antipode coproduct", lhs, rhs)
 
     lhs = multiply(sc, Placement(f, (2, 3), 3), split_leg(cop, f, 2))
     lhs = multiply(sc, lhs, H.associator)
@@ -345,15 +326,17 @@ def check_qp_identities(H: QuasiHopfAlgebra, D: DerivedElements,
                         rec: Recorder | None = None) -> Recorder:
     """Identities 2.10-2.13 for q_R and p_L: 2.11 and 2.12 as 2.10 and 2.13 on the mirror."""
     rec = rec or Recorder()
-    rec.family_check("2.10", "intertwining law for the right transposition element",
-                     _family(*_qR_intertwining(H, D.qR)))
-    rec.family_check("2.11", "intertwining law for the left transposition element",
-                     _family(*_reversed(_qR_intertwining(_mirror(H, phi=False, phi_inv=False),
-                                                         _reversed(D.pL)), 1)))
+    rec.tensor_check("2.10", "intertwining law for the right transposition element",
+                     *_qR_intertwining(H, D.qR))
+    rec.tensor_check("2.11", "intertwining law for the left transposition element",
+                     *_reversed(_qR_intertwining(_mirror(H, phi=False, phi_inv=False),
+                                                 _reversed(D.pL)), 1))
+    # the mirror's phi with x3 first is H's phi itself
     rec.tensor_check("2.12", "coproduct expansion of the right transposition element",
-                     *_reversed(_pL_expansion(_mirror(H), _reversed(D.qR), _reversed(D.twist))))
+                     *_reversed(_pL_expansion(_mirror(H, phi=False), _reversed(D.qR),
+                                              _reversed(D.twist), H.associator)))
     rec.tensor_check("2.13", "coproduct expansion of the left transposition element",
-                     *_pL_expansion(H, D.pL, D.twist_inv))
+                     *_pL_expansion(H, D.pL, D.twist_inv, permute_legs(H.associator, (2, 1, 0))))
     return rec
 
 
@@ -371,10 +354,10 @@ def check_lemma41(H: QuasiHopfAlgebra, D: DerivedElements,
                   rec: Recorder | None = None) -> Recorder:
     """Identities 4.2-4.5 for U and V-tilde: 4.3 and 4.5 as 4.2 and 4.4 on the mirror."""
     rec = rec or Recorder()
-    rec.family_check("4.2", "one-sided antipode slide across U", _family(*_U_slide(H, D.U)))
-    rec.family_check("4.3", "one-sided antipode slide across V-tilde",
-                     _family(*_reversed(_U_slide(_mirror(H, phi=False, phi_inv=False),
-                                                 _reversed(D.Vtilde)), 1)))
+    rec.tensor_check("4.2", "one-sided antipode slide across U", *_U_slide(H, D.U))
+    rec.tensor_check("4.3", "one-sided antipode slide across V-tilde",
+                     *_reversed(_U_slide(_mirror(H, phi=False, phi_inv=False),
+                                         _reversed(D.Vtilde)), 1))
     rec.tensor_check("4.4", "coproduct expansion of U against the associator",
                      *_U_expansion(H, D.U))
     rec.tensor_check("4.5", "coproduct expansion of V-tilde against the associator",
@@ -439,17 +422,18 @@ def _qR_intertwining(H: QuasiHopfAlgebra, qR: SparseTensor):
         (("a", 0),), (("a", 1), ("b", 0)), (("v", 0), ("b", 1))))]
 
 
-def _pL_expansion(H: QuasiHopfAlgebra, pL: SparseTensor, twist_inv: SparseTensor):
+def _pL_expansion(H: QuasiHopfAlgebra, pL: SparseTensor, twist_inv: SparseTensor,
+                  phi_x3_first: SparseTensor):
     """2.13's sides, the right one (x3, (Delta x id)Delta(x3) pg) built for
-    every x3 at once, then summed over x3 against (x3, S^-1 x2, S^-1 x1)."""
+    every x3 at once, then summed over x3 against (x3, S^-1 x2, S^-1 x1),
+    from phi_x3_first = (x3, x2, x1) over phi.  H.associator is not read."""
     sc, cop, Sinv = H.mult, H.coproduct, H.antipode_inverse()
     lhs = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, pL, 2)),
                    Placement(pL, (2, 3), 3))
     pg = multiply(sc, split_leg(cop, pL, 1), Placement(antipode_legs(Sinv, twist_inv), (1, 2), 3))
     d = merge_pair(sc, map_legs(_diagonal(H), (cop, 2), (cop, 2)), pg, groups=(
         (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)), (("a", 3), ("b", 2))))
-    return [lhs, _slice_products(H, d, map_legs(permute_legs(H.associator, (2, 1, 0)),
-                                                (Sinv, 2), (Sinv, 3)))]
+    return [lhs, _slice_products(H, d, map_legs(phi_x3_first, (Sinv, 2), (Sinv, 3)))]
 
 
 def _U_slide(H: QuasiHopfAlgebra, U: SparseTensor):
@@ -503,18 +487,9 @@ def _contract(H: QuasiHopfAlgebra, t: SparseTensor, groups, vecs=()) -> SparseTe
     return merge_pair(H.mult, t, SparseTensor(H.dim, 0, H.order, {(): H.one()}), groups, vecs)
 
 
-def _diagonal(H: QuasiHopfAlgebra) -> SparseTensor:
-    """sum_i e_i (x) e_i, the leg that carries the basis index of a family;
-    built literally, as (id x eps)Delta would assume 2.2."""
-    return SparseTensor(H.dim, 2, H.order, {(i, i): H.one() for i in range(H.dim)})
-
-
-def _family(lhs: SparseTensor, rhs: SparseTensor, *tag) -> list:
-    """((i, *tag), lhs_i, rhs_i) per basis index i: slices along the first leg."""
-    ls, rs = slice_leg(lhs, 1), slice_leg(rhs, 1)
-    zero = SparseTensor(lhs.dim, lhs.degree - 1, lhs.order, {})
-    return [((i,) + tag, ls.get(i, zero), rs.get(i, zero)) for i in range(lhs.dim)]
-
-
-def _scalar1(H: QuasiHopfAlgebra, c: CycScalar) -> SparseTensor:
-    return SparseTensor(1, 1, H.order, {(0,): c})
+def _family(*sides) -> list:
+    """((i, tag), lhs_i, rhs_i) per index i, then per (lhs, rhs, tag) side: first-leg slices."""
+    sliced = [(slice_leg(lhs, 1), slice_leg(rhs, 1), tag, SparseTensor(
+        lhs.dim, lhs.degree - 1, lhs.order, {})) for lhs, rhs, tag in sides]
+    return [((i, tag), ls.get(i, zero), rs.get(i, zero))
+            for i in range(sides[0][0].dim) for ls, rs, tag, zero in sliced]

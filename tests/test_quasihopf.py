@@ -33,7 +33,6 @@ from qhd.quasihopf import (
     QuasiHopfAlgebra,
     _contract,
     _diagonal,
-    _family,
     _mirror,
     _opposite,
     _pL_expansion,
@@ -405,6 +404,59 @@ def _qR_pL_reference(H):
     return qR, pL
 
 
+def _pairs_coproduct_map_reference(H, D):
+    sc, cop = H.mult, H.coproduct
+    for i in range(H.dim):
+        di = cop.of_vec(H.basis_vec(i))
+        for j in range(H.dim):
+            lhs = cop.of_vec(sc.vec_mult(H.basis_vec(i), H.basis_vec(j)))
+            rhs = multiply(sc, di, cop.of_vec(H.basis_vec(j)))
+            yield (i, j), lhs, rhs
+    yield ("unit",), cop.of_vec(H.unit_vec()), H.mult.unit_tensor(2)
+
+
+def _pairs_counit_map_reference(H, D):
+    zero = CycScalar.zero(H.order)
+
+    def eps(v):
+        return sum((c * H.counit.get(i, zero) for i, c in v.items()), zero)
+
+    def scalar1(c):
+        return SparseTensor(1, 1, H.order, {(0,): c})
+
+    for i in range(H.dim):
+        for j in range(H.dim):
+            lhs = eps(H.mult.vec_mult(H.basis_vec(i), H.basis_vec(j)))
+            rhs = eps(H.basis_vec(i)) * eps(H.basis_vec(j))
+            yield (i, j), scalar1(lhs), scalar1(rhs)
+    yield ("unit",), scalar1(eps(H.unit_vec())), scalar1(H.one())
+
+
+def _pairs_antimap_reference(H, D):
+    sc, S = H.mult, H.antipode
+    for i in range(H.dim):
+        for j in range(H.dim):
+            lhs = S.apply_vec(sc.vec_mult(H.basis_vec(i), H.basis_vec(j)))
+            rhs = sc.vec_mult(S.cols[j], S.cols[i])
+            yield (i, j), H.vec1(lhs), H.vec1(rhs)
+    yield ("unit",), H.vec1(S.apply_vec(H.unit_vec())), H.vec1(H.unit_vec())
+
+
+def _associative_reference(sc):
+    """The violating (i, j, k) triples of sc, one vec_mult triple at a time."""
+    bad = []
+    one = CycScalar.one(sc.order)
+    for i in range(sc.dim):
+        ei = {i: one}
+        for j in range(sc.dim):
+            ij = sc.vec_mult(ei, {j: one})
+            for k in range(sc.dim):
+                ek = {k: one}
+                if sc.vec_mult(ij, ek) != sc.vec_mult(ei, sc.vec_mult({j: one}, ek)):
+                    bad.append((i, j, k))
+    return bad
+
+
 def _pairs_21_reference(H, D):
     sc, cop = H.mult, H.coproduct
     phi, phiinv = H.associator, H.associator_inv
@@ -435,7 +487,7 @@ def _pairs_27_reference(H, D):
 def _pairs_25_reference(H, D):
     sc, cop, S = H.mult, H.coproduct, H.antipode
     for i in range(H.dim):
-        eps = H.eps_scalar(H.basis_vec(i))
+        eps = H.counit.get(i, CycScalar.zero(H.order))
         lhs_l: dict = {}
         lhs_r: dict = {}
         for (j, k), c in cop.of_basis(i):
@@ -519,24 +571,41 @@ def _pairs_43_reference(H, D):
 
 class ReferenceFamilies(Recorder):
     """Records each rewritten family from the per-term loops instead of the
-    pairs the checker hands over; every other check is recorded as given."""
+    pairs or the whole tensors the checker hands over, and `assoc` from the
+    per-triple loop; every other check is recorded as given."""
 
-    LOOPS = {"2.1": _pairs_21_reference, "2.2": _pairs_22_reference,
+    LOOPS = {"coproduct-map": _pairs_coproduct_map_reference,
+             "counit-map": _pairs_counit_map_reference,
+             "antipode-antimap": _pairs_antimap_reference,
+             "2.1": _pairs_21_reference, "2.2": _pairs_22_reference,
              "2.7": _pairs_27_reference,
              "2.5": _pairs_25_reference, "2.6": _pairs_26_reference,
              "2.10": _pairs_210_reference, "2.11": _pairs_211_reference,
              "4.2": _pairs_42_reference, "4.3": _pairs_43_reference}
 
-    def __init__(self, H, D):
-        super().__init__(float_check=True)
+    def __init__(self, H, D, float_check=True, labels=None):
+        """labels: the LOOPS keys to replace, all of them by default."""
+        super().__init__(float_check=float_check)
         self.H, self.D = H, D
+        self.loops = {k: self.LOOPS[k] for k in labels or self.LOOPS}
         self.replaced = []
 
     def family_check(self, label, name, triples):
-        if label in self.LOOPS:
+        if label in self.loops:
             self.replaced.append(label)
-            triples = self.LOOPS[label](self.H, self.D)
+            triples = self.loops[label](self.H, self.D)
         return super().family_check(label, name, triples)
+
+    def tensor_check(self, label, name, lhs, rhs, detail=""):
+        if label in self.loops:  # the loop's triples replace the two whole tensors
+            return self.family_check(label, name, ())
+        return super().tensor_check(label, name, lhs, rhs, detail)
+
+    def bool_check(self, label, name, ok, detail=""):
+        if label == "assoc":
+            self.replaced.append(label)
+            ok = not _associative_reference(self.H.mult)
+        return super().bool_check(label, name, ok, detail)
 
 
 def _one_change_each(H):
@@ -605,12 +674,114 @@ def test_sweedler_contractions_match_per_term_loops():
                 check_twist_identities(H, d, rec)
                 check_qp_identities(H, d, rec)
                 check_lemma41(H, d, rec)
-            assert sorted(want.replaced) == sorted(ReferenceFamilies.LOOPS), where
+            assert sorted(want.replaced) == sorted([*ReferenceFamilies.LOOPS, "assoc"]), where
             assert [dataclasses.asdict(i) for i in got.items] == \
                 [dataclasses.asdict(i) for i in want.items], where
             failed.update(i.label for i in got.items if i.status == "fail")
     # the changed inputs reach every rewritten family with a failing report
-    assert set(ReferenceFamilies.LOOPS) <= failed, failed
+    # but counit-map, which only a change to the product or the counit
+    # reaches (see test_algebra_map_laws_match_per_pair_loops)
+    assert set(ReferenceFamilies.LOOPS) - {"counit-map"} <= failed, failed
+
+
+def _table_changes(H):
+    """Four copies of H, each with one change to its product, counit or unit:
+    a cell of two distinct basis elements given one more term, a cell that
+    lists its first index twice (so e_1 e_1 holds twice that term), the
+    counit at e_1 and the unit at e_1 each raised by one."""
+    one = H.one()
+    table = dict(H.mult.table)
+    table[(1, 2)] = (*table.get((1, 2), ()), (0, one))
+    repeated = dict(H.mult.table)
+    first, *rest = repeated[(1, 1)]
+    repeated[(1, 1)] = (first, first, *rest)
+
+    def plus_one(v):
+        return {**v, 1: v.get(1, CycScalar.zero(H.order)) + one}
+
+    return [("product cell", dataclasses.replace(
+                H, mult=StructureConstants(H.dim, H.order, table, H.mult.unit))),
+            ("repeated index", dataclasses.replace(
+                H, mult=StructureConstants(H.dim, H.order, repeated, H.mult.unit))),
+            ("counit", dataclasses.replace(H, counit=plus_one(H.counit))),
+            ("unit", dataclasses.replace(
+                H, mult=StructureConstants(H.dim, H.order, H.mult.table, plus_one(H.mult.unit))))]
+
+
+class CallLog(Recorder):
+    """Keeps every check call in order, to be replayed into other recorders,
+    and compares nothing."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def tensor_check(self, *args):
+        self.calls.append(("tensor_check", args))
+
+    def family_check(self, label, name, triples):
+        self.calls.append(("family_check", (label, name, list(triples))))
+
+    def bool_check(self, *args):
+        self.calls.append(("bool_check", args))
+
+    def replay(self, rec):
+        for method, args in self.calls:
+            getattr(rec, method)(*args)
+        return rec
+
+
+def test_algebra_map_laws_match_per_pair_loops():
+    # the axiom suites against the per-pair loops of the algebra-map laws and
+    # the per-triple loop of assoc, on every single change of five bases,
+    # exact and in floats; the suites run once per input, their calls are
+    # replayed into each recorder
+    laws = ("coproduct-map", "counit-map", "antipode-antimap")
+    bases = _change_bases() + [("kS3^F", _kS3F()[0])]
+    failed, runs = set(), 0
+    for base, H0 in bases:
+        for change, H in _one_change_each(H0) + _table_changes(H0):
+            log = CallLog()
+            check_quasi_bialgebra(H, log)
+            check_quasi_antipode(H, log)
+            for float_check in (False, True):
+                where = (base, change, float_check)
+                got = log.replay(Recorder(float_check=float_check))
+                want = log.replay(ReferenceFamilies(H, None, float_check, laws))
+                assert sorted(want.replaced) == sorted(["assoc", *laws]), where
+                assert [dataclasses.asdict(i) for i in got.items] == \
+                    [dataclasses.asdict(i) for i in want.items], where
+                failed.update((change, i.label) for i in got.items if i.status == "fail")
+                runs += 1
+    assert runs == 110
+    # each law fails on some change, the repeated index among them
+    for label in ("assoc", *laws):
+        assert any(lab == label for _, lab in failed), label
+    assert ("repeated index", "counit-map") in failed
+
+
+def test_check_associative_matches_the_per_triple_loop():
+    # two contractions of the product tensor against the per-triple loop, on
+    # kωG and both its doubles, kS3^F (whose dim-36 doubles take each side
+    # about 30 s), two tables with a nonassociative cell added, one of them
+    # listing an index twice, and two test tables
+    from test_algebra import matrix_units_algebra, partial_algebra
+
+    from qhd.heisenberg import build_H1, build_H1_dual
+
+    cases = []
+    for where, H in _change_bases()[:2]:
+        cases += [((where, "H1"), build_H1(H).sc), ((where, "H1*"), build_H1_dual(H).sc)]
+    for where, H in _change_bases()[:2] + [("kS3^F", _kS3F()[0])]:
+        cases += [(where, H.mult)] + [((where, change), H.mult)
+                                      for change, H in _table_changes(H)[:2]]
+    cases += [("partial", partial_algebra()), ("matrix units", matrix_units_algebra())]
+    verdicts = set()
+    for where, sc in cases:
+        bad = sc.check_associative()
+        assert bad == _associative_reference(sc), where
+        verdicts.add(bool(bad))
+    assert verdicts == {True, False}
 
 
 def _twist_candidates_reference(H: QuasiHopfAlgebra):
@@ -937,7 +1108,9 @@ def test_expansions_match_the_former_slice_loops():
         cases += [((base, change), H, D0) for change, H in _one_change_each(H0)]
     failed = set()
     for where, H, D in cases:
-        sides = {"2.13": _pL_expansion(H, D.pL, D.twist_inv), "4.4": _U_expansion(H, D.U)}
+        sides = {"2.13": _pL_expansion(H, D.pL, D.twist_inv,
+                                       permute_legs(H.associator, (2, 1, 0))),
+                 "4.4": _U_expansion(H, D.U)}
         assert sides["2.13"][1] == _sides_213_reference(H, D), where
         assert sides["4.4"][1] == _sides_44_reference(H, D), where
         assert sides["2.13"][1].entries and sides["4.4"][1].entries, where
@@ -975,9 +1148,9 @@ def test_mirrored_halves_match_the_former_hand_written_ones():
                 rec = CapturingRecorder()
                 check_qp_identities(H, d, rec)
                 check_lemma41(H, d, rec)
-                assert rec.sides["2.11"] == _family(*_sides_211_reference(H, d)), where
+                assert rec.sides["2.11"] == _sides_211_reference(H, d), where
                 assert rec.sides["2.12"] == _sides_212_reference(H, d), where
-                assert rec.sides["4.3"] == _family(*_sides_43_reference(H, d)), where
+                assert rec.sides["4.3"] == _sides_43_reference(H, d), where
                 assert rec.sides["4.5"] == _sides_45_reference(H, d), where
                 runs += 1
                 failed.update(failing(rec))
@@ -1054,3 +1227,25 @@ def test_mirror_inverts_no_antipode_that_H_does_not(monkeypatch):
         assert check_lemma41(fresh, D).ok and not inverted
     assert check_qp_identities(dataclasses.replace(H, antipode_inv=None), D).ok
     assert len(inverted) == 1
+
+
+def test_qp_identities_pass_over_phi_no_more_than_they_need(monkeypatch):
+    # 2.12 reads H's phi as it stands: the mirror's phi with x3 first is H's
+    # phi, so the mirror reverses only phi^-1 and nothing permutes phi back
+    import qhd.quasihopf as quasihopf
+
+    H = build_k_omega_G(cyclic_cocycle(3, 1))
+    D = derive_elements(H)
+    passes = []
+    for name in ("permute_legs", "_reversed"):
+        real = getattr(quasihopf, name)
+
+        def counting(t, *args, real=real, name=name):
+            if isinstance(t, SparseTensor):
+                passes.append((name, t.degree))
+            return real(t, *args)
+
+        monkeypatch.setattr(quasihopf, name, counting)
+    assert check_qp_identities(H, D).ok
+    assert passes.count(("permute_legs", 3)) == 1  # 2.13's phi, x3 first
+    assert len(passes) == 11
