@@ -6,6 +6,7 @@ from .scalar import CycScalar, cyclotomic_polynomial, root_of_unity
 from .algebra import (
     Coproduct,
     LinearMap,
+    Mapped,
     Placement,
     SparseTensor,
     StructureConstants,

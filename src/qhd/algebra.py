@@ -12,9 +12,12 @@ Placement, a tensor on some legs with the unit on the others, whose unit
 legs enter merge_pair as the vector sc.unit instead of being built.  On a
 table whose stored unit is two-sided merge_pair drops that vector from its
 group, so a unit leg passes the other factor's index through; on any other
-table it is multiplied in.  The loop of merge_pair over candidate entry
-pairs is Python source generated for the call's plan and compiled once per
-plan signature (see _compile_kernel).
+table it is multiplied in.  A factor of merge_pair or multiply may be a
+Mapped, a tensor with leg maps (S, S^-1, Delta) applied, map_legs(t, ...),
+whose images the kernel reads entry by entry instead of the built tensor.
+The loop of merge_pair over candidate entry pairs is Python source
+generated for the call's plan and compiled once per plan signature (see
+_compile_kernel).
 
 Every CycScalar is interned (see scalar.py), so a table, coproduct or map
 coefficient equal to one is CycScalar.one(order) itself, and the tensor
@@ -274,14 +277,6 @@ class LinearMap:
         one = CycScalar.one(order)
         return LinearMap(dim, order, tuple({i: one} for i in range(dim)))
 
-    def apply_vec(self, v: dict) -> dict:
-        out: dict = {}
-        for j, c in v.items():
-            for i, m in self.cols[j].items():
-                prev = out.get(i)
-                out[i] = c * m if prev is None else prev + c * m
-        return _prune(out)
-
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
@@ -495,18 +490,23 @@ def multiply(sc: StructureConstants, x, y) -> SparseTensor:
     stored unit fails the unit law (a group of at most two factors is exact,
     see merge_pair).  Where the unit is two-sided, merge_pair drops the
     factor, so a unit leg costs no product; a product of two full tensors
-    holds no unit factor and never computes the unit law."""
+    holds no unit factor and never computes the unit law.
+
+    Either factor, or the tensor of a Placement, may be a Mapped.  A Mapped
+    y beside an x that is not one is merge_pair's a side, where its images
+    cost least, with each group still x's leg times y's."""
     (xt, xlegs, d), (yt, ylegs, dy) = _placed(x), _placed(y)
     if (xt.dim, d, xt.order) != (yt.dim, dy, yt.order):
         raise AlgebraError(f"tensor mismatch: dim {xt.dim}/{yt.dim}, "
                            f"degree {d}/{dy}, order {xt.order}/{yt.order}")
     if xt.dim != sc.dim:
         raise AlgebraError("tensor dimension does not match the algebra")
-    on_a = {p: ("a", i) for i, p in enumerate(xlegs)}
-    on_b = {p: ("b", i) for i, p in enumerate(ylegs)}
+    swap = isinstance(yt, Mapped) and not isinstance(xt, Mapped)
+    on_x = {p: ("b" if swap else "a", i) for i, p in enumerate(xlegs)}
+    on_y = {p: ("a" if swap else "b", i) for i, p in enumerate(ylegs)}
     unit = ("v", 0)
-    return merge_pair(sc, xt, yt, tuple((on_a.get(p, unit), on_b.get(p, unit))
-                                        for p in range(1, d + 1)), (sc.unit,))
+    groups = tuple((on_x.get(p, unit), on_y.get(p, unit)) for p in range(1, d + 1))
+    return merge_pair(sc, *((yt, xt) if swap else (xt, yt)), groups, (sc.unit,))
 
 
 def _placed(x) -> tuple:
@@ -643,45 +643,67 @@ def leg_embed(t: SparseTensor, legs, d: int, unit: dict) -> SparseTensor:
     return _owned(t.dim, d, t.order, out)
 
 
+def _leg_steps(t: SparseTensor, steps) -> list:
+    """map_legs' steps (m, leg) as _map_leg's (leg, images, grow), each map
+    checked against t's space."""
+    if not steps:
+        raise AlgebraError("leg maps need at least one step")
+    for m, _ in steps:
+        _check_space(m.dim, m.order, t)
+    return [(leg, m.table, 1) if isinstance(m, Coproduct) else (leg, m.images, 0)
+            for m, leg in steps]
+
+
+def _composed(degree: int, steps) -> list:
+    """The steps (leg, images, grow) composed per leg of a tensor of the given
+    degree: [(o, grow, leg_steps)] over the legs o (0-based) that a step
+    acts on, in order, where grow is how many legs o gains in all and
+    leg_steps lists the steps that act on what o became, each as (offset
+    in o's segment of the output key, images)."""
+    origin = list(range(degree))  # the leg of t that each current leg came from
+    on_leg: dict[int, list] = {}
+    for leg, images, grow in steps:
+        o = origin[leg - 1]
+        on_leg.setdefault(o, []).append((leg - 1 - origin.index(o), images))
+        origin[leg - 1 : leg] = [o] * (grow + 1)
+    return [(o, origin.count(o) - 1, on_leg[o]) for o in sorted(on_leg)]
+
+
+def _segments(leg_steps, i, one) -> list:
+    """The images of index i on one leg under its composed steps (see
+    _composed): (segment of the output key, coeff) pairs."""
+    (_, images), *rest = leg_steps  # the first step on a leg has offset 0
+    segs = images.get(i, ())
+    for q, images in rest:
+        segs = [(s[:q] + sub + s[q + 1 :], cs if c is one else (c if cs is one else c * cs))
+                for s, c in segs for sub, cs in images.get(s[q], ())]
+    return segs
+
+
 def _map_leg(t: SparseTensor, steps) -> SparseTensor:
     """Apply leg maps to t in one pass over its entries.
 
     Each step (leg, images, grow) replaces the index on one leg (1-based, of
     the tensor the earlier steps leave) by each key tuple of its image
     {index: ((key tuple, coeff), ...)}; the tuples have grow + 1 entries.
-    The steps are composed per leg of t: the steps that act on what leg o
-    became map an index i on leg o to a short list of (segment of the output
-    key, coeff), worked out the first time i meets leg o.  Each entry then
-    yields its output terms directly, with no intermediate tensor built or
-    pruned; by linearity the sums are those of the steps one at a time.
+    The steps are composed per leg of t (_composed): an index i on leg o
+    maps to a short list of (segment of the output key, coeff), worked out
+    the first time i meets leg o (_segments).  Each entry then yields its
+    output terms directly, with no intermediate tensor built or pruned; by
+    linearity the sums are those of the steps one at a time.
     """
     one = CycScalar.one(t.order)
-    origin = list(range(t.degree))  # the leg of t that each current leg came from
-    on_leg: dict[int, list] = {}  # leg of t -> its steps: (offset in its segment, images)
-    for leg, images, grow in steps:
-        o = origin[leg - 1]
-        on_leg.setdefault(o, []).append((leg - 1 - origin.index(o), images))
-        origin[leg - 1 : leg] = [o] * (grow + 1)
-
-    def segments(leg_steps, i):
-        (_, images), *rest = leg_steps  # the first step on a leg has offset 0
-        segs = images.get(i, ())
-        for q, images in rest:
-            segs = [(s[:q] + sub + s[q + 1 :], cs if c is one else (c if cs is one else c * cs))
-                    for s, c in segs for sub, cs in images.get(s[q], ())]
-        return segs
-
-    (o, seen, leg_steps), *others = [(o, {}, on_leg[o]) for o in sorted(on_leg)]
+    (o, seen, leg_steps), *others = [(o, {}, ls) for o, _, ls in _composed(t.degree, steps)]
     out: dict = {}
     for key, c in t.entries.items():
         im = seen.get(key[o])
         if im is None:
-            im = seen[key[o]] = segments(leg_steps, key[o])
+            im = seen[key[o]] = _segments(leg_steps, key[o], one)
         start = o + 1
         for o2, seen2, steps2 in others:  # join the segments of the other legs
             im2 = seen2.get(key[o2])
             if im2 is None:
-                im2 = seen2[key[o2]] = segments(steps2, key[o2])
+                im2 = seen2[key[o2]] = _segments(steps2, key[o2], one)
             mid = key[start:o2]
             im = [(s + mid + s2, cs2 if cs is one else (cs if cs2 is one else cs * cs2))
                   for s, cs in im for s2, cs2 in im2]
@@ -703,12 +725,31 @@ def map_legs(t: SparseTensor, *steps) -> SparseTensor:
     Each step is (m, leg): a Coproduct m splits the leg (1-based, of the
     tensor the earlier steps leave), a LinearMap m maps it.  Equal to the
     nested calls with the first step innermost, so map_legs(t, (cop, 1),
-    (S, 2)) is apply_leg(S, split_leg(cop, t, 1), 2).
+    (S, 2)) is apply_leg(S, split_leg(cop, t, 1), 2).  A result that one
+    merge_pair or multiply reads and drops is better passed to it unbuilt,
+    as Mapped(t, *steps): the contraction then reads each entry's images
+    inside its own loop.
     """
-    for m, _ in steps:
-        _check_space(m.dim, m.order, t)
-    return _map_leg(t, [(leg, m.table, 1) if isinstance(m, Coproduct) else (leg, m.images, 0)
-                        for m, leg in steps])
+    return _map_leg(t, _leg_steps(t, steps))
+
+
+class Mapped:
+    """A factor of merge_pair or multiply that is t with leg maps applied:
+    by definition the tensor map_legs(t, *steps), not built.  The
+    contraction composes the steps per leg of t once per call and loops
+    over each entry's images where it would read the built entry."""
+
+    __slots__ = ("tensor", "steps", "dim", "degree", "order")
+
+    def __init__(self, t: SparseTensor, *steps):
+        self.tensor, self.steps = t, _leg_steps(t, steps)
+        self.dim, self.order = t.dim, t.order
+        self.degree = t.degree + sum(g for _, _, g in self.steps)
+
+    @property
+    def entries(self) -> dict:
+        """The entries stored, t's, which the contraction reads."""
+        return self.tensor.entries
 
 
 def split_leg(cop: Coproduct, t: SparseTensor, leg: int) -> SparseTensor:
@@ -776,6 +817,9 @@ def _chain_pairs(table, items, one):
 def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups, vecs=(), sums=()):
     """Multiply legs of two tensors (and fixed vectors) into output legs.
 
+    Either tensor may be a Mapped, read as the map_legs tensor it stands
+    for: the kernel loops over each entry's images where it would read an
+    entry, and the shape of the view joins the plan (see _compile_kernel).
     Each group is a tuple of factor refs ('a', leg) / ('b', leg) / ('v', k),
     multiplied left to right inside the algebra; the output tensor has one
     leg per group.  A pair (a leg, b leg) in sums names two legs that must
@@ -820,7 +864,9 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
     used_b = sorted([i for g in groups for kind, i in g if kind == "b"] + [j for _, j in sums])
     if used_a != list(range(a.degree)) or used_b != list(range(b.degree)):
         raise AlgebraError("merge_pair groups and sums must use every input leg exactly once")
-    _check_space(sc.dim, sc.order, a, b)
+    one = CycScalar.one(sc.order)
+    ta, tb = (x.tensor if isinstance(x, Mapped) else x for x in (a, b))
+    _check_space(sc.dim, sc.order, ta, tb)
 
     def at(kind, i):  # position of a tensor leg in the joined key ka + kb
         return i if kind == "a" else a.degree + i
@@ -850,11 +896,27 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
                            tuple((at(*r1), at(*r2)) for r1, r2 in pairs)))
 
     sig = (a.degree, b.degree, tuple(joins), tuple(steps), tuple(cells), tuple(chains))
+    args = [ta.entries.items(), tb.entries.items(), sc.table, sc.left_block, sc.right_block,
+            one, chain_vecs, [{} for _ in chains], out := {}]
+    if ta is not a or tb is not b:  # the shapes of Mapped factors join the plan
+        shapes, images = zip(*(_shape(x, one) for x in (a, b)))
+        sig += shapes
+        args.append(images[0] + images[1])
     kernel = _KERNELS.get(sig) or _KERNELS.setdefault(sig, _compile_kernel(sig))
-    out: dict = {}
-    kernel(a.entries.items(), b.entries.items(), sc.table, sc.left_block, sc.right_block,
-           CycScalar.one(sc.order), chain_vecs, [{} for _ in chains], out)
-    return _owned(a.dim, len(groups), a.order, out)
+    kernel(*args)
+    return _owned(ta.dim, len(groups), ta.order, out)
+
+
+def _shape(x, one) -> tuple:
+    """(shape, images) of a factor of merge_pair: for a Mapped, ((leg, grow),
+    ...) over the legs of its tensor that its steps act on (see _composed)
+    and, per such leg, the images of each index 0..dim-1 (see _segments);
+    for a tensor, () and []."""
+    if not isinstance(x, Mapped):
+        return (), []
+    composed = _composed(x.tensor.degree, x.steps)
+    return (tuple((o, grow) for o, grow, _ in composed),
+            [[_segments(ls, i, one) for i in range(x.dim)] for _, _, ls in composed])
 
 
 _KERNELS: dict = {}  # plan signature -> its candidate loop, see _compile_kernel
@@ -871,23 +933,26 @@ def _leaves(x) -> list:
 def _compile_kernel(sig):
     """The candidate loop of merge_pair for one plan, run through exec.  sig
     is the plan's (degree of a, degree of b, joins, steps, cells, chains),
-    None standing for a vector factor and, in a join, for a sum; only these
-    ints, bools and None become source text.  The kernel first indexes b's
-    entries by the indices of the summed legs and the blocks of the joined
-    legs, one literal key per entry.  A candidate makes one table.get per
-    cell and one memoized fold per chain, each with an early continue; its
-    key is a tuple literal when every cell and fold has one term, else
-    _add_terms adds it."""
+    None standing for a vector factor and, in a join, for a sum, then the
+    shape ((leg, grow), ...) of a Mapped a; only these ints, bools and None
+    become source text.  The kernel first indexes b's entries by the
+    indices of the summed legs and the blocks of the joined legs, one
+    literal key per entry.  A Mapped a's entries bind the key locals of
+    their mapped legs in loops over the image lists of argument `images`.
+    A candidate makes one table.get per cell and one memoized fold per
+    chain, each with an early continue; its key is a tuple literal when
+    every cell and fold has one term, else _add_terms adds it."""
     if any(type(x) not in (int, bool, type(None)) for x in _leaves(sig)):
         raise AlgebraError(f"merge_pair kernel signature not of ints, bools, None: {sig!r}")
-    da, db, joins, steps, cells, chains = sig
+    da, db, joins, steps, cells, chains, *shapes = sig
+    a_shape, b_shape = shapes or ((), ())
     k = [f"k{p}" for p in range(da + db)]
     src = []
 
     def line(depth, text):
         src.append("    " * depth + text)
 
-    line(0, "def kernel(a_items, b_items, table, lb, rb, one, vecs, folds, out):")
+    line(0, f"def kernel(a_items, b_items, table, lb, rb, one, vecs, folds, out{', images' * bool(shapes)}):")
     line(1, "get = table.get")
     line(1, f"{_tuple_src([f'f{n}' for n in range(len(chains))])} = folds")
 
@@ -896,20 +961,58 @@ def _compile_kernel(sig):
 
     a_blocks = _tuple_src([part(k[leg], af, "lb" if af else "rb") for leg, _, af in joins])
     b_blocks = _tuple_src([part(f"kb[{leg}]", af, "rb" if af else "lb") for _, leg, af in joins])
+
+    def unmap(depth, side, shape, names, first):
+        """Binds names, the key locals of one side's entry, from its raw key
+        k{side} and coefficient s{side}: an unmapped leg directly, a mapped
+        leg o per image of its index, in image list images[first + n]; each
+        image's coefficient is folded into c{side}.  Returns the depth of the
+        innermost loop's body."""
+        grow, raw, loops = dict(shape), [], []
+        for o in range(len(names) - sum(grow.values())):
+            p = len(raw) + sum(grow[x] for x in grow if x < o)
+            raw.append(f"{side}{o}" if o in grow else names[p])
+            if o in grow:
+                loops.append((f"{side}{o}", names[p : p + grow[o] + 1]))
+        line(depth, f"{_tuple_src(raw)} = k{side}")
+        c = f"s{side}"
+        for n, (r, seg) in enumerate(loops):
+            line(depth, f"for {_tuple_src(seg)}, m in images[{first + n}][{r}]:")
+            depth += 1
+            nc = f"c{side}" if n == len(loops) - 1 else f"c{side}{n}"
+            line(depth, f"{nc} = {c} if m is one else (m if {c} is one else {c} * m)")
+            c = nc
+        return depth
+
     line(1, "index = {}")  # b's entries, in b's order, by their summed indices and joined blocks
-    line(1, "for item in b_items:")
-    line(2, "kb = item[0]")
-    line(2, f"blk = {b_blocks}")
-    line(2, "got = index.get(blk)")
-    line(2, "if got is None: index[blk] = [item]")
-    line(2, "else: got.append(item)")
-    line(1, "for ka, ca in a_items:")
-    line(2, f"{_tuple_src(k[:da])} = ka")
-    line(2, f"for kb, cb in index.get({a_blocks}, ()):")
-    line(3, f"{_tuple_src(k[da:])} = kb")
+    if b_shape:  # a Mapped b: each image of each entry is an item
+        j = [f"j{p}" for p in range(db)]
+        line(1, "for kb, sb in b_items:")
+        depth = unmap(2, "b", b_shape, j, len(a_shape))
+        line(depth, f"kb = {_tuple_src(j)}")
+        line(depth, "item = kb, cb")
+        line(depth, f"blk = {_tuple_src([part(j[leg], af, 'rb' if af else 'lb') for _, leg, af in joins])}")
+    else:
+        depth = 2
+        line(1, "for item in b_items:")
+        line(2, "kb = item[0]")
+        line(2, f"blk = {b_blocks}")
+    line(depth, "got = index.get(blk)")
+    line(depth, "if got is None: index[blk] = [item]")
+    line(depth, "else: got.append(item)")
+    if a_shape:
+        line(1, "for ka, sa in a_items:")
+        depth = unmap(2, "a", a_shape, k[:da], 0)
+    else:
+        depth = 2
+        line(1, "for ka, ca in a_items:")
+        line(2, f"{_tuple_src(k[:da])} = ka")
+    line(depth, f"for kb, cb in index.get({a_blocks}, ()):")
+    depth += 1
+    line(depth, f"{_tuple_src(k[da:])} = kb")
     for n, (p, q) in enumerate(cells):
-        line(3, f"e{n} = get(({k[p]}, {k[q]}))")
-        line(3, f"if e{n} is None: continue")
+        line(depth, f"e{n} = get(({k[p]}, {k[q]}))")
+        line(depth, f"if e{n} is None: continue")
     vec = count()
     for n, (factors, tests) in enumerate(chains):
         read = [k[x] for x in factors if x is not None]
@@ -918,24 +1021,24 @@ def _compile_kernel(sig):
         fold = f"_chain_pairs(table, {items}, one)"
         if tests:
             fold += f" if {' and '.join(f'({k[p]}, {k[q]}) in table' for p, q in tests)} else ()"
-        line(3, f"x{n} = f{n}.get({ix})")
-        line(3, f"if x{n} is None: x{n} = f{n}[{ix}] = {fold}")
-        line(3, f"if not x{n}: continue")
-    line(3, "c = cb if ca is one else (ca if cb is one else ca * cb)")
+        line(depth, f"x{n} = f{n}.get({ix})")
+        line(depth, f"if x{n} is None: x{n} = f{n}[{ix}] = {fold}")
+        line(depth, f"if not x{n}: continue")
+    line(depth, "c = cb if ca is one else (ca if cb is one else ca * cb)")
     parts = [k[n] if kind == 0 else f"{'ex'[kind - 1]}{n}" for kind, n in steps]
     terms = [t for t in parts if t[0] != "k"]
+    inner = depth + 1 if terms else depth
     if terms:
-        line(3, f"if {' and '.join(f'len({t}) == 1' for t in terms)}:")
+        line(depth, f"if {' and '.join(f'len({t}) == 1' for t in terms)}:")
         for t in terms:
-            line(4, f"(i{t}, c{t}), = {t}")
-            line(4, f"if c{t} is not one: c = c{t} if c is one else c * c{t}")
-    depth = 4 if terms else 3
-    line(depth, f"key = {_tuple_src([t if t[0] == 'k' else f'i{t}' for t in parts])}")
-    line(depth, "prev = out.get(key)")
-    line(depth, "out[key] = c if prev is None else prev + c")
+            line(inner, f"(i{t}, c{t}), = {t}")
+            line(inner, f"if c{t} is not one: c = c{t} if c is one else c * c{t}")
+    line(inner, f"key = {_tuple_src([t if t[0] == 'k' else f'i{t}' for t in parts])}")
+    line(inner, "prev = out.get(key)")
+    line(inner, "out[key] = c if prev is None else prev + c")
     if terms:
-        line(3, "else:")
-        line(4, f"_add_terms(out, c, one, {_tuple_src(parts)})")
+        line(depth, "else:")
+        line(inner, f"_add_terms(out, c, one, {_tuple_src(parts)})")
     scope: dict = {}
     exec("\n".join(src), globals(), scope)
     return scope["kernel"]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .algebra import (
     Coproduct,
     LinearMap,
+    Mapped,
     Placement,
     SingularMapError,
     SparseTensor,
@@ -136,8 +137,8 @@ def check_quasi_bialgebra(H: QuasiHopfAlgebra, rec: Recorder | None = None) -> R
 
     # families over h = e_i on the first leg
     # (id x Delta)Delta(h) against phi (Delta x id)Delta(h) phi^-1
-    rhs = merge_pair(sc, phi, map_legs(diag, (cop, 2), (cop, 2)), groups=(
-        (("b", 0),), (("a", 0), ("b", 1)), (("a", 1), ("b", 2)), (("a", 2), ("b", 3))))
+    rhs = merge_pair(sc, Mapped(d, (cop, 2)), phi, groups=(
+        (("a", 0),), (("b", 0), ("a", 1)), (("b", 1), ("a", 2)), (("b", 2), ("a", 3))))
     rhs = merge_pair(sc, rhs, phiinv, groups=(
         (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)), (("a", 3), ("b", 2))))
     rec.tensor_check("2.1", "coassociativity up to conjugation by the associator",
@@ -148,10 +149,10 @@ def check_quasi_bialgebra(H: QuasiHopfAlgebra, rec: Recorder | None = None) -> R
 
     lhs_23 = multiply(
         sc,
-        multiply(sc, Placement(phi, (2, 3, 4), 4), split_leg(cop, phi, 2)),
+        multiply(sc, Placement(phi, (2, 3, 4), 4), Mapped(phi, (cop, 2))),
         Placement(phi, (1, 2, 3), 4),
     )
-    rhs_23 = multiply(sc, split_leg(cop, phi, 3), split_leg(cop, phi, 1))
+    rhs_23 = multiply(sc, Mapped(phi, (cop, 3)), Mapped(phi, (cop, 1)))
     rec.tensor_check("2.3", "pentagon identity for the associator", lhs_23, rhs_23)
 
     one2 = H.mult.unit_tensor(2)
@@ -179,19 +180,17 @@ def check_quasi_antipode(H: QuasiHopfAlgebra, rec: Recorder | None = None) -> Re
 
     # sum S(h_1) alpha h_2 and sum h_1 beta S(h_2) against eps(h) alpha and
     # eps(h) beta, as families over h = e_i on the first leg
-    d = split_leg(cop, diag, 2)
     chain = ((("a", 0),), (("a", 1), ("v", 0), ("a", 2)))
     eps = H.vec1(H.counit)
     rec.family_check("2.5", "antipode compatibility with alpha and beta", _family(
-        (_contract(H, apply_leg(S, d, 2), chain, (H.alpha,)),
+        (_contract(H, map_legs(diag, (cop, 2), (S, 2)), chain, (H.alpha,)),
          tensor_product(eps, H.vec1(H.alpha)), "alpha"),
-        (_contract(H, apply_leg(S, d, 3), chain, (H.beta,)),
+        (_contract(H, map_legs(diag, (cop, 2), (S, 3)), chain, (H.beta,)),
          tensor_product(eps, H.vec1(H.beta)), "beta")))
 
     zigzag = ((("a", 0), ("v", 0), ("a", 1), ("v", 1), ("a", 2)),)
     lhs_a = _contract(H, apply_leg(S, H.associator, 2), zigzag, (H.beta, H.alpha))
-    lhs_b = _contract(H, apply_leg(S, apply_leg(S, H.associator_inv, 1), 3), zigzag,
-                      (H.alpha, H.beta))
+    lhs_b = _contract(H, map_legs(H.associator_inv, (S, 1), (S, 3)), zigzag, (H.alpha, H.beta))
     rec.family_check("2.6", "zig-zag normalization through the associator",
                      [(("beta-alpha",), lhs_a, unit1), (("alpha-beta",), lhs_b, unit1)])
     return rec
@@ -238,7 +237,7 @@ def twist_candidates(H: QuasiHopfAlgebra):
         (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), split_leg(cop, w, 2))
 
     # (x3, Delta(S x1 alpha x2) delta) against (i, A_i)
-    w = _contract(H, apply_leg(S, H.associator_inv, 1),
+    w = _contract(H, Mapped(H.associator_inv, (S, 1)),
                   ((("a", 2),), (("a", 0), ("v", 0), ("a", 1))), (H.alpha,))
     twist_inv = _slice_products(H, merge_pair(sc, split_leg(cop, w, 2), delta, groups=(
         (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), anti)
@@ -269,7 +268,7 @@ def _gamma_delta(H: QuasiHopfAlgebra):
     phiinv_s3 = apply_leg(S, phiinv, 3)  # (x1, x2, S x3)
 
     # (i, M_i) from (i, S e_i(2), S e_i(1)) and (S y1, S y2, y3)
-    M = merge_pair(sc, anti, map_legs(phi, (S, 1), (S, 2)), groups=(
+    M = merge_pair(sc, anti, Mapped(phi, (S, 1), (S, 2)), groups=(
         (("a", 0),),
         (("a", 1), ("b", 1), ("v", 0), ("b", 2)),
         (("a", 2), ("b", 0), ("v", 0)),
@@ -279,12 +278,12 @@ def _gamma_delta(H: QuasiHopfAlgebra):
 
     # (i, K_i) from (i, e_i(1), e_i(2)) and (y1, y2, S y3), then K_i times
     # S x3 (x) S x2, from (x1, S x3, S x2)
-    K = merge_pair(sc, split_leg(cop, _diagonal(H), 2), phiinv_s3, groups=(
+    K = merge_pair(sc, Mapped(_diagonal(H), (cop, 2)), phiinv_s3, groups=(
         (("a", 0),),
         (("a", 1), ("b", 0), ("v", 0)),
         (("a", 2), ("b", 1), ("v", 0), ("b", 2)),
     ), vecs=(H.beta,))
-    delta = _slice_products(H, K, map_legs(permute_legs(phi, (0, 2, 1)), (S, 2), (S, 3)))
+    delta = _slice_products(H, K, Mapped(permute_legs(phi, (0, 2, 1)), (S, 2), (S, 3)))
     return gamma, delta, anti, phiinv_s3
 
 
@@ -298,14 +297,14 @@ def check_twist_identities(H: QuasiHopfAlgebra, D: DerivedElements,
     # f Delta(S h) f^-1 against (S x S)Delta^op(h), a family over h = e_i
     # on the first leg
     diag = _diagonal(H)
-    lhs = merge_pair(sc, f, map_legs(diag, (S, 2), (cop, 2)), groups=(
-        (("b", 0),), (("a", 0), ("b", 1)), (("a", 1), ("b", 2))))
+    lhs = merge_pair(sc, Mapped(diag, (S, 2), (cop, 2)), f, groups=(
+        (("a", 0),), (("b", 0), ("a", 1)), (("b", 1), ("a", 2))))
     lhs = merge_pair(sc, lhs, g, groups=(
         (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1))))
     rhs = permute_legs(map_legs(diag, (cop, 2), (S, 2), (S, 3)), (0, 2, 1))
     rec.tensor_check("2.7", "twist intertwines the antipode coproduct", lhs, rhs)
 
-    lhs = multiply(sc, Placement(f, (2, 3), 3), split_leg(cop, f, 2))
+    lhs = multiply(sc, Placement(f, (2, 3), 3), Mapped(f, (cop, 2)))
     lhs = multiply(sc, lhs, H.associator)
     lhs = multiply(sc, lhs, split_leg(cop, g, 1))
     lhs = multiply(sc, lhs, Placement(g, (1, 2), 3))
@@ -409,13 +408,13 @@ def _reversed(t, fixed: int = 0):
 
 def _qR(H: QuasiHopfAlgebra) -> SparseTensor:
     q = _contract(H, H.associator, ((("a", 0),), (("a", 1),), (("v", 0), ("a", 2))), (H.alpha,))
-    return _contract(H, apply_leg(H.antipode_inverse(), q, 3), ((("a", 0),), (("a", 2), ("a", 1))))
+    return _contract(H, Mapped(q, (H.antipode_inverse(), 3)), ((("a", 0),), (("a", 2), ("a", 1))))
 
 
 def _qR_intertwining(H: QuasiHopfAlgebra, qR: SparseTensor):
     """2.10: (1 (x) S^-1 h_2) q_R Delta(h_1) against (h (x) 1) q_R, h = e_i on leg 1."""
     sc, cop, u, diag = H.mult, H.coproduct, H.unit_vec(), _diagonal(H)
-    d = split_leg(cop, apply_leg(H.antipode_inverse(), split_leg(cop, diag, 2), 3), 2)
+    d = Mapped(diag, (cop, 2), (H.antipode_inverse(), 3), (cop, 2))
     lhs = merge_pair(sc, d, qR, vecs=(u,), groups=(
         (("a", 0),), (("v", 0), ("b", 0), ("a", 1)), (("a", 3), ("b", 1), ("a", 2))))
     return [lhs, merge_pair(sc, diag, qR, vecs=(u,), groups=(
@@ -428,12 +427,12 @@ def _pL_expansion(H: QuasiHopfAlgebra, pL: SparseTensor, twist_inv: SparseTensor
     every x3 at once, then summed over x3 against (x3, S^-1 x2, S^-1 x1),
     from phi_x3_first = (x3, x2, x1) over phi.  H.associator is not read."""
     sc, cop, Sinv = H.mult, H.coproduct, H.antipode_inverse()
-    lhs = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, pL, 2)),
+    lhs = multiply(sc, multiply(sc, H.associator_inv, Mapped(pL, (cop, 2))),
                    Placement(pL, (2, 3), 3))
     pg = multiply(sc, split_leg(cop, pL, 1), Placement(antipode_legs(Sinv, twist_inv), (1, 2), 3))
     d = merge_pair(sc, map_legs(_diagonal(H), (cop, 2), (cop, 2)), pg, groups=(
         (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)), (("a", 3), ("b", 2))))
-    return [lhs, _slice_products(H, d, map_legs(phi_x3_first, (Sinv, 2), (Sinv, 3)))]
+    return [lhs, _slice_products(H, d, Mapped(phi_x3_first, (Sinv, 2), (Sinv, 3)))]
 
 
 def _U_slide(H: QuasiHopfAlgebra, U: SparseTensor):
@@ -441,7 +440,7 @@ def _U_slide(H: QuasiHopfAlgebra, U: SparseTensor):
     sc, cop, S, u, diag = H.mult, H.coproduct, H.antipode, H.unit_vec(), _diagonal(H)
     lhs = merge_pair(sc, apply_leg(S, diag, 2), U, vecs=(u,), groups=(
         (("a", 0),), (("b", 0), ("v", 0)), (("b", 1), ("a", 1))))
-    d = split_leg(cop, apply_leg(S, split_leg(cop, diag, 2), 2), 2)
+    d = Mapped(diag, (cop, 2), (S, 2), (cop, 2))
     return [lhs, merge_pair(sc, d, U, vecs=(u,), groups=(
         (("a", 0),), (("a", 1), ("b", 0), ("a", 3)), (("a", 2), ("b", 1), ("v", 0))))]
 
@@ -450,10 +449,10 @@ def _U_expansion(H: QuasiHopfAlgebra, U: SparseTensor):
     """4.4's sides, the right one (x1, (Delta x id)(Delta(S x1) U)) built for
     every x1 at once, then summed over x1 against phi."""
     sc, cop, S = H.mult, H.coproduct, H.antipode
-    lhs = multiply(sc, multiply(sc, H.associator_inv, split_leg(cop, U, 2)),
+    lhs = multiply(sc, multiply(sc, H.associator_inv, Mapped(U, (cop, 2))),
                    Placement(U, (2, 3), 3))
-    d = split_leg(cop, merge_pair(sc, map_legs(_diagonal(H), (S, 2), (cop, 2)), U, groups=(
-        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), 2)
+    d = Mapped(merge_pair(sc, map_legs(_diagonal(H), (S, 2), (cop, 2)), U, groups=(
+        (("a", 0),), (("a", 1), ("b", 0)), (("a", 2), ("b", 1)))), (cop, 2))
     return [lhs, _slice_products(H, d, H.associator)]
 
 

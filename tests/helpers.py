@@ -1,7 +1,7 @@
 """Helpers that only the tests use: the labels of a recorder's failed
-checks, the group algebra kG, the Drinfeld gauge twist, composing linear
-maps, the pullback product of two cocycles, and a brute-force coboundary
-search."""
+checks, the group algebra kG, the Drinfeld gauge twist, applying and
+composing linear maps, the pullback product of two cocycles, and a
+brute-force coboundary search."""
 
 import dataclasses
 from fractions import Fraction
@@ -96,9 +96,19 @@ def gauge_twisted_kS3(g):
     return gauge_twist(H, pair(1), pair(Fraction(-1, 5)))
 
 
+def apply_vec(m: LinearMap, v: dict) -> dict:
+    """m applied to the sparse vector v, zero coefficients dropped."""
+    out: dict = {}
+    for j, c in v.items():
+        for i, x in m.cols[j].items():
+            prev = out.get(i)
+            out[i] = c * x if prev is None else prev + c * x
+    return {i: c for i, c in out.items() if not c.is_zero()}
+
+
 def compose(a: LinearMap, b: LinearMap) -> LinearMap:
     """a after b."""
-    return LinearMap(a.dim, a.order, tuple(a.apply_vec(c) for c in b.cols))
+    return LinearMap(a.dim, a.order, tuple(apply_vec(a, c) for c in b.cols))
 
 
 def product_cocycle(w1: Cocycle3, w2: Cocycle3) -> Cocycle3:

@@ -16,6 +16,7 @@ from qhd.algebra import (
     Coproduct,
     Inconsistency,
     LinearMap,
+    Mapped,
     Placement,
     SingularMapError,
     SparseTensor,
@@ -44,7 +45,7 @@ from qhd.algebra import (
 )
 from qhd.scalar import CycScalar, OrderMismatchError, root_of_unity
 from qhd.heisenberg import build_H1
-from qhd.twisted import build_k_omega_G, cyclic_cocycle
+from qhd.twisted import build_k_omega_G, cyclic_cocycle, klein_cocycle
 
 ONE = CycScalar.one(1)
 ZERO = CycScalar.zero(1)
@@ -1954,3 +1955,174 @@ def test_placement_guards():
             multiply(H.mult, x, y)
     assert multiply(H.mult, Placement(s, (1, 2), 3), t3) == \
         multiply(H.mult, leg_embed(s, (1, 2), 3, H.unit_vec()), t3)
+
+
+# -- Mapped factors against the built map_legs tensor they stand for --------
+
+
+@lru_cache(maxsize=None)
+def view_algebras() -> tuple:
+    """(name, table, maps) for the Mapped tests: zn:3:1, v4:3 and kS3^F with
+    their coproduct and antipode, and the nonassociative dual-side double of
+    zn:3:1; each with a random coproduct and a map that sends e0 and e1 to
+    one image, so e0 - e1 on a leg maps to zero."""
+    from qhd.cli import resolve_builtin
+    from qhd.heisenberg import build_H1_dual
+
+    rng = random.Random(7723)
+    zn3 = build_k_omega_G(cyclic_cocycle(3, 1))
+    cases = [("zn:3:1", zn3.mult, [zn3.coproduct, zn3.antipode])]
+    v4 = build_k_omega_G(resolve_builtin("v4:3"))
+    cases += [("v4:3", v4.mult, [v4.coproduct, v4.antipode]),
+              ("kS3^F", kS3F().mult, [kS3F().coproduct, kS3F().antipode]),
+              ("zn:3:1 dual double", build_H1_dual(zn3).sc, [])]
+    out = []
+    for name, sc, maps in cases:
+        n, order = sc.dim, sc.order
+        one = CycScalar.one(order)
+
+        def coeff():
+            return (root_of_unity(order, rng.randrange(order))
+                    * CycScalar.from_rational(order, rng.choice((-2, -1, 1, 3))))
+
+        shared = {rng.randrange(n): coeff() for _ in range(2)}
+        collapse = LinearMap(n, order, [shared, shared] + [{rng.randrange(n): coeff(), 0: one}
+                                                           for _ in range(n - 2)])
+        cop = Coproduct(n, order, {i: tuple(((rng.randrange(n), rng.randrange(n)), coeff())
+                                            for _ in range(rng.randint(0, 2))) for i in range(n)})
+        out.append((name, sc, tuple(maps) + (collapse, cop)))
+    return tuple(out)
+
+
+def _view_tensor(rng, sc, degree, size):
+    """A random tensor where each drawn key on index 0 of some leg comes with
+    its negative on index 1, so a map of e0 and e1 to one image cancels it."""
+    t = sparse_tensor(rng, sc, degree, size)
+    entries = dict(t.entries)
+    for key, c in list(entries.items()):
+        if degree and rng.random() < 0.5:
+            leg = rng.randrange(degree)
+            entries[key[:leg] + (0,) + key[leg + 1:]] = c
+            entries[key[:leg] + (1,) + key[leg + 1:]] = -c
+    return SparseTensor(sc.dim, degree, sc.order, entries)
+
+
+def _random_view(rng, sc, maps, degree, size):
+    """(Mapped, the built map_legs tensor) for one or two random steps."""
+    t = _view_tensor(rng, sc, degree, size)
+    steps, d = [], degree
+    for _ in range(rng.randint(1, 2)):
+        m = rng.choice(maps)
+        steps.append((m, rng.randint(1, d)))
+        d += isinstance(m, Coproduct)
+    return Mapped(t, *steps), map_legs(t, *steps)
+
+
+def _same(got, want):
+    assert got == want and got.degree == want.degree
+    assert not any(c.is_zero() for c in got.entries.values())
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_merge_pair_reads_a_mapped_factor_as_the_built_tensor(which):
+    _, sc, maps = view_algebras()[which]
+    rng = random.Random(5501 + which)
+    vecs = tuple({k[0]: c for k, c in sparse_tensor(rng, sc, 1, 2).entries.items()}
+                 for _ in range(2)) + (sc.unit,)
+    for _ in range(30):
+        view, built = _random_view(rng, sc, maps, rng.randint(1, 2), rng.choice((1, 3, 6)))
+        other, other_built = (_random_view(rng, sc, maps, 1, 3)
+                              if rng.random() < 0.3 else (sparse_tensor(rng, sc, 2, 5),) * 2)
+        db = other.degree
+        groups = random_groups(rng, view.degree, db, len(vecs))
+        flipped = tuple(tuple(({"a": "b", "b": "a"}.get(k, k), i) for k, i in g) for g in groups)
+        _same(merge_pair(sc, view, other, groups, vecs),
+              merge_pair(sc, built, other_built, groups, vecs))
+        _same(merge_pair(sc, other, view, flipped, vecs),
+              merge_pair(sc, other_built, built, flipped, vecs))
+        # a leg of the view summed against a leg of the other factor
+        i, j = rng.randrange(view.degree), rng.randrange(db)
+        rest = tuple((("a", x),) for x in range(view.degree) if x != i) + \
+            tuple((("b", y), ("v", 2)) for y in range(db) if y != j)
+        if rest:
+            _same(merge_pair(sc, view, other, rest, vecs, sums=((i, j),)),
+                  merge_pair(sc, built, other_built, rest, vecs, sums=((i, j),)))
+    # e0 (x) e2 alone maps to a nonzero view, e0 (x) e2 - e1 (x) e2 to zero:
+    # the kernel adds the two entries' terms, which cancel and are pruned
+    one = CycScalar.one(sc.order)
+    unit0 = SparseTensor(sc.dim, 0, sc.order, {(): one})
+    for t, zero in (({(0, 2): one}, False), ({(0, 2): one, (1, 2): -one}, True)):
+        view = Mapped(SparseTensor(sc.dim, 2, sc.order, t), (maps[-2], 1))
+        got = merge_pair(sc, view, unit0, ((("a", 0),), (("a", 1),)))
+        assert got.is_zero() == zero and got.degree == 2
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_multiply_reads_a_mapped_factor_as_the_built_tensor(which):
+    _, sc, maps = view_algebras()[which]
+    rng = random.Random(6607 + which)
+    cop = maps[0] if which < 3 else maps[-1]
+    for _ in range(12):
+        t = _view_tensor(rng, sc, 2, rng.choice((1, 5, 12)))
+        s = sparse_tensor(rng, sc, 2, 6)
+        steps = [(rng.choice([m for m in maps if isinstance(m, LinearMap)]), 1),
+                 (cop, rng.randint(1, 2))]
+        view, built = Mapped(t, *steps), map_legs(t, *steps)
+        u = sparse_tensor(rng, sc, 3, 10)
+        for legs in ((1, 2), (2, 3), (3, 1)):
+            _same(multiply(sc, view, Placement(s, legs, 3)),
+                  multiply(sc, built, Placement(s, legs, 3)))
+            _same(multiply(sc, Placement(s, legs, 3), view),
+                  multiply(sc, Placement(s, legs, 3), built))
+        # a view placed on two legs of three, and two views
+        step = (rng.choice([m for m in maps if isinstance(m, LinearMap)]), rng.randint(1, 2))
+        small, small_built = Mapped(s, step), map_legs(s, step)
+        for legs in ((1, 3), (3, 2)):
+            _same(multiply(sc, Placement(small, legs, 3), u),
+                  multiply(sc, Placement(small_built, legs, 3), u))
+            _same(multiply(sc, u, Placement(small, legs, 3)),
+                  multiply(sc, u, Placement(small_built, legs, 3)))
+        _same(multiply(sc, view, Mapped(t, *steps)), multiply(sc, built, built))
+        _same(multiply(sc, u, view), multiply(sc, u, built))
+
+
+def test_mapped_factor_guards():
+    H = build_k_omega_G(cyclic_cocycle(3, 1))
+    one = CycScalar.one(H.order)
+    t = SparseTensor(H.dim, 2, H.order, {(0, 1): one})
+    with pytest.raises(AlgebraError):
+        Mapped(t, (LinearMap.identity(H.dim, 4), 1))
+    with pytest.raises(AlgebraError):
+        Mapped(t, (Coproduct(H.dim + 1, H.order, {}), 2))
+    view = Mapped(t, (H.coproduct, 2), (H.antipode, 1))
+    assert view.degree == 3 and view.entries is t.entries
+    with pytest.raises(AlgebraError, match="exactly once"):
+        merge_pair(H.mult, view, t, ((("a", 0), ("b", 0)), (("a", 1), ("b", 1))))
+    other = build_k_omega_G(cyclic_cocycle(4, 1))
+    with pytest.raises(AlgebraError):
+        multiply(other.mult, view, view)
+    with pytest.raises(AlgebraError):
+        multiply(H.mult, view, t)
+
+
+def test_mapped_plans_differ_by_shape_alone(monkeypatch):
+    # the per-leg shape of a Mapped factor joins the plan signature, on
+    # either side; its maps and images do not, so two tables share the plans
+    import qhd.algebra as algebra
+
+    monkeypatch.setattr(algebra, "_KERNELS", {})
+    groups = ((("a", 0), ("b", 0)), (("a", 1), ("b", 1)), (("a", 2),))
+    flipped = ((("b", 0), ("a", 0)), (("b", 1), ("a", 1)), (("b", 2),))
+    shapes = []
+    for A in (build_k_omega_G(cyclic_cocycle(3, 1)), build_k_omega_G(klein_cocycle(3))):
+        t = SparseTensor(A.dim, 2, A.order, {(0, 1): A.one(), (1, 2): A.one()})
+        for steps, shape in ((((A.coproduct, 2),), ((1, 1),)),
+                             (((A.antipode, 1), (A.coproduct, 2)), ((0, 0), (1, 1))),
+                             (((A.antipode, 2), (A.coproduct, 1)), ((0, 1), (1, 0)))):
+            built = map_legs(t, *steps)
+            assert merge_pair(A.mult, Mapped(t, *steps), t, groups) == \
+                merge_pair(A.mult, built, t, groups)
+            assert merge_pair(A.mult, t, Mapped(t, *steps), flipped) == \
+                merge_pair(A.mult, t, built, flipped)
+            shapes += [(shape, ()), ((), shape)]
+    assert sorted(sig[6:] for sig in algebra._KERNELS) == sorted([*set(shapes), (), ()])

@@ -670,14 +670,17 @@ def test_unit_law_computed_at_most_once_per_table(monkeypatch):
 
 
 def test_plans_compiled_per_run(monkeypatch):
-    # each plan compiled costs about 0.5 ms in a fresh process: a change
+    # each plan compiled costs about 0.4-0.6 ms in a fresh process: a change
     # that adds plans to these runs shows here.  The axiom suite's algebra-map
     # laws and associativity check add three (coproduct-map and the two sides
-    # of assoc; antipode-antimap shares 4.2's plan)
+    # of assoc; antipode-antimap shares 4.2's plan).  A Mapped factor's shape
+    # joins its plan: the views add three plans to the first run (delta's
+    # second factor, the lhs Delta(X) of 2.13 and 4.4, and the sums of 2.13
+    # and 4.4, which shared one) and delta's to the second
     from qhd import algebra
 
-    for source, suites, plans in (("zn:8:1", ("axioms", "twist", "lemma41"), 25),
-                                  ("zn:10:1", ("heisenberg", "theorems", "section5"), 21)):
+    for source, suites, plans in (("zn:8:1", ("axioms", "twist", "lemma41"), 28),
+                                  ("zn:10:1", ("heisenberg", "theorems", "section5"), 22)):
         monkeypatch.setattr(algebra, "_KERNELS", {})
         assert run_spec(source, suites).exit_code == 0
         assert len(algebra._KERNELS) == plans, (source, suites)
@@ -700,6 +703,20 @@ def test_merge_pair_calls_per_run(monkeypatch):
         calls.clear()
         assert run_spec(source, suites).exit_code == 0
         assert len(calls) == count, (source, suites)
+
+
+def test_map_leg_passes_per_run(monkeypatch):
+    # the run of test_plans_compiled_per_run with the axiom, twist and lemma41
+    # suites: every S, S^-1 or Delta view that one contraction reads is passed
+    # to it as a Mapped and built by no pass of _map_leg, so a view built
+    # again shows here (75 passes before views, 38 with them)
+    from qhd import algebra
+
+    passes = []
+    real = algebra._map_leg
+    monkeypatch.setattr(algebra, "_map_leg", lambda *args: passes.append(1) or real(*args))
+    assert run_spec("zn:8:1", ("axioms", "twist", "lemma41")).exit_code == 0
+    assert len(passes) == 38
 
 
 @pytest.mark.parametrize("example", ["trivial:4", "v4:3", "zn:4:1"])

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "ladder.py")
 _spec = importlib.util.spec_from_file_location("ladder", _PATH)
 ladder = importlib.util.module_from_spec(_spec)
@@ -71,3 +73,14 @@ def test_check_option_takes_every_suite_of_the_cli(tmp_path, capsys):
     records = json.loads(out.read_text())
     assert [(r["check"], r["exit_code"]) for r in records] == [("twist", 0), ("theorems", 0)]
     assert "| zn:2:1 | " in capsys.readouterr().err
+
+
+def test_check_option_takes_suites_joined_by_commas(tmp_path, capsys):
+    out = tmp_path / "ladder.json"
+    assert ladder.main(["zn:2:1", "--check", "axioms,twist", "--out", str(out)]) == 0
+    records = json.loads(out.read_text())
+    assert [(r["check"], r["exit_code"]) for r in records] == [("axioms,twist", 0)]
+    assert "| zn:2:1 | 0" in capsys.readouterr().err
+    for bad in ("axioms,bogus", "axioms,", ""):
+        with pytest.raises(SystemExit, match="2"):
+            ladder.main(["zn:2:1", "--check", bad])

@@ -6,8 +6,9 @@ Run it from the repository root, where LADDER's file path resolves.  Each
 EXAMPLE is a builtin id (`zn:16:1`) or `file:PATH`; without any, the ladder
 is LADDER.  zn:32:1 runs only when named: its three runs take about a
 minute in all and peak at about 0.8 GB.  Every example runs once with each
-CHECK, a suite name of SUITES, the names `qhd --check` takes (`--check`
-may be repeated; default: each of CHECKS), in a fresh
+CHECK, a suite name of SUITES, the names `qhd --check` takes, or several
+joined by commas as `qhd --check` takes them, for one run of those suites
+(`--check` may be repeated; default: each of CHECKS), in a fresh
 `python -m qhd.cli ... --report json` process whose report is
 discarded, with the qhd package imported from DIR (default: this
 checkout's `src`).  Each run records its wall time from spawn to exit, the
@@ -76,13 +77,21 @@ def table(records: list) -> str:
     return "\n".join(lines)
 
 
+def suites(check: str) -> str:
+    """A --check value: suite names of SUITES joined by commas."""
+    if not all(name in SUITES for name in check.split(",")):
+        raise argparse.ArgumentTypeError(f"{check!r}: a suite is not one of {', '.join(SUITES)}")
+    return check
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("examples", nargs="*", metavar="EXAMPLE")
     ap.add_argument("--src", default=SRC, help="directory holding the qhd package")
     ap.add_argument("--out", help="write the JSON records here, not to stdout")
-    ap.add_argument("--check", action="append", choices=SUITES, dest="checks",
-                    help="run only this suite (repeatable; default: each of CHECKS)")
+    ap.add_argument("--check", action="append", type=suites, dest="checks",
+                    help="run only these suites, comma-separated (repeatable; "
+                         "default: each of CHECKS)")
     args = ap.parse_args(argv)
     examples = args.examples or LADDER
     records = []
