@@ -17,7 +17,9 @@ Mapped, a tensor with leg maps (S, S^-1, Delta) applied, map_legs(t, ...),
 whose images the kernel reads entry by entry instead of the built tensor.
 The loop of merge_pair over candidate entry pairs is Python source
 generated for the call's plan and compiled once per plan signature (see
-_compile_kernel).
+_compile_kernel).  Every reader of a product e_i * e_j in a hot loop reads
+the table's row index, rows[i].get(j), rather than a dict keyed by (i, j)
+tuples (see StructureConstants).
 
 Every CycScalar is interned (see scalar.py), so a table, coproduct or map
 coefficient equal to one is CycScalar.one(order) itself, and the tensor
@@ -138,6 +140,14 @@ class StructureConstants:
     the Heisenberg double products stored in the same shape are generally
     nonassociative.
 
+    rows[i] is {j: table[(i, j)]} and cols[j] is {i: table[(i, j)]}, keys
+    ascending, over the cells of the table, holding the same term tuples.
+    The kernels, vec_mult and multiplication_system read products through
+    them, one dict lookup per product with no (i, j) key built.  Indices
+    are trusted to lie in 0..dim-1, as they do in every table built from
+    tensors of its own dim: one outside fails at construction, and a
+    negative one would wrap.
+
     left_block[i] and right_block[j] label the connected components of the
     partner graph, whose edges join left index i to right index j when
     (i, j) is a cell of the table.  So e_i * e_j != 0 implies
@@ -161,13 +171,10 @@ class StructureConstants:
                 self.table[ij] = terms
         self.unit = _prune(dict(unit))
         self._unit_failures = None  # see unit_failures
-        rp: dict[int, list] = {}
-        lp: dict[int, list] = {}
-        for (i, j) in self.table:
-            rp.setdefault(i, []).append(j)
-            lp.setdefault(j, []).append(i)
-        self.right_partners = {i: tuple(sorted(js)) for i, js in rp.items()}
-        self.left_partners = {j: tuple(sorted(is_)) for j, is_ in lp.items()}
+        self.rows = tuple({} for _ in range(dim))
+        self.cols = tuple({} for _ in range(dim))
+        for i, j in sorted(self.table):
+            self.rows[i][j] = self.cols[j][i] = self.table[(i, j)]
         # union-find over left nodes 0..dim-1 and right nodes dim..2*dim-1
         root = list(range(2 * dim))
 
@@ -182,14 +189,15 @@ class StructureConstants:
         self.right_block = tuple(find(dim + j) for j in range(dim))
 
     def basis_product(self, i: int, j: int):
-        return self.table.get((i, j), ())
+        return self.rows[i].get(j, ())
 
     def vec_mult(self, u: dict, v: dict) -> dict:
         out: dict = {}
-        table = self.table
+        rows = self.rows
         for i, cu in u.items():
+            row = rows[i]
             for j, cv in v.items():
-                ent = table.get((i, j))
+                ent = row.get(j)
                 if ent:
                     c = cu * cv
                     for k, ck in ent:
@@ -526,7 +534,8 @@ def multiplication_system(sc: StructureConstants, x: SparseTensor, side: str) ->
     coeff) pair, and a row of several a dict {col: coeff}.
 
     One pass over x's entries and their partners in the structure
-    constants; equal to the components of one `multiply` per basis tensor.
+    constants, sc.rows on the right and sc.cols on the left, in ascending
+    order; equal to the components of one `multiply` per basis tensor.
     A row stays a pair until a second term reaches it, and only then
     becomes a dict.  An entry set by one term is a product of nonzero
     scalars, so only those dicts can hold a zero: they are pruned, and one
@@ -536,21 +545,18 @@ def multiplication_system(sc: StructureConstants, x: SparseTensor, side: str) ->
         raise AlgebraError("multiplication rows need a degree-2 tensor")
     _check_space(sc.dim, sc.order, x)
     dim = sc.dim
-    table = sc.table
     one = CycScalar.one(sc.order)
-    right = side == "right"
-    partners = sc.right_partners if right else sc.left_partners
+    partners = sc.rows if side == "right" else sc.cols
     rows: list = [None] * (dim * dim)
     held = [0] * (dim * dim)
     met: list = []  # positions of the rows that a second term made dicts
     for (a1, a2), cx in x.entries.items():
-        p2 = partners.get(a2)
-        if not p2:
+        second = partners[a2].items()
+        if not second:
             continue
-        second = [(b2, table[(a2, b2) if right else (b2, a2)]) for b2 in p2]
-        for b1 in partners.get(a1, ()):
+        for b1, products1 in partners[a1].items():
             first = b1 * dim
-            for k1, c1 in table[(a1, b1) if right else (b1, a1)]:
+            for k1, c1 in products1:
                 c = cx if c1 is one else cx * c1
                 base = k1 * dim
                 for b2, products in second:
@@ -783,9 +789,10 @@ def permute_legs(t: SparseTensor, perm) -> SparseTensor:
     return _owned(t.dim, t.degree, t.order, {move(k): c for k, c in t.entries.items()})
 
 
-def _chain_pairs(table, items, one):
+def _chain_pairs(rows, items, one):
     """Fold a product chain of basis indices / sparse vectors into a short
-    list of (index, coeff) pairs, avoiding dict churn on singleton paths."""
+    list of (index, coeff) pairs, avoiding dict churn on singleton paths;
+    rows is a table's StructureConstants.rows."""
     acc = None
     for it in items:
         cur = ((it, one),) if isinstance(it, int) else tuple(it.items())
@@ -794,8 +801,9 @@ def _chain_pairs(table, items, one):
             continue
         nxt = []
         for i, ci in acc:
+            row = rows[i]
             for j, cj in cur:
-                ent = table.get((i, j))
+                ent = row.get(j)
                 if ent:
                     cc = cj if ci is one else (ci if cj is one else ci * cj)
                     for k, ck in ent:
@@ -896,7 +904,7 @@ def merge_pair(sc: StructureConstants, a: SparseTensor, b: SparseTensor, groups,
                            tuple((at(*r1), at(*r2)) for r1, r2 in pairs)))
 
     sig = (a.degree, b.degree, tuple(joins), tuple(steps), tuple(cells), tuple(chains))
-    args = [ta.entries.items(), tb.entries.items(), sc.table, sc.left_block, sc.right_block,
+    args = [ta.entries.items(), tb.entries.items(), sc.rows, sc.left_block, sc.right_block,
             one, chain_vecs, [{} for _ in chains], out := {}]
     if ta is not a or tb is not b:  # the shapes of Mapped factors join the plan
         shapes, images = zip(*(_shape(x, one) for x in (a, b)))
@@ -939,9 +947,10 @@ def _compile_kernel(sig):
     indices of the summed legs and the blocks of the joined legs, one
     literal key per entry.  A Mapped a's entries bind the key locals of
     their mapped legs in loops over the image lists of argument `images`.
-    A candidate makes one table.get per cell and one memoized fold per
-    chain, each with an early continue; its key is a tuple literal when
-    every cell and fold has one term, else _add_terms adds it."""
+    A candidate makes one row lookup, table[i].get(j) in the row index
+    sc.rows, per cell and one memoized fold per chain, each with an early
+    continue; its key is a tuple literal when every cell and fold has one
+    term, else _add_terms adds it."""
     if any(type(x) not in (int, bool, type(None)) for x in _leaves(sig)):
         raise AlgebraError(f"merge_pair kernel signature not of ints, bools, None: {sig!r}")
     da, db, joins, steps, cells, chains, *shapes = sig
@@ -953,7 +962,6 @@ def _compile_kernel(sig):
         src.append("    " * depth + text)
 
     line(0, f"def kernel(a_items, b_items, table, lb, rb, one, vecs, folds, out{', images' * bool(shapes)}):")
-    line(1, "get = table.get")
     line(1, f"{_tuple_src([f'f{n}' for n in range(len(chains))])} = folds")
 
     def part(x, a_first, blocks):  # a summed leg's index as it is, a joined leg's block
@@ -1011,7 +1019,7 @@ def _compile_kernel(sig):
     depth += 1
     line(depth, f"{_tuple_src(k[da:])} = kb")
     for n, (p, q) in enumerate(cells):
-        line(depth, f"e{n} = get(({k[p]}, {k[q]}))")
+        line(depth, f"e{n} = table[{k[p]}].get({k[q]})")
         line(depth, f"if e{n} is None: continue")
     vec = count()
     for n, (factors, tests) in enumerate(chains):
@@ -1020,7 +1028,7 @@ def _compile_kernel(sig):
         items = _tuple_src([f"vecs[{next(vec)}]" if x is None else k[x] for x in factors])
         fold = f"_chain_pairs(table, {items}, one)"
         if tests:
-            fold += f" if {' and '.join(f'({k[p]}, {k[q]}) in table' for p, q in tests)} else ()"
+            fold += f" if {' and '.join(f'{k[q]} in table[{k[p]}]' for p, q in tests)} else ()"
         line(depth, f"x{n} = f{n}.get({ix})")
         line(depth, f"if x{n} is None: x{n} = f{n}[{ix}] = {fold}")
         line(depth, f"if not x{n}: continue")

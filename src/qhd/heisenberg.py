@@ -71,8 +71,8 @@ class _Side:
     column) key of a table cell and the pair (product harpoons, action
     harpoons).  mult is H's product on the dual side and the opposite
     product on the plain side, so mult's product of e_a and e_b is H's
-    product of rev((e_a, e_b)); prod[a][b] is that product, cop[a] the
-    coproduct of e_a with its legs in rev order, index[xi][a] the pair
+    product of rev((e_a, e_b)), read as mult.rows[a].get(b, ()); cop[a] is
+    the coproduct of e_a with its legs in rev order, index[xi][a] the pair
     basis element that joins the dual basis vector xi to e_a, and h_prod and
     h_act the harpoon tables of the product and of the action: h[b][i] is
     e_b -> e^i (left) or e^i <- e_b (right) as a {basis index: coeff} map,
@@ -85,16 +85,16 @@ class _Side:
         dual = side == "dual"
         self.rev = rev = (lambda t: t) if dual else (lambda t: t[::-1])
         self.mult = H.mult if dual else _opposite(H.mult)
-        self.prod = [[self.mult.basis_product(a, b) for b in range(m)] for a in range(m)]
         self.cop = [tuple((rev(st), d) for st, d in H.coproduct.of_basis(a))
                     for a in range(m)]
         self.index = [[xi * m + a if dual else a * m + xi for a in range(m)]
                       for xi in range(m)]
         left, right = ([[{} for _ in range(m)] for _ in range(m)] for _ in range(2))
-        for (a, b), cell in sorted(H.mult.table.items()):
-            for i, c in cell:
-                _add(left[b][i], a, c)
-                _add(right[a][i], b, c)
+        for a, row in enumerate(H.mult.rows):
+            for b, cell in row.items():
+                for i, c in cell:
+                    _add(left[b][i], a, c)
+                    _add(right[a][i], b, c)
         self.h_prod, self.h_act = rev((left, right))
 
 
@@ -126,7 +126,7 @@ def _build_double(H: QuasiHopfAlgebra, side: str) -> HeisenbergAlgebra:
     """
     m, order = H.dim, H.order
     sd = _Side(H, side)
-    dual, rev, prod, index = side == "dual", sd.rev, sd.prod, sd.index
+    dual, rev, index = side == "dual", sd.rev, sd.index
     phi_inv = SparseTensor(m, 3, order, {rev(k): c for k, c in H.associator_inv.entries.items()})
     split = SparseTensor(m, 3, order, {(j, *st): d for j in range(m) for st, d in sd.cop[j]})
     pairs = (("a", 1), ("b", 1)), (("a", 2), ("b", 2))
@@ -135,11 +135,11 @@ def _build_double(H: QuasiHopfAlgebra, side: str) -> HeisenbergAlgebra:
     del phi_inv, split, x  # freed before the table fills, which lowers the peak
 
     one = CycScalar.one(order)
-    nonzero = [[(l, terms) for l, terms in enumerate(row) if terms] for row in prod]
+    prod = sd.mult.rows
     table: dict = {}
     for (u, i, k, j, v), c in y.entries.items():
         row, col, out = index[i][j], index[k], index[u]
-        for l, terms in nonzero[v]:
+        for l, terms in prod[v].items():
             key = (row, col[l]) if dual else (col[l], row)
             cell = table.get(key)
             if cell is None:
@@ -224,8 +224,8 @@ def _side_elements(ha: HeisenbergAlgebra, x: SparseTensor, phi_s: SparseTensor):
     wq: dict = {}
     for key, c in x.entries.items():
         a, b = rev(key)
-        for i in range(m):
-            for y, cy in sd.prod[i][a]:
+        for i, products in sd.mult.cols[a].items():
+            for y, cy in products:
                 for s, cs in S.cols[y].items():
                     for u, cu in eps:
                         _add(wq, (index[u][s], index[i][b]), c * cy * cs * cu)
@@ -349,7 +349,10 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
     one = CycScalar.one(order)
     sd = ha.side_data
     rev, index = sd.rev, sd.index
-    table, action = ha.sc.table, ha.action
+    # the cell rev((p, q)) of the double's table is cells[p].get(q, ()): a
+    # row of it on the dual side, a column on the plain side
+    cells = ha.sc.rows if side == "dual" else ha.sc.cols
+    prod = sd.mult.rows
     eps = tuple(H.counit.items())
 
     def family(fill):
@@ -362,19 +365,19 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
     def multiplies(lhs, rhs, key, xi, a, b):
         # dual: (xi # a)(eps # b) = xi # ab; plain: (b # eps)(a # xi) = ba # xi
         for u, cu in eps:
-            for z, cz in table.get(rev((index[xi][a], index[u][b])), ()):
+            for z, cz in cells[index[xi][a]].get(index[u][b], ()):
                 _add(lhs, (*key, z), cu * cz)
-        for z, cz in sd.prod[a][b]:
+        for z, cz in prod[a].get(b, ()):
             rhs[(*key, index[xi][z])] = cz
 
     def acts(lhs, rhs, key, a, xi, b):
         # dual: (eps # a)(xi # b) = (a_1 -> xi) # a_2 b;
         # plain: (b # xi)(a # eps) = b a_1 # (xi <- a_2)
         for u, cu in eps:
-            for z, cz in table.get(rev((index[u][a], index[xi][b])), ()):
+            for z, cz in cells[index[u][a]].get(index[xi][b], ()):
                 _add(lhs, (*key, z), cu * cz)
         for (s, t), d in sd.cop[a]:
-            for z, cz in sd.prod[t][b]:
+            for z, cz in prod[t].get(b, ()):
                 for u, cu in sd.h_prod[s][xi].items():
                     _add(rhs, (*key, index[u][z]), d * cu * cz)
 
@@ -387,20 +390,22 @@ def check_double(ha: HeisenbergAlgebra, rec: Recorder | None = None) -> Recorder
         unit_h = tuple(H.unit_vec().items())
         products = [((h1, h2), *rev((h1, h2)), H.mult.vec_mult({h1: one}, {h2: one}).items())
                     for h1 in range(m) for h2 in range(m)]
-        for k in range(dim):
+        empty: dict = {}  # shared by every (k, h) that the action leaves out
+        acted = [[ha.action.get((k, h), empty) for h in range(m)] for k in range(dim)]
+        for k, on_k in enumerate(acted):
             unit: dict = {}
             for h, ch in unit_h:
-                for z, cz in action.get((k, h), {}).items():
+                for z, cz in on_k[h].items():
                     _add(unit, (z,), ch * cz)
             yield (k, "unit"), SparseTensor(dim, 1, order, unit), \
                 SparseTensor(dim, 1, order, {(k,): one})
             lhs, rhs = {}, {}
             for key, first, second, h12 in products:
-                for k2, c2 in action.get((k, first), {}).items():
-                    for z, cz in action.get((k2, second), {}).items():
+                for k2, c2 in on_k[first].items():
+                    for z, cz in acted[k2][second].items():
                         _add(lhs, (*key, z), c2 * cz)
                 for h, ch in h12:
-                    for z, cz in action.get((k, h), {}).items():
+                    for z, cz in on_k[h].items():
                         _add(rhs, (*key, z), ch * cz)
             yield (k,), SparseTensor(dim, 3, order, lhs), SparseTensor(dim, 3, order, rhs)
 

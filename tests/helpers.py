@@ -1,7 +1,7 @@
 """Helpers that only the tests use: the labels of a recorder's failed
-checks, the group algebra kG, the Drinfeld gauge twist, applying and
-composing linear maps, the pullback product of two cocycles, and a
-brute-force coboundary search."""
+checks, products read off a table's (i, j)-keyed cells, the group algebra
+kG, the Drinfeld gauge twist, applying and composing linear maps, the
+pullback product of two cocycles, and a brute-force coboundary search."""
 
 import dataclasses
 from fractions import Fraction
@@ -30,6 +30,43 @@ from qhd.twisted import (
 
 def failing(rec):
     return [i.label for i in rec.items if i.status == "fail"]
+
+
+def partner_map(sc: StructureConstants, side: str) -> dict:
+    """The partner map of a table, read off its (i, j)-keyed cells: i -> the
+    sorted j with (i, j) a cell (side "right"), or j -> the sorted i with
+    (i, j) a cell (side "left")."""
+    found: dict = {}
+    for i, j in sc.table:
+        a, b = (i, j) if side == "right" else (j, i)
+        found.setdefault(a, []).append(b)
+    return {a: tuple(sorted(bs)) for a, bs in found.items()}
+
+
+def chain_pairs(table: dict, items, one) -> tuple:
+    """A product chain of basis indices / sparse vectors folded left to right
+    over a table's (i, j)-keyed cells, as (index, coeff) pairs: the fold of
+    qhd.algebra._chain_pairs, reading the table one (i, j) key at a time."""
+    acc = None
+    for it in items:
+        cur = ((it, one),) if isinstance(it, int) else tuple(it.items())
+        if acc is None:
+            acc = cur
+            continue
+        nxt = []
+        for i, ci in acc:
+            for j, cj in cur:
+                for k, ck in table.get((i, j), ()):
+                    nxt.append((k, ci * cj * ck))
+        if not nxt:
+            return ()
+        acc = nxt
+    if acc is None:
+        return ()
+    d: dict = {}
+    for k, c in acc:
+        d[k] = d[k] + c if k in d else c
+    return tuple((k, c) for k, c in d.items() if not c.is_zero())
 
 
 def group_algebra(g):

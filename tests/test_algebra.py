@@ -10,7 +10,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import compose
+from helpers import chain_pairs, compose, partner_map
 from qhd.algebra import (
     AlgebraError,
     Coproduct,
@@ -44,7 +44,7 @@ from qhd.algebra import (
     vec_tensor,
 )
 from qhd.scalar import CycScalar, OrderMismatchError, root_of_unity
-from qhd.heisenberg import build_H1
+from qhd.heisenberg import build_H1, build_H1_dual
 from qhd.twisted import build_k_omega_G, cyclic_cocycle, klein_cocycle
 
 ONE = CycScalar.one(1)
@@ -307,7 +307,32 @@ def test_structure_constants_drop_zero_terms_and_empty_cells():
     sc = StructureConstants(3, 3, table, {0: one3, 1: zero3})
     assert sc.table == {(0, 0): ((0, one3),), (0, 1): ((1, z),), (2, 2): ((2, one4),)}
     assert sc.unit == {0: one3}
-    assert sc.right_partners == {0: (0, 1), 2: (2,)}
+    assert_row_layout(sc)
+    assert sc.rows == ({0: ((0, one3),), 1: ((1, z),)}, {}, {2: ((2, one4),)})
+
+
+def assert_row_layout(sc: StructureConstants):
+    """rows and cols hold exactly the cells of the table: the same term
+    tuples, each cell once, keys ascending, and the two indexes agree."""
+    assert len(sc.rows) == len(sc.cols) == sc.dim
+    by_rows = [((i, j), terms) for i, row in enumerate(sc.rows) for j, terms in row.items()]
+    by_cols = [((i, j), terms) for j, col in enumerate(sc.cols) for i, terms in col.items()]
+    assert [ij for ij, _ in by_rows] == sorted(sc.table)
+    assert [ij for ij, _ in by_cols] == sorted(sc.table, key=lambda ij: ij[::-1])
+    for (i, j), terms in by_rows + by_cols:
+        assert terms is sc.table[(i, j)] is sc.rows[i][j] is sc.cols[j][i]
+
+
+def test_row_indexes_hold_the_cells_of_the_table():
+    # kωG, the nonassociative doubles of zn:3:1 and the doubles of kS3^F,
+    # whose cells hold several terms
+    H = build_k_omega_G(cyclic_cocycle(3, 1))
+    tables = [H.mult]
+    for G in (H, kS3F()):
+        tables += [build_H1_dual(G).sc, build_H1(G).sc]
+    assert max(len(terms) for terms in tables[-1].table.values()) > 1
+    for sc in tables:
+        assert_row_layout(sc)
 
 
 def test_sum_and_difference_refuse_tensors_of_another_order():
@@ -346,7 +371,7 @@ def _multiply_reference(sc: StructureConstants, x: SparseTensor, y: SparseTensor
     for ky, cy in y.entries.items():
         buckets.setdefault(ky[0], []).append((ky, cy))
     out: dict = {}
-    rp = sc.right_partners
+    rp = partner_map(sc, "right")
     deg = x.degree
     for kx, cx in x.entries.items():
         partners = rp.get(kx[0])
@@ -515,7 +540,7 @@ def _merge_pair_reference(sc: StructureConstants, a: SparseTensor, b: SparseTens
 
     if constraints:
         a_leg0, b_leg0, a_first0 = constraints[0]
-        partners = sc.right_partners if a_first0 else sc.left_partners
+        partners = partner_map(sc, "right" if a_first0 else "left")
         buckets: dict[int, list] = {}
         for kb, cb in b.entries.items():
             buckets.setdefault(kb[b_leg0], []).append((kb, cb))
@@ -549,7 +574,7 @@ def _merge_pair_reference(sc: StructureConstants, a: SparseTensor, b: SparseTens
                     ka[idx] if kind == "a" else (kb[idx] if kind == "b" else vecs[idx])
                     for kind, idx in g
                 ]
-                v = _chain_pairs(table, chain, one)
+                v = chain_pairs(table, chain, one)
                 if not v:
                     legs = None
                     break
@@ -765,7 +790,7 @@ def _merge_pair_plan_reference(sc: StructureConstants, a: SparseTensor, b: Spars
                 ix = read(k)
                 v = folds.get(ix)
                 if v is None:
-                    v = folds[ix] = _chain_pairs(
+                    v = folds[ix] = chain_pairs(
                         table, [k[x] if type(x) is int else x for x in factors], one
                     ) if all((k[p], k[q]) in table for p, q in tests) else ()
                 if not v:
@@ -1696,8 +1721,10 @@ def test_kernels_refuse_tensors_of_another_dimension():
 
 
 def test_chain_pairs_matches_vec_mult_fold():
-    # the merge_pair reference above shares _chain_pairs, so check it on its
-    # own: a left-to-right fold of vec_mult over the same factors
+    # the merge_pair references above fold chains with helpers.chain_pairs,
+    # which reads the (i, j)-keyed cells, so check it and the kernels'
+    # _chain_pairs, which reads the rows, on their own: a left-to-right fold
+    # of vec_mult over the same factors
     rng = random.Random(8112)
     for sc in (function_algebra(3), matrix_units_algebra(), group_algebra_s3(),
                lopsided_algebra(), plain_ones_algebra(random.Random(8113))):
@@ -1714,7 +1741,8 @@ def test_chain_pairs_matches_vec_mult_fold():
             for it in chain:
                 v = {it: one} if isinstance(it, int) else it
                 want = v if want is None else sc.vec_mult(want, v)
-            assert dict(_chain_pairs(sc.table, chain, one)) == want, chain
+            assert dict(_chain_pairs(sc.rows, chain, one)) == want, chain
+            assert dict(chain_pairs(sc.table, chain, one)) == want, chain
 
 
 # -- the probe's stacked solve from the reductions of its two systems ------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
-from helpers import failing, gauge_twisted_kS3, group_algebra
+from helpers import failing, gauge_twisted_kS3, group_algebra, partner_map
 from test_algebra import _solve_linear_reference, reduced_dicts, system_rows
 from qhd import algebra
 from qhd.algebra import (
@@ -29,6 +29,7 @@ from qhd.heisenberg import (
     InvertibilityResult,
     _add,
     _Side,
+    _side_elements,
     build_H1,
     build_H1_dual,
     canonical_element,
@@ -39,7 +40,7 @@ from qhd.heisenberg import (
     check_theorem_4_5,
     probe_invertibility,
 )
-from qhd.quasihopf import QuasiHopfAlgebra, _mirror, derive_elements
+from qhd.quasihopf import QuasiHopfAlgebra, _mirror, antipode_legs, derive_elements
 from qhd.report import Recorder
 from qhd.scalar import CycScalar, root_of_unity
 from qhd.twisted import (
@@ -629,6 +630,84 @@ def test_multiplication_system_keeps_pairs_and_counts_columns():
     assert cancelled > 0
 
 
+def _multiplication_system_reference(sc, x, side):
+    """multiplication_system as it walked the partner maps of the table, with
+    one (i, j) key per product."""
+    dim = sc.dim
+    table = sc.table
+    one = CycScalar.one(sc.order)
+    right = side == "right"
+    partners = partner_map(sc, side)
+    rows: list = [None] * (dim * dim)
+    held = [0] * (dim * dim)
+    met: list = []
+    for (a1, a2), cx in x.entries.items():
+        p2 = partners.get(a2)
+        if not p2:
+            continue
+        second = [(b2, table[(a2, b2) if right else (b2, a2)]) for b2 in p2]
+        for b1 in partners.get(a1, ()):
+            first = b1 * dim
+            for k1, c1 in table[(a1, b1) if right else (b1, a1)]:
+                c = cx if c1 is one else cx * c1
+                base = k1 * dim
+                for b2, products in second:
+                    col = first + b2
+                    for k2, c2 in products:
+                        r = base + k2
+                        term = c if c2 is one else c * c2
+                        row = rows[r]
+                        if row is None:
+                            rows[r] = (col, term)
+                            held[col] += 1
+                            continue
+                        if type(row) is tuple:
+                            met.append(r)
+                            row = rows[r] = dict([row])
+                        prev = row.get(col)
+                        if prev is None:
+                            row[col] = term
+                            held[col] += 1
+                        else:
+                            row[col] = prev + term
+    for r in met:
+        row = rows[r]
+        for c in [c for c, v in row.items() if v.is_zero()]:
+            del row[c]
+            held[c] -= 1
+        if len(row) < 2:
+            rows[r] = next(iter(row.items()), None)
+    return rows, held
+
+
+def test_multiplication_system_matches_partner_map_reference():
+    # the row-indexed system against the partner-map one, in list and dict
+    # order, on both sides of both doubles of the probe's inputs (x their
+    # canonical element) and of kS3^F (x one random term, since each term
+    # meets 36 cells of 16 terms on either side), and on the rows cases
+    def ordered(system):
+        rows, held = system
+        return [list(r.items()) if type(r) is dict else r for r in rows], held
+
+    cases = [(ha.sc, canonical_element(ha))
+             for example in ("zn:7:1", "trivial:6")
+             for H in (build_k_omega_G(resolve_builtin(example)),)
+             for ha in (build_H1_dual(H), build_H1(H))]
+    rng = random.Random(3307)
+    signs = (CycScalar.one(1), CycScalar.from_rational(1, -1))
+    H = gauge_twisted_kS3(parse_input(S3_SIGN)[0])
+    for ha in (build_H1_dual(H), build_H1(H)):
+        cases.append((ha.sc, SparseTensor(ha.dim, 2, 1, {
+            (rng.randrange(ha.dim), rng.randrange(ha.dim)): rng.choice(signs)})))
+    dicts = 0
+    for sc, x in cases + _rows_cases():
+        for side in ("right", "left"):
+            got = ordered(multiplication_system(sc, x, side))
+            assert got == ordered(_multiplication_system_reference(sc, x, side)), (sc.dim, side)
+            dicts += sum(type(r) is list for r in got[0])
+    assert dicts
+
+
 # -- the side-parameterized builder against the two builders it replaced --------
 
 
@@ -1017,6 +1096,40 @@ def test_canonical_element_matches_former_side_elements():
             assert list(got.entries.items()) == list(want.entries.items()), (H.dim, ha.side)
 
 
+def _quasi_inverse_reference(ha, x):
+    """The quasi-inverse of `_side_elements` for x, one product e_i e_a of
+    the side's order per (i, a), read off H's (i, j)-keyed cells."""
+    H = ha.parent
+    sd = ha.side_data
+    rev, index = sd.rev, sd.index
+    wq: dict = {}
+    for key, c in x.entries.items():
+        a, b = rev(key)
+        for i in range(H.dim):
+            for y, cy in H.mult.table.get(rev((i, a)), ()):
+                for s, cs in H.antipode.cols[y].items():
+                    for u, cu in H.counit.items():
+                        _add(wq, (index[u][s], index[i][b]), c * cy * cs * cu)
+    return SparseTensor(ha.dim, 2, H.order, wq)
+
+
+def test_quasi_inverse_matches_per_product_reference():
+    # on kS3^F and kS3 in a random basis e_i e_a differs from e_a e_i, so the
+    # column of a in the side's product is not its row; x is random
+    from test_quasihopf import _kS3_in_random_basis
+
+    rng = random.Random(4409)
+    for H in (gauge_twisted_kS3(parse_input(S3_SIGN)[0]), _kS3_in_random_basis(rng)):
+        phi_s = antipode_legs(H.antipode, H.associator)
+        for ha in (build_H1_dual(H), build_H1(H)):
+            x = SparseTensor(H.dim, 2, H.order, {
+                (rng.randrange(H.dim), rng.randrange(H.dim)): CycScalar.from_rational(
+                    H.order, rng.choice((1, -1, 2))) for _ in range(6)})
+            got, want = _side_elements(ha, x, phi_s)[0], _quasi_inverse_reference(ha, x)
+            assert got.entries and got == want, ha.side
+            assert list(got.entries.items()) == list(want.entries.items()), ha.side
+
+
 def _check_double_reference(ha, rec=None):
     """check_double as it compared one one-entry pair per basis triple, with
     the former HeisenbergAlgebra.act_vec; the grouped check must record the
@@ -1058,7 +1171,7 @@ def _check_double_reference(ha, rec=None):
         for idx in product(range(m), repeat=3):
             xi, a, b = rev(idx)
             lhs = ha.sc.vec_mult(*rev(({index[xi][a]: one}, eps_at(b))))
-            rhs = {index[xi][z]: cz for z, cz in sd.prod[a][b]}
+            rhs = {index[xi][z]: cz for z, cz in H.mult.table.get(rev((a, b)), ())}
             yield idx, v1(lhs), v1(rhs)
 
     def acts():
@@ -1069,7 +1182,7 @@ def _check_double_reference(ha, rec=None):
             lhs = ha.sc.vec_mult(*rev((eps_at(a), {index[xi][b]: one})))
             rhs: dict = {}
             for (s, t), d in sd.cop[a]:
-                for z, cz in sd.prod[t][b]:
+                for z, cz in H.mult.table.get(rev((t, b)), ()):
                     for u, cu in sd.h_prod[s][xi].items():
                         _add(rhs, index[u][z], d * cu * cz)
             yield idx, v1(lhs), v1(rhs)
@@ -1136,13 +1249,22 @@ def test_check_double_matches_per_triple_reference():
 
     from qhd.report import MAX_DISCREPANCIES
 
+    from test_quasihopf import _kS3_in_random_basis
+
     s3 = parse_input(S3_SIGN)
     doubles = []
     for H in (build_k_omega_G(cyclic_cocycle(3, 1)), build_k_omega_G(s3[1]),
-              group_algebra(s3[0])):
+              group_algebra(s3[0]), gauge_twisted_kS3(s3[0])):
         doubles += [("", build_H1_dual(H)), ("", build_H1(H))]
     for name, ha in doubles[:4]:
         doubles += _mutants(ha)
+    # kS3^F's double cells hold several terms, its action entries one, since
+    # the action reads H's product; kS3 in a random basis has action entries
+    # of several terms, and its doubles fail the counit-slot checks
+    H = _kS3_in_random_basis(random.Random(0))
+    doubles += [("random basis", build_H1_dual(H)), ("random basis", build_H1(H))]
+    assert min(max(len(cell) for cell in ha.sc.table.values()) for _, ha in doubles[6:8]) > 1
+    assert min(max(len(v) for v in ha.action.values()) for _, ha in doubles[-2:]) > 1
     cut = False
     for name, ha in doubles:
         got = check_double(ha, Recorder(float_check=True))

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from helpers import apply_vec, compose, failing, gauge_twisted_kS3, group_algebra
+from helpers import apply_vec, chain_pairs, compose, failing, gauge_twisted_kS3, group_algebra
 from qhd.algebra import (
     Coproduct,
     LinearMap,
@@ -14,7 +14,6 @@ from qhd.algebra import (
     SingularMapError,
     SparseTensor,
     StructureConstants,
-    _chain_pairs,
     apply_leg,
     counit_leg,
     invert_map,
@@ -325,7 +324,7 @@ def _scale_vec(v: dict, c: CycScalar) -> dict:
 
 def _mult_chain(sc, factors) -> dict:
     """Left-to-right product of a nonempty sequence of vectors / basis indices."""
-    return dict(_chain_pairs(sc.table, factors, CycScalar.one(sc.order)))
+    return dict(chain_pairs(sc.table, factors, CycScalar.one(sc.order)))
 
 
 def _gamma_delta_reference(H):
