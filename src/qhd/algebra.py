@@ -17,9 +17,8 @@ Mapped, a tensor with leg maps (S, S^-1, Delta) applied, map_legs(t, ...),
 whose images the kernel reads entry by entry instead of the built tensor.
 The loop of merge_pair over candidate entry pairs is Python source
 generated for the call's plan and compiled once per plan signature (see
-_compile_kernel).  Every reader of a product e_i * e_j in a hot loop reads
-the table's row index, rows[i].get(j), rather than a dict keyed by (i, j)
-tuples (see StructureConstants).
+_compile_kernel).  A product e_i * e_j is read off the table's row index,
+rows[i].get(j) (see StructureConstants).
 
 Every CycScalar is interned (see scalar.py), so a table, coproduct or map
 coefficient equal to one is CycScalar.one(order) itself, and the tensor
@@ -134,47 +133,31 @@ class SparseTensor:
 class StructureConstants:
     """Multiplication table of a finite-dimensional unital algebra.
 
-    table[(i, j)] lists the expansion of e_i * e_j, as (k, coeff) pairs or
-    as a {k: coeff} dict; zero terms and empty cells are dropped.
+    The input table[(i, j)] lists the expansion of e_i * e_j, as (k, coeff)
+    pairs or a {k: coeff} dict; zero terms and empty cells are dropped.
     Associativity is a checkable property here, not an assumption, because
     the Heisenberg double products stored in the same shape are generally
     nonassociative.
 
-    rows[i] is {j: table[(i, j)]} and cols[j] is {i: table[(i, j)]}, keys
-    ascending, over the cells of the table, holding the same term tuples.
-    The kernels, vec_mult and multiplication_system read products through
-    them, one dict lookup per product with no (i, j) key built.  Indices
-    are trusted to lie in 0..dim-1, as they do in every table built from
-    tensors of its own dim: one outside fails at construction, and a
-    negative one would wrap.
+    The cells are kept only as rows[i] = {j: terms} and cols[j] = {i: terms},
+    keys ascending, sharing each term tuple: a product is one dict lookup,
+    and opposite() swaps them.  Indices are trusted to lie in 0..dim-1, as
+    in every table built from tensors of its dim: one outside fails at
+    construction, and a negative one would wrap.
 
     left_block[i] and right_block[j] label the connected components of the
     partner graph, whose edges join left index i to right index j when
     (i, j) is a cell of the table.  So e_i * e_j != 0 implies
     left_block[i] == right_block[j]; the converse holds when every block is
     complete, as for the group, function and double algebras built here.
-    The table and the unit are not changed after construction.
+    The indexes and the unit are not changed after construction.
     """
 
     def __init__(self, dim: int, order: int, table: dict, unit: dict):
         self.dim = dim
         self.order = order
-        self.table = {}
-        zero = CycScalar.zero(order)
-        for ij, ent in table.items():
-            terms = tuple(ent.items()) if type(ent) is dict else tuple(ent)
-            for _, c in terms:  # a zero of another order is not `zero`: test it too
-                if c is zero or c.order != order:
-                    terms = tuple((k, c) for k, c in terms if not c.is_zero())
-                    break
-            if terms:
-                self.table[ij] = terms
-        self.unit = _prune(dict(unit))
-        self._unit_failures = None  # see unit_failures
         self.rows = tuple({} for _ in range(dim))
         self.cols = tuple({} for _ in range(dim))
-        for i, j in sorted(self.table):
-            self.rows[i][j] = self.cols[j][i] = self.table[(i, j)]
         # union-find over left nodes 0..dim-1 and right nodes dim..2*dim-1
         root = list(range(2 * dim))
 
@@ -183,13 +166,29 @@ class StructureConstants:
                 root[a] = a = root[root[a]]
             return a
 
-        for (i, j) in self.table:
-            root[find(dim + j)] = find(i)
+        zero = CycScalar.zero(order)
+        for i, j in sorted(table):
+            ent = table[(i, j)]
+            terms = tuple(ent.items()) if type(ent) is dict else tuple(ent)
+            for _, c in terms:  # a zero of another order is not `zero`: test it too
+                if c is zero or c.order != order:
+                    terms = tuple((k, c) for k, c in terms if not c.is_zero())
+                    break
+            if terms:
+                self.rows[i][j] = self.cols[j][i] = terms
+                root[find(dim + j)] = find(i)
+        self.unit = _prune(dict(unit))
+        self._unit_failures = None  # see unit_failures
         self.left_block = tuple(find(i) for i in range(dim))
         self.right_block = tuple(find(dim + j) for j in range(dim))
 
-    def basis_product(self, i: int, j: int):
-        return self.rows[i].get(j, ())
+    def opposite(self) -> "StructureConstants":
+        """The opposite product on these cells, indexes and blocks swapped,
+        unit and unit-law memo kept: u e_i = e_i and e_i u = e_i trade places."""
+        op = object.__new__(StructureConstants)
+        vars(op).update(vars(self), rows=self.cols, cols=self.rows,
+                        left_block=self.right_block, right_block=self.left_block)
+        return op
 
     def vec_mult(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -220,7 +219,7 @@ class StructureConstants:
 
     def unit_failures(self) -> tuple:
         """check_unit's indices, computed on the first call and kept, since
-        the table and the unit are fixed at construction: the `unit` and
+        the indexes and the unit are fixed at construction: the `unit` and
         `3.unit-*` checks and merge_pair's unit rule read this one result."""
         if self._unit_failures is None:
             self._unit_failures = tuple(self.check_unit())
@@ -230,10 +229,11 @@ class StructureConstants:
         """sum_ij e_i (x) e_j (x) e_i e_j, the table as one tensor; a cell that
         lists an index twice holds the sum of its terms, as vec_mult adds them."""
         out: dict = {}
-        for (i, j), ent in self.table.items():
-            for k, c in ent:
-                prev = out.get((i, j, k))
-                out[(i, j, k)] = c if prev is None else prev + c
+        for i, row in enumerate(self.rows):
+            for j, ent in row.items():
+                for k, c in ent:
+                    prev = out.get((i, j, k))
+                    out[(i, j, k)] = c if prev is None else prev + c
         return _owned(self.dim, 3, self.order, out)
 
     def check_associative(self) -> list:

@@ -392,10 +392,11 @@ def _suite_heisenberg(run: RunContext, rec: Recorder):
 
 
 def _products_equal(a: StructureConstants, b: StructureConstants) -> bool:
-    """Same unit and same table, each cell compared as a {k: c} map so the
-    order in which a cell's terms are listed does not matter."""
-    return (a.unit == b.unit and a.table.keys() == b.table.keys()
-            and all(dict(cell) == dict(b.table[ij]) for ij, cell in a.table.items()))
+    """Same unit and same cells, row by row, each cell compared as a {k: c}
+    map so the order in which a cell's terms are listed does not matter."""
+    return a.unit == b.unit and a.dim == b.dim and all(
+        ra.keys() == rb.keys() and all(dict(cell) == dict(rb[j]) for j, cell in ra.items())
+        for ra, rb in zip(a.rows, b.rows))
 
 
 def _actions_equal(a: dict, b: dict) -> bool:

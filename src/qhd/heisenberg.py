@@ -28,7 +28,7 @@ from .algebra import (
     multiply,
     solve_linear,
 )
-from .quasihopf import DerivedElements, QuasiHopfAlgebra, _opposite, antipode_legs
+from .quasihopf import DerivedElements, QuasiHopfAlgebra, antipode_legs
 from .report import Recorder
 from .scalar import CycScalar
 
@@ -84,7 +84,7 @@ class _Side:
         m = H.dim
         dual = side == "dual"
         self.rev = rev = (lambda t: t) if dual else (lambda t: t[::-1])
-        self.mult = H.mult if dual else _opposite(H.mult)
+        self.mult = H.mult if dual else H.mult.opposite()
         self.cop = [tuple((rev(st), d) for st, d in H.coproduct.of_basis(a))
                     for a in range(m)]
         self.index = [[xi * m + a if dual else a * m + xi for a in range(m)]

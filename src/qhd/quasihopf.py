@@ -345,7 +345,7 @@ def compute_U_Vtilde(H: QuasiHopfAlgebra, twist: SparseTensor, twist_inv: Sparse
     U of the mirror reversed, of which only the opposite product is read."""
     S = H.antipode
     U = multiply(H.mult, twist_inv, antipode_legs(S, qR))
-    Vt = multiply(_opposite(H.mult), _reversed(twist), antipode_legs(S, _reversed(pL)))
+    Vt = multiply(H.mult.opposite(), _reversed(twist), antipode_legs(S, _reversed(pL)))
     return U, _reversed(Vt)
 
 
@@ -381,18 +381,10 @@ def _mirror(H: QuasiHopfAlgebra, phi: bool = True, phi_inv: bool = True) -> Quas
     A caller that does not read Phi or Phi^-1 passes False for it and gets None in
     its place: reversing an associator costs more than a check that reads neither."""
     table = {i: tuple((jk[::-1], c) for jk, c in ent) for i, ent in H.coproduct.table.items()}
-    return QuasiHopfAlgebra(_opposite(H.mult), Coproduct(H.dim, H.order, table), H.counit,
+    return QuasiHopfAlgebra(H.mult.opposite(), Coproduct(H.dim, H.order, table), H.counit,
                             _reversed(H.associator) if phi else None,
                             _reversed(H.associator_inv) if phi_inv else None,
                             H.beta, H.alpha, H.antipode, H.antipode_inv)
-
-
-def _opposite(sc: StructureConstants) -> StructureConstants:
-    """The opposite product with sc's unit and unit-law memo, exact since
-    u e_i = e_i and e_i u = e_i only trade places."""
-    op = StructureConstants(sc.dim, sc.order, {k[::-1]: v for k, v in sc.table.items()}, sc.unit)
-    op._unit_failures = sc._unit_failures
-    return op
 
 
 def _reversed(t, fixed: int = 0):

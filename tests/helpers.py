@@ -1,7 +1,7 @@
 """Helpers that only the tests use: the labels of a recorder's failed
-checks, products read off a table's (i, j)-keyed cells, the group algebra
-kG, the Drinfeld gauge twist, applying and composing linear maps, the
-pullback product of two cocycles, and a brute-force coboundary search."""
+checks, a table's (i, j)-keyed cells and products read off them, the group
+algebra kG, the Drinfeld gauge twist, applying and composing linear maps,
+the pullback product of two cocycles, and a brute-force coboundary search."""
 
 import dataclasses
 from fractions import Fraction
@@ -32,12 +32,18 @@ def failing(rec):
     return [i.label for i in rec.items if i.status == "fail"]
 
 
+def cells(sc: StructureConstants) -> dict:
+    """A table's cells keyed by (i, j), rebuilt from its row index: the
+    layout of a StructureConstants input, which the class does not keep."""
+    return {(i, j): terms for i, row in enumerate(sc.rows) for j, terms in row.items()}
+
+
 def partner_map(sc: StructureConstants, side: str) -> dict:
     """The partner map of a table, read off its (i, j)-keyed cells: i -> the
     sorted j with (i, j) a cell (side "right"), or j -> the sorted i with
     (i, j) a cell (side "left")."""
     found: dict = {}
-    for i, j in sc.table:
+    for i, j in cells(sc):
         a, b = (i, j) if side == "right" else (j, i)
         found.setdefault(a, []).append(b)
     return {a: tuple(sorted(bs)) for a, bs in found.items()}

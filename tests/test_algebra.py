@@ -10,7 +10,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import chain_pairs, compose, partner_map
+from helpers import cells, chain_pairs, compose, partner_map
 from qhd.algebra import (
     AlgebraError,
     Coproduct,
@@ -305,34 +305,103 @@ def test_structure_constants_drop_zero_terms_and_empty_cells():
     table = {(0, 0): ((0, one3), (1, zero3)), (0, 1): {1: z, 0: CycScalar.zero(4)},
              (1, 0): ((0, zero3),), (1, 1): {}, (2, 2): ((2, one4),)}
     sc = StructureConstants(3, 3, table, {0: one3, 1: zero3})
-    assert sc.table == {(0, 0): ((0, one3),), (0, 1): ((1, z),), (2, 2): ((2, one4),)}
     assert sc.unit == {0: one3}
-    assert_row_layout(sc)
+    assert_row_layout(sc, {(0, 0): ((0, one3),), (0, 1): ((1, z),), (2, 2): ((2, one4),)})
     assert sc.rows == ({0: ((0, one3),), 1: ((1, z),)}, {}, {2: ((2, one4),)})
 
 
-def assert_row_layout(sc: StructureConstants):
-    """rows and cols hold exactly the cells of the table: the same term
-    tuples, each cell once, keys ascending, and the two indexes agree."""
+def _pruned(table: dict) -> dict:
+    """A StructureConstants input with its zero terms and empty cells
+    dropped, each cell a tuple of (k, coeff) pairs."""
+    out = {}
+    for ij, ent in table.items():
+        terms = tuple((k, c) for k, c in (ent.items() if type(ent) is dict else ent)
+                      if not c.is_zero())
+        if terms:
+            out[ij] = terms
+    return out
+
+
+def assert_row_layout(sc: StructureConstants, want: dict):
+    """rows and cols hold exactly the cells of want, a pruned constructor
+    input: equal term tuples, each cell once, keys ascending, and the two
+    indexes share each tuple."""
     assert len(sc.rows) == len(sc.cols) == sc.dim
     by_rows = [((i, j), terms) for i, row in enumerate(sc.rows) for j, terms in row.items()]
     by_cols = [((i, j), terms) for j, col in enumerate(sc.cols) for i, terms in col.items()]
-    assert [ij for ij, _ in by_rows] == sorted(sc.table)
-    assert [ij for ij, _ in by_cols] == sorted(sc.table, key=lambda ij: ij[::-1])
-    for (i, j), terms in by_rows + by_cols:
-        assert terms is sc.table[(i, j)] is sc.rows[i][j] is sc.cols[j][i]
+    assert by_rows == sorted(want.items())
+    assert by_cols == sorted(want.items(), key=lambda cell: cell[0][::-1])
+    for (i, j), terms in by_rows:
+        assert terms is sc.cols[j][i]
 
 
-def test_row_indexes_hold_the_cells_of_the_table():
+def recorded_inputs(monkeypatch) -> dict:
+    """id(sc) -> the table argument of every StructureConstants sc built from
+    now on in the test, as its constructor gets it."""
+    inputs, init = {}, StructureConstants.__init__
+
+    def recording(self, dim, order, table, unit):
+        inputs[id(self)] = table
+        init(self, dim, order, table, unit)
+
+    monkeypatch.setattr(StructureConstants, "__init__", recording)
+    return inputs
+
+
+def test_row_indexes_hold_the_cells_of_the_table(monkeypatch):
     # kωG, the nonassociative doubles of zn:3:1 and the doubles of kS3^F,
-    # whose cells hold several terms
+    # whose cells hold several terms, against the inputs their builders pass
+    inputs = recorded_inputs(monkeypatch)
     H = build_k_omega_G(cyclic_cocycle(3, 1))
     tables = [H.mult]
     for G in (H, kS3F()):
         tables += [build_H1_dual(G).sc, build_H1(G).sc]
-    assert max(len(terms) for terms in tables[-1].table.values()) > 1
+    assert max(len(terms) for terms in cells(tables[-1]).values()) > 1
     for sc in tables:
-        assert_row_layout(sc)
+        assert_row_layout(sc, _pruned(inputs[id(sc)]))
+
+
+def _partition(blocks) -> set:
+    """The indices grouped by their block label, labels dropped."""
+    found: dict = {}
+    for i, b in enumerate(blocks):
+        found.setdefault(b, []).append(i)
+    return {tuple(ix) for ix in found.values()}
+
+
+def test_opposite_swaps_the_indexes_of_its_source():
+    # zn:3:1, both doubles of kS3^F, whose cells hold several terms and do
+    # not associate, and the matrix units, whose left and right blocks
+    # differ; ref is the opposite built from the reversed cells
+    from qhd.cli import _products_equal
+
+    G, units = kS3F(), matrix_units_algebra()
+    assert _partition(units.left_block) != _partition(units.right_block)
+    rng = random.Random(3407)
+    for sc in (build_k_omega_G(cyclic_cocycle(3, 1)).mult, build_H1_dual(G).sc, build_H1(G).sc,
+               units):
+        op = sc.opposite()
+        assert op.rows is sc.cols and op.cols is sc.rows
+        assert op.unit is sc.unit
+        assert _products_equal(op.opposite(), sc)
+        ref = StructureConstants(sc.dim, sc.order, {(j, i): t for (i, j), t in cells(sc).items()},
+                                 sc.unit)
+        assert _products_equal(op, ref)
+        assert [list(row) for row in op.rows] == [list(row) for row in ref.rows]
+        assert _partition(op.left_block) == _partition(ref.left_block)
+        assert _partition(op.right_block) == _partition(ref.right_block)
+        x, y = (sparse_tensor(rng, sc, 2, 12) for _ in range(2))
+        got, want = multiply(op, x, y), multiply(ref, x, y)
+        assert got == want and list(got.entries) == list(want.entries)
+        assert not got.is_zero()
+
+
+def test_tables_hold_only_their_indexes_blocks_and_unit():
+    # no second copy of the cells: a kωG table, a double and an opposite
+    H = build_k_omega_G(cyclic_cocycle(3, 1))
+    for sc in (H.mult, build_H1_dual(H).sc, H.mult.opposite(), build_H1(H).sc.opposite()):
+        assert set(vars(sc)) == {"dim", "order", "rows", "cols", "unit", "_unit_failures",
+                                 "left_block", "right_block"}
 
 
 def test_sum_and_difference_refuse_tensors_of_another_order():
@@ -366,7 +435,7 @@ def _multiply_reference(sc: StructureConstants, x: SparseTensor, y: SparseTensor
     x._compat(y)
     if x.dim != sc.dim:
         raise AlgebraError("tensor dimension does not match the algebra")
-    table = sc.table
+    table = cells(sc)
     buckets: dict[int, list] = {}
     for ky, cy in y.entries.items():
         buckets.setdefault(ky[0], []).append((ky, cy))
@@ -473,7 +542,7 @@ def plain_ones_algebra(rng, order=3, dim=4) -> StructureConstants:
                 ent.append(((i * j + 1) % dim, plain_ones_coeff(rng, order)))
             table[(i, j)] = tuple(ent)
     sc = StructureConstants(dim, order, table, {0: plain_one(rng, order)})
-    assert_ones_interned((c for ent in sc.table.values() for _, c in ent), order)
+    assert_ones_interned((c for ent in cells(sc).values() for _, c in ent), order)
     return sc
 
 
@@ -534,7 +603,7 @@ def _merge_pair_reference(sc: StructureConstants, a: SparseTensor, b: SparseTens
             elif k1 == "b" and k2 == "a":
                 constraints.append((i2, i1, False))
 
-    table = sc.table
+    table = cells(sc)
     one = CycScalar.one(sc.order)
     out: dict = {}
 
@@ -745,7 +814,7 @@ def _merge_pair_plan_reference(sc: StructureConstants, a: SparseTensor, b: Spars
         return i if kind == "a" else a.degree + i
 
     joins = []  # (a leg, b leg, a comes first) of each adjacent a/b pair
-    cells = []  # (position, position) of each two-leg group
+    cell_legs = []  # (position, position) of each two-leg group
     # per folded group: the getter of the indices it reads, its factors
     # (positions and vectors), the (position, position) of each a/b pair in
     # it, and its folds by those indices
@@ -758,8 +827,8 @@ def _merge_pair_plan_reference(sc: StructureConstants, a: SparseTensor, b: Spars
         if len(g) == 1 and g[0][0] != "v":
             steps.append(("pass", at(*g[0])))
         elif len(g) == 2 and "v" not in (g[0][0], g[1][0]):
-            steps.append(("cell", len(cells)))
-            cells.append((at(*g[0]), at(*g[1])))
+            steps.append(("cell", len(cell_legs)))
+            cell_legs.append((at(*g[0]), at(*g[1])))
         else:
             steps.append(("chain", len(chains)))
             factors = [vecs[i] if kind == "v" else at(kind, i) for kind, i in g]
@@ -767,7 +836,7 @@ def _merge_pair_plan_reference(sc: StructureConstants, a: SparseTensor, b: Spars
             chains.append((itemgetter(*read) if read else lambda _k: (), factors,
                            [(at(*r1), at(*r2)) for r1, r2 in pairs], {}))
     # a candidate's `ents` are its cells' table entries, then its folded groups
-    slots = [(kind != "pass", len(cells) + n if kind == "chain" else n) for kind, n in steps]
+    slots = [(kind != "pass", len(cell_legs) + n if kind == "chain" else n) for kind, n in steps]
 
     lb, rb = sc.left_block, sc.right_block
     a_blocks = [(a_leg, lb if a_first else rb) for a_leg, _, a_first in joins]
@@ -777,13 +846,13 @@ def _merge_pair_plan_reference(sc: StructureConstants, a: SparseTensor, b: Spars
     for kb in b_entries:
         index.setdefault(tuple([blk[kb[leg]] for leg, blk in b_blocks]), []).append(kb)
 
-    table = sc.table
+    table = cells(sc)
     one = CycScalar.one(sc.order)
     out: dict = {}
     for ka, ca in a.entries.items():
         for kb in index.get(tuple([blk[ka[leg]] for leg, blk in a_blocks]), ()):
             k = ka + kb
-            ents = [table.get((k[p], k[q])) for p, q in cells]
+            ents = [table.get((k[p], k[q])) for p, q in cell_legs]
             if None in ents:
                 continue
             for read, factors, tests, folds in chains:
@@ -1051,10 +1120,10 @@ def test_blocks_hold_every_cell_and_are_complete_for_built_algebras():
     from qhd.twisted import build_k_omega_G
 
     def cells_in_blocks(sc):
-        return all(sc.left_block[i] == sc.right_block[j] for i, j in sc.table)
+        return all(sc.left_block[i] == sc.right_block[j] for i, j in cells(sc))
 
     def blocks_complete(sc):
-        return all((i, j) in sc.table
+        return all(j in sc.rows[i]
                    for i in range(sc.dim) for j in range(sc.dim)
                    if sc.left_block[i] == sc.right_block[j])
 
@@ -1742,7 +1811,7 @@ def test_chain_pairs_matches_vec_mult_fold():
                 v = {it: one} if isinstance(it, int) else it
                 want = v if want is None else sc.vec_mult(want, v)
             assert dict(_chain_pairs(sc.rows, chain, one)) == want, chain
-            assert dict(chain_pairs(sc.table, chain, one)) == want, chain
+            assert dict(chain_pairs(cells(sc), chain, one)) == want, chain
 
 
 # -- the probe's stacked solve from the reductions of its two systems ------------
@@ -1841,7 +1910,7 @@ def _rand_over(rng, dim, degree, order, density):
 def _bad_unit_algebra() -> StructureConstants:
     """The matrix units with stored unit E11 + 2 E12: no unit law holds."""
     sc = matrix_units_algebra()
-    return StructureConstants(sc.dim, sc.order, sc.table, {0: ONE, 1: rat(2)})
+    return StructureConstants(sc.dim, sc.order, cells(sc), {0: ONE, 1: rat(2)})
 
 
 def _left_unit_algebra(n: int = 3) -> StructureConstants:

@@ -241,15 +241,16 @@ def test_main_unwritable_out_exits_2(tmp_path, capsys):
 
 def test_products_equal_ignores_cell_order():
     one, two = CycScalar.one(1), CycScalar.from_rational(1, 2)
-    sc = StructureConstants(4, 1, {(0, 0): ((0, one), (1, two)), (1, 2): ((3, one),)}, {0: one})
+    table = {(0, 0): ((0, one), (1, two)), (1, 2): ((3, one),)}
+    sc = StructureConstants(4, 1, table, {0: one})
     reordered = StructureConstants(4, 1, {(1, 2): ((3, one),), (0, 0): ((1, two), (0, one))},
                                    {0: one})
-    assert sc.table != reordered.table  # the tuples differ, the products do not
+    assert sc.rows != reordered.rows  # the tuples differ, the products do not
     assert _products_equal(sc, reordered)
     changed = StructureConstants(4, 1, {(1, 2): ((3, one),), (0, 0): ((1, one), (0, one))},
                                  {0: one})
     assert not _products_equal(sc, changed)
-    assert not _products_equal(sc, StructureConstants(4, 1, dict(sc.table), {1: one}))
+    assert not _products_equal(sc, StructureConstants(4, 1, table, {1: one}))
 
 
 def test_float_backend_cross_check_agrees():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import product_cocycle, search_coboundary
+from helpers import cells, product_cocycle, search_coboundary
 from qhd.algebra import leg_embed, multiply
 from qhd.cli import main, resolve_builtin
 from qhd.heisenberg import build_H1, build_H1_dual, canonical_elements, probe_invertibility
@@ -228,14 +228,12 @@ def test_invalid_cocycle_builds_and_fails_its_axioms(tmp_path, capsys):
 
 def _closed_form_double_reference(w):
     """closed_form_double as four nested loops per side, before the one pass
-    over G^3: ((dual_sc, dual_action), (plain_sc, plain_action))."""
-    from qhd.algebra import StructureConstants
-
+    over G^3: ((dual_table, dual_unit, dual_action), (plain_table, plain_unit,
+    plain_action)), each table the (i, j)-keyed input of a StructureConstants."""
     g = w.group
     n = g.order
     N = w.root_order
     one = CycScalar.one(N)
-    m2 = n * n
     flat = lambda x, y: x * n + y
 
     dual_table = {}
@@ -249,7 +247,6 @@ def _closed_form_double_reference(w):
                             (flat(g.mul(gg, h), b), coeff),
                         )
     dual_unit = {flat(g.identity, b): one for b in range(n)}
-    dual_sc = StructureConstants(m2, N, dual_table, dual_unit)
     dual_action = {}
     for gg in range(n):
         for a in range(n):
@@ -267,13 +264,12 @@ def _closed_form_double_reference(w):
                             (flat(a, g.mul(gg, h)), coeff),
                         )
     plain_unit = {flat(a, g.identity): one for a in range(n)}
-    plain_sc = StructureConstants(m2, N, plain_table, plain_unit)
     plain_action = {}
     for a in range(n):
         for gg in range(n):
             for b in range(n):
                 plain_action[(flat(a, gg), b)] = {flat(a, gg): one} if b == gg else {}
-    return (dual_sc, dual_action), (plain_sc, plain_action)
+    return (dual_table, dual_unit, dual_action), (plain_table, plain_unit, plain_action)
 
 
 def test_closed_form_double_matches_four_loop_reference():
@@ -289,9 +285,9 @@ def test_closed_form_double_matches_four_loop_reference():
     cocycles += [klein_cocycle(t) for t in range(4)] + [s3]
     for w in cocycles:
         got, want = closed_form_double(w), _closed_form_double_reference(w)
-        for (sc, action), (ref_sc, ref_action) in zip(got, want):
-            assert sc.table == ref_sc.table, (w.group.name, w.root_order)
-            assert sc.unit == ref_sc.unit
+        for (sc, action), (ref_table, ref_unit, ref_action) in zip(got, want):
+            assert cells(sc) == ref_table, (w.group.name, w.root_order)
+            assert sc.unit == ref_unit
             assert all(action.get(key, {}) == ref_action.get(key, {})
                        for key in set(action) | set(ref_action))
 
